@@ -4,7 +4,7 @@ Every command reads one flat config file (or a previously written
 manifest.json for an exact re-run), writes all of its outputs into the
 directory named by --out, and finishes with a single summary line.  Exit
 codes: 0 all checks passed, 1 a quantitative check failed, 2 configuration
-or usage error, 3 numerical blow-up.
+or usage error, 3 numerical blow-up or Newton failure.
 """
 
 import argparse
@@ -18,7 +18,8 @@ from .config import (ConfigError, DEFAULTS, load_config, make_coeff,
                      make_drift, make_grid, make_initial, make_kernel,
                      make_pert, make_sampler, make_solver_config, make_spec,
                      manifest_payload, validate_config, write_csv, write_json)
-from .evolution import BlowUpError, build_system, simulate_path
+from .evolution import (BlowUpError, NewtonDivergedError, build_system,
+                        simulate_path)
 from .regularize import gap_decay_study, verify_regularization
 from .spatial import GridMismatchError, initial_profile, initial_to_csv
 from .verify import (ExperimentPlan, cauchy_in_n_study, contraction_experiment,
@@ -283,6 +284,11 @@ def main(argv=None):
         return EXIT_CONFIG
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
+        return EXIT_BLOW_UP
+    except NewtonDivergedError as exc:
+        print(f"newton failure: step {exc.step} (t = {exc.time}): "
+              f"{exc.iterations} iterations, residual {exc.residual:.3g}",
+              file=sys.stderr)
         return EXIT_BLOW_UP
 
 

@@ -46,15 +46,29 @@ class BlowUpError(RuntimeError):
         self.time = time
         self.norm = norm
 
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, so the error survives the
+        # trip back from a worker process
+        return type(self), (self.step, self.time, self.norm)
+
 
 class NewtonDivergedError(RuntimeError):
-    """Damped Newton failed to reduce the residual to tolerance."""
+    """Damped Newton failed to reduce the residual to tolerance.
+
+    ``step`` and ``time`` locate the failing step; simulate_path sets them
+    when the error passes through it, and they stay None otherwise.
+    """
 
     def __init__(self, iterations, residual):
         super().__init__(f"Newton stalled after {iterations} iterations "
                          f"(residual {residual:.3g})")
         self.iterations = iterations
         self.residual = residual
+        self.step = None
+        self.time = None
+
+    def __reduce__(self):
+        return type(self), (self.iterations, self.residual), self.__dict__
 
 
 @dataclass(frozen=True)
@@ -351,7 +365,11 @@ def simulate_path(system, config, u0, sampler=None):
             dw = sampler.sample_increment(config.dt)
         else:
             dw = np.zeros(grid.size)
-        u, _, iters = _advance(system, config, sampler, u, t, config.dt, dw, 0)
+        try:
+            u, _, iters = _advance(system, config, sampler, u, t, config.dt, dw, 0)
+        except NewtonDivergedError as exc:
+            exc.step, exc.time = k, t
+            raise
         iters_log.append(iters)
         if incr_log is not None:
             incr_log.append(dw)

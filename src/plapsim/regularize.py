@@ -6,9 +6,9 @@ inf-convolution
     sigma_n(t, lam) = inf_mu [ sigma(t, mu) + n * |lam - mu| ],
 
 which is n-Lipschitz, sits below sigma, and converges uniformly at the rate
-n**(alpha/(alpha-1)).  This module evaluates sigma_n numerically, provides
-the closed-form gap bounds that control the approximation error, and checks
-the claimed properties on dense grids.
+n**(alpha/(alpha-1)).  This module evaluates sigma_n (exactly for the power
+prototype), provides the closed-form gap bounds that control the
+approximation error, and checks the claimed properties on dense grids.
 """
 
 import math
@@ -26,7 +26,6 @@ __all__ = [
     "gap_bound",
     "c_alpha",
     "sublinear_growth_bound",
-    "sigma_n_eval",
     "sigma_n_values",
     "sup_gap_scan",
     "gap_decay_study",
@@ -48,6 +47,11 @@ class PowerSigma:
 
     def __call__(self, t, lam):
         return self.scale * np.abs(lam) ** self.alpha
+
+    def inf_convolution(self, t, lam, n):
+        # exact for 0 < alpha <= 1: mu -> scale |mu|**alpha + n |lam - mu| is concave
+        # on each piece cut at mu = 0 and mu = lam, so one of the two attains the inf
+        return np.minimum(self(t, lam), n * np.abs(lam))
 
 
 @dataclass(frozen=True)
@@ -132,7 +136,7 @@ def _check_strict_holder(alpha, l_alpha):
 
 @dataclass
 class RegularizedSigma:
-    """Numerical evaluator for the inf-convolution sigma_n.
+    """sigma_n: exact via the evaluator's ``inf_convolution``, else searched.
 
     The infimum over mu is localized: any mu with
     |mu - lam| >= (l_alpha/n)**(1/(1-alpha)) cannot improve on mu = lam,
@@ -175,21 +179,18 @@ class RegularizedSigma:
 
 
 def sigma_n_values(reg, t, lam):
-    """Vectorized sigma_n over an array of lam values."""
+    """Vectorized sigma_n; exact if the evaluator has ``inf_convolution``."""
     lam = np.asarray(lam, dtype=float)
-    scalar = lam.ndim == 0
-    flat = np.atleast_1d(lam).ravel()
-    block = max(8, reg.chunk // reg.grid_points)
-    out = np.empty(flat.shape)
-    for start in range(0, flat.size, block):
-        out[start:start + block] = _sigma_n_block(reg, t, flat[start:start + block])
-    out = out.reshape(np.atleast_1d(lam).shape)
-    return float(out[0]) if scalar else out.reshape(lam.shape)
-
-
-def sigma_n_eval(reg, t, lam):
-    """sigma_n(t, lam) for a single lam (array input is accepted and mapped)."""
-    return sigma_n_values(reg, t, lam)
+    exact = getattr(reg.spec.eval, "inf_convolution", None)
+    if exact is not None:
+        out = exact(t, lam, reg.n)
+    else:
+        flat, out = lam.ravel(), np.empty(lam.size)
+        block = max(8, reg.chunk // reg.grid_points)
+        for start in range(0, flat.size, block):
+            out[start:start + block] = _sigma_n_block(reg, t, flat[start:start + block])
+        out = out.reshape(lam.shape)
+    return float(out) if lam.ndim == 0 else out
 
 
 def _sigma_n_block(reg, t, lam):

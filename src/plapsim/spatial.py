@@ -186,24 +186,24 @@ def multi_indices(dimension, m):
     return sorted(out, key=lambda g: (sum(g), g))
 
 
+@lru_cache(maxsize=None)
+def _stacked_differences(grid, m):
+    """Every D^gamma with |gamma| <= m stacked as one CSR matrix, and its transpose."""
+    gammas = multi_indices(grid.dimension, m)
+    mat = sparse.vstack([difference_matrix(grid, g) for g in gammas], format="csr")
+    return mat, mat.T.tocsr()
+
+
 def hm0_norm(grid, u, m):
     """sqrt of sum over |gamma| <= m of the squared L2 norms of D^gamma u."""
-    u = grid.check(u)
-    total = 0.0
-    for gamma in multi_indices(grid.dimension, m):
-        du = difference_matrix(grid, gamma) @ u
-        total += np.sum(du * du)
-    return float(np.sqrt(total * grid.weight))
+    du = _stacked_differences(grid, m)[0] @ grid.check(u)
+    return float(np.sqrt(np.sum(du * du) * grid.weight))
 
 
 def wmq_norm(grid, u, m, q):
     """(sum over |gamma| <= m of the q-th power L^q norms of D^gamma u) ** (1/q)."""
-    u = grid.check(u)
-    total = 0.0
-    for gamma in multi_indices(grid.dimension, m):
-        du = difference_matrix(grid, gamma) @ u
-        total += np.sum(np.abs(du) ** q)
-    return float((total * grid.weight) ** (1.0 / q))
+    du = _stacked_differences(grid, m)[0] @ grid.check(u)
+    return float((np.sum(np.abs(du) ** q) * grid.weight) ** (1.0 / q))
 
 
 def laplacian_min_eigenvalue(grid):
@@ -458,26 +458,19 @@ def j_form(grid, pert, u, v):
     """
     u, v = grid.check(u), grid.check(v)
     _check_order(grid, pert.m)
-    q = pert.q
-    total = 0.0
-    for gamma in multi_indices(grid.dimension, pert.m):
-        mat = difference_matrix(grid, gamma)
-        du, dv = mat @ u, mat @ v
-        total += np.sum(du * dv) + np.sum(np.abs(du) ** (q - 2.0) * du * dv)
-    return float(total * grid.weight)
+    mat = _stacked_differences(grid, pert.m)[0]
+    du, dv = mat @ u, mat @ v
+    return float((np.sum(du * dv) + np.sum(np.abs(du) ** (pert.q - 2.0) * du * dv))
+                 * grid.weight)
 
 
 def j_operator(grid, pert, u):
     """Riesz representative of j_form(u, .) in the weighted node pairing."""
     u = grid.check(u)
     _check_order(grid, pert.m)
-    q = pert.q
-    out = np.zeros(grid.size)
-    for gamma in multi_indices(grid.dimension, pert.m):
-        mat = difference_matrix(grid, gamma)
-        du = mat @ u
-        out += mat.T @ (du + np.abs(du) ** (q - 2.0) * du)
-    return out
+    mat, mat_t = _stacked_differences(grid, pert.m)
+    du = mat @ u
+    return mat_t @ (du + np.abs(du) ** (pert.q - 2.0) * du)
 
 
 def apply_A_n(grid, coeff, drift, pert, n, u):

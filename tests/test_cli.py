@@ -156,6 +156,26 @@ run.paths = 1
     assert "blow-up" in capsys.readouterr().err
 
 
+def test_simulate_newton_failure_exits_three(tmp_path, capsys):
+    path = write_config(tmp_path, "solver.newton_max_iter = 0\nrun.paths = 1\n")
+    code = main(["simulate", "--config", str(path), "--out",
+                 str(tmp_path / "out")])
+    assert code == EXIT_BLOW_UP
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("newton failure: step 0 (t = 0.0): 0 iterations, "
+                             "residual ")
+
+
+def test_verify_newton_failure_in_a_worker_exits_three(tmp_path, capsys):
+    # the error is raised in a pool worker and must reach cli.main intact
+    path = write_config(tmp_path, "solver.newton_max_iter = 0\n")
+    code = main(["verify", "--config", str(path), "--out",
+                 str(tmp_path / "out"), "--workers", "2"])
+    assert code == EXIT_BLOW_UP
+    assert capsys.readouterr().err.startswith("newton failure: step 0 (t = 0.0)")
+
+
 def test_outputs_stay_inside_out_dir(tmp_path, monkeypatch):
     workdir = tmp_path / "cwd"
     workdir.mkdir()

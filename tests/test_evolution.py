@@ -1,6 +1,8 @@
 """Oracle tests for the time steppers: exact linear decay, solver identities,
 determinism of the stochastic trajectories, and the failure modes."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,38 @@ def test_newton_divergence_is_reported():
     u = initial_profile(grid, "sine", amplitude=0.25)
     with pytest.raises(NewtonDivergedError):
         step_semi_implicit(system, config, u, 0.0, np.zeros(grid.size))
+
+
+def test_newton_failure_carries_step_and_time():
+    # a near-zero state needs two Newton iterations per step until a large
+    # increment at step 3 asks for four, past the cap of three
+    grid = Grid(1, 16)
+    system, config = stochastic_pieces(grid, newton_max_iter=3)
+
+    class KickAtStepThree:
+        calls = 0
+
+        def sample_increment(self, dt):
+            self.calls += 1
+            return np.full(grid.size, 5.0 if self.calls == 4 else 0.0)
+
+    u0 = initial_profile(grid, "sine", amplitude=0.0025)
+    with pytest.raises(NewtonDivergedError) as info:
+        simulate_path(system, config, u0, KickAtStepThree())
+    assert info.value.step == 3
+    assert info.value.time == 3 * config.dt
+    assert info.value.iterations == 3
+
+
+def test_failure_errors_survive_pickling():
+    # worker pools send exceptions back to the parent by pickle
+    newton = NewtonDivergedError(3, 0.5)
+    newton.step, newton.time = 7, 0.007
+    back = pickle.loads(pickle.dumps(newton))
+    assert (back.iterations, back.residual, back.step, back.time) == (3, 0.5, 7, 0.007)
+    blow = pickle.loads(pickle.dumps(BlowUpError(4, 0.25, 1e13)))
+    assert (blow.step, blow.time, blow.norm) == (4, 0.25, 1e13)
+    assert str(blow) == str(BlowUpError(4, 0.25, 1e13))
 
 
 # ---------------------------------------------------------------- trajectories

@@ -1,5 +1,7 @@
 """Oracle and property tests for the inf-convolution regularization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +15,22 @@ from plapsim.regularize import (
     n0,
     power_sigma,
     r0,
-    sigma_n_eval,
     sigma_n_values,
     sublinear_growth_bound,
     sup_gap_scan,
     verify_regularization,
 )
+
+
+def search_power_sigma(alpha, scale=1.0):
+    """power_sigma behind a plain function: no exact inf_convolution, so
+    sigma_n runs the numerical bracket-and-refine search."""
+    spec = power_sigma(alpha, scale)
+    return replace(spec, eval=lambda t, lam: spec.eval(t, lam))
+
+
+# the exact power path and the numerical search over the same evaluator
+SPEC_MAKERS = (power_sigma, search_power_sigma)
 
 
 def brute_force_inf_conv(spec, n, t, lam, points=200001, radius_mult=4.0):
@@ -89,19 +101,53 @@ def test_closed_forms_reject_alpha_one():
 def test_sigma_n_closed_form_for_square_root_prototype():
     # for sigma = sqrt|lam| the infimum is attained at mu = 0 or mu = lam,
     # giving sigma_n = min(n|lam|, sqrt|lam|)
-    spec = power_sigma(0.5, 1.0)
-    for n in (2, 4, 16):
-        reg = RegularizedSigma(spec, n)
-        lam = np.linspace(-4.0, 4.0, 4001)
-        expect = np.minimum(n * np.abs(lam), np.sqrt(np.abs(lam)))
-        got = sigma_n_values(reg, 0.0, lam)
-        assert np.max(np.abs(got - expect)) < 1e-12
+    for make_spec in SPEC_MAKERS:
+        spec = make_spec(0.5, 1.0)
+        for n in (2, 4, 16):
+            reg = RegularizedSigma(spec, n)
+            lam = np.linspace(-4.0, 4.0, 4001)
+            expect = np.minimum(n * np.abs(lam), np.sqrt(np.abs(lam)))
+            got = sigma_n_values(reg, 0.0, lam)
+            assert np.max(np.abs(got - expect)) < 1e-12
 
 
 def test_sigma_n_spot_value():
-    spec = power_sigma(0.5, 1.0)
-    reg = RegularizedSigma(spec, 2)
-    assert np.isclose(sigma_n_eval(reg, 0.0, 1.0 / 16.0), 0.125, rtol=1e-12)
+    for make_spec in SPEC_MAKERS:
+        reg = RegularizedSigma(make_spec(0.5, 1.0), 2)
+        got = sigma_n_values(reg, 0.0, 1.0 / 16.0)
+        assert isinstance(got, float)
+        assert np.isclose(got, 0.125, rtol=1e-12)
+
+
+def test_power_path_is_the_closed_form_bit_for_bit():
+    lam = np.concatenate([np.linspace(-4.0, 4.0, 2001),
+                          np.geomspace(1e-12, 4.0, 200), [0.0, -0.0]])
+    for alpha, scale in ((0.3, 1.0), (0.5, 2.0), (0.75, 0.7)):
+        spec = power_sigma(alpha, scale)
+        for n in (n0(spec.c_sigma), 5, 64):
+            got = sigma_n_values(RegularizedSigma(spec, n), 0.0, lam)
+            expect = np.minimum(scale * np.abs(lam) ** alpha, n * np.abs(lam))
+            assert np.array_equal(got, expect)
+            assert got.shape == lam.shape
+    # array shapes are kept, scalars come back as floats
+    reg = RegularizedSigma(power_sigma(0.5), 4)
+    assert sigma_n_values(reg, 0.0, np.ones((3, 2))).shape == (3, 2)
+    assert isinstance(sigma_n_values(reg, 0.0, 0.25), float)
+
+
+def test_numeric_search_matches_closed_form_on_dense_grid():
+    # uniform points plus log-spaced magnitudes, since the kink of
+    # min(|lam|**alpha, n|lam|) sits at |lam| = n**(1/(alpha-1))
+    mags = np.geomspace(1e-12, 4.0, 2500)
+    lam = np.concatenate([np.linspace(-4.0, 4.0, 5001), mags, -mags])
+    assert lam.size == 10001
+    for alpha in (0.3, 0.5, 0.75):
+        expect_spec, search_spec = power_sigma(alpha), search_power_sigma(alpha)
+        for n in (2, 4, 8, 16, 32, 64, 128, 256):
+            expect = sigma_n_values(RegularizedSigma(expect_spec, n), 0.0, lam)
+            got = sigma_n_values(RegularizedSigma(search_spec, n, grid_points=1024),
+                                 0.0, lam)
+            assert np.max(np.abs(got - expect)) <= 1e-12, (alpha, n)
 
 
 def test_rejects_n_below_n0():
@@ -125,13 +171,14 @@ def test_rejects_lipschitz_alpha():
     n=st.integers(1, 40),
 )
 def test_brute_force_equivalence(lam, alpha, n):
-    spec = power_sigma(alpha, 1.0)
-    reg = RegularizedSigma(spec, n, grid_points=1024)
-    got = sigma_n_eval(reg, 0.0, lam)
-    ref, delta = brute_force_inf_conv(spec, n, 0.0, lam)
-    slack = spec.l_alpha * delta ** alpha + n * delta
-    assert got <= ref + 1e-12, f"eval exceeds brute force: {got} vs {ref}"
-    assert got >= ref - slack, f"eval below brute force slack: {got} vs {ref}"
+    for make_spec in SPEC_MAKERS:
+        spec = make_spec(alpha, 1.0)
+        reg = RegularizedSigma(spec, n, grid_points=1024)
+        got = sigma_n_values(reg, 0.0, lam)
+        ref, delta = brute_force_inf_conv(spec, n, 0.0, lam)
+        slack = spec.l_alpha * delta ** alpha + n * delta
+        assert got <= ref + 1e-12, f"eval exceeds brute force: {got} vs {ref}"
+        assert got >= ref - slack, f"eval below brute force slack: {got} vs {ref}"
 
 
 @settings(max_examples=40, deadline=None)
@@ -141,23 +188,24 @@ def test_brute_force_equivalence(lam, alpha, n):
     n_extra=st.integers(0, 20),
 )
 def test_pointwise_properties_hold_on_grid(alpha, scale, n_extra):
-    spec = power_sigma(alpha, scale)
-    n = n0(spec.c_sigma) + n_extra
-    reg = RegularizedSigma(spec, n, grid_points=1024)
-    lam = np.linspace(-4.0, 4.0, 801)
-    sig = spec.eval(0.0, lam)
-    sig_n = sigma_n_values(reg, 0.0, lam)
+    for make_spec in SPEC_MAKERS:
+        spec = make_spec(alpha, scale)
+        n = n0(spec.c_sigma) + n_extra
+        reg = RegularizedSigma(spec, n, grid_points=1024)
+        lam = np.linspace(-4.0, 4.0, 801)
+        sig = spec.eval(0.0, lam)
+        sig_n = sigma_n_values(reg, 0.0, lam)
 
-    # below sigma
-    assert np.max(sig_n - sig) <= 1e-12
-    # n-Lipschitz along the grid
-    slopes = np.abs(np.diff(sig_n)) / np.diff(lam)
-    assert np.max(slopes) <= n * (1.0 + 1e-9) + 1e-12
-    # uniform gap bound
-    bound = gap_bound(alpha, scale, n)
-    assert np.max(np.abs(sig - sig_n)) <= bound * (1.0 + 1e-9) + 1e-12
-    # sublinear growth
-    assert np.all(sig_n ** 2 <= sublinear_growth_bound(spec, lam) + 1e-12)
+        # below sigma
+        assert np.max(sig_n - sig) <= 1e-12
+        # n-Lipschitz along the grid
+        slopes = np.abs(np.diff(sig_n)) / np.diff(lam)
+        assert np.max(slopes) <= n * (1.0 + 1e-9) + 1e-12
+        # uniform gap bound
+        bound = gap_bound(alpha, scale, n)
+        assert np.max(np.abs(sig - sig_n)) <= bound * (1.0 + 1e-9) + 1e-12
+        # sublinear growth
+        assert np.all(sig_n ** 2 <= sublinear_growth_bound(spec, lam) + 1e-12)
 
 
 def test_gap_bound_is_tight_for_prototype():

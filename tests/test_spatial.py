@@ -253,6 +253,30 @@ def test_j_form_positivity_and_linearity_in_second_slot():
     assert np.isclose(left, right, rtol=1e-9, atol=1e-12)
 
 
+def test_stacked_operators_match_per_gamma_sums():
+    # reference: the defining sums over |gamma| <= m, one difference matrix each
+    for dimension, n_interior in ((1, 19), (2, 7)):
+        grid = Grid(dimension, n_interior)
+        u, v = random_field(grid, 13), random_field(grid, 14)
+        for m in (1, 2):
+            pert = HigherOrderPerturbation(m=m, q=4.5)
+            mats = [difference_matrix(grid, g) for g in multi_indices(dimension, m)]
+            dus = [mat @ u for mat in mats]
+            dvs = [mat @ v for mat in mats]
+            pows = [np.abs(du) ** (pert.q - 2.0) * du for du in dus]
+            ref_j = sum(mat.T @ (du + pw) for mat, du, pw in zip(mats, dus, pows))
+            ref_form = grid.weight * sum(np.sum(du * dv) + np.sum(pw * dv)
+                                         for du, dv, pw in zip(dus, dvs, pows))
+            ref_hm0 = np.sqrt(grid.weight * sum(np.sum(du * du) for du in dus))
+            ref_wmq = (grid.weight * sum(np.sum(np.abs(du) ** pert.q)
+                                         for du in dus)) ** (1.0 / pert.q)
+            np.testing.assert_allclose(j_operator(grid, pert, u), ref_j, rtol=1e-13)
+            np.testing.assert_allclose(j_form(grid, pert, u, v), ref_form, rtol=1e-13)
+            np.testing.assert_allclose(hm0_norm(grid, u, m), ref_hm0, rtol=1e-13)
+            np.testing.assert_allclose(wmq_norm(grid, u, m, pert.q), ref_wmq,
+                                       rtol=1e-13)
+
+
 def test_j_rejects_too_coarse_grids():
     grid = Grid(1, 1)
     pert = HigherOrderPerturbation(m=2, q=4.0)
