@@ -18,12 +18,12 @@ from .config import (ConfigError, DEFAULTS, load_config, make_coeff,
                      make_drift, make_grid, make_initial, make_kernel,
                      make_pert, make_sampler, make_solver_config, make_spec,
                      manifest_payload, validate_config, write_csv, write_json)
-from .evolution import (BlowUpError, NewtonDivergedError, build_system,
-                        simulate_path)
+from .evolution import NewtonDivergedError, build_system, simulate_path
 from .regularize import gap_decay_study, verify_regularization
 from .spatial import GridMismatchError, initial_profile, initial_to_csv
-from .verify import (ExperimentPlan, cauchy_in_n_study, contraction_experiment,
-                     energy_report, heat_oracle_study)
+from .verify import (PATH_FAILURES, ExperimentPlan, cauchy_in_n_study,
+                     contraction_experiment, energy_report, failure_report,
+                     heat_oracle_study)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -98,6 +98,14 @@ def _resolve(args):
 def _write_manifest(out, cfg, seed, config_path):
     write_json(out / "manifest.json",
                manifest_payload(cfg, seed, config_path, out))
+
+
+def _failure_line(exc):
+    """One stderr line for a BlowUpError or NewtonDivergedError."""
+    if isinstance(exc, NewtonDivergedError):
+        return (f"newton failure: step {exc.step} (t = {exc.time}): "
+                f"{exc.iterations} iterations, residual {exc.residual:.3g}")
+    return f"blow-up: {exc}"
 
 
 def _summary(name, passed, out):
@@ -219,55 +227,72 @@ def cmd_verify(cfg, seed, workers, out, config_path):
     u0 = make_initial(cfg, grid)
     u0_b = initial_profile(grid, "bump",
                            amplitude=0.5 * cfg["initial.amplitude"])
-    studies = [energy_report(plan, u0=u0,
-                             ratio_bound=cfg["verify.ratio_bound"])]
+    failures = []
+
+    def attempt(study, *args, **kwargs):
+        # a failing path fails its study; the other studies still run
+        try:
+            return study(*args, **kwargs)
+        except PATH_FAILURES as exc:
+            failures.append(exc)
+            return failure_report(exc, seed)
+
+    energy = attempt(energy_report, plan, u0=u0,
+                     ratio_bound=cfg["verify.ratio_bound"])
     try:
-        studies.append(contraction_experiment(plan, u0, u0_b))
+        contraction = attempt(contraction_experiment, plan, u0, u0_b)
     except ValueError as exc:
         raise ConfigError(str(exc), field="sigma.alpha") from exc
     try:
-        studies.append(cauchy_in_n_study(plan, u0=u0))
+        cauchy = attempt(cauchy_in_n_study, plan, u0=u0)
     except ValueError as exc:
         raise ConfigError(str(exc), field="run.n_list") from exc
-    studies.append(heat_oracle_study(**_VERIFY_HEAT))
+    heat = heat_oracle_study(**_VERIFY_HEAT)
+    studies = [energy, contraction, cauchy, heat]
 
     passed = all(s["pass"] for s in studies)
     report = {"name": "verify", "studies": studies, "pass": passed}
     _write_manifest(out, cfg, seed, config_path)
     write_json(out / "report.json", report)
 
-    energy = studies[0]
-    rows = []
-    for n in energy["levels"]:
-        est = energy["estimates"][str(n)]
-        rows.append((n,
-                     est["sup_l2_sq"]["mean"], est["sup_l2_sq"]["std_error"],
-                     est["int_grad_lp_p"]["mean"], est["int_grad_lp_p"]["std_error"],
-                     est["int_hm0_sq_over_n"]["mean"], est["int_hm0_sq_over_n"]["std_error"],
-                     est["int_wmq_q_over_n"]["mean"], est["int_wmq_q_over_n"]["std_error"]))
-    write_csv(out / "energy_levels.csv",
-              ["n", "sup_l2_sq_mean", "sup_l2_sq_se",
-               "int_grad_lp_p_mean", "int_grad_lp_p_se",
-               "int_hm0_sq_over_n_mean", "int_hm0_sq_over_n_se",
-               "int_wmq_q_over_n_mean", "int_wmq_q_over_n_se"], rows)
+    if "estimates" in energy:
+        rows = []
+        for n in energy["levels"]:
+            est = energy["estimates"][str(n)]
+            rows.append((n,
+                         est["sup_l2_sq"]["mean"], est["sup_l2_sq"]["std_error"],
+                         est["int_grad_lp_p"]["mean"], est["int_grad_lp_p"]["std_error"],
+                         est["int_hm0_sq_over_n"]["mean"], est["int_hm0_sq_over_n"]["std_error"],
+                         est["int_wmq_q_over_n"]["mean"], est["int_wmq_q_over_n"]["std_error"]))
+        write_csv(out / "energy_levels.csv",
+                  ["n", "sup_l2_sq_mean", "sup_l2_sq_se",
+                   "int_grad_lp_p_mean", "int_grad_lp_p_se",
+                   "int_hm0_sq_over_n_mean", "int_hm0_sq_over_n_se",
+                   "int_wmq_q_over_n_mean", "int_wmq_q_over_n_se"], rows)
 
-    contraction = studies[1]
-    write_csv(out / "contraction_curve.csv",
-              ["t", "mean", "std_error", "bound"],
-              [(pt["t"], pt["mean"], pt["std_error"], pt["bound"])
-               for pt in contraction["curve"]])
+    if "curve" in contraction:
+        write_csv(out / "contraction_curve.csv",
+                  ["t", "mean", "std_error", "bound"],
+                  [(pt["t"], pt["mean"], pt["std_error"], pt["bound"])
+                   for pt in contraction["curve"]])
 
-    cauchy = studies[2]
-    write_csv(out / "cauchy_levels.csv", ["n", "distance_mean", "distance_se"],
-              [(n, cauchy["estimates"][str(n)]["mean"],
-                cauchy["estimates"][str(n)]["std_error"])
-               for n in cauchy["levels"]])
+    if "estimates" in cauchy:
+        write_csv(out / "cauchy_levels.csv", ["n", "distance_mean", "distance_se"],
+                  [(n, cauchy["estimates"][str(n)]["mean"],
+                    cauchy["estimates"][str(n)]["std_error"])
+                   for n in cauchy["levels"]])
 
-    heat = studies[3]
     write_csv(out / "heat_errors.csv", ["n_interior", "relative_error"],
               list(zip(_VERIFY_HEAT["slope_grids"], heat["slope_errors"])))
 
     _summary("verify", passed, out)
+    if failures:
+        for exc in failures:
+            print(f"{_failure_line(exc)} (study {exc.study}, level {exc.level}, "
+                  f"path {exc.path}, seed {seed})", file=sys.stderr)
+        print(f"reproduce: plapsim verify --config {out / 'manifest.json'} "
+              f"--out <dir>", file=sys.stderr)
+        return EXIT_BLOW_UP
     return EXIT_PASS if passed else EXIT_FAIL
 
 
@@ -282,13 +307,8 @@ def main(argv=None):
     except (ConfigError, GridMismatchError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BlowUpError as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
-        return EXIT_BLOW_UP
-    except NewtonDivergedError as exc:
-        print(f"newton failure: step {exc.step} (t = {exc.time}): "
-              f"{exc.iterations} iterations, residual {exc.residual:.3g}",
-              file=sys.stderr)
+    except PATH_FAILURES as exc:
+        print(_failure_line(exc), file=sys.stderr)
         return EXIT_BLOW_UP
 
 

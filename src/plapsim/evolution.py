@@ -37,7 +37,10 @@ MIN_LINE_STEP = 2.0 ** -20
 
 
 class BlowUpError(RuntimeError):
-    """Trajectory left the admissible range (non-finite or huge L2 norm)."""
+    """Trajectory left the admissible range (non-finite or huge L2 norm).
+
+    verify's path jobs add ``study``, ``level`` and ``path`` attributes.
+    """
 
     def __init__(self, step, time, norm):
         super().__init__(f"blow-up at step {step} (t = {time:.6g}): "
@@ -47,9 +50,9 @@ class BlowUpError(RuntimeError):
         self.norm = norm
 
     def __reduce__(self):
-        # rebuild from the constructor's arguments, so the error survives the
-        # trip back from a worker process
-        return type(self), (self.step, self.time, self.norm)
+        # rebuild from the constructor's arguments and carry any location
+        # fields set later, so the error survives the trip back from a worker
+        return type(self), (self.step, self.time, self.norm), self.__dict__
 
 
 class NewtonDivergedError(RuntimeError):
@@ -57,6 +60,7 @@ class NewtonDivergedError(RuntimeError):
 
     ``step`` and ``time`` locate the failing step; simulate_path sets them
     when the error passes through it, and they stay None otherwise.
+    verify's path jobs add ``study``, ``level`` and ``path`` attributes.
     """
 
     def __init__(self, iterations, residual):
@@ -228,7 +232,9 @@ def _colored_jacobian(system, dt, v):
                 ok &= (axis_vals >= 0) & (axis_vals < n)
             rows = out[0][ok] if grid.dimension == 1 else out[0][ok] * n + out[1][ok]
             jac[rows, cols[ok]] = resp[rows] / eps[cols[ok]]
-    return np.eye(size) + dt * jac
+    jac *= dt
+    jac.flat[::size + 1] += 1.0   # I + dt J in place
+    return jac
 
 
 def step_semi_implicit(system, config, u, t, dw):

@@ -10,13 +10,17 @@ Hilbert-Schmidt norm has the closed form sum_i sigma(t, v_i)^2 *
 orthonormal basis must reproduce exactly.  Wiener increments come from a
 truncated Karhunen-Loeve expansion driven by a counter-based generator, so
 a path's increments depend only on (seed, path_index, counter).
+
+On the unit square the Gaussian kernel is a product of 1d kernels and the
+sine modes are products of 1d modes, so both are applied one axis at a
+time with an (n, n) matrix; no (size, size) table is built for them.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spatial import Grid, GridMismatchError, norm_l2, norm_lp
+from .spatial import Grid, GridMismatchError, norm_l2
 
 __all__ = [
     "Kernel",
@@ -39,21 +43,62 @@ __all__ = [
 ]
 
 
+def _along_axes(mat, x, axes):
+    """Apply the 1d matrix ``mat`` along each of the last ``axes`` axes of x.
+
+    x stacks flat functions on a tensor grid with mat.shape[1] nodes per
+    axis, row-major; the result has mat.shape[0] nodes per axis.  In 2d
+    this is mat X mat^T, never a (size, size) matrix.
+    """
+    (k, m), lead = mat.shape, x.shape[:-1]
+    if axes == 1:
+        return x @ mat.T
+    return (mat @ x.reshape(lead + (m, m)) @ mat.T).reshape(lead + (k * k,))
+
+
 @dataclass(frozen=True)
 class Kernel:
-    """Symmetric square-integrable kernel sampled at the grid nodes.
+    """Symmetric square-integrable kernel on the grid, kept as a factor.
 
+    A (size, size) factor holds the kernel's values at the node pairs; an
+    (n, n) factor f on a 2d grid stands for the separable kernel
+    k(x, y) = scale * f(x_1, y_1) * f(x_2, y_2), applied axis by axis.
     c_k is the discrete essential sup over x of ||k(x, .)||_2^2 (the max
     weighted row norm) and l2_norm_sq the discrete ||k||^2 over D x D.
     """
 
     grid: Grid
-    values: np.ndarray
-    c_k: float
-    l2_norm_sq: float
+    factor: np.ndarray
+    scale: float = 1.0
+    c_k: float = field(init=False)
+    l2_norm_sq: float = field(init=False)
+
+    def __post_init__(self):
+        rows = self.row_norms_sq()
+        object.__setattr__(self, "c_k", float(np.max(rows)))
+        object.__setattr__(self, "l2_norm_sq", float(np.sum(rows) * self.grid.weight))
+
+    @property
+    def _axes(self):
+        return 1 if self.factor.shape[0] == self.grid.size else self.grid.dimension
+
+    @property
+    def values(self):
+        """Dense (size, size) values, built from a separable factor on demand."""
+        if self._axes == 1:
+            return self.scale * self.factor
+        return self.scale * np.kron(self.factor, self.factor)
+
+    def apply(self, phi):
+        """Quadrature sum_y k(x, y) phi(y) h^d of each flat grid function in phi."""
+        return _along_axes(self.factor, phi, self._axes) * (self.scale * self.grid.weight)
 
     def row_norms_sq(self):
-        return np.sum(self.values ** 2, axis=1) * self.grid.weight
+        w = self.grid.weight if self._axes == 1 else self.grid.h
+        rows = np.sum(self.factor ** 2, axis=1) * w
+        if self._axes == 2:
+            rows = np.outer(rows, rows).ravel()
+        return self.scale ** 2 * rows
 
 
 def kernel_from_matrix(grid, values, sym_tol=1e-9):
@@ -67,16 +112,16 @@ def kernel_from_matrix(grid, values, sym_tol=1e-9):
     scale = max(1.0, np.max(np.abs(values)))
     if asym > sym_tol * scale:
         raise ValueError(f"kernel matrix is not symmetric (defect {asym:g})")
-    rows = np.sum(values ** 2, axis=1) * grid.weight
-    return Kernel(grid=grid, values=values, c_k=float(np.max(rows)),
-                  l2_norm_sq=float(np.sum(rows) * grid.weight))
+    return Kernel(grid=grid, factor=values)
 
 
 def gaussian_kernel(grid, ell=0.25, scale=1.0):
-    """k(x, y) = scale * exp(-|x-y|^2 / (2 ell^2))."""
-    x = grid.nodes()
-    d_sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
-    return kernel_from_matrix(grid, scale * np.exp(-d_sq / (2.0 * ell ** 2)))
+    """k(x, y) = scale * exp(-|x-y|^2 / (2 ell^2)), kept as its 1d factor."""
+    x = grid.h * np.arange(1, grid.n_interior + 1)
+    factor = np.exp(-(x[:, None] - x[None, :]) ** 2 / (2.0 * ell ** 2))
+    if grid.dimension == 1:   # the factor is the whole kernel
+        return Kernel(grid=grid, factor=scale * factor)
+    return Kernel(grid=grid, factor=factor, scale=float(scale))
 
 
 def rank_one_kernel(grid, profile):
@@ -129,8 +174,7 @@ def apply_B(op, t, v, phi):
     """B(t, v) applied to phi: sigma(t, v) times the kernel quadrature of phi."""
     grid = op.grid
     v, phi = grid.check(v), grid.check(phi)
-    smoothed = op.kernel.values @ phi * grid.weight
-    return np.asarray(op.sigma(t, v), dtype=float) * smoothed
+    return np.asarray(op.sigma(t, v), dtype=float) * op.kernel.apply(phi)
 
 
 def hs_norm_sq(op, t, v):
@@ -141,15 +185,19 @@ def hs_norm_sq(op, t, v):
     return float(np.sum(sig ** 2 * op.kernel.row_norms_sq()) * grid.weight)
 
 
+def _sine_modes(grid):
+    """The n discrete sine modes of one axis, orthonormal for the weight h."""
+    i = np.arange(1, grid.n_interior + 1)
+    return np.sqrt(2.0) * np.sin(np.pi * np.outer(i, i) * grid.h)
+
+
 def sine_basis(grid):
-    """Complete discrete orthonormal basis of products of sine modes, (size, size)."""
-    n = grid.n_interior
-    i = np.arange(1, n + 1)
-    modes = np.sqrt(2.0) * np.sin(np.pi * np.outer(i, i) * grid.h)
-    if grid.dimension == 1:
-        return modes
-    flat = np.einsum("ki,lj->klij", modes, modes).reshape(n * n, n * n)
-    return flat
+    """Complete discrete orthonormal basis of products of sine modes, (size, size).
+
+    Row k * n + l of the 2d basis is the product of modes k and l.
+    """
+    modes = _sine_modes(grid)
+    return modes if grid.dimension == 1 else np.kron(modes, modes)
 
 
 def hs_norm_sq_parseval(op, t, v, basis=None):
@@ -161,10 +209,8 @@ def hs_norm_sq_parseval(op, t, v, basis=None):
     if basis.shape != (grid.size, grid.size):
         raise GridMismatchError(
             f"basis must be {(grid.size, grid.size)}, got {basis.shape}")
-    total = 0.0
-    for e in basis:
-        total += norm_l2(grid, apply_B(op, t, v, e)) ** 2
-    return float(total)
+    sig = np.asarray(op.sigma(t, grid.check(v)), dtype=float)
+    return float(np.sum((sig * op.kernel.apply(basis)) ** 2) * grid.weight)
 
 
 def hs_uniform_bound(kernel, spec, v):
@@ -199,8 +245,7 @@ def holder_modulus_check(kernel, spec, v, w, t=0.0, rel_tol=1e-6, abs_tol=1e-9):
     v, w = grid.check(v), grid.check(w)
     dsig = np.asarray(spec.eval(t, v), dtype=float) - np.asarray(spec.eval(t, w),
                                                                  dtype=float)
-    lhs = float(np.sum(dsig ** 2 * np.sum(kernel.values ** 2, axis=1)
-                       * grid.weight) * grid.weight)
+    lhs = float(np.sum(dsig ** 2 * kernel.row_norms_sq()) * grid.weight)
     alpha, l_alpha = spec.alpha, spec.l_alpha
     diff = v - w
     frac_norm = float(np.sum(np.abs(diff) ** (2.0 * alpha)) * grid.weight)
@@ -232,9 +277,13 @@ class QWienerSampler:
     """Truncated Karhunen-Loeve sampler for Q-Wiener increments.
 
     Increment = sum_j sqrt(q_j dt) xi_j e_j with iid standard normal xi.
-    The stream is fully described by (seed, path_index, counter): every
-    sample_increment call consumes one counter tick, so adding paths or
-    reordering path execution never perturbs existing draws.
+    ``eigenfunctions`` is a 1d mode table of shape (m, n); the modes e_j
+    on the d-dimensional grid are its d-fold tensor products, flattened
+    row-major (in 2d mode k * m + l is the product of rows k and l), so
+    there can be up to m**d of them.  The stream is fully described by
+    (seed, path_index, counter): every sample_increment call consumes one
+    counter tick, so adding paths or reordering path execution never
+    perturbs existing draws.
     """
 
     grid: Grid
@@ -248,15 +297,19 @@ class QWienerSampler:
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
         self.eigenfunctions = np.asarray(self.eigenfunctions, dtype=float)
-        j = self.eigenvalues.size
-        if self.eigenfunctions.shape != (j, self.grid.size):
+        j, d, n = self.eigenvalues.size, self.grid.dimension, self.grid.n_interior
+        table = self.eigenfunctions
+        if table.ndim != 2 or table.shape[1] != n or j > table.shape[0] ** d:
             raise GridMismatchError(
-                f"eigenfunctions must be {(j, self.grid.size)}, got "
-                f"{self.eigenfunctions.shape}")
+                f"eigenfunctions must be a 1d mode table (m, {n}) with "
+                f"m**{d} >= {j}, got {table.shape}")
         if j < 1 or np.any(self.eigenvalues <= 0.0):
             raise ValueError("eigenvalues must be positive")
-        gram = (self.eigenfunctions @ self.eigenfunctions.T) * self.grid.weight
-        defect = np.max(np.abs(gram - np.eye(j)))
+        # the Gram matrix of the products is G1 (x) ... (x) G1, so an entrywise
+        # defect delta of the 1d Gram matrix G1 bounds theirs by (1+delta)^d - 1
+        gram = (table @ table.T) * self.grid.h
+        delta = np.max(np.abs(gram - np.eye(table.shape[0])))
+        defect = (1.0 + delta) ** d - 1.0
         if defect > self.ortho_tol:
             raise ValueError(
                 f"eigenfunctions not orthonormal (defect {defect:g} exceeds "
@@ -270,30 +323,40 @@ class QWienerSampler:
     def state(self):
         return (self.seed, self.path_index, self.counter)
 
+    def _draw(self, dt):
+        """sum_j sqrt(q_j dt) xi_j e_j for the next counter's normals xi."""
+        xi = _normals(self.seed, self.path_index, self.counter, self.eigenvalues.size)
+        self.counter += 1
+        d, m = self.grid.dimension, self.eigenfunctions.shape[0]
+        coeffs = np.zeros(m ** d)
+        coeffs[:xi.size] = np.sqrt(self.eigenvalues * dt) * xi
+        return _along_axes(self.eigenfunctions.T, coeffs, d)
+
     def sample_increment(self, dt):
         """One increment of the Q-Wiener process over a step of length dt >= 0."""
         if dt < 0.0:
             raise ValueError(f"dt must be nonnegative, got {dt}")
-        xi = _normals(self.seed, self.path_index, self.counter, self.eigenvalues.size)
-        self.counter += 1
-        return (np.sqrt(self.eigenvalues * dt) * xi) @ self.eigenfunctions
+        return self._draw(dt)
 
     def sample_bridge(self, dt, dw):
         """Split a sampled increment over [0, dt] into two conditionally
         correct halves (Brownian bridge midpoint refinement)."""
-        xi = _normals(self.seed, self.path_index, self.counter, self.eigenvalues.size)
-        self.counter += 1
-        half = 0.5 * dw + 0.5 * (np.sqrt(self.eigenvalues * dt) * xi) @ self.eigenfunctions
+        half = 0.5 * dw + 0.5 * self._draw(dt)
         return half, dw - half
 
 
 def default_sampler(grid, seed, path_index, num_modes=None, decay=2.0):
-    """Sine eigenfunctions with spectrum q_j = j**(-decay), j = 1..num_modes."""
+    """Sine eigenfunctions with spectrum q_j = j**(-decay), j = 1..num_modes.
+
+    The modes are the rows of sine_basis(grid), in its order.
+    """
     if num_modes is None:
         num_modes = grid.size
     if not 1 <= num_modes <= grid.size:
         raise ValueError(f"num_modes must lie in [1, {grid.size}]")
-    funcs = sine_basis(grid)[:num_modes]
+    table = _sine_modes(grid)
+    if grid.dimension == 1:
+        table = table[:num_modes]
     eigenvalues = np.arange(1, num_modes + 1, dtype=float) ** (-decay)
     return QWienerSampler(grid=grid, eigenvalues=eigenvalues,
-                          eigenfunctions=funcs, seed=seed, path_index=path_index)
+                          eigenfunctions=table, seed=seed, path_index=path_index)

@@ -7,12 +7,15 @@ coupled across perturbation levels by construction (the Wiener stream is
 keyed by path index alone), so comparisons across n use paired differences.
 """
 
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .evolution import SolverConfig, build_system, simulate_path, simulate_coupled_pair
+from .evolution import (BlowUpError, NewtonDivergedError, SolverConfig,
+                        build_system, simulate_path, simulate_coupled_pair)
 from .noise import default_sampler
 from .regularize import n0
 from .spatial import (initial_profile, linear_coeff, n_min_default, norm_l1,
@@ -25,6 +28,8 @@ __all__ = [
     "contraction_experiment",
     "cauchy_in_n_study",
     "heat_oracle_study",
+    "PATH_FAILURES",
+    "failure_report",
 ]
 
 
@@ -98,13 +103,39 @@ class ExperimentPlan:
                                num_modes=self.num_modes)
 
 
+PATH_FAILURES = (BlowUpError, NewtonDivergedError)
+
+
+@contextmanager
+def _located(study, level, path_index):
+    """Tag a path failure raised inside the block with where it happened."""
+    try:
+        yield
+    except PATH_FAILURES as exc:
+        exc.study, exc.level, exc.path = study, level, path_index
+        raise
+
+
+def _failure_or_result(fn, job):
+    try:
+        return fn(job)
+    except PATH_FAILURES as exc:
+        return exc
+
+
 def _map_jobs(fn, jobs, workers):
+    """Run the path jobs in order; a path failure propagates, and with a
+    pool it is the first failing job in job order, whatever the timing."""
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
     import multiprocessing as mp
 
     with mp.get_context("fork").Pool(processes=workers) as pool:
-        return pool.map(fn, jobs)
+        results = pool.map(functools.partial(_failure_or_result, fn), jobs)
+    for res in results:
+        if isinstance(res, PATH_FAILURES):
+            raise res
+    return results
 
 
 def _check(name, statement, estimate, bound, passed, std_error=None):
@@ -121,6 +152,24 @@ def _finish(name, statement, checks, extra=None):
     if extra:
         report.update(extra)
     return report
+
+
+def failure_report(exc, seed):
+    """Report of a study stopped by a path failure (a BlowUpError or
+    NewtonDivergedError tagged by the study's path job): one failed check
+    carrying the study, level, path, seed, step and time that rerun it."""
+    finite = lambda x: float(x) if math.isfinite(x) else None
+    failure = {"study": exc.study, "level": exc.level, "path": exc.path,
+               "seed": int(seed), "step": exc.step, "t": exc.time}
+    if isinstance(exc, NewtonDivergedError):
+        failure.update(kind="newton_failure", iterations=int(exc.iterations),
+                       residual=finite(exc.residual))
+    else:
+        failure.update(kind="blow_up", norm=finite(exc.norm))
+    check = _check("path_failure", "every path of the study runs to the end",
+                   None, None, False)
+    check["failure"] = failure
+    return _finish(exc.study, "the study stopped at a failing path", [check])
 
 
 def _paired_monotone_checks(label, statement, levels, per_path, se_mult,
@@ -147,7 +196,8 @@ def _energy_path_stats(args):
                   record_every=max(1, plan.config.num_steps))
     system = build_system(plan.grid, plan.coeff, plan.drift, plan.pert, cfg,
                           spec=plan.spec, kernel=plan.kernel)
-    rec = simulate_path(system, cfg, u0, plan.sampler(path_index))
+    with _located("energy_boundedness", int(n), path_index):
+        rec = simulate_path(system, cfg, u0, plan.sampler(path_index))
     return (rec.sup_l2_sq,
             rec.integrals["grad_lp_p"],
             rec.integrals["hm0_sq"] / n,
@@ -210,8 +260,9 @@ def _contraction_path_curves(args):
                   record_every=1, newton_dt_retries=0)
     system = build_system(plan.grid, plan.coeff, plan.drift, plan.pert, cfg,
                           spec=plan.spec, kernel=plan.kernel)
-    rec_a, rec_b = simulate_coupled_pair((system, system), cfg, (u0_a, u0_b),
-                                         plan.sampler(path_index))
+    with _located("l1_contraction", None, path_index):
+        rec_a, rec_b = simulate_coupled_pair((system, system), cfg, (u0_a, u0_b),
+                                             plan.sampler(path_index))
     diff = rec_a.states[snap_idx] - rec_b.states[snap_idx]
     return [norm_l1(plan.grid, d) for d in diff]
 
@@ -279,7 +330,8 @@ def _cauchy_path_values(args):
         cfg = replace(cfg0, n=int(n))
         system = build_system(plan.grid, plan.coeff, plan.drift, plan.pert,
                               cfg, spec=plan.spec, kernel=plan.kernel)
-        rec = _simulate_with_increments(system, cfg, u0, increments)
+        with _located("cauchy_in_level", int(n), path_index):
+            rec = _simulate_with_increments(system, cfg, u0, increments)
         finals[n] = rec.states
 
     values = []

@@ -176,6 +176,45 @@ def test_verify_newton_failure_in_a_worker_exits_three(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("newton failure: step 0 (t = 0.0)")
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_path_failure_keeps_the_battery(tmp_path, capsys, workers):
+    path = write_config(tmp_path, "solver.newton_max_iter = 0\nrun.seed = 11\n")
+    out = tmp_path / "out"
+    code = main(["verify", "--config", str(path), "--out", str(out),
+                 "--workers", str(workers)])
+    assert code == EXIT_BLOW_UP
+    assert (out / "manifest.json").exists()
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] is False
+    studies = {s["name"]: s for s in report["studies"]}
+    assert list(studies) == ["energy_boundedness", "l1_contraction",
+                             "cauchy_in_level", "heat_oracle"]
+    assert studies["heat_oracle"]["pass"] is True
+    for name, level in (("energy_boundedness", 4), ("l1_contraction", None),
+                        ("cauchy_in_level", 4)):
+        (check,) = studies[name]["checks"]
+        assert check["pass"] is False
+        failure = check["failure"]
+        assert failure["kind"] == "newton_failure"
+        assert (failure["study"], failure["level"], failure["path"],
+                failure["seed"], failure["step"], failure["t"]) == (
+                    name, level, 0, 11, 0, 0.0)
+        assert failure["iterations"] == 0 and failure["residual"] > 0.0
+
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 4
+    assert err[0].startswith("newton failure: step 0 (t = 0.0): 0 iterations")
+    assert err[0].endswith("(study energy_boundedness, level 4, path 0, seed 11)")
+    assert err[3] == (f"reproduce: plapsim verify --config {out / 'manifest.json'} "
+                      f"--out <dir>")
+
+    # the reproducer, run serially, rewrites the same report byte for byte
+    again = tmp_path / "again"
+    assert main(["verify", "--config", str(out / "manifest.json"),
+                 "--out", str(again)]) == EXIT_BLOW_UP
+    assert (again / "report.json").read_bytes() == (out / "report.json").read_bytes()
+
+
 def test_outputs_stay_inside_out_dir(tmp_path, monkeypatch):
     workdir = tmp_path / "cwd"
     workdir.mkdir()

@@ -1,5 +1,7 @@
 """Oracle and property tests for the diffusion operator and the Q-Wiener sampler."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from plapsim.noise import (
     rank_one_kernel,
     sine_basis,
 )
+from plapsim.noise import _normals
 from plapsim.regularize import RegularizedSigma, power_sigma
 from plapsim.spatial import Grid, norm_l2
 
@@ -79,6 +82,49 @@ def test_kernel_csv_round_trip(tmp_path):
     assert back.grid == ker.grid
     assert np.array_equal(back.values, ker.values)
     assert back.c_k == ker.c_k
+
+
+def dense_gaussian(grid, ell, scale):
+    """The Gaussian kernel from its (size, size) values at the node pairs."""
+    x = grid.nodes()
+    d_sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+    return kernel_from_matrix(grid, scale * np.exp(-d_sq / (2.0 * ell ** 2)))
+
+
+def test_gaussian_operator_matches_dense_kernel():
+    spec = power_sigma(0.75, 1.0)
+    for grid in (Grid(1, 13), Grid(2, 9)):
+        ker = gaussian_kernel(grid, ell=0.3, scale=0.7)
+        ref = dense_gaussian(grid, 0.3, 0.7)
+        assert np.allclose(ker.values, ref.values, rtol=1e-13, atol=0.0)
+        assert np.allclose(ker.row_norms_sq(), ref.row_norms_sq(), rtol=1e-13, atol=0.0)
+        assert np.isclose(ker.c_k, ref.c_k, rtol=1e-13, atol=0.0)
+        assert np.isclose(ker.l2_norm_sq, ref.l2_norm_sq, rtol=1e-13, atol=0.0)
+        op, op_ref = NoiseOperator(ker, RawSigma(spec)), NoiseOperator(ref, RawSigma(spec))
+        for seed in range(3):
+            v, phi = random_field(grid, seed), random_field(grid, 10 + seed)
+            assert np.allclose(apply_B(op, 0.0, v, phi), apply_B(op_ref, 0.0, v, phi),
+                               rtol=1e-13, atol=0.0)
+            assert np.isclose(hs_norm_sq(op, 0.0, v), hs_norm_sq(op_ref, 0.0, v),
+                              rtol=1e-13, atol=0.0)
+
+
+def test_gaussian_kernel_2d_csv_round_trip(tmp_path):
+    grid = Grid(2, 5)
+    ker = gaussian_kernel(grid, ell=0.3, scale=0.7)
+    path = tmp_path / "kernel.csv"
+    kernel_to_csv(ker, path)
+    back = kernel_from_csv(path)
+    assert back.grid == grid
+    assert np.array_equal(back.values, ker.values)
+    phi = random_field(grid, 1)
+    assert np.allclose(back.apply(phi), ker.apply(phi), rtol=1e-13, atol=0.0)
+    assert np.isclose(back.c_k, ker.c_k, rtol=1e-13, atol=0.0)
+    assert np.isclose(back.l2_norm_sq, ker.l2_norm_sq, rtol=1e-13, atol=0.0)
+
+
+def test_gaussian_kernel_keeps_no_dense_table():
+    assert len(pickle.dumps(gaussian_kernel(Grid(2, 64)))) < 1_000_000
 
 
 # ------------------------------------------------------------- HS norm oracles
@@ -225,6 +271,35 @@ def test_sampler_rejects_non_orthonormal_modes():
     with pytest.raises(ValueError):
         QWienerSampler(grid=grid, eigenvalues=np.array([1.0, -0.5]),
                        eigenfunctions=sine_basis(grid)[:2], seed=0, path_index=0)
+
+
+def test_sampler_rejects_non_orthonormal_table_in_2d():
+    grid = Grid(2, 6)
+    table = sine_basis(Grid(1, 6)).copy()
+    table[2] *= 1.0 + 1e-6
+    with pytest.raises(ValueError):
+        QWienerSampler(grid=grid, eigenvalues=np.ones(36), eigenfunctions=table,
+                       seed=0, path_index=0)
+    # a 1d table with too few modes for the requested count is refused
+    with pytest.raises(ValueError):
+        QWienerSampler(grid=grid, eigenvalues=np.ones(10),
+                       eigenfunctions=sine_basis(Grid(1, 6))[:3], seed=0, path_index=0)
+
+
+def test_default_sampler_matches_dense_synthesis():
+    dt, seed, path = 0.01, 4, 2
+    for grid in (Grid(1, 10), Grid(2, 8)):
+        basis = sine_basis(grid)
+        for modes in (grid.size, 5, min(11, grid.size - 1)):
+            sampler = default_sampler(grid, seed, path, num_modes=modes)
+            root_q = np.sqrt(np.arange(1, modes + 1) ** -2.0 * dt)
+            dense = lambda counter: ((root_q * _normals(seed, path, counter, modes))
+                                     @ basis[:modes])
+            dw = sampler.sample_increment(dt)
+            assert np.allclose(dw, dense(0), rtol=1e-13, atol=1e-15)
+            first, second = sampler.sample_bridge(dt, dw)
+            assert np.allclose(first, 0.5 * dw + 0.5 * dense(1), rtol=1e-13, atol=1e-15)
+            assert np.allclose(first + second, dw, rtol=1e-13, atol=1e-15)
 
 
 def test_increment_variance_matches_trace():
