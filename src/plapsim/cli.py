@@ -220,6 +220,7 @@ def cmd_verify(cfg, seed, workers, out, config_path):
             checkpoints=cfg["verify.checkpoints"],
             workers=workers,
             num_modes=cfg["noise.modes"] if cfg["noise.modes"] > 0 else None,
+            decay=cfg["noise.decay"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

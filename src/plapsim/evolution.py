@@ -5,11 +5,12 @@ sigma_n(t, u^k) K(dW^k): an explicit step, subject to the usual parabolic
 step-size restriction, and a drift-implicit step whose nonlinear system is
 solved by a damped Newton iteration with a colored finite-difference
 Jacobian.  Trajectories are bitwise reproducible from (seed, config): the
-Wiener stream is counter-based and every reduction runs in a fixed order.
+Wiener increments and bridge points are pure functions of (seed, path, step,
+node) and every reduction runs in a fixed order.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,7 +96,6 @@ class SolverConfig:
     newton_max_iter: int = 40
     newton_dt_retries: int = 0
     record_every: int = 1
-    record_increments: bool = False
     blow_up_threshold: float = 1e12
     sigma_grid_points: int = 1024
 
@@ -275,19 +275,25 @@ def step_semi_implicit(system, config, u, t, dw):
     return v, noise, iters
 
 
-def _advance(system, config, sampler, u, t, dt, dw, depth):
-    """One interval of length dt, bisecting on Newton failure when allowed."""
+def _advance(system, config, sampler, u, t, dt, dw, k, node=1):
+    """Sub-interval ``node`` (heap index, the whole step k is 1) of length
+    dt, bisected at its Brownian bridge midpoint on Newton failure, down to
+    newton_dt_retries levels."""
     stepper = step_explicit if config.scheme == "explicit" else step_semi_implicit
     sub = replace(config, dt=dt) if dt != config.dt else config
     try:
         return stepper(system, sub, u, t, dw)
     except NewtonDivergedError:
-        if depth >= config.newton_dt_retries:
+        if node.bit_length() - 1 >= config.newton_dt_retries:   # node's depth
             raise
-    first, second = sampler.sample_bridge(dt, dw)
-    u_mid, _, it1 = _advance(system, config, sampler, u, t, dt / 2.0, first, depth + 1)
+    if sampler is None:   # the halves of a zero increment are zero
+        first = second = dw
+    else:
+        first, second = sampler.sample_bridge(k, node, dt, dw)
+    u_mid, _, it1 = _advance(system, config, sampler, u, t, dt / 2.0, first,
+                             k, 2 * node)
     u_end, _, it2 = _advance(system, config, sampler, u_mid, t + dt / 2.0,
-                             dt / 2.0, second, depth + 1)
+                             dt / 2.0, second, k, 2 * node + 1)
     return u_end, None, it1 + it2
 
 
@@ -304,7 +310,6 @@ class TrajectoryRecord:
     newton_iters: np.ndarray
     sup_l2_sq: float
     integrals: dict
-    increments: np.ndarray = field(default=None, repr=False)
 
     def final_state(self):
         return self.states[-1]
@@ -342,7 +347,6 @@ def simulate_path(system, config, u0, sampler=None):
 
     times, states, iters_log = [], [], []
     energy_log = {k: [] for k in ("l2_sq", "grad_lp_p", "hm0_sq", "wmq_q")}
-    incr_log = [] if config.record_increments else None
     integrals = {"grad_lp_p": 0.0, "hm0_sq": 0.0, "wmq_q": 0.0}
 
     def check_state(k, t_now):
@@ -368,17 +372,15 @@ def simulate_path(system, config, u0, sampler=None):
         integrals["wmq_q"] += config.dt * here["wmq_q"]
 
         if sampler is not None:
-            dw = sampler.sample_increment(config.dt)
+            dw = sampler.sample_increment(k, config.dt)
         else:
             dw = np.zeros(grid.size)
         try:
-            u, _, iters = _advance(system, config, sampler, u, t, config.dt, dw, 0)
+            u, _, iters = _advance(system, config, sampler, u, t, config.dt, dw, k)
         except NewtonDivergedError as exc:
             exc.step, exc.time = k, t
             raise
         iters_log.append(iters)
-        if incr_log is not None:
-            incr_log.append(dw)
 
         sup_l2_sq = max(sup_l2_sq, check_state(k + 1, (k + 1) * config.dt))
         if (k + 1) % config.record_every == 0 or k + 1 == steps:
@@ -391,55 +393,22 @@ def simulate_path(system, config, u0, sampler=None):
         newton_iters=np.asarray(iters_log, dtype=int),
         sup_l2_sq=float(sup_l2_sq),
         integrals=integrals,
-        increments=None if incr_log is None else np.asarray(incr_log),
     )
 
 
 def simulate_coupled_pair(systems, config, initial_states, sampler):
-    """Two trajectories driven by the identical increment stream.
+    """Two trajectories driven by one Wiener path.
 
     ``systems`` is a pair (possibly the same object twice) and
-    ``initial_states`` the matching pair of initial data; the single
-    sampler is drawn once per step and the increment fed to both, which is
-    the coupling used by the contraction and Cauchy experiments.
+    ``initial_states`` the matching pair of initial data.  Both runs read
+    the one sampler, whose increments and bridge points are pure functions
+    of (seed, path, step, node), so they share the path even where only
+    one of them bisects a step; this is the coupling used by the
+    contraction and Cauchy experiments.
     """
     sys_a, sys_b = systems
     if sys_a.grid.size != sys_b.grid.size:
         raise ValueError("coupled systems must share the grid")
-    cfg_rec = replace(config, record_increments=True)
-    grid = sys_a.grid
-    u_a = grid.check(initial_states[0]).copy()
-    u_b = grid.check(initial_states[1]).copy()
-
-    # reuse simulate_path by materializing the common increments first
-    steps = config.num_steps
-    increments = np.empty((steps, grid.size))
-    for k in range(steps):
-        increments[k] = sampler.sample_increment(config.dt)
-
-    rec_a = _simulate_with_increments(sys_a, cfg_rec, u_a, increments)
-    rec_b = _simulate_with_increments(sys_b, cfg_rec, u_b, increments)
-    return rec_a, rec_b
-
-
-class _FrozenStream:
-    """Replays a fixed table of increments; bridge refinement is disabled."""
-
-    def __init__(self, increments):
-        self.increments = increments
-        self.cursor = 0
-
-    def sample_increment(self, dt):
-        out = self.increments[self.cursor]
-        self.cursor += 1
-        return out
-
-    def sample_bridge(self, dt, dw):
-        raise RuntimeError("dt bisection is unavailable when replaying a "
-                           "frozen increment table; run coupled experiments "
-                           "with newton_dt_retries = 0")
-
-
-def _simulate_with_increments(system, config, u0, increments):
-    stream = _FrozenStream(increments)
-    return simulate_path(system, config, u0, sampler=stream)
+    u0_a, u0_b = initial_states
+    return (simulate_path(sys_a, config, u0_a, sampler),
+            simulate_path(sys_b, config, u0_b, sampler))

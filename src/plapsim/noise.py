@@ -8,8 +8,10 @@ discretized with one quadrature weight h^d per interior node.  Its
 Hilbert-Schmidt norm has the closed form sum_i sigma(t, v_i)^2 *
 ||k(x_i, .)||_2^2 * h^d, which the Parseval route over any complete discrete
 orthonormal basis must reproduce exactly.  Wiener increments come from a
-truncated Karhunen-Loeve expansion driven by a counter-based generator, so
-a path's increments depend only on (seed, path_index, counter).
+truncated Karhunen-Loeve expansion whose normals are a pure function of
+(seed, path_index, step, node): the increment over step k and the Brownian
+bridge points that bisect it read disjoint regions of the Philox counter
+space, so a path is the same whatever is drawn, in whatever order.
 
 On the unit square the Gaussian kernel is a product of 1d kernels and the
 sine modes are products of 1d modes, so both are applied one axis at a
@@ -265,10 +267,12 @@ def holder_modulus_check(kernel, spec, v, w, t=0.0, rel_tol=1e-6, abs_tol=1e-9):
     return report
 
 
-def _normals(seed, path_index, counter, size):
-    # each call owns a disjoint 2^128-block region of the Philox counter space
+def _normals(seed, path_index, step, node, size):
+    # (step, node) fill the two high counter words, so each call owns a
+    # disjoint 2^128-block region of the Philox counter space; node 0 is the
+    # step's increment and node >= 1 a bridge point
     bitgen = np.random.Philox(key=[int(seed), int(path_index)],
-                              counter=[0, 0, int(counter), 0])
+                              counter=[0, 0, int(step), int(node)])
     return np.random.Generator(bitgen).standard_normal(size)
 
 
@@ -280,10 +284,11 @@ class QWienerSampler:
     ``eigenfunctions`` is a 1d mode table of shape (m, n); the modes e_j
     on the d-dimensional grid are its d-fold tensor products, flattened
     row-major (in 2d mode k * m + l is the product of rows k and l), so
-    there can be up to m**d of them.  The stream is fully described by
-    (seed, path_index, counter): every sample_increment call consumes one
-    counter tick, so adding paths or reordering path execution never
-    perturbs existing draws.
+    there can be up to m**d of them.  The sampler holds no cursor: the
+    increment of step k and the bridge point at heap node j of step k are
+    pure functions of (seed, path_index, k, j), so two runs on the same
+    (seed, path_index) share one Wiener path whatever each of them bisects,
+    and adding paths or reordering their execution perturbs no draw.
     """
 
     grid: Grid
@@ -291,7 +296,6 @@ class QWienerSampler:
     eigenfunctions: np.ndarray
     seed: int
     path_index: int
-    counter: int = 0
     ortho_tol: float = field(default=1e-10, repr=False)
 
     def __post_init__(self):
@@ -319,29 +323,30 @@ class QWienerSampler:
     def trace(self):
         return float(np.sum(self.eigenvalues))
 
-    @property
-    def state(self):
-        return (self.seed, self.path_index, self.counter)
-
-    def _draw(self, dt):
-        """sum_j sqrt(q_j dt) xi_j e_j for the next counter's normals xi."""
-        xi = _normals(self.seed, self.path_index, self.counter, self.eigenvalues.size)
-        self.counter += 1
+    def _draw(self, k, node, dt):
+        """sum_j sqrt(q_j dt) xi_j e_j for the normals xi of (k, node)."""
+        xi = _normals(self.seed, self.path_index, k, node, self.eigenvalues.size)
         d, m = self.grid.dimension, self.eigenfunctions.shape[0]
         coeffs = np.zeros(m ** d)
         coeffs[:xi.size] = np.sqrt(self.eigenvalues * dt) * xi
         return _along_axes(self.eigenfunctions.T, coeffs, d)
 
-    def sample_increment(self, dt):
-        """One increment of the Q-Wiener process over a step of length dt >= 0."""
+    def sample_increment(self, k, dt):
+        """The Q-Wiener increment over step k, of length dt >= 0."""
         if dt < 0.0:
             raise ValueError(f"dt must be nonnegative, got {dt}")
-        return self._draw(dt)
+        return self._draw(k, 0, dt)
 
-    def sample_bridge(self, dt, dw):
-        """Split a sampled increment over [0, dt] into two conditionally
-        correct halves (Brownian bridge midpoint refinement)."""
-        half = 0.5 * dw + 0.5 * self._draw(dt)
+    def sample_bridge(self, k, node, dt, dw):
+        """Split the increment dw over a sub-interval of length dt of step k
+        into two conditionally correct halves (Brownian bridge midpoint).
+
+        node >= 1 is the sub-interval's heap index: the whole step is 1 and
+        the halves of node j are 2j and 2j + 1.
+        """
+        if node < 1:
+            raise ValueError(f"bridge nodes start at 1, got {node}")
+        half = 0.5 * dw + 0.5 * self._draw(k, node, dt)
         return half, dw - half
 
 

@@ -3,8 +3,9 @@
 Each study returns a JSON-ready report dict: a list of named checks, each
 carrying the measured estimate, the bound it is held against, a standard
 error where the estimate is a Monte Carlo mean, and a pass flag.  Paths are
-coupled across perturbation levels by construction (the Wiener stream is
-keyed by path index alone), so comparisons across n use paired differences.
+coupled across perturbation levels by construction (the Wiener path is a
+pure function of (master_seed, path_index)), so comparisons across n use
+paired differences.
 """
 
 import functools
@@ -79,6 +80,7 @@ class ExperimentPlan:
     checkpoints: int = 10
     workers: int = 1
     num_modes: int = None
+    decay: float = 2.0
     min_level: float = None
 
     def __post_init__(self):
@@ -100,7 +102,7 @@ class ExperimentPlan:
 
     def sampler(self, path_index):
         return default_sampler(self.grid, self.master_seed, path_index,
-                               num_modes=self.num_modes)
+                               num_modes=self.num_modes, decay=self.decay)
 
 
 PATH_FAILURES = (BlowUpError, NewtonDivergedError)
@@ -257,7 +259,7 @@ def energy_report(plan, u0=None, ratio_bound=2.0):
 def _contraction_path_curves(args):
     plan, u0_a, u0_b, snap_idx, path_index = args
     cfg = replace(plan.config, sigma_mode="raw", use_perturbation=False,
-                  record_every=1, newton_dt_retries=0)
+                  record_every=1)
     system = build_system(plan.grid, plan.coeff, plan.drift, plan.pert, cfg,
                           spec=plan.spec, kernel=plan.kernel)
     with _located("l1_contraction", None, path_index):
@@ -317,21 +319,14 @@ def contraction_experiment(plan, u0_a, u0_b):
 def _cauchy_path_values(args):
     plan, u0, levels, path_index = args
     cfg0 = replace(plan.config, record_every=1)
-    steps = cfg0.num_steps
     sampler = plan.sampler(path_index)
-    increments = np.empty((steps, plan.grid.size))
-    for k in range(steps):
-        increments[k] = sampler.sample_increment(cfg0.dt)
-
-    from .evolution import _simulate_with_increments
-
     finals = {}
     for n in levels:
         cfg = replace(cfg0, n=int(n))
         system = build_system(plan.grid, plan.coeff, plan.drift, plan.pert,
                               cfg, spec=plan.spec, kernel=plan.kernel)
         with _located("cauchy_in_level", int(n), path_index):
-            rec = _simulate_with_increments(system, cfg, u0, increments)
+            rec = simulate_path(system, cfg, u0, sampler)
         finals[n] = rec.states
 
     values = []
@@ -346,7 +341,7 @@ def _cauchy_path_values(args):
 def cauchy_in_n_study(plan, u0=None):
     """Successive-level distances D_n = E ||u_n - u_2n||_{L2((0,T) x D)}.
 
-    Every level pair shares its Wiener increments path by path.  n_list
+    Every level of a path runs on the same Wiener path.  n_list
     must be a doubling chain; the study simulates the union of levels and
     checks that D_n does not increase along the chain (paired differences
     within se_mult standard errors).

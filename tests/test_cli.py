@@ -167,6 +167,18 @@ def test_simulate_newton_failure_exits_three(tmp_path, capsys):
                              "residual ")
 
 
+def test_simulate_bisection_without_noise_exits_three(tmp_path, capsys):
+    path = write_config(tmp_path, "noise.enabled = false\nrun.paths = 1\n"
+                        "solver.newton_max_iter = 0\nsolver.newton_dt_retries = 1\n")
+    code = main(["simulate", "--config", str(path), "--out",
+                 str(tmp_path / "out")])
+    assert code == EXIT_BLOW_UP
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("newton failure: step 0 (t = 0.0): 0 iterations, "
+                             "residual ")
+
+
 def test_verify_newton_failure_in_a_worker_exits_three(tmp_path, capsys):
     # the error is raised in a pool worker and must reach cli.main intact
     path = write_config(tmp_path, "solver.newton_max_iter = 0\n")
@@ -176,9 +188,14 @@ def test_verify_newton_failure_in_a_worker_exits_three(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("newton failure: step 0 (t = 0.0)")
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_verify_path_failure_keeps_the_battery(tmp_path, capsys, workers):
-    path = write_config(tmp_path, "solver.newton_max_iter = 0\nrun.seed = 11\n")
+@pytest.mark.parametrize("workers, retries", [
+    pytest.param(1, 0, id="1"), pytest.param(2, 0, id="2"),
+    pytest.param(1, 1, id="1-retries1"), pytest.param(2, 1, id="2-retries1")])
+def test_verify_path_failure_keeps_the_battery(tmp_path, capsys, workers, retries):
+    # with a dt retry every study bisects the failing step, fails again and
+    # reports the same failure
+    path = write_config(tmp_path, "solver.newton_max_iter = 0\nrun.seed = 11\n"
+                        f"solver.newton_dt_retries = {retries}\n")
     out = tmp_path / "out"
     code = main(["verify", "--config", str(path), "--out", str(out),
                  "--workers", str(workers)])
@@ -242,6 +259,17 @@ def test_verify_desk_scale_passes(tmp_path):
     for name in ("energy_levels.csv", "contraction_curve.csv",
                  "cauchy_levels.csv", "heat_errors.csv"):
         assert (out / name).exists()
+
+
+def test_verify_follows_noise_decay(tmp_path):
+    reports = []
+    for decay in (2.0, 6.0):
+        path = write_config(tmp_path, f"noise.decay = {decay}\nrun.paths = 2\n",
+                            name=f"decay{decay}.cfg")
+        out = tmp_path / f"out{decay}"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == EXIT_PASS
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] != reports[1]
 
 
 def test_verify_single_path_exits_config_error(tmp_path, capsys):

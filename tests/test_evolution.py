@@ -58,7 +58,7 @@ def test_explicit_step_adds_the_noise_term():
     grid = Grid(1, 16)
     system, config = stochastic_pieces(grid)
     u = initial_profile(grid, "sine", amplitude=0.25)
-    dw = default_sampler(grid, seed=3, path_index=0).sample_increment(config.dt)
+    dw = default_sampler(grid, seed=3, path_index=0).sample_increment(0, config.dt)
     v, noise, _ = step_explicit(system, config, u, 0.0, dw)
     by_hand = u - config.dt * system.apply_drift_operator(u) \
         + system.noise_term(0.0, u, dw)
@@ -83,7 +83,7 @@ def test_semi_implicit_residual_meets_tolerance():
     grid = Grid(1, 16)
     system, config = stochastic_pieces(grid, newton_tol=1e-11)
     u = initial_profile(grid, "sine", amplitude=0.25)
-    dw = default_sampler(grid, seed=1, path_index=0).sample_increment(config.dt)
+    dw = default_sampler(grid, seed=1, path_index=0).sample_increment(0, config.dt)
     v, noise, iters = step_semi_implicit(system, config, u, 0.0, dw)
     residual = v + config.dt * system.apply_drift_operator(v) - u - noise
     assert np.sqrt(np.sum(residual ** 2) * grid.weight) <= config.newton_tol
@@ -105,11 +105,8 @@ def test_newton_failure_carries_step_and_time():
     system, config = stochastic_pieces(grid, newton_max_iter=3)
 
     class KickAtStepThree:
-        calls = 0
-
-        def sample_increment(self, dt):
-            self.calls += 1
-            return np.full(grid.size, 5.0 if self.calls == 4 else 0.0)
+        def sample_increment(self, k, dt):
+            return np.full(grid.size, 5.0 if k == 3 else 0.0)
 
     u0 = initial_profile(grid, "sine", amplitude=0.0025)
     with pytest.raises(NewtonDivergedError) as info:
@@ -145,12 +142,15 @@ def test_explicit_trajectory_matches_power_decay():
 
 def test_trajectories_are_bitwise_deterministic():
     grid = Grid(1, 16)
-    system, config = stochastic_pieces(grid, record_increments=True)
+    system, config = stochastic_pieces(grid)
     u0 = initial_profile(grid, "sine", amplitude=0.25)
-    rec1 = simulate_path(system, config, u0, default_sampler(grid, 11, 2))
+    sampler = default_sampler(grid, 11, 2)
+    rec1 = simulate_path(system, config, u0, sampler)
+    # the run leaves the sampler as it found it
+    rec2 = simulate_path(system, config, u0, sampler)
+    assert np.array_equal(rec1.states, rec2.states)
     rec2 = simulate_path(system, config, u0, default_sampler(grid, 11, 2))
     assert np.array_equal(rec1.states, rec2.states)
-    assert np.array_equal(rec1.increments, rec2.increments)
     rec3 = simulate_path(system, config, u0, default_sampler(grid, 11, 3))
     assert not np.array_equal(rec1.states, rec3.states)
 
@@ -158,12 +158,13 @@ def test_trajectories_are_bitwise_deterministic():
 def test_semi_implicit_step_identity_on_recorded_data():
     # v + dt A(v) - u - noise vanishes to Newton tolerance along the path
     grid = Grid(1, 12)
-    system, config = stochastic_pieces(grid, record_increments=True)
+    system, config = stochastic_pieces(grid)
     u0 = initial_profile(grid, "sine", amplitude=0.25)
-    rec = simulate_path(system, config, u0, default_sampler(grid, 4, 0))
+    sampler = default_sampler(grid, 4, 0)
+    rec = simulate_path(system, config, u0, sampler)
     for k in range(config.num_steps):
         u, v = rec.states[k], rec.states[k + 1]
-        noise = system.noise_term(k * config.dt, u, rec.increments[k])
+        noise = system.noise_term(k * config.dt, u, sampler.sample_increment(k, config.dt))
         residual = v + config.dt * system.apply_drift_operator(v) - u - noise
         assert np.sqrt(np.sum(residual ** 2) * grid.weight) <= config.newton_tol
 
@@ -173,13 +174,94 @@ def test_coupled_pair_shares_increments():
     system, config = stochastic_pieces(grid)
     u0 = initial_profile(grid, "sine", amplitude=0.25)
     v0 = initial_profile(grid, "bump", amplitude=0.2)
-    rec_a, rec_b = simulate_coupled_pair((system, system), config, (u0, v0),
-                                         default_sampler(grid, 21, 0))
-    assert np.array_equal(rec_a.increments, rec_b.increments)
+    sampler = KickedSampler(grid, seed=21, kick=0.0)
+    simulate_coupled_pair((system, system), config, (u0, v0), sampler)
+    steps = config.num_steps
+    assert [(k, node) for k, node, _ in sampler.log] == 2 * [(k, 0) for k in range(steps)]
+    for (_, _, a), (k, _, b) in zip(sampler.log[:steps], sampler.log[steps:]):
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, default_sampler(grid, 21, 0).sample_increment(k, config.dt))
     # identical initial data makes the trajectories identical
     rec_c, rec_d = simulate_coupled_pair((system, system), config, (u0, u0),
                                          default_sampler(grid, 21, 0))
     assert np.array_equal(rec_c.states, rec_d.states)
+
+
+class KickedSampler:
+    """The default sampler with ``kick`` added to every entry of the step-3
+    increment; ``log`` lists each draw handed out as (k, node, value), where
+    node 0 is an increment and node >= 1 the two halves of a bridge."""
+
+    def __init__(self, grid, seed=5, kick=1.0):
+        self.base = default_sampler(grid, seed, 0)
+        self.kick = kick
+        self.log = []
+
+    def sample_increment(self, k, dt):
+        dw = self.base.sample_increment(k, dt) + (self.kick if k == 3 else 0.0)
+        self.log.append((k, 0, dw))
+        return dw
+
+    def sample_bridge(self, k, node, dt, dw):
+        halves = self.base.sample_bridge(k, node, dt, dw)
+        self.log.append((k, node, halves))
+        return halves
+
+
+def bisecting_pieces(grid, **kw):
+    # two Newton iterations per step, except that the kick at step 3 asks
+    # for more; each half of step 3 needs at most two again
+    return stochastic_pieces(grid, dt=0.008, t_end=0.08, newton_max_iter=2, **kw)
+
+
+def test_dt_bisection_keeps_the_wiener_path():
+    grid = Grid(1, 16)
+    u0 = initial_profile(grid, "sine", amplitude=0.0025)
+    system, config = bisecting_pieces(grid)
+    with pytest.raises(NewtonDivergedError) as info:
+        simulate_path(system, config, u0, KickedSampler(grid))
+    assert info.value.step == 3
+
+    system, config = bisecting_pieces(grid, newton_dt_retries=1)
+    bisected = KickedSampler(grid)
+    rec = simulate_path(system, config, u0, bisected)
+    assert rec.times[-1] == config.t_end
+    assert [(k, node) for k, node, _ in bisected.log if node] == [(3, 1)]
+    assert rec.newton_iters[3] > config.newton_max_iter   # both halves' iterations
+
+    # an unbisected run on the same path requests the same increments
+    system, config = stochastic_pieces(grid, dt=0.008, t_end=0.08)
+    plain = KickedSampler(grid)
+    simulate_path(system, config, u0, plain)
+    increments = [(k, dw) for k, node, dw in bisected.log if node == 0]
+    assert len(increments) == len(plain.log) == config.num_steps
+    for (k, dw), (k_plain, _, dw_plain) in zip(increments, plain.log):
+        assert k == k_plain and np.array_equal(dw, dw_plain)
+
+
+def test_bisected_coupled_pair_shares_one_wiener_path():
+    # only the p-Laplace member bisects step 3; the linear one needs a
+    # single Newton iteration per step
+    grid = Grid(1, 16)
+    system, config = bisecting_pieces(grid, newton_dt_retries=1)
+    linear = build_system(grid, linear_coeff(), zero_drift(), None, config,
+                          spec=power_sigma(0.75, 1.0), kernel=gaussian_kernel(grid))
+    u0 = initial_profile(grid, "sine", amplitude=0.0025)
+    sampler = KickedSampler(grid)
+    rec_a, rec_b = simulate_coupled_pair((system, linear), config, (u0, u0), sampler)
+    assert rec_a.newton_iters[3] > config.newton_max_iter
+    assert np.all(rec_b.newton_iters <= 1)
+
+    steps = config.num_steps
+    log_a, log_b = sampler.log[:steps + 1], sampler.log[steps + 1:]
+    assert [(k, node) for k, node, _ in log_a] == (
+        [(k, 0) for k in range(4)] + [(3, 1)] + [(k, 0) for k in range(4, steps)])
+    assert [(k, node) for k, node, _ in log_b] == [(k, 0) for k in range(steps)]
+    increments_a = [dw for _, node, dw in log_a if node == 0]
+    for dw_a, (_, _, dw_b) in zip(increments_a, log_b):
+        assert np.array_equal(dw_a, dw_b)
+    first, second = log_a[4][2]
+    assert np.allclose(first + second, log_b[3][2], rtol=1e-15, atol=1e-15)
 
 
 def test_zero_is_a_fixed_point():

@@ -232,34 +232,35 @@ def test_sampler_is_deterministic_and_restorable():
     grid = Grid(1, 12)
     s1 = default_sampler(grid, seed=42, path_index=3)
     s2 = default_sampler(grid, seed=42, path_index=3)
-    draws1 = [s1.sample_increment(0.01) for _ in range(5)]
-    draws2 = [s2.sample_increment(0.01) for _ in range(5)]
+    draws1 = [s1.sample_increment(k, 0.01) for k in range(5)]
+    draws2 = [s2.sample_increment(k, 0.01) for k in range(5)]
     for a, b in zip(draws1, draws2):
         assert np.array_equal(a, b)
+    assert not np.array_equal(draws1[0], draws1[1])
 
-    # O(1) state restore: jump straight to counter 3
+    # O(1) restore: a fresh sampler asked for step 3 alone, in any order
     s3 = default_sampler(grid, seed=42, path_index=3)
-    s3.counter = 3
-    assert np.array_equal(s3.sample_increment(0.01), draws1[3])
-    assert s1.state == (42, 3, 5)
+    assert np.array_equal(s3.sample_increment(3, 0.01), draws1[3])
+    assert np.array_equal(s3.sample_increment(0, 0.01), draws1[0])
+    assert np.array_equal(s1.sample_increment(3, 0.01), draws1[3])
 
 
 def test_sampler_paths_are_distinct_and_count_independent():
     grid = Grid(1, 12)
-    a = default_sampler(grid, seed=7, path_index=0).sample_increment(0.01)
-    b = default_sampler(grid, seed=7, path_index=1).sample_increment(0.01)
+    a = default_sampler(grid, seed=7, path_index=0).sample_increment(0, 0.01)
+    b = default_sampler(grid, seed=7, path_index=1).sample_increment(0, 0.01)
     assert not np.array_equal(a, b)
     # drawing path 0 again after path 1 exists changes nothing
-    again = default_sampler(grid, seed=7, path_index=0).sample_increment(0.01)
+    again = default_sampler(grid, seed=7, path_index=0).sample_increment(0, 0.01)
     assert np.array_equal(a, again)
 
 
 def test_sampler_zero_dt_and_negative_dt():
     grid = Grid(1, 8)
     s = default_sampler(grid, seed=1, path_index=0)
-    assert np.allclose(s.sample_increment(0.0), 0.0)
+    assert np.allclose(s.sample_increment(0, 0.0), 0.0)
     with pytest.raises(ValueError):
-        s.sample_increment(-0.1)
+        s.sample_increment(0, -0.1)
 
 
 def test_sampler_rejects_non_orthonormal_modes():
@@ -293,11 +294,11 @@ def test_default_sampler_matches_dense_synthesis():
         for modes in (grid.size, 5, min(11, grid.size - 1)):
             sampler = default_sampler(grid, seed, path, num_modes=modes)
             root_q = np.sqrt(np.arange(1, modes + 1) ** -2.0 * dt)
-            dense = lambda counter: ((root_q * _normals(seed, path, counter, modes))
-                                     @ basis[:modes])
-            dw = sampler.sample_increment(dt)
+            dense = lambda node: ((root_q * _normals(seed, path, 3, node, modes))
+                                  @ basis[:modes])
+            dw = sampler.sample_increment(3, dt)
             assert np.allclose(dw, dense(0), rtol=1e-13, atol=1e-15)
-            first, second = sampler.sample_bridge(dt, dw)
+            first, second = sampler.sample_bridge(3, 1, dt, dw)
             assert np.allclose(first, 0.5 * dw + 0.5 * dense(1), rtol=1e-13, atol=1e-15)
             assert np.allclose(first + second, dw, rtol=1e-13, atol=1e-15)
 
@@ -307,8 +308,8 @@ def test_increment_variance_matches_trace():
     grid = Grid(1, 16)
     sampler = default_sampler(grid, seed=5, path_index=0, num_modes=8)
     dt = 0.02
-    draws = np.array([norm_l2(grid, sampler.sample_increment(dt)) ** 2
-                      for _ in range(4000)])
+    draws = np.array([norm_l2(grid, sampler.sample_increment(k, dt)) ** 2
+                      for k in range(4000)])
     expect = dt * sampler.trace
     se = np.std(draws, ddof=1) / np.sqrt(draws.size)
     assert abs(np.mean(draws) - expect) <= 5.0 * se
@@ -319,15 +320,40 @@ def test_bridge_is_consistent_and_marginally_correct():
     sampler = default_sampler(grid, seed=9, path_index=0, num_modes=1)
     dt = 0.05
     halves = []
-    for _ in range(4000):
-        dw = sampler.sample_increment(dt)
-        first, second = sampler.sample_bridge(dt, dw)
+    for k in range(4000):
+        dw = sampler.sample_increment(k, dt)
+        first, second = sampler.sample_bridge(k, 1, dt, dw)
         assert np.allclose(first + second, dw, rtol=1e-12, atol=1e-15)
         halves.append(norm_l2(grid, first) ** 2)
     halves = np.asarray(halves)
     expect = 0.5 * dt * sampler.trace
     se = np.std(halves, ddof=1) / np.sqrt(halves.size)
     assert abs(np.mean(halves) - expect) <= 5.0 * se
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 10), Grid(2, 6)], ids=["1d", "2d"])
+def test_bridge_points_are_pure_functions_of_step_and_node(grid):
+    dt, k = 0.01, 4
+    sampler = default_sampler(grid, seed=13, path_index=1)
+    fresh = default_sampler(grid, seed=13, path_index=1)
+    dw = fresh.sample_increment(k, dt)
+    halves = {}
+    for node in (1, 2, 3, 6):
+        first, second = sampler.sample_bridge(k, node, dt, dw)
+        assert np.allclose(first + second, dw, rtol=1e-14, atol=1e-15)
+        again = fresh.sample_bridge(k, node, dt, dw)
+        assert np.array_equal(first, again[0]) and np.array_equal(second, again[1])
+        halves[node] = first
+    # distinct nodes, and the same node of another step, draw afresh
+    assert not np.array_equal(halves[1], halves[2])
+    assert not np.array_equal(halves[2], halves[3])
+    assert not np.array_equal(halves[1], sampler.sample_bridge(k + 1, 1, dt, dw)[0])
+    # bridges drawn first leave the increments untouched
+    assert np.array_equal(sampler.sample_increment(k, dt), dw)
+    assert np.array_equal(sampler.sample_increment(k + 1, dt),
+                          default_sampler(grid, 13, 1).sample_increment(k + 1, dt))
+    with pytest.raises(ValueError):
+        sampler.sample_bridge(k, 0, dt, dw)
 
 
 def test_default_sampler_mode_count_guard():
