@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .evolution import SolverConfig
 from .noise import default_sampler, gaussian_kernel, kernel_from_csv, rank_one_kernel
-from .regularize import HolderSpec, power_sigma
+from .regularize import power_sigma
 from .spatial import (Grid, HigherOrderPerturbation, initial_from_csv,
                       initial_profile, linear_coeff, p_laplacian_coeff,
                       q_of_p, remark_flux_coeff, tanh_drift, zero_drift)

@@ -6,7 +6,9 @@ step-size restriction, and a drift-implicit step whose nonlinear system is
 solved by a damped Newton iteration with a colored finite-difference
 Jacobian.  Trajectories are bitwise reproducible from (seed, config): the
 Wiener increments and bridge points are pure functions of (seed, path, step,
-node) and every reduction runs in a fixed order.
+node) and every reduction runs in a fixed order.  Coupled runs -- two initial
+data, or two levels, on one Wiener path -- are therefore just simulate_path
+calls on samplers with the same (seed, path), run in any order.
 """
 
 import warnings
@@ -16,7 +18,7 @@ import numpy as np
 
 from .noise import NoiseOperator, RawSigma, apply_B
 from .regularize import RegularizedSigma
-from .spatial import (_gradient_faces, apply_A_n, hm0_norm, norm_l2,
+from .spatial import (apply_A_n, gradient_faces, hm0_norm, norm_l2,
                       w1p_seminorm, wmq_norm)
 
 __all__ = [
@@ -29,7 +31,6 @@ __all__ = [
     "step_explicit",
     "step_semi_implicit",
     "simulate_path",
-    "simulate_coupled_pair",
     "explicit_dt_heuristic",
 ]
 
@@ -40,7 +41,8 @@ MIN_LINE_STEP = 2.0 ** -20
 class BlowUpError(RuntimeError):
     """Trajectory left the admissible range (non-finite or huge L2 norm).
 
-    verify's path jobs add ``study``, ``level`` and ``path`` attributes.
+    verify's trajectory job adds ``study``, ``level`` and ``path``
+    attributes.
     """
 
     def __init__(self, step, time, norm):
@@ -61,7 +63,8 @@ class NewtonDivergedError(RuntimeError):
 
     ``step`` and ``time`` locate the failing step; simulate_path sets them
     when the error passes through it, and they stay None otherwise.
-    verify's path jobs add ``study``, ``level`` and ``path`` attributes.
+    verify's trajectory job adds ``study``, ``level`` and ``path``
+    attributes.
     """
 
     def __init__(self, iterations, residual):
@@ -185,7 +188,7 @@ def explicit_dt_heuristic(system, u0):
     slope = 1.0
     p = system.coeff.p
     if p > 2.0:
-        gmax = max(float(np.max(np.abs(g))) for g in _gradient_faces(grid, u0))
+        gmax = max(float(np.max(np.abs(g))) for g in gradient_faces(grid, u0))
         slope = max(1.0, gmax ** (p - 2.0))
     c3 = max(system.coeff.c3, 1.0)
     return grid.h ** 2 / (2.0 * grid.dimension * c3 * slope)
@@ -349,24 +352,26 @@ def simulate_path(system, config, u0, sampler=None):
     energy_log = {k: [] for k in ("l2_sq", "grad_lp_p", "hm0_sq", "wmq_q")}
     integrals = {"grad_lp_p": 0.0, "hm0_sq": 0.0, "wmq_q": 0.0}
 
-    def check_state(k, t_now):
-        l2_sq = norm_l2(grid, u) ** 2
-        if not np.all(np.isfinite(u)) or np.sqrt(l2_sq) > config.blow_up_threshold:
-            raise BlowUpError(k, t_now, np.sqrt(l2_sq) if np.all(np.isfinite(u))
-                              else np.inf)
-        return l2_sq
+    def admit(k, t_now):
+        """Energies of the state at step k, once it passes the blow-up guard."""
+        if not np.all(np.isfinite(u)):
+            raise BlowUpError(k, t_now, np.inf)
+        here = _energies(system, u)
+        if np.sqrt(here["l2_sq"]) > config.blow_up_threshold:
+            raise BlowUpError(k, t_now, np.sqrt(here["l2_sq"]))
+        return here
 
-    def record(k):
+    def record(k, here):
         times.append(k * config.dt)
         states.append(u.copy())
-        for name, val in _energies(system, u).items():
+        for name, val in here.items():
             energy_log[name].append(val)
 
-    sup_l2_sq = check_state(0, 0.0)
-    record(0)
+    here = admit(0, 0.0)
+    sup_l2_sq = here["l2_sq"]
+    record(0, here)
     for k in range(steps):
         t = k * config.dt
-        here = _energies(system, u)
         integrals["grad_lp_p"] += config.dt * here["grad_lp_p"]
         integrals["hm0_sq"] += config.dt * here["hm0_sq"]
         integrals["wmq_q"] += config.dt * here["wmq_q"]
@@ -382,9 +387,10 @@ def simulate_path(system, config, u0, sampler=None):
             raise
         iters_log.append(iters)
 
-        sup_l2_sq = max(sup_l2_sq, check_state(k + 1, (k + 1) * config.dt))
+        here = admit(k + 1, (k + 1) * config.dt)
+        sup_l2_sq = max(sup_l2_sq, here["l2_sq"])
         if (k + 1) % config.record_every == 0 or k + 1 == steps:
-            record(k + 1)
+            record(k + 1, here)
 
     return TrajectoryRecord(
         times=np.asarray(times),
@@ -394,21 +400,3 @@ def simulate_path(system, config, u0, sampler=None):
         sup_l2_sq=float(sup_l2_sq),
         integrals=integrals,
     )
-
-
-def simulate_coupled_pair(systems, config, initial_states, sampler):
-    """Two trajectories driven by one Wiener path.
-
-    ``systems`` is a pair (possibly the same object twice) and
-    ``initial_states`` the matching pair of initial data.  Both runs read
-    the one sampler, whose increments and bridge points are pure functions
-    of (seed, path, step, node), so they share the path even where only
-    one of them bisects a step; this is the coupling used by the
-    contraction and Cauchy experiments.
-    """
-    sys_a, sys_b = systems
-    if sys_a.grid.size != sys_b.grid.size:
-        raise ValueError("coupled systems must share the grid")
-    u0_a, u0_b = initial_states
-    return (simulate_path(sys_a, config, u0_a, sampler),
-            simulate_path(sys_b, config, u0_b, sampler))

@@ -7,7 +7,7 @@ discrete gradient is exact, and the higher-order form realizes every
 multi-index derivative up to order m by iterated forward differences.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -20,6 +20,7 @@ __all__ = [
     "norm_l1",
     "norm_l2",
     "norm_lp",
+    "gradient_faces",
     "w1p_seminorm",
     "hm0_norm",
     "wmq_norm",
@@ -124,7 +125,7 @@ def norm_l1(grid, u):
     return float(np.sum(np.abs(u)) * grid.weight)
 
 
-def _gradient_faces(grid, u):
+def gradient_faces(grid, u):
     """Forward differences to faces per axis, zero-extended; list of arrays."""
     h = grid.h
     if grid.dimension == 1:
@@ -146,7 +147,7 @@ def w1p_seminorm(grid, u, p):
     seminorm within a factor 2**(1/2 - 1/p) in either direction).
     """
     u = grid.check(u)
-    total = sum(np.sum(np.abs(g) ** p) for g in _gradient_faces(grid, u))
+    total = sum(np.sum(np.abs(g) ** p) for g in gradient_faces(grid, u))
     return float((total * grid.weight) ** (1.0 / p))
 
 

@@ -2,23 +2,22 @@
 
 Each study returns a JSON-ready report dict: a list of named checks, each
 carrying the measured estimate, the bound it is held against, a standard
-error where the estimate is a Monte Carlo mean, and a pass flag.  Paths are
-coupled across perturbation levels by construction (the Wiener path is a
-pure function of (master_seed, path_index)), so comparisons across n use
-paired differences.
+error where the estimate is a Monte Carlo mean, and a pass flag.  Every
+Monte Carlo trajectory is one ``_trajectory`` job.  The Wiener path is a
+pure function of (master_seed, path_index), so jobs that share a path index
+are coupled across levels and initial data without running together, and
+each study reduces its records into paired differences.
 """
 
 import functools
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .evolution import (BlowUpError, NewtonDivergedError, SolverConfig,
-                        build_system, simulate_path, simulate_coupled_pair)
+                        build_system, simulate_path)
 from .noise import default_sampler
-from .regularize import n0
 from .spatial import (initial_profile, linear_coeff, n_min_default, norm_l1,
                       norm_l2, zero_drift)
 
@@ -60,9 +59,9 @@ class ExperimentPlan:
     n_list must be sorted and stay at or above the minimum admissible
     level (the growth threshold n0, sharpened by the dissipativity default
     when the coefficient has a nontrivial c2).  num_paths >= 2 so standard
-    errors exist.  workers > 1 fans path jobs out to a process pool; the
-    aggregates are independent of the pool size because every path is
-    keyed by (master_seed, path_index) and merged in path order.
+    errors exist.  workers > 1 fans trajectory jobs out to a process pool;
+    the aggregates are independent of the pool size because every path is
+    keyed by (master_seed, path_index) and merged in job order.
     """
 
     grid: object
@@ -108,36 +107,38 @@ class ExperimentPlan:
 PATH_FAILURES = (BlowUpError, NewtonDivergedError)
 
 
-@contextmanager
-def _located(study, level, path_index):
-    """Tag a path failure raised inside the block with where it happened."""
+def _trajectory(plan, job):
+    """One Monte Carlo trajectory, job = (study, level, cfg, u0, path_index).
+
+    Returns the TrajectoryRecord, or the path failure tagged with study,
+    level and path; study and level only tag it."""
+    study, level, cfg, u0, path_index = job
+    system = build_system(plan.grid, plan.coeff, plan.drift, plan.pert, cfg,
+                          spec=plan.spec, kernel=plan.kernel)
     try:
-        yield
+        return simulate_path(system, cfg, u0, plan.sampler(path_index))
     except PATH_FAILURES as exc:
         exc.study, exc.level, exc.path = study, level, path_index
-        raise
-
-
-def _failure_or_result(fn, job):
-    try:
-        return fn(job)
-    except PATH_FAILURES as exc:
         return exc
 
 
-def _map_jobs(fn, jobs, workers):
-    """Run the path jobs in order; a path failure propagates, and with a
-    pool it is the first failing job in job order, whatever the timing."""
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    import multiprocessing as mp
+def _map_jobs(plan, jobs):
+    """Records of the trajectory jobs in job order; a path failure raises,
+    and it is the first failing job in job order, whatever the timing."""
+    run = functools.partial(_trajectory, plan)
+    if plan.workers <= 1 or len(jobs) <= 1:
+        results = map(run, jobs)   # lazy: a serial run stops at the failure
+    else:
+        import multiprocessing as mp
 
-    with mp.get_context("fork").Pool(processes=workers) as pool:
-        results = pool.map(functools.partial(_failure_or_result, fn), jobs)
+        with mp.get_context("fork").Pool(processes=plan.workers) as pool:
+            results = pool.map(run, jobs)
+    records = []
     for res in results:
         if isinstance(res, PATH_FAILURES):
             raise res
-    return results
+        records.append(res)
+    return records
 
 
 def _check(name, statement, estimate, bound, passed, std_error=None):
@@ -158,7 +159,7 @@ def _finish(name, statement, checks, extra=None):
 
 def failure_report(exc, seed):
     """Report of a study stopped by a path failure (a BlowUpError or
-    NewtonDivergedError tagged by the study's path job): one failed check
+    NewtonDivergedError tagged by its trajectory job): one failed check
     carrying the study, level, path, seed, step and time that rerun it."""
     finite = lambda x: float(x) if math.isfinite(x) else None
     failure = {"study": exc.study, "level": exc.level, "path": exc.path,
@@ -192,20 +193,6 @@ def _paired_monotone_checks(label, statement, levels, per_path, se_mult,
 # -------------------------------------------------------------- energy study
 
 
-def _energy_path_stats(args):
-    plan, n, path_index, u0 = args
-    cfg = replace(plan.config, n=int(n),
-                  record_every=max(1, plan.config.num_steps))
-    system = build_system(plan.grid, plan.coeff, plan.drift, plan.pert, cfg,
-                          spec=plan.spec, kernel=plan.kernel)
-    with _located("energy_boundedness", int(n), path_index):
-        rec = simulate_path(system, cfg, u0, plan.sampler(path_index))
-    return (rec.sup_l2_sq,
-            rec.integrals["grad_lp_p"],
-            rec.integrals["hm0_sq"] / n,
-            rec.integrals["wmq_q"] / n)
-
-
 def energy_report(plan, u0=None, ratio_bound=2.0):
     """Uniform-in-n energy boundedness of the approximating trajectories.
 
@@ -218,9 +205,16 @@ def energy_report(plan, u0=None, ratio_bound=2.0):
     """
     if u0 is None:
         u0 = initial_profile(plan.grid, "sine", amplitude=0.25)
-    jobs = [(plan, n, p, u0) for n in plan.n_list for p in range(plan.num_paths)]
-    flat = _map_jobs(_energy_path_stats, jobs, plan.workers)
-    stats = np.asarray(flat).reshape(len(plan.n_list), plan.num_paths, 4)
+    record_every = max(1, plan.config.num_steps)
+    jobs = [("energy_boundedness", n,
+             replace(plan.config, n=n, record_every=record_every), u0, p)
+            for n in plan.n_list for p in range(plan.num_paths)]
+    records = _map_jobs(plan, jobs)
+    stats = np.asarray([
+        (rec.sup_l2_sq, rec.integrals["grad_lp_p"],
+         rec.integrals["hm0_sq"] / n, rec.integrals["wmq_q"] / n)
+        for (_, n, _, _, _), rec in zip(jobs, records)
+    ]).reshape(len(plan.n_list), plan.num_paths, 4)
 
     names = ("sup_l2_sq", "int_grad_lp_p", "int_hm0_sq_over_n",
              "int_wmq_q_over_n")
@@ -256,19 +250,6 @@ def energy_report(plan, u0=None, ratio_bound=2.0):
 # --------------------------------------------------------- contraction study
 
 
-def _contraction_path_curves(args):
-    plan, u0_a, u0_b, snap_idx, path_index = args
-    cfg = replace(plan.config, sigma_mode="raw", use_perturbation=False,
-                  record_every=1)
-    system = build_system(plan.grid, plan.coeff, plan.drift, plan.pert, cfg,
-                          spec=plan.spec, kernel=plan.kernel)
-    with _located("l1_contraction", None, path_index):
-        rec_a, rec_b = simulate_coupled_pair((system, system), cfg, (u0_a, u0_b),
-                                             plan.sampler(path_index))
-    diff = rec_a.states[snap_idx] - rec_b.states[snap_idx]
-    return [norm_l1(plan.grid, d) for d in diff]
-
-
 def contraction_experiment(plan, u0_a, u0_b):
     """L1 coupling bound between two solutions driven by the same noise.
 
@@ -288,8 +269,15 @@ def contraction_experiment(plan, u0_a, u0_b):
         np.linspace(0, steps, plan.checkpoints + 1)).astype(int))
     t_snap = snap_idx * plan.config.dt
 
-    jobs = [(plan, u0_a, u0_b, snap_idx, p) for p in range(plan.num_paths)]
-    curves = np.asarray(_map_jobs(_contraction_path_curves, jobs, plan.workers))
+    cfg = replace(plan.config, sigma_mode="raw", use_perturbation=False,
+                  record_every=1)
+    jobs = [("l1_contraction", None, cfg, u0, p)
+            for p in range(plan.num_paths) for u0 in (u0_a, u0_b)]
+    records = _map_jobs(plan, jobs)
+    curves = np.asarray([
+        [norm_l1(grid, d)
+         for d in rec_a.states[snap_idx] - rec_b.states[snap_idx]]
+        for rec_a, rec_b in zip(records[::2], records[1::2])])
 
     d0 = norm_l1(grid, u0_a - u0_b)
     l_f = plan.drift.l_f if plan.drift is not None else 0.0
@@ -316,28 +304,6 @@ def contraction_experiment(plan, u0_a, u0_b):
 # -------------------------------------------------------------- cauchy study
 
 
-def _cauchy_path_values(args):
-    plan, u0, levels, path_index = args
-    cfg0 = replace(plan.config, record_every=1)
-    sampler = plan.sampler(path_index)
-    finals = {}
-    for n in levels:
-        cfg = replace(cfg0, n=int(n))
-        system = build_system(plan.grid, plan.coeff, plan.drift, plan.pert,
-                              cfg, spec=plan.spec, kernel=plan.kernel)
-        with _located("cauchy_in_level", int(n), path_index):
-            rec = simulate_path(system, cfg, u0, sampler)
-        finals[n] = rec.states
-
-    values = []
-    w = plan.grid.weight
-    for n in plan.n_list:
-        diff = finals[n][:-1] - finals[2 * n][:-1]   # left endpoints
-        val = math.sqrt(float(np.sum(diff * diff) * w * cfg0.dt))
-        values.append(val)
-    return values
-
-
 def cauchy_in_n_study(plan, u0=None):
     """Successive-level distances D_n = E ||u_n - u_2n||_{L2((0,T) x D)}.
 
@@ -354,8 +320,18 @@ def cauchy_in_n_study(plan, u0=None):
     u0 = plan.grid.check(u0)
     levels = list(plan.n_list) + [2 * plan.n_list[-1]]
 
-    jobs = [(plan, u0, levels, p) for p in range(plan.num_paths)]
-    values = np.asarray(_map_jobs(_cauchy_path_values, jobs, plan.workers)).T
+    cfgs = [replace(plan.config, n=n, record_every=1) for n in levels]
+    jobs = [("cauchy_in_level", n, cfg, u0, p)
+            for p in range(plan.num_paths) for n, cfg in zip(levels, cfgs)]
+    records = _map_jobs(plan, jobs)
+
+    w, dt = plan.grid.weight, plan.config.dt
+    values = np.empty((len(plan.n_list), plan.num_paths))
+    for p in range(plan.num_paths):
+        chain = records[p * len(levels):(p + 1) * len(levels)]
+        for i, (rec_n, rec_2n) in enumerate(zip(chain, chain[1:])):
+            diff = rec_n.states[:-1] - rec_2n.states[:-1]   # left endpoints
+            values[i, p] = math.sqrt(float(np.sum(diff * diff) * w * dt))
 
     estimates = {str(n): MCEstimate.from_samples(values[i]).__dict__
                  for i, n in enumerate(plan.n_list)}

@@ -12,7 +12,6 @@ from plapsim.evolution import (
     SolverConfig,
     build_system,
     explicit_dt_heuristic,
-    simulate_coupled_pair,
     simulate_path,
     step_explicit,
     step_semi_implicit,
@@ -175,15 +174,17 @@ def test_coupled_pair_shares_increments():
     u0 = initial_profile(grid, "sine", amplitude=0.25)
     v0 = initial_profile(grid, "bump", amplitude=0.2)
     sampler = KickedSampler(grid, seed=21, kick=0.0)
-    simulate_coupled_pair((system, system), config, (u0, v0), sampler)
+    for start in (u0, v0):
+        simulate_path(system, config, start, sampler)
     steps = config.num_steps
     assert [(k, node) for k, node, _ in sampler.log] == 2 * [(k, 0) for k in range(steps)]
     for (_, _, a), (k, _, b) in zip(sampler.log[:steps], sampler.log[steps:]):
         assert np.array_equal(a, b)
         assert np.array_equal(a, default_sampler(grid, 21, 0).sample_increment(k, config.dt))
     # identical initial data makes the trajectories identical
-    rec_c, rec_d = simulate_coupled_pair((system, system), config, (u0, u0),
-                                         default_sampler(grid, 21, 0))
+    sampler = default_sampler(grid, 21, 0)
+    rec_c = simulate_path(system, config, u0, sampler)
+    rec_d = simulate_path(system, config, u0, sampler)
     assert np.array_equal(rec_c.states, rec_d.states)
 
 
@@ -248,7 +249,8 @@ def test_bisected_coupled_pair_shares_one_wiener_path():
                           spec=power_sigma(0.75, 1.0), kernel=gaussian_kernel(grid))
     u0 = initial_profile(grid, "sine", amplitude=0.0025)
     sampler = KickedSampler(grid)
-    rec_a, rec_b = simulate_coupled_pair((system, linear), config, (u0, u0), sampler)
+    rec_a = simulate_path(system, config, u0, sampler)
+    rec_b = simulate_path(linear, config, u0, sampler)
     assert rec_a.newton_iters[3] > config.newton_max_iter
     assert np.all(rec_b.newton_iters <= 1)
 

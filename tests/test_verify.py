@@ -1,12 +1,13 @@
 """Desk-scale runs of the Monte Carlo studies and their plan validation."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from plapsim.evolution import BlowUpError, SolverConfig
-from plapsim.noise import gaussian_kernel
+from plapsim.evolution import BlowUpError, SolverConfig, build_system, simulate_path
+from plapsim.noise import default_sampler, gaussian_kernel
 from plapsim.regularize import power_sigma
 from plapsim.spatial import (Grid, HigherOrderPerturbation, initial_profile,
                              p_laplacian_coeff, perturbation_for, q_of_p,
@@ -123,6 +124,28 @@ def test_cauchy_desk_scale_first_order_perturbation():
     json.dumps(report)
 
 
+def test_cauchy_levels_share_the_wiener_path():
+    # each (level, path) run on its own fresh sampler keyed by (seed, path):
+    # the study's distances couple the levels through the path index alone
+    plan = desk_plan(m=1, paths=3)
+    report = cauchy_in_n_study(plan)
+    u0 = initial_profile(plan.grid, "sine", amplitude=0.25)
+    states = {}
+    for n in plan.n_list + (2 * plan.n_list[-1],):
+        cfg = replace(plan.config, n=n)
+        system = build_system(plan.grid, plan.coeff, plan.drift, plan.pert, cfg,
+                              spec=plan.spec, kernel=plan.kernel)
+        for p in range(plan.num_paths):
+            sampler = default_sampler(plan.grid, plan.master_seed, p)
+            states[n, p] = simulate_path(system, cfg, u0, sampler).states[:-1]
+    for n in plan.n_list:
+        distances = [np.sqrt(np.sum((states[n, p] - states[2 * n, p]) ** 2)
+                             * plan.grid.weight * plan.config.dt)
+                     for p in range(plan.num_paths)]
+        assert report["estimates"][str(n)]["mean"] == pytest.approx(
+            np.mean(distances), rel=1e-12, abs=0.0)
+
+
 def test_heat_oracle_quick():
     report = heat_oracle_study(n_interior=32, dt=2e-4, t_end=0.05,
                                rel_tol=5e-3, slope_grids=(4, 8, 16),
@@ -143,3 +166,8 @@ def test_worker_pool_does_not_change_results():
     plan1, plan2 = desk_plan(m=1, paths=4), desk_plan(m=1, paths=4, workers=3)
     assert json.dumps(cauchy_in_n_study(plan1), sort_keys=True) \
         == json.dumps(cauchy_in_n_study(plan2), sort_keys=True)
+
+    u0 = initial_profile(plan1.grid, "sine", amplitude=0.25)
+    v0 = initial_profile(plan1.grid, "bump", amplitude=0.2)
+    assert json.dumps(contraction_experiment(plan1, u0, v0), sort_keys=True) \
+        == json.dumps(contraction_experiment(plan2, u0, v0), sort_keys=True)
