@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .noise import NoiseOperator, RawSigma, apply_B
+from .noise import NoiseOperator, apply_B
 from .regularize import RegularizedSigma
 from .spatial import (apply_A_n, gradient_faces, hm0_norm, norm_l2,
                       w1p_seminorm, wmq_norm)
@@ -100,7 +100,6 @@ class SolverConfig:
     newton_dt_retries: int = 0
     record_every: int = 1
     blow_up_threshold: float = 1e12
-    sigma_grid_points: int = 1024
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -158,10 +157,9 @@ def build_system(grid, coeff, drift, pert, config, spec=None, kernel=None):
         if config.sigma_mode == "regularized":
             if config.n is None:
                 raise ValueError("sigma_mode 'regularized' needs a level n")
-            sigma = RegularizedSigma(spec, config.n,
-                                     grid_points=config.sigma_grid_points)
+            sigma = RegularizedSigma(spec, config.n)
         else:
-            sigma = RawSigma(spec)
+            sigma = spec.eval
     noise_op = NoiseOperator(kernel, sigma) if sigma is not None else None
     use_pert = config.use_perturbation and pert is not None and config.n is not None
     return System(grid=grid, coeff=coeff, drift=drift,

@@ -32,7 +32,6 @@ __all__ = [
     "kernel_to_csv",
     "kernel_from_csv",
     "NoiseOperator",
-    "RawSigma",
     "apply_B",
     "hs_norm_sq",
     "hs_norm_sq_parseval",
@@ -148,16 +147,6 @@ def kernel_from_csv(path):
         grid = Grid(dimension=int(header[3]), n_interior=int(header[1]))
         values = np.loadtxt(fh, delimiter=",", ndmin=2)
     return kernel_from_matrix(grid, values)
-
-
-@dataclass(frozen=True)
-class RawSigma:
-    """Adapter exposing a HolderSpec's evaluator under the sampler call shape."""
-
-    spec: object
-
-    def __call__(self, t, lam):
-        return self.spec.eval(t, lam)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ approximation error, and checks the claimed properties on dense grids.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,32 +134,35 @@ def _check_strict_holder(alpha, l_alpha):
         raise ValueError(f"l_alpha must be positive, got {l_alpha}")
 
 
-@dataclass
+# fixed constants of the bracket-and-refine search
+_GRID_POINTS = 1024    # uniform grid across the bracket
+_REFINE_ROUNDS = 6     # local grids around the incumbent, each 8x narrower
+_REFINE_POINTS = 17
+_BLOCK = 256           # lam values per vectorized block
+
+
+@dataclass(frozen=True)
 class RegularizedSigma:
     """sigma_n: exact via the evaluator's ``inf_convolution``, else searched.
 
-    The infimum over mu is localized: any mu with
-    |mu - lam| >= (l_alpha/n)**(1/(1-alpha)) cannot improve on mu = lam,
-    so the search runs on a bracket of twice that radius.  Within the
-    bracket the objective is minimized over a uniform grid, over the
-    distinguished candidates mu = lam and mu = 0 (the anchor of the growth
-    bound, included whenever it falls inside the bracket), and over
-    ``refine_rounds`` shrinking local grids around the incumbent.  The
-    cusp of the |.|**alpha prototype at interior minimizers rules out a
-    single parabolic polish, so iterated bracket shrinking is used instead;
-    each round narrows the window by a factor of 8.
+    The infimum over mu is localized: any mu with |mu - lam| >= R, where
+    R = (l_alpha/n)**(1/(1-alpha)), cannot improve on mu = lam, so the
+    search runs on the bracket [lam - 2R, lam + 2R].  There the objective
+    is minimized over a uniform grid of 1024 points (spacing
+    delta = 4R/1023), then over 6 rounds of 17-point local grids around
+    the incumbent, each round 8 times narrower; the cusp of the
+    |.|**alpha prototype at interior minimizers rules out a single
+    parabolic polish.  The candidates mu = lam and mu = 0 (the anchor of
+    the growth bound) are always included.  The search takes 256 lam
+    values per block.
 
-    The returned value is always an upper bound for the true infimum and
-    never exceeds sigma(t, lam).  Against a brute-force grid of spacing
-    delta the error is at most l_alpha * delta**alpha + n * delta.
+    The returned value is never below the true infimum, never above
+    sigma(t, lam), and exceeds the infimum by at most
+    l_alpha * delta**alpha + n * delta.
     """
 
     spec: HolderSpec
     n: int
-    bracket_radius: float = None
-    grid_points: int = 4096
-    refine_rounds: int = 6
-    chunk: int = field(default=262144, repr=False)
 
     def __post_init__(self):
         if self.spec.alpha >= 1.0:
@@ -168,11 +171,6 @@ class RegularizedSigma:
         lower = n0(self.spec.c_sigma)
         if self.n < lower:
             raise ValueError(f"n = {self.n} is below n0 = {lower}")
-        if self.bracket_radius is None:
-            loc = (self.spec.l_alpha / self.n) ** (1.0 / (1.0 - self.spec.alpha))
-            self.bracket_radius = 2.0 * loc
-        if self.grid_points < 8:
-            raise ValueError("grid_points must be at least 8")
 
     def __call__(self, t, lam):
         return sigma_n_values(self, t, lam)
@@ -186,17 +184,17 @@ def sigma_n_values(reg, t, lam):
         out = exact(t, lam, reg.n)
     else:
         flat, out = lam.ravel(), np.empty(lam.size)
-        block = max(8, reg.chunk // reg.grid_points)
-        for start in range(0, flat.size, block):
-            out[start:start + block] = _sigma_n_block(reg, t, flat[start:start + block])
+        for start in range(0, flat.size, _BLOCK):
+            out[start:start + _BLOCK] = _sigma_n_block(reg, t, flat[start:start + _BLOCK])
         out = out.reshape(lam.shape)
     return float(out) if lam.ndim == 0 else out
 
 
 def _sigma_n_block(reg, t, lam):
-    sig, n, radius = reg.spec.eval, reg.n, reg.bracket_radius
+    sig, n = reg.spec.eval, reg.n
+    radius = 2.0 * (reg.spec.l_alpha / n) ** (1.0 / (1.0 - reg.spec.alpha))
     col = lam[:, None]
-    offsets = np.linspace(-radius, radius, reg.grid_points)
+    offsets = np.linspace(-radius, radius, _GRID_POINTS)
     mu = col + offsets[None, :]
     obj = sig(t, mu) + n * np.abs(mu - col)
     ibest = np.argmin(obj, axis=1)
@@ -204,9 +202,9 @@ def _sigma_n_block(reg, t, lam):
     best = obj[rows, ibest]
     center = mu[rows, ibest]
 
-    width = np.full(lam.size, 2.0 * radius / (reg.grid_points - 1))
-    local = np.linspace(-1.0, 1.0, 17)
-    for _ in range(reg.refine_rounds):
+    width = np.full(lam.size, 2.0 * radius / (_GRID_POINTS - 1))
+    local = np.linspace(-1.0, 1.0, _REFINE_POINTS)
+    for _ in range(_REFINE_ROUNDS):
         mu = center[:, None] + width[:, None] * local[None, :]
         obj = sig(t, mu) + n * np.abs(mu - col)
         j = np.argmin(obj, axis=1)
@@ -215,28 +213,26 @@ def _sigma_n_block(reg, t, lam):
         width /= 8.0
 
     # mu = lam guarantees sigma_n <= sigma; mu = 0 is exact for the
-    # prototype below its crossover and costs one extra evaluation
+    # prototype below its crossover, and beyond the bracket it never beats
+    # mu = lam since there n|lam| >= l_alpha |lam|**alpha
     best = np.minimum(best, np.asarray(sig(t, lam), dtype=float))
-    in_bracket = np.abs(lam) <= radius
-    if np.any(in_bracket):
-        at_zero = np.asarray(sig(t, np.zeros_like(lam)), dtype=float) + n * np.abs(lam)
-        best = np.where(in_bracket, np.minimum(best, at_zero), best)
-    return best
+    at_zero = np.asarray(sig(t, np.zeros_like(lam)), dtype=float) + n * np.abs(lam)
+    return np.minimum(best, at_zero)
 
 
-def sup_gap_scan(reg, lam_lo=-4.0, lam_hi=4.0, t=0.0, coarse_points=4097,
-                 refine_rounds=8):
+def sup_gap_scan(reg, lam_lo=-4.0, lam_hi=4.0, t=0.0):
     """Measured sup of sigma - sigma_n over [lam_lo, lam_hi].
 
-    Scans a uniform grid joined with log-spaced magnitudes (the maximizer
-    collapses toward zero like n**(1/(alpha-1)), far below any fixed uniform
-    resolution), then zooms on the best point with shrinking windows.
+    Scans a uniform 4097-point grid joined with 512 log-spaced magnitudes
+    (the maximizer collapses toward zero like n**(1/(alpha-1)), far below
+    any fixed uniform resolution), then zooms on the best point with 8
+    windows of 65 points, each 4 times narrower.
 
     Returns
     -------
     (sup_gap, arg_max) : tuple of floats
     """
-    cand = np.linspace(lam_lo, lam_hi, coarse_points)
+    cand = np.linspace(lam_lo, lam_hi, 4097)
     top = max(abs(lam_lo), abs(lam_hi), 1e-9)
     mags = np.geomspace(1e-12, top, 512)
     cand = np.concatenate([cand, mags, -mags, [0.0]])
@@ -247,7 +243,7 @@ def sup_gap_scan(reg, lam_lo=-4.0, lam_hi=4.0, t=0.0, coarse_points=4097,
     best_lam, best_gap = cand[k], gaps[k]
 
     width = max(0.1 * abs(best_lam), 1e-10)
-    for _ in range(refine_rounds):
+    for _ in range(8):
         loc = np.clip(best_lam + np.linspace(-width, width, 65), lam_lo, lam_hi)
         gaps = np.asarray(reg.spec.eval(t, loc), dtype=float) - sigma_n_values(reg, t, loc)
         k = int(np.argmax(gaps))
@@ -257,7 +253,7 @@ def sup_gap_scan(reg, lam_lo=-4.0, lam_hi=4.0, t=0.0, coarse_points=4097,
     return float(best_gap), float(best_lam)
 
 
-def gap_decay_study(spec, n_list, lam_lo=-4.0, lam_hi=4.0, t=0.0, **reg_kwargs):
+def gap_decay_study(spec, n_list, lam_lo=-4.0, lam_hi=4.0, t=0.0):
     """Measured sup-gaps against their closed-form bounds over a list of n.
 
     Returns a dict with per-n arrays and the least-squares slope of
@@ -266,7 +262,7 @@ def gap_decay_study(spec, n_list, lam_lo=-4.0, lam_hi=4.0, t=0.0, **reg_kwargs):
     n_arr = np.asarray(sorted(n_list), dtype=int)
     measured, bounds = [], []
     for n in n_arr:
-        reg = RegularizedSigma(spec, int(n), **reg_kwargs)
+        reg = RegularizedSigma(spec, int(n))
         g, _ = sup_gap_scan(reg, lam_lo, lam_hi, t)
         measured.append(g)
         bounds.append(gap_bound(spec.alpha, spec.l_alpha, int(n)))
@@ -283,7 +279,7 @@ def gap_decay_study(spec, n_list, lam_lo=-4.0, lam_hi=4.0, t=0.0, **reg_kwargs):
 
 
 def verify_regularization(spec, n, lam_grid=None, t_grid=(0.0,),
-                          rel_tol=1e-6, abs_tol=1e-9, **reg_kwargs):
+                          rel_tol=1e-6, abs_tol=1e-9):
     """Check the three regularization properties on dense grids.
 
     Properties checked: sigma_n never exceeds sigma (max_overshoot), the
@@ -295,7 +291,7 @@ def verify_regularization(spec, n, lam_grid=None, t_grid=(0.0,),
     if lam_grid is None:
         lam_grid = np.linspace(-4.0, 4.0, 10001)
     lam_grid = np.asarray(lam_grid, dtype=float)
-    reg = RegularizedSigma(spec, n, **reg_kwargs)
+    reg = RegularizedSigma(spec, n)
 
     max_overshoot = -np.inf
     max_slope = 0.0

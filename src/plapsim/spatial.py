@@ -595,16 +595,13 @@ def estimate_embedding_constants(grid, p, m, q, nu, trials=48, seed=0):
             "c_embed_w": float(best_embed)}
 
 
-def n_min_default(grid, coeff, pert, c_sigma, trials=48, seed=0,
-                  strict_factor=False):
+def n_min_default(grid, coeff, pert, c_sigma, trials=48, seed=0):
     """Default smallest admissible perturbation level.
 
     Computed as max(n0(c_sigma), 1 / (2**(q-1) * c2 * c_E**(2 nu) * c_P**nu))
     with the embedding constants estimated on the grid; when c2 = 0 the
-    second entry is absent and the growth threshold n0 alone applies.  The
-    companion dissipativity condition can also be read with 2**q in place
-    of 2**(q-1); pass strict_factor=True for that variant.  Callers may
-    override the result entirely.
+    second entry is absent and the growth threshold n0 alone applies.
+    Callers may override the result entirely.
     """
     from .regularize import n0
 
@@ -614,8 +611,7 @@ def n_min_default(grid, coeff, pert, c_sigma, trials=48, seed=0,
     consts = estimate_embedding_constants(grid, coeff.p, pert.m, pert.q,
                                           coeff.nu, trials=trials, seed=seed)
     c_e = consts["c_lq"] * consts["c_embed_w"]
-    factor = 2.0 ** (pert.q if strict_factor else pert.q - 1.0)
-    second = 1.0 / (factor * coeff.c2 * c_e ** (2.0 * coeff.nu)
+    second = 1.0 / (2.0 ** (pert.q - 1.0) * coeff.c2 * c_e ** (2.0 * coeff.nu)
                     * consts["c_poincare_2p"] ** coeff.nu)
     return float(max(base, second))
 

@@ -13,7 +13,7 @@ import pytest
 
 from plapsim.cli import main
 from plapsim.evolution import SolverConfig
-from plapsim.noise import (NoiseOperator, RawSigma, gaussian_kernel,
+from plapsim.noise import (NoiseOperator, gaussian_kernel,
                            holder_modulus_check, hs_norm_sq,
                            hs_norm_sq_parseval, kernel_from_matrix,
                            rank_one_kernel)
@@ -45,8 +45,7 @@ def test_regularization_gap_tightness(capfd):
         spec = power_sigma(alpha)
         gaps = []
         for n in LEVELS:
-            gap, _ = sup_gap_scan(RegularizedSigma(spec, n),
-                                  coarse_points=1025)
+            gap, _ = sup_gap_scan(RegularizedSigma(spec, n))
             bound = gap_bound(alpha, 1.0, n)
             if gap > bound * (1.0 + 1e-9) + 1e-15:
                 failures.append(f"alpha={alpha} n={n}: gap {gap:.3e} "
@@ -78,7 +77,7 @@ def test_lipschitz_certificate(capfd):
     for alpha in ALPHAS:
         spec = power_sigma(alpha)
         for n in LEVELS:
-            rep = verify_regularization(spec, n, grid_points=1024)
+            rep = verify_regularization(spec, n)
             worst = max(worst, rep["max_slope"] / n)
             if rep["max_slope"] > n * (1.0 + 1e-6):
                 failures.append(f"alpha={alpha} n={n}: "
@@ -110,7 +109,7 @@ def test_parseval_identity(capfd):
         spec = power_sigma(rng.uniform(0.3, 0.9),
                            scale=rng.uniform(0.5, 2.0))
         sigma = (RegularizedSigma(spec, n=8) if draw % 4 == 0
-                 else RawSigma(spec))
+                 else spec.eval)
         op = NoiseOperator(kernel, sigma)
         v = rng.uniform(0.2, 3.0) * rng.normal(size=grid.size)
         closed = hs_norm_sq(op, 0.0, v)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from plapsim.noise import (
     NoiseOperator,
     QWienerSampler,
-    RawSigma,
     apply_B,
     b_lipschitz_constant,
     default_sampler,
@@ -100,7 +99,7 @@ def test_gaussian_operator_matches_dense_kernel():
         assert np.allclose(ker.row_norms_sq(), ref.row_norms_sq(), rtol=1e-13, atol=0.0)
         assert np.isclose(ker.c_k, ref.c_k, rtol=1e-13, atol=0.0)
         assert np.isclose(ker.l2_norm_sq, ref.l2_norm_sq, rtol=1e-13, atol=0.0)
-        op, op_ref = NoiseOperator(ker, RawSigma(spec)), NoiseOperator(ref, RawSigma(spec))
+        op, op_ref = NoiseOperator(ker, spec.eval), NoiseOperator(ref, spec.eval)
         for seed in range(3):
             v, phi = random_field(grid, seed), random_field(grid, 10 + seed)
             assert np.allclose(apply_B(op, 0.0, v, phi), apply_B(op_ref, 0.0, v, phi),
@@ -133,7 +132,7 @@ def test_gaussian_kernel_keeps_no_dense_table():
 def test_parseval_identity_on_two_bases():
     grid = Grid(1, 24)
     spec = power_sigma(0.75, 1.0)
-    op = NoiseOperator(gaussian_kernel(grid), RawSigma(spec))
+    op = NoiseOperator(gaussian_kernel(grid), spec.eval)
     for seed in range(5):
         v = random_field(grid, seed)
         closed = hs_norm_sq(op, 0.0, v)
@@ -146,7 +145,7 @@ def test_parseval_identity_on_two_bases():
 def test_parseval_identity_2d():
     grid = Grid(2, 5)
     op = NoiseOperator(gaussian_kernel(grid, ell=0.4),
-                       RawSigma(power_sigma(0.5, 1.0)))
+                       power_sigma(0.5, 1.0).eval)
     v = random_field(grid, 9)
     assert np.isclose(hs_norm_sq(op, 0.0, v),
                       hs_norm_sq_parseval(op, 0.0, v), rtol=1e-10)
@@ -163,7 +162,7 @@ def test_sine_basis_is_orthonormal():
 @given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
 def test_apply_B_linear_in_test_function(c1, c2):
     grid = Grid(1, 9)
-    op = NoiseOperator(gaussian_kernel(grid), RawSigma(power_sigma(0.5, 1.0)))
+    op = NoiseOperator(gaussian_kernel(grid), power_sigma(0.5, 1.0).eval)
     v = random_field(grid, 2)
     phi, psi = random_field(grid, 3), random_field(grid, 4)
     left = apply_B(op, 0.0, v, c1 * phi + c2 * psi)
@@ -181,7 +180,7 @@ def test_hs_uniform_bound_dominates_all_levels():
         for n in (1, 2, 8, 64):
             op = NoiseOperator(ker, RegularizedSigma(spec, n))
             assert hs_norm_sq(op, 0.0, v) <= bound * (1 + 1e-9)
-        raw = NoiseOperator(ker, RawSigma(spec))
+        raw = NoiseOperator(ker, spec.eval)
         assert hs_norm_sq(raw, 0.0, v) <= bound * (1 + 1e-9)
 
 

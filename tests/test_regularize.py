@@ -145,9 +145,31 @@ def test_numeric_search_matches_closed_form_on_dense_grid():
         expect_spec, search_spec = power_sigma(alpha), search_power_sigma(alpha)
         for n in (2, 4, 8, 16, 32, 64, 128, 256):
             expect = sigma_n_values(RegularizedSigma(expect_spec, n), 0.0, lam)
-            got = sigma_n_values(RegularizedSigma(search_spec, n, grid_points=1024),
-                                 0.0, lam)
+            got = sigma_n_values(RegularizedSigma(search_spec, n), 0.0, lam)
             assert np.max(np.abs(got - expect)) <= 1e-12, (alpha, n)
+
+
+def test_numeric_search_against_breakpoint_oracle():
+    # a Holder sigma whose inf-convolution minimizer is neither lam nor 0:
+    # between the breakpoints k*pi/3, 0.7 and lam the objective
+    # sigma(mu) + n|lam - mu| is concave, so the exact infimum is the least
+    # value over those breakpoints
+    def sigma(t, lam):
+        return np.abs(np.sin(3.0 * lam)) ** 0.5 + 0.2 * np.abs(lam - 0.7) ** 0.5
+
+    spec = HolderSpec(eval=sigma, alpha=0.5, l_alpha=3.0 ** 0.5 + 0.2, c_sigma=10.0)
+    lam = np.linspace(-1.5, 1.5, 1201)
+    kinks = np.append(np.arange(-3, 4) * np.pi / 3.0, 0.7)
+    mu = np.concatenate([np.broadcast_to(kinks, (lam.size, kinks.size)),
+                         lam[:, None]], axis=1)
+    for n in (4, 16, 64):
+        exact = np.min(sigma(0.0, mu) + n * np.abs(lam[:, None] - mu), axis=1)
+        got = sigma_n_values(RegularizedSigma(spec, n), 0.0, lam)
+        # search grid spacing 4R/1023, R = (l_alpha/n)**(1/(1-alpha))
+        delta = 4.0 * (spec.l_alpha / n) ** 2 / 1023
+        assert np.all(got >= exact - 1e-12), n
+        assert np.all(got <= sigma(0.0, lam)), n
+        assert np.max(got - exact) <= spec.l_alpha * delta ** 0.5 + n * delta, n
 
 
 def test_rejects_n_below_n0():
@@ -173,7 +195,7 @@ def test_rejects_lipschitz_alpha():
 def test_brute_force_equivalence(lam, alpha, n):
     for make_spec in SPEC_MAKERS:
         spec = make_spec(alpha, 1.0)
-        reg = RegularizedSigma(spec, n, grid_points=1024)
+        reg = RegularizedSigma(spec, n)
         got = sigma_n_values(reg, 0.0, lam)
         ref, delta = brute_force_inf_conv(spec, n, 0.0, lam)
         slack = spec.l_alpha * delta ** alpha + n * delta
@@ -191,7 +213,7 @@ def test_pointwise_properties_hold_on_grid(alpha, scale, n_extra):
     for make_spec in SPEC_MAKERS:
         spec = make_spec(alpha, scale)
         n = n0(spec.c_sigma) + n_extra
-        reg = RegularizedSigma(spec, n, grid_points=1024)
+        reg = RegularizedSigma(spec, n)
         lam = np.linspace(-4.0, 4.0, 801)
         sig = spec.eval(0.0, lam)
         sig_n = sigma_n_values(reg, 0.0, lam)

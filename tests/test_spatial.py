@@ -377,11 +377,8 @@ def test_n_min_default_with_dissipativity_term():
     grid = Grid(1, 16)
     coeff = remark_flux_coeff(2.5, scale=0.3)
     pert = perturbation_for(2.5)
-    loose = n_min_default(grid, coeff, pert, c_sigma=1.0)
-    strict = n_min_default(grid, coeff, pert, c_sigma=1.0, strict_factor=True)
-    assert np.isfinite(loose) and loose >= 1.0
-    # the 2^q variant halves the dissipativity entry, never below n0
-    assert strict <= loose or strict == loose == 1.0
+    level = n_min_default(grid, coeff, pert, c_sigma=1.0)
+    assert np.isfinite(level) and level >= 1.0
 
 
 # --------------------------------------------------------------- initial data
