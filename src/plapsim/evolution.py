@@ -3,16 +3,19 @@
 Two Euler-Maruyama variants share the Ito left-point noise term
 sigma_n(t, u^k) K(dW^k): an explicit step, subject to the usual parabolic
 step-size restriction, and a drift-implicit step whose nonlinear system is
-solved by a damped Newton iteration with a colored finite-difference
-Jacobian.  Trajectories are bitwise reproducible from (seed, config): the
-Wiener increments and bridge points are pure functions of (seed, path, step,
-node) and every reduction runs in a fixed order.  Coupled runs -- two initial
-data, or two levels, on one Wiener path -- are therefore just simulate_path
-calls on samplers with the same (seed, path), run in any order.
+solved by a damped Newton iteration with a finite-difference Jacobian,
+colored on a box stencil built once per (grid, half-width).  Trajectories
+are bitwise reproducible from (seed, config): the Wiener increments and
+bridge points are pure functions of (seed, path, step, node) and every
+reduction runs in a fixed order.  Coupled runs -- two initial data, or two
+levels, on one Wiener path -- are therefore just simulate_path calls on
+samplers with the same (seed, path), run in any order.
 """
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -36,6 +39,7 @@ __all__ = [
 
 ARMIJO_SLOPE = 1e-4
 MIN_LINE_STEP = 2.0 ** -20
+BLOW_UP_NORM = 1e12
 
 
 class BlowUpError(RuntimeError):
@@ -99,7 +103,6 @@ class SolverConfig:
     newton_max_iter: int = 40
     newton_dt_retries: int = 0
     record_every: int = 1
-    blow_up_threshold: float = 1e12
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -192,47 +195,44 @@ def explicit_dt_heuristic(system, u0):
     return grid.h ** 2 / (2.0 * grid.dimension * c3 * slope)
 
 
-def _weighted_norm(grid, r):
-    return float(np.sqrt(np.sum(r * r) * grid.weight))
+@lru_cache(maxsize=None)
+def _jacobian_stencil(grid, half_width):
+    """Sparsity of the drift's Jacobian: every node pair within Chebyshev
+    distance half_width as flat (rows, cols), the color of each col, and a
+    (colors, size) indicator of the nodes of each color.
+
+    A node's color is its coordinates mod 2 half_width + 1 (mod n_interior
+    on coarser grids), so two nodes of one color lie more than 2 half_width
+    apart along some axis and their stencil boxes are disjoint.
+    """
+    side = min(2 * half_width + 1, grid.n_interior)
+    coords = np.indices(grid.shape).reshape(grid.dimension, 1, -1)
+    offsets = np.array(list(product(range(-half_width, half_width + 1),
+                                    repeat=grid.dimension)))
+    out = coords + offsets.T[:, :, None]
+    ok = np.all((out >= 0) & (out < grid.n_interior), axis=0)
+    rows, cols = np.ravel_multi_index(out[:, ok], grid.shape), np.nonzero(ok)[1]
+    color = np.ravel_multi_index(coords[:, 0] % side, (side,) * grid.dimension)
+    members = color == np.arange(side ** grid.dimension)[:, None]
+    return rows, cols, color[cols], members
 
 
-def _colored_jacobian(system, dt, v):
+def _colored_jacobian(system, dt, v, base):
     """Dense Jacobian of G(v) = v + dt A_n(v) by simultaneous perturbations.
 
-    Columns at Chebyshev distance > 2 * half_width share a perturbation;
-    the response of each is scattered only into its own stencil box, so the
-    assembly costs (2 hw + 1)^d + 1 operator evaluations regardless of the
-    grid size.
+    base is A_n(v).  All columns of one color are perturbed together, and
+    each column takes the response only on the rows of its own stencil box,
+    so the assembly costs one operator evaluation per color, (2 hw + 1)^d at
+    most, regardless of the grid size.
     """
-    grid = system.grid
-    size, n = grid.size, grid.n_interior
-    hw = system.jacobian_half_width
-    stride = 2 * hw + 1
-    base = system.apply_drift_operator(v)
+    rows, cols, col_color, members = _jacobian_stencil(
+        system.grid, system.jacobian_half_width)
     eps = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(v))
+    resp = np.array([system.apply_drift_operator(w) - base
+                     for w in v + members * eps])
+    size = system.grid.size
     jac = np.zeros((size, size))
-
-    idx = np.arange(size)
-    if grid.dimension == 1:
-        coords = (idx,)
-    else:
-        coords = (idx // n, idx % n)
-    color = sum((c % stride) * stride ** k for k, c in enumerate(coords))
-
-    offsets = [(o,) for o in range(-hw, hw + 1)] if grid.dimension == 1 else [
-        (o1, o2) for o1 in range(-hw, hw + 1) for o2 in range(-hw, hw + 1)]
-    for c in np.unique(color):
-        cols = idx[color == c]
-        pert_vec = np.zeros(size)
-        pert_vec[cols] = eps[cols]
-        resp = (system.apply_drift_operator(v + pert_vec) - base)
-        for off in offsets:
-            out = [coords[k][cols] + off[k] for k in range(grid.dimension)]
-            ok = np.ones(cols.size, dtype=bool)
-            for axis_vals in out:
-                ok &= (axis_vals >= 0) & (axis_vals < n)
-            rows = out[0][ok] if grid.dimension == 1 else out[0][ok] * n + out[1][ok]
-            jac[rows, cols[ok]] = resp[rows] / eps[cols[ok]]
+    jac[rows, cols] = resp[col_color, rows] / eps[cols]
     jac *= dt
     jac.flat[::size + 1] += 1.0   # I + dt J in place
     return jac
@@ -244,19 +244,22 @@ def step_semi_implicit(system, config, u, t, dw):
     Damped Newton with Armijo backtracking (halving, floor 2^-20) on the
     weighted residual norm; the implicit system is strongly monotone
     whenever the higher-order term is active, which is what makes this
-    scheme solvable without a step-size restriction.
+    scheme solvable without a step-size restriction.  A_n at the current
+    iterate comes from its residual, so each iteration evaluates A_n once
+    per color and once per line-search trial.
     """
     grid, dt = system.grid, config.dt
     noise = system.noise_term(t, u, dw)
     rhs = u + noise
     v = u.copy()
-    residual = v + dt * system.apply_drift_operator(v) - rhs
-    res_norm = _weighted_norm(grid, residual)
+    drift = system.apply_drift_operator(v)
+    residual = v + dt * drift - rhs
+    res_norm = norm_l2(grid, residual)
     iters = 0
     while res_norm > config.newton_tol:
         if iters >= config.newton_max_iter:
             raise NewtonDivergedError(iters, res_norm)
-        jac = _colored_jacobian(system, dt, v)
+        jac = _colored_jacobian(system, dt, v, drift)
         try:
             delta = np.linalg.solve(jac, -residual)
         except np.linalg.LinAlgError as exc:
@@ -264,14 +267,15 @@ def step_semi_implicit(system, config, u, t, dw):
         step = 1.0
         while True:
             trial = v + step * delta
-            trial_res = trial + dt * system.apply_drift_operator(trial) - rhs
-            trial_norm = _weighted_norm(grid, trial_res)
+            trial_drift = system.apply_drift_operator(trial)
+            trial_res = trial + dt * trial_drift - rhs
+            trial_norm = norm_l2(grid, trial_res)
             if trial_norm <= (1.0 - ARMIJO_SLOPE * step) * res_norm:
                 break
             step *= 0.5
             if step < MIN_LINE_STEP:
                 raise NewtonDivergedError(iters, res_norm)
-        v, residual, res_norm = trial, trial_res, trial_norm
+        v, drift, residual, res_norm = trial, trial_drift, trial_res, trial_norm
         iters += 1
     return v, noise, iters
 
@@ -355,7 +359,7 @@ def simulate_path(system, config, u0, sampler=None):
         if not np.all(np.isfinite(u)):
             raise BlowUpError(k, t_now, np.inf)
         here = _energies(system, u)
-        if np.sqrt(here["l2_sq"]) > config.blow_up_threshold:
+        if np.sqrt(here["l2_sq"]) > BLOW_UP_NORM:
             raise BlowUpError(k, t_now, np.sqrt(here["l2_sq"]))
         return here
 

@@ -295,7 +295,9 @@ class FluxWithConvection:
 
 
 @dataclass(frozen=True)
-class TanhVelocity:
+class ScaledTanh:
+    """scale*tanh(lam): remark_flux_coeff's velocity, tanh_drift's reaction."""
+
     scale: float
 
     def __call__(self, lam):
@@ -314,7 +316,7 @@ def remark_flux_coeff(p, scale=1.0):
     pp = p / (p - 1.0)
     c2 = (p / 2.0) ** (-pp / p) / pp * scale ** pp
     return LerayLionsCoeff(
-        a_eval=FluxWithConvection(p, TanhVelocity(scale), scale), p=p,
+        a_eval=FluxWithConvection(p, ScaledTanh(scale), scale), p=p,
         c1=0.5, c2=c2, c3=1.0, c4=scale, c5=0.0, nu=pp,
         g_fn=_ConstField(scale), h_fn=_ConstField(scale))
 
@@ -356,20 +358,12 @@ class ZeroDrift:
         return np.zeros_like(lam)
 
 
-@dataclass(frozen=True)
-class TanhDrift:
-    scale: float
-
-    def __call__(self, lam):
-        return self.scale * np.tanh(lam)
-
-
 def zero_drift():
     return DriftSpec(ZeroDrift(), 0.0, 0.0)
 
 
 def tanh_drift(scale=1.0):
-    return DriftSpec(TanhDrift(scale), abs(scale), abs(scale))
+    return DriftSpec(ScaledTanh(scale), abs(scale), abs(scale))
 
 
 # ------------------------------------------------------------ main operators

@@ -10,6 +10,7 @@ from plapsim.evolution import (
     BlowUpError,
     NewtonDivergedError,
     SolverConfig,
+    _colored_jacobian,
     build_system,
     explicit_dt_heuristic,
     simulate_path,
@@ -18,10 +19,11 @@ from plapsim.evolution import (
 )
 from plapsim.noise import default_sampler, gaussian_kernel
 from plapsim.regularize import power_sigma
-from plapsim.spatial import (Grid, apply_divergence_form, initial_profile,
+from plapsim.spatial import (Grid, HigherOrderPerturbation,
+                             apply_divergence_form, initial_profile,
                              laplacian_min_eigenvalue, linear_coeff, norm_l1,
                              norm_l2, p_laplacian_coeff, perturbation_for,
-                             tanh_drift, zero_drift)
+                             q_of_p, remark_flux_coeff, tanh_drift, zero_drift)
 
 
 def heat_system(n_interior):
@@ -87,6 +89,59 @@ def test_semi_implicit_residual_meets_tolerance():
     residual = v + config.dt * system.apply_drift_operator(v) - u - noise
     assert np.sqrt(np.sum(residual ** 2) * grid.weight) <= config.newton_tol
     assert iters >= 1
+
+
+def level_system(dimension, n_interior, m, p=2.5, convective=False):
+    """Level-8 system with tanh drift and a perturbation of order m (None: off)."""
+    grid = Grid(dimension, n_interior)
+    coeff = remark_flux_coeff(p) if convective else p_laplacian_coeff(p)
+    pert = HigherOrderPerturbation(m=m, q=q_of_p(p)) if m else None
+    config = SolverConfig(dt=1e-3, t_end=1e-3, n=8, use_perturbation=bool(m))
+    return grid, build_system(grid, coeff, tanh_drift(1.0), pert, config)
+
+
+@pytest.mark.parametrize("dimension, n_interior, m, p, convective", [
+    (1, 32, 1, 2.5, False), (1, 16, 2, 2.5, True), (1, 2, 1, 2.5, False),
+    (1, 3, 2, 1.5, False), (2, 8, 1, 2.5, False), (2, 9, 2, 2.5, False),
+    (2, 4, 2, 2.5, True), (2, 12, None, 2.5, False)])
+def test_colored_jacobian_equals_column_by_column_differences(
+        dimension, n_interior, m, p, convective):
+    # the tiny grids have fewer nodes per axis than the stencil has colors
+    grid, system = level_system(dimension, n_interior, m, p, convective)
+    dt = 1e-3
+    v = 0.5 * np.random.default_rng(n_interior).standard_normal(grid.size)
+    base = system.apply_drift_operator(v)
+    eps = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(v))
+    full = np.empty((grid.size, grid.size))
+    for j in range(grid.size):
+        w = v.copy()
+        w[j] += eps[j]
+        full[:, j] = (system.apply_drift_operator(w) - base) / eps[j]
+    full = np.eye(grid.size) + dt * full
+    assert np.array_equal(_colored_jacobian(system, dt, v, base), full)
+
+
+@pytest.mark.parametrize("make, colors, iterations", [
+    (lambda: heat_system(16), 3, 1), (lambda: level_system(1, 16, 1), 3, 3),
+    (lambda: level_system(2, 8, None), 9, 2)],
+    ids=["heat", "tanh_m1", "no_perturbation_2d"])
+def test_newton_evaluates_the_drift_once_per_color_and_trial(
+        make, colors, iterations):
+    grid, system = make()
+    config = SolverConfig(dt=1e-3, t_end=1e-3)
+    u = initial_profile(grid, "sine", amplitude=0.5)
+    evaluate, calls = system.apply_drift_operator, []
+
+    def counted(w):
+        calls.append(1)
+        return evaluate(w)
+
+    system.apply_drift_operator = counted
+    _, _, iters = step_semi_implicit(system, config, u, 0.0, np.zeros(grid.size))
+    assert iters == iterations
+    # one for the initial residual, then per iteration one per color plus
+    # one full line-search trial; A_n at the iterate comes from its residual
+    assert len(calls) == 1 + iters * (colors + 1)
 
 
 def test_newton_divergence_is_reported():
