@@ -60,13 +60,15 @@ def build_parser():
                          help="output directory (created if missing)")
         cmd.add_argument("--seed", type=int, default=None, metavar="U64",
                          help="master seed (overrides run.seed)")
-        cmd.add_argument("--paths", type=int, default=None, metavar="N",
-                         help="Monte Carlo path count (overrides run.paths)")
-        cmd.add_argument("--n-list", default=None, metavar="CSV",
-                         help="comma-separated levels (overrides the n list)")
-        cmd.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="worker processes for path jobs (default 1)")
-        cmd.set_defaults(handler=handler)
+        if name != "regcheck":   # regcheck runs no paths
+            cmd.add_argument("--paths", type=int, metavar="N",
+                             help="Monte Carlo path count (overrides run.paths)")
+            cmd.add_argument("--workers", type=int, metavar="N",
+                             help="worker processes for path jobs (default 1)")
+        if name != "simulate":   # simulate runs at solver.n alone
+            cmd.add_argument("--n-list", metavar="CSV",
+                             help="comma-separated levels (overrides the n list)")
+        cmd.set_defaults(handler=handler, paths=None, n_list=None, workers=1)
     return parser
 
 
@@ -90,7 +92,7 @@ def _resolve(args):
         manifest_seed if manifest_seed is not None else cfg["run.seed"])
     cfg["run.seed"] = seed
     validate_config(cfg)
-    if args.workers is None or args.workers < 1:
+    if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
     return cfg, seed, args.workers
 
@@ -150,7 +152,7 @@ def _trajectory_rows(rec, config):
     rows = []
     prev_step = 0
     for j, t in enumerate(rec.times):
-        step = int(round(t / config.dt)) if config.dt > 0 else 0
+        step = int(round(t / config.dt))
         iters = int(np.sum(rec.newton_iters[prev_step:step]))
         rows.append((float(t),
                      rec.energies["l2_sq"][j],
@@ -311,7 +313,3 @@ def main(argv=None):
     except PATH_FAILURES as exc:
         print(_failure_line(exc), file=sys.stderr)
         return EXIT_BLOW_UP
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -150,28 +150,25 @@ def parse_config_text(text):
 def load_config(path):
     """Read a config file or a manifest and return (resolved config, seed or None).
 
-    A flat text file is merged over the defaults (unknown keys rejected);
-    a manifest.json is taken verbatim since it already holds the resolved
-    configuration, together with its recorded master seed.
+    Both are merged over the defaults, unknown keys rejected: a flat text
+    file gives its keys, a manifest.json the resolved configuration it
+    holds, together with its recorded master seed.
     """
     with open(path) as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    seed = None
+    if text.lstrip().startswith("{"):
         payload = json.loads(text)
         if "config" not in payload:
             raise ConfigError(f"{path} looks like JSON but has no 'config' entry")
-        cfg = dict(DEFAULTS)
-        cfg.update(payload["config"])
-        return validate_config(cfg), payload.get("master_seed")
-    raw = parse_config_text(text)
+        raw, seed = payload["config"], payload.get("master_seed")
+    else:
+        raw = parse_config_text(text)
     unknown = sorted(set(raw) - set(DEFAULTS))
     if unknown:
         raise ConfigError(f"unknown configuration key {unknown[0]}",
                           field=unknown[0])
-    cfg = dict(DEFAULTS)
-    cfg.update(raw)
-    return validate_config(cfg), None
+    return validate_config({**DEFAULTS, **raw}), seed
 
 
 def _need(cfg, key, kinds, cond=None, what=""):
@@ -320,22 +317,20 @@ def make_pert(cfg, m=None):
     return HigherOrderPerturbation(m=m if m is not None else cfg["pert.m"], q=q)
 
 
-def make_solver_config(cfg, **overrides):
-    kw = dict(
-        dt=cfg["solver.dt"],
-        t_end=cfg["solver.t_end"],
-        n=cfg["solver.n"] if cfg["solver.n"] > 0 else None,
-        scheme=cfg["solver.scheme"],
-        sigma_mode=cfg["sigma.mode"],
-        use_perturbation=cfg["pert.enabled"],
-        newton_tol=cfg["solver.newton_tol"],
-        newton_max_iter=cfg["solver.newton_max_iter"],
-        newton_dt_retries=cfg["solver.newton_dt_retries"],
-        record_every=cfg["solver.record_every"],
-    )
-    kw.update(overrides)
+def make_solver_config(cfg):
     try:
-        config = SolverConfig(**kw)
+        config = SolverConfig(
+            dt=cfg["solver.dt"],
+            t_end=cfg["solver.t_end"],
+            n=cfg["solver.n"] if cfg["solver.n"] > 0 else None,
+            scheme=cfg["solver.scheme"],
+            sigma_mode=cfg["sigma.mode"],
+            use_perturbation=cfg["pert.enabled"],
+            newton_tol=cfg["solver.newton_tol"],
+            newton_max_iter=cfg["solver.newton_max_iter"],
+            newton_dt_retries=cfg["solver.newton_dt_retries"],
+            record_every=cfg["solver.record_every"],
+        )
         config.num_steps   # validates divisibility eagerly
     except ValueError as exc:
         raise ConfigError(str(exc), field="solver.dt") from exc

@@ -278,13 +278,13 @@ def gap_decay_study(spec, n_list, lam_lo=-4.0, lam_hi=4.0, t=0.0):
     }
 
 
-def verify_regularization(spec, n, lam_grid=None, t_grid=(0.0,),
-                          rel_tol=1e-6, abs_tol=1e-9):
+def verify_regularization(spec, n, lam_grid=None, t_grid=(0.0,)):
     """Check the three regularization properties on dense grids.
 
     Properties checked: sigma_n never exceeds sigma (max_overshoot), the
     finite-difference slope never exceeds n (max_slope), and |sigma -
-    sigma_n| stays below the closed-form bound (max_gap against bound).
+    sigma_n| stays below the closed-form bound (max_gap against bound),
+    each within a relative 1e-6 and an absolute 1e-9.
 
     Returns a flat dict of floats and booleans ready for JSON serialization.
     """
@@ -305,7 +305,7 @@ def verify_regularization(spec, n, lam_grid=None, t_grid=(0.0,),
         max_slope = max(max_slope, float(np.max(slopes)))
 
     bound = gap_bound(spec.alpha, spec.l_alpha, n)
-    tol = lambda ref: rel_tol * abs(ref) + abs_tol
+    rel_tol, abs_tol = 1e-6, 1e-9
     report = {
         "alpha": spec.alpha,
         "l_alpha": spec.l_alpha,
@@ -315,7 +315,7 @@ def verify_regularization(spec, n, lam_grid=None, t_grid=(0.0,),
         "max_slope": max_slope,
         "max_gap": max_gap,
         "bound": bound,
-        "overshoot_pass": bool(max_overshoot <= tol(1.0)),
+        "overshoot_pass": bool(max_overshoot <= rel_tol + abs_tol),
         "slope_pass": bool(max_slope <= n * (1.0 + rel_tol) + abs_tol),
         "gap_pass": bool(max_gap <= bound * (1.0 + rel_tol) + abs_tol),
     }

@@ -18,8 +18,8 @@ import numpy as np
 from .evolution import (BlowUpError, NewtonDivergedError, SolverConfig,
                         build_system, simulate_path)
 from .noise import default_sampler
-from .spatial import (initial_profile, linear_coeff, n_min_default, norm_l1,
-                      norm_l2, zero_drift)
+from .spatial import (Grid, initial_profile, linear_coeff, n_min_default,
+                      norm_l1, norm_l2, zero_drift)
 
 __all__ = [
     "MCEstimate",
@@ -56,12 +56,14 @@ class MCEstimate:
 class ExperimentPlan:
     """Everything a study needs to rebuild its systems and samplers.
 
-    n_list must be sorted and stay at or above the minimum admissible
-    level (the growth threshold n0, sharpened by the dissipativity default
-    when the coefficient has a nontrivial c2).  num_paths >= 2 so standard
-    errors exist.  workers > 1 fans trajectory jobs out to a process pool;
-    the aggregates are independent of the pool size because every path is
-    keyed by (master_seed, path_index) and merged in job order.
+    n_list must be sorted.  When spec is given, every level must stay at
+    or above n_min_default: the growth threshold n0, sharpened by the
+    dissipativity bound when the coefficient has a nontrivial c2.  The
+    minimum is computed and checked on construction and not stored.
+    num_paths >= 2 so standard errors exist.  workers > 1 fans trajectory
+    jobs out to a process pool; the aggregates are independent of the pool
+    size because every path is keyed by (master_seed, path_index) and
+    merged in job order.
     """
 
     grid: object
@@ -80,7 +82,6 @@ class ExperimentPlan:
     workers: int = 1
     num_modes: int = None
     decay: float = 2.0
-    min_level: float = None
 
     def __post_init__(self):
         if self.num_paths < 2:
@@ -89,15 +90,13 @@ class ExperimentPlan:
         if list(n_list) != sorted(n_list):
             raise ValueError("n_list must be sorted")
         object.__setattr__(self, "n_list", n_list)
-        if self.min_level is None and self.spec is not None:
+        if self.spec is not None:
             level = n_min_default(self.grid, self.coeff, self.pert,
                                   self.spec.c_sigma)
-            object.__setattr__(self, "min_level", level)
-        if self.min_level is not None:
-            low = [n for n in n_list if n < self.min_level]
+            low = [n for n in n_list if n < level]
             if low:
                 raise ValueError(f"levels {low} fall below the minimum "
-                                 f"admissible level {self.min_level:g}")
+                                 f"admissible level {level:g}")
 
     def sampler(self, path_index):
         return default_sampler(self.grid, self.master_seed, path_index,
@@ -175,14 +174,14 @@ def failure_report(exc, seed):
     return _finish(exc.study, "the study stopped at a failing path", [check])
 
 
-def _paired_monotone_checks(label, statement, levels, per_path, se_mult,
-                            abs_floor=1e-12):
-    """Checks that per-path values do not increase along consecutive levels."""
+def _paired_monotone_checks(label, statement, levels, per_path, se_mult):
+    """Checks that per-path values do not increase along consecutive levels,
+    within se_mult standard errors plus an absolute floor of 1e-12."""
     checks = []
     for a, b in zip(range(len(levels) - 1), range(1, len(levels))):
         diffs = per_path[b] - per_path[a]
         est = MCEstimate.from_samples(diffs)
-        tol = se_mult * est.std_error + abs_floor
+        tol = se_mult * est.std_error + 1e-12
         checks.append(_check(
             f"{label}_{levels[a]}_to_{levels[b]}",
             statement.format(a=levels[a], b=levels[b]),
@@ -348,13 +347,10 @@ def cauchy_in_n_study(plan, u0=None):
 # ---------------------------------------------------------------- heat oracle
 
 
-def _heat_error(n_interior, dt, t_end, scheme, newton_tol=1e-12):
-    from .spatial import Grid
-
+def _heat_error(n_interior, dt, t_end):
     grid = Grid(1, n_interior)
-    cfg = SolverConfig(dt=dt, t_end=t_end, scheme=scheme,
-                       use_perturbation=False, newton_tol=newton_tol,
-                       record_every=max(1, int(round(t_end / dt))))
+    cfg = SolverConfig(dt=dt, t_end=t_end, use_perturbation=False,
+                       newton_tol=1e-12, record_every=max(1, int(round(t_end / dt))))
     system = build_system(grid, linear_coeff(), zero_drift(), None, cfg)
     x = grid.nodes()[:, 0]
     rec = simulate_path(system, cfg, np.sin(np.pi * x), sampler=None)
@@ -363,30 +359,30 @@ def _heat_error(n_interior, dt, t_end, scheme, newton_tol=1e-12):
     return err / norm_l2(grid, exact)
 
 
-def heat_oracle_study(n_interior=128, dt=1e-5, t_end=0.1,
-                      scheme="semi-implicit", rel_tol=1e-3,
-                      slope_grids=(8, 16, 32), slope_dt=5e-6,
-                      slope_range=(1.7, 2.3)):
+def heat_oracle_study(n_interior=128, dt=1e-5, t_end=0.1, rel_tol=1e-3,
+                      slope_grids=(8, 16, 32), slope_dt=5e-6):
     """Deterministic linear benchmark with the exact separable solution.
 
     With p = 2, a = grad, zero noise and drift, and no perturbation, the
-    solution from sin(pi x) is exp(-pi^2 t) sin(pi x).  Checks the relative
-    L2 error at t_end on the main grid and the second-order Richardson
-    slope of the error across a refinement chain.
+    solution from sin(pi x) is exp(-pi^2 t) sin(pi x).  The semi-implicit
+    scheme runs it, with Newton tolerance 1e-12.  Checks the relative L2
+    error at t_end on the main grid against rel_tol, and that the
+    log-log slope of the error across the grids slope_grids (time step
+    slope_dt) lies in [1.7, 2.3], second order.
     """
-    err = _heat_error(n_interior, dt, t_end, scheme)
+    err = _heat_error(n_interior, dt, t_end)
     checks = [_check(
         "heat_relative_error",
         f"relative L2 error against the exact solution at t = {t_end}",
         err, rel_tol, err <= rel_tol)]
 
-    errors = [_heat_error(n, slope_dt, t_end, scheme) for n in slope_grids]
+    errors = [_heat_error(n, slope_dt, t_end) for n in slope_grids]
     hs = [1.0 / (n + 1) for n in slope_grids]
     slope = float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
     checks.append(_check(
         "heat_richardson_slope",
         f"log-log error slope across grids {tuple(slope_grids)} is second order",
-        slope, slope_range[1], slope_range[0] <= slope <= slope_range[1]))
+        slope, 2.3, 1.7 <= slope <= 2.3))
 
     return _finish("heat_oracle",
                    "the scheme reproduces the exact linear decay profile",

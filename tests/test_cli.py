@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +60,17 @@ def test_parse_config_text_rejects_malformed_lines():
 def test_load_config_rejects_unknown_keys(tmp_path):
     path = write_config(tmp_path, "sigma.alpa = 0.5\n")
     with pytest.raises(ConfigError, match="sigma.alpa"):
+        load_config(path)
+
+
+def test_load_config_rejects_unknown_keys_in_a_manifest(tmp_path):
+    out = tmp_path / "out"
+    assert main(["regcheck", "--out", str(out), "--n-list", "2,4"]) == EXIT_PASS
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"]["solver.dtt"] = 0.5
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match="unknown configuration key solver.dtt"):
         load_config(path)
 
 
@@ -284,6 +299,22 @@ def test_verify_low_alpha_refused(tmp_path, capsys):
                  str(tmp_path / "out")])
     assert code == EXIT_CONFIG
     assert "alpha" in capsys.readouterr().err
+
+
+def test_regcheck_refuses_flags_it_does_not_read(tmp_path):
+    for flag in ("--paths", "--workers"):
+        with pytest.raises(SystemExit) as exc:
+            main(["regcheck", "--out", str(tmp_path / "out"), flag, "2"])
+        assert exc.value.code == EXIT_CONFIG
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "plapsim", "--version"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "plapsim 0.1.0"
 
 
 def test_usage_error_exits_two():

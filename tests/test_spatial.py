@@ -1,5 +1,7 @@
 """Oracle and property tests for grids, norms, operators, and structure checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -330,6 +332,16 @@ def test_structure_conditions_flag_wrong_constants():
     report = check_structure_conditions(half)
     assert not report["coercivity_pass"]
     assert not report["pass"]
+
+
+def test_structure_conditions_flag_missing_growth_and_continuity_terms():
+    # the convective part needs g = h = scale; without them the bounds fail
+    coeff = remark_flux_coeff(2.5, scale=1.0)
+    assert check_structure_conditions(coeff)["pass"]
+    no_h = check_structure_conditions(replace(coeff, h=0.0))
+    assert not no_h["continuity_pass"] and no_h["growth_pass"]
+    no_g = check_structure_conditions(replace(coeff, g=0.0))
+    assert not no_g["growth_pass"] and no_g["continuity_pass"]
 
 
 def test_structure_conditions_flag_nonmonotone_flux():

@@ -61,8 +61,7 @@ def test_plan_validation():
         ExperimentPlan(**{**plan.__dict__, "n_list": (8, 4)})
     # growth threshold: c_sigma = 81 forces levels >= 9
     with pytest.raises(ValueError):
-        ExperimentPlan(**{**plan.__dict__, "spec": power_sigma(0.75, 9.0),
-                          "min_level": None})
+        ExperimentPlan(**{**plan.__dict__, "spec": power_sigma(0.75, 9.0)})
 
 
 # -------------------------------------------------------------------- studies
