@@ -178,7 +178,11 @@ def cmd_simulate(cfg, seed, workers, out, config_path):
     summaries = []
     for k in range(cfg["run.paths"]):
         sampler = make_sampler(cfg, grid, seed, k) if noise_on else None
-        rec = simulate_path(system, solver_cfg, u0, sampler)
+        try:
+            rec = simulate_path(system, solver_cfg, u0, sampler)
+        except PATH_FAILURES as exc:
+            print(f"{_failure_line(exc)} (path {k}, seed {seed})", file=sys.stderr)
+            return EXIT_BLOW_UP
         write_csv(out / f"trajectory_{k:03d}.csv",
                   ["t", "l2_sq", "grad_lp_p", "hm0_sq", "wmq_q", "newton_iters"],
                   _trajectory_rows(rec, solver_cfg))
@@ -205,6 +209,10 @@ def cmd_verify(cfg, seed, workers, out, config_path):
     if not cfg["noise.enabled"]:
         raise ConfigError("verification studies need the noise enabled",
                           field="noise.enabled")
+    alpha = cfg["sigma.alpha"]
+    if not 0.5 <= alpha < 1.0:   # the contraction study's coupling bound
+        raise ConfigError(f"the coupling bound needs alpha in [1/2, 1), got "
+                          f"alpha = {alpha}", field="sigma.alpha")
     try:
         plan = ExperimentPlan(
             grid=grid,
@@ -242,14 +250,8 @@ def cmd_verify(cfg, seed, workers, out, config_path):
 
     energy = attempt(energy_report, plan, u0=u0,
                      ratio_bound=cfg["verify.ratio_bound"])
-    try:
-        contraction = attempt(contraction_experiment, plan, u0, u0_b)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="sigma.alpha") from exc
-    try:
-        cauchy = attempt(cauchy_in_n_study, plan, u0=u0)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="run.n_list") from exc
+    contraction = attempt(contraction_experiment, plan, u0, u0_b)
+    cauchy = attempt(cauchy_in_n_study, plan, u0=u0)
     heat = heat_oracle_study(**_VERIFY_HEAT)
     studies = [energy, contraction, cauchy, heat]
 

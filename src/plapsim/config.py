@@ -57,55 +57,91 @@ class ConfigError(ValueError):
         self.field = field
 
 
-DEFAULTS = {
-    "grid.dimension": 1,
-    "grid.n_interior": 12,
-    "sigma.alpha": 0.5,
-    "sigma.scale": 1.0,
-    "sigma.mode": "regularized",
-    "kernel.type": "gaussian",
-    "kernel.ell": 0.25,
-    "kernel.scale": 1.0,
-    "kernel.path": "",
-    "coeff.type": "p_laplace",
-    "coeff.p": 2.5,
-    "coeff.scale": 0.3,
-    "drift.type": "zero",
-    "drift.scale": 1.0,
-    "pert.enabled": True,
-    "pert.m": 2,
-    "pert.q": 0.0,          # 0 derives q from coeff.p
-    "noise.enabled": True,
-    "noise.modes": 0,       # 0 uses every grid mode
-    "noise.decay": 2.0,
-    "initial.type": "sine",
-    "initial.amplitude": 0.25,
-    "initial.seed": 0,
-    "initial.path": "",
-    "solver.dt": 0.004,
-    "solver.t_end": 0.04,
-    "solver.scheme": "semi-implicit",
-    "solver.n": 8,          # 0 drops the level (limit dynamics)
-    "solver.newton_tol": 1e-10,
-    "solver.newton_max_iter": 40,
-    "solver.newton_dt_retries": 0,
-    "solver.record_every": 1,
-    "run.seed": 1,
-    "run.paths": 4,
-    "run.n_list": [4, 8],
-    "verify.slack": 0.05,
-    "verify.se_mult": 3.0,
-    "verify.checkpoints": 10,
-    "verify.ratio_bound": 2.0,
-    "verify.pert_m": 1,
-    "regcheck.n_list": [2, 4, 8, 16, 32, 64, 128, 256],
-    "regcheck.lam_max": 4.0,
-}
+def _one_of(*names):
+    """Domain of a key that takes one of the listed names."""
+    *head, last = map(repr, names)
+    listed = ", ".join(head) + ("," if len(head) > 1 else "") + f" or {last}"
+    return names.__contains__, f"must be {listed}"
+
+
+def _is_level(n):
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
+
+
+def _level_list(doubling):
+    """Domain of a level list: at least two distinct levels, each the double
+    of the one before when doubling."""
+    def ok(levels):
+        if not all(map(_is_level, levels)):
+            return True   # validate_config names the bad entry after its loop
+        return len(set(levels)) >= 2 and (not doubling or all(
+            b == 2 * a for a, b in zip(levels, levels[1:])))
+    return ok, ("must be a doubling chain of at least two levels" if doubling
+                else "must have at least two distinct levels")
+
+
+_NUM = (int, float)
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0.0, "must be nonnegative")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+_ANY = (None, "")
+
+# Every key once, in check order: default, accepted type(s), and domain as
+# (predicate, what the error message says), or _ANY for a type check alone.
+_SCHEMA = (
+    ("grid.dimension", 1, int, _one_of(1, 2)),
+    ("grid.n_interior", 12, int, _AT_LEAST_1),
+    ("sigma.alpha", 0.5, _NUM, (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")),
+    ("sigma.scale", 1.0, _NUM, _POSITIVE),
+    ("sigma.mode", "regularized", str, _one_of("regularized", "raw")),
+    ("kernel.type", "gaussian", str, _one_of("gaussian", "rank_one", "csv")),
+    ("kernel.ell", 0.25, _NUM, _POSITIVE),
+    ("kernel.scale", 1.0, _NUM, _POSITIVE),
+    ("kernel.path", "", str, _ANY),
+    ("coeff.type", "p_laplace", str, _one_of("p_laplace", "linear", "convective")),
+    ("coeff.p", 2.5, _NUM, (lambda v: v > 1.0, "must exceed 1")),
+    ("coeff.scale", 0.3, _NUM, _NONNEGATIVE),
+    ("drift.type", "zero", str, _one_of("zero", "tanh")),
+    ("drift.scale", 1.0, _NUM, _NONNEGATIVE),
+    ("pert.enabled", True, bool, _ANY),
+    ("pert.m", 2, int, _AT_LEAST_1),
+    ("pert.q", 0.0, _NUM,   # 0 derives q from coeff.p
+     (lambda v: v == 0.0 or v >= 2.0, "must be 0 (derived) or at least 2")),
+    ("noise.enabled", True, bool, _ANY),
+    ("noise.modes", 0, int, _NONNEGATIVE),   # 0 uses every grid mode
+    ("noise.decay", 2.0, _NUM, _NONNEGATIVE),
+    ("initial.type", "sine", str, _one_of("sine", "bump", "random", "csv")),
+    ("initial.amplitude", 0.25, _NUM, _ANY),
+    ("initial.seed", 0, int, _NONNEGATIVE),
+    ("initial.path", "", str, _ANY),
+    ("solver.dt", 0.004, _NUM, _POSITIVE),
+    ("solver.t_end", 0.04, _NUM, _NONNEGATIVE),
+    ("solver.scheme", "semi-implicit", str, _one_of("explicit", "semi-implicit")),
+    ("solver.n", 8, int, (lambda v: v >= 0, "must be nonnegative (0 drops the level)")),
+    ("solver.newton_tol", 1e-10, _NUM, _POSITIVE),
+    ("solver.newton_max_iter", 40, int, _NONNEGATIVE),
+    ("solver.newton_dt_retries", 0, int, _NONNEGATIVE),
+    ("solver.record_every", 1, int, _AT_LEAST_1),
+    ("run.seed", 1, int,
+     (lambda v: 0 <= v < 2 ** 64, "must fit in an unsigned 64-bit integer")),
+    ("run.paths", 4, int, _AT_LEAST_1),
+    ("run.n_list", [4, 8], list, _level_list(doubling=True)),
+    ("verify.slack", 0.05, _NUM, _NONNEGATIVE),
+    ("verify.se_mult", 3.0, _NUM, _NONNEGATIVE),
+    ("verify.checkpoints", 10, int, _AT_LEAST_1),
+    ("verify.ratio_bound", 2.0, _NUM, _AT_LEAST_1),
+    ("verify.pert_m", 1, int, _AT_LEAST_1),
+    ("regcheck.n_list", [2, 4, 8, 16, 32, 64, 128, 256], list,
+     _level_list(doubling=False)),
+    ("regcheck.lam_max", 4.0, _NUM, _POSITIVE),
+)
+
+DEFAULTS = {key: default for key, default, _, _ in _SCHEMA}
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 
-def _parse_scalar(token, key, lineno):
+def _parse_scalar(token):
     token = token.strip()
     if token in ("true", "false"):
         return token == "true"
@@ -141,9 +177,9 @@ def parse_config_text(text):
                                   field=key)
             inner = value[1:-1].strip()
             items = [s for s in (t.strip() for t in inner.split(",")) if s]
-            out[key] = [_parse_scalar(item, key, lineno) for item in items]
+            out[key] = [_parse_scalar(item) for item in items]
         else:
-            out[key] = _parse_scalar(value, key, lineno)
+            out[key] = _parse_scalar(value)
     return out
 
 
@@ -164,106 +200,38 @@ def load_config(path):
         raw, seed = payload["config"], payload.get("master_seed")
     else:
         raw = parse_config_text(text)
-    unknown = sorted(set(raw) - set(DEFAULTS))
+    unknown = sorted(set(raw).difference(key for key, *_ in _SCHEMA))
     if unknown:
         raise ConfigError(f"unknown configuration key {unknown[0]}",
                           field=unknown[0])
     return validate_config({**DEFAULTS, **raw}), seed
 
 
-def _need(cfg, key, kinds, cond=None, what=""):
-    value = cfg[key]
-    if kinds is int and isinstance(value, bool):
-        raise ConfigError(f"{key} must be an integer, got {value!r}", field=key)
-    if not isinstance(value, kinds):
-        raise ConfigError(f"{key} has the wrong type: {value!r}", field=key)
-    if cond is not None and not cond(value):
-        raise ConfigError(f"{key} {what}; got {value!r}", field=key)
-    return value
-
-
 def validate_config(cfg):
     """Domain checks for every key; raises ConfigError naming the field."""
-    num = (int, float)
-    _need(cfg, "grid.dimension", int, lambda v: v in (1, 2), "must be 1 or 2")
-    _need(cfg, "grid.n_interior", int, lambda v: v >= 1, "must be at least 1")
-    alpha = _need(cfg, "sigma.alpha", num, lambda v: 0.0 < v <= 1.0,
-                  "must lie in (0, 1]")
-    _need(cfg, "sigma.scale", num, lambda v: v > 0.0, "must be positive")
-    mode = _need(cfg, "sigma.mode", str, lambda v: v in ("regularized", "raw"),
-                 "must be 'regularized' or 'raw'")
-    if mode == "regularized" and alpha >= 1.0:
+    for key, _, kinds, (ok, what) in _SCHEMA:
+        value = cfg[key]
+        if not isinstance(value, kinds):
+            raise ConfigError(f"{key} has the wrong type: {value!r}", field=key)
+        if kinds is int and isinstance(value, bool):
+            raise ConfigError(f"{key} must be an integer, got {value!r}", field=key)
+        if ok is not None and not ok(value):
+            raise ConfigError(f"{key} {what}; got {value!r}", field=key)
+    for key in ("run.n_list", "regcheck.n_list"):
+        for n in cfg[key]:
+            if not _is_level(n):
+                raise ConfigError(f"{key} entries must be positive integers; "
+                                  f"got {n!r}", field=key)
+    if cfg["sigma.mode"] == "regularized" and cfg["sigma.alpha"] >= 1.0:
         raise ConfigError("sigma.alpha must lie in (0, 1) for the regularized "
-                          f"mode; got {alpha!r}", field="sigma.alpha")
-    _need(cfg, "kernel.type", str,
-          lambda v: v in ("gaussian", "rank_one", "csv"),
-          "must be 'gaussian', 'rank_one', or 'csv'")
-    _need(cfg, "kernel.ell", num, lambda v: v > 0.0, "must be positive")
-    _need(cfg, "kernel.scale", num, lambda v: v > 0.0, "must be positive")
-    _need(cfg, "kernel.path", str)
-    if cfg["kernel.type"] == "csv" and not cfg["kernel.path"]:
-        raise ConfigError("kernel.path is required for kernel.type = 'csv'",
-                          field="kernel.path")
-    _need(cfg, "coeff.type", str,
-          lambda v: v in ("p_laplace", "linear", "convective"),
-          "must be 'p_laplace', 'linear', or 'convective'")
-    p = _need(cfg, "coeff.p", num, lambda v: v > 1.0, "must exceed 1")
-    _need(cfg, "coeff.scale", num, lambda v: v >= 0.0, "must be nonnegative")
-    if cfg["coeff.type"] == "convective" and p < 2.0:
+                          f"mode; got {cfg['sigma.alpha']!r}", field="sigma.alpha")
+    for kind in ("kernel", "initial"):
+        if cfg[f"{kind}.type"] == "csv" and not cfg[f"{kind}.path"]:
+            raise ConfigError(f"{kind}.path is required for {kind}.type = 'csv'",
+                              field=f"{kind}.path")
+    if cfg["coeff.type"] == "convective" and cfg["coeff.p"] < 2.0:
         raise ConfigError(f"coeff.p must be at least 2 for the convective "
-                          f"coefficient; got {p!r}", field="coeff.p")
-    _need(cfg, "drift.type", str, lambda v: v in ("zero", "tanh"),
-          "must be 'zero' or 'tanh'")
-    _need(cfg, "drift.scale", num, lambda v: v >= 0.0, "must be nonnegative")
-    _need(cfg, "pert.enabled", bool)
-    _need(cfg, "pert.m", int, lambda v: v >= 1, "must be at least 1")
-    _need(cfg, "pert.q", num, lambda v: v == 0.0 or v >= 2.0,
-          "must be 0 (derived) or at least 2")
-    _need(cfg, "noise.enabled", bool)
-    _need(cfg, "noise.modes", int, lambda v: v >= 0, "must be nonnegative")
-    _need(cfg, "noise.decay", num, lambda v: v >= 0.0, "must be nonnegative")
-    _need(cfg, "initial.type", str,
-          lambda v: v in ("sine", "bump", "random", "csv"),
-          "must be 'sine', 'bump', 'random', or 'csv'")
-    _need(cfg, "initial.amplitude", num)
-    _need(cfg, "initial.seed", int, lambda v: v >= 0, "must be nonnegative")
-    _need(cfg, "initial.path", str)
-    if cfg["initial.type"] == "csv" and not cfg["initial.path"]:
-        raise ConfigError("initial.path is required for initial.type = 'csv'",
-                          field="initial.path")
-    _need(cfg, "solver.dt", num, lambda v: v > 0.0, "must be positive")
-    _need(cfg, "solver.t_end", num, lambda v: v >= 0.0, "must be nonnegative")
-    _need(cfg, "solver.scheme", str,
-          lambda v: v in ("explicit", "semi-implicit"),
-          "must be 'explicit' or 'semi-implicit'")
-    _need(cfg, "solver.n", int, lambda v: v >= 0, "must be nonnegative (0 drops the level)")
-    _need(cfg, "solver.newton_tol", num, lambda v: v > 0.0, "must be positive")
-    _need(cfg, "solver.newton_max_iter", int, lambda v: v >= 0, "must be nonnegative")
-    _need(cfg, "solver.newton_dt_retries", int, lambda v: v >= 0, "must be nonnegative")
-    _need(cfg, "solver.record_every", int, lambda v: v >= 1, "must be at least 1")
-    _need(cfg, "run.seed", int, lambda v: 0 <= v < 2 ** 64,
-          "must fit in an unsigned 64-bit integer")
-    _need(cfg, "run.paths", int, lambda v: v >= 1, "must be at least 1")
-    n_list = _need(cfg, "run.n_list", list, lambda v: len(v) >= 1,
-                   "must have at least one level")
-    for n in n_list:
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ConfigError(f"run.n_list entries must be positive integers; "
-                              f"got {n!r}", field="run.n_list")
-    if sorted(n_list) != list(n_list):
-        raise ConfigError("run.n_list must be sorted ascending", field="run.n_list")
-    _need(cfg, "verify.slack", num, lambda v: v >= 0.0, "must be nonnegative")
-    _need(cfg, "verify.se_mult", num, lambda v: v >= 0.0, "must be nonnegative")
-    _need(cfg, "verify.checkpoints", int, lambda v: v >= 1, "must be at least 1")
-    _need(cfg, "verify.ratio_bound", num, lambda v: v >= 1.0, "must be at least 1")
-    _need(cfg, "verify.pert_m", int, lambda v: v >= 1, "must be at least 1")
-    reg_list = _need(cfg, "regcheck.n_list", list, lambda v: len(v) >= 1,
-                     "must have at least one level")
-    for n in reg_list:
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ConfigError(f"regcheck.n_list entries must be positive "
-                              f"integers; got {n!r}", field="regcheck.n_list")
-    _need(cfg, "regcheck.lam_max", num, lambda v: v > 0.0, "must be positive")
+                          f"coefficient; got {cfg['coeff.p']!r}", field="coeff.p")
     return cfg
 
 

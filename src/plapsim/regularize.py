@@ -257,8 +257,12 @@ def gap_decay_study(spec, n_list, lam_lo=-4.0, lam_hi=4.0, t=0.0):
     """Measured sup-gaps against their closed-form bounds over a list of n.
 
     Returns a dict with per-n arrays and the least-squares slope of
-    log(gap) versus log(n); the predicted slope is alpha/(alpha-1).
+    log(gap) versus log(n); the predicted slope is alpha/(alpha-1).  The
+    fit needs at least two distinct levels.
     """
+    if len(set(n_list)) < 2:
+        raise ValueError(f"the gap-decay slope needs at least two distinct "
+                         f"levels, got {list(n_list)}")
     n_arr = np.asarray(sorted(n_list), dtype=int)
     measured, bounds = [], []
     for n in n_arr:

@@ -149,8 +149,9 @@ def _check(name, statement, estimate, bound, passed, std_error=None):
 
 
 def _finish(name, statement, checks, extra=None):
+    """Study report; a study with no checks does not pass."""
     report = {"name": name, "statement": statement, "checks": checks,
-              "pass": bool(all(c["pass"] for c in checks))}
+              "pass": bool(checks) and all(c["pass"] for c in checks)}
     if extra:
         report.update(extra)
     return report

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from plapsim import verify
 from plapsim.cli import EXIT_BLOW_UP, EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main
 from plapsim.config import parse_config_text, ConfigError, load_config
 from plapsim.spatial import Grid, initial_from_csv
@@ -90,6 +91,12 @@ def test_regcheck_passes_and_writes_outputs(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tool"] == "plapsim"
     assert manifest["config"]["regcheck.n_list"] == [2, 4]
+
+
+def test_regcheck_refuses_a_single_level(tmp_path, capsys):
+    code = main(["regcheck", "--out", str(tmp_path / "out"), "--n-list", "2"])
+    assert code == EXIT_CONFIG
+    assert "regcheck.n_list" in capsys.readouterr().err
 
 
 def test_invalid_alpha_exits_config_error(tmp_path, capsys):
@@ -180,6 +187,18 @@ def test_simulate_newton_failure_exits_three(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith("newton failure: step 0 (t = 0.0): 0 iterations, "
                              "residual ")
+
+
+def test_simulate_failure_names_path_and_seed(tmp_path, capsys):
+    path = write_config(tmp_path, "solver.newton_max_iter = 0\nrun.paths = 2\n"
+                        "run.seed = 77\n")
+    code = main(["simulate", "--config", str(path), "--out",
+                 str(tmp_path / "out")])
+    assert code == EXIT_BLOW_UP
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("newton failure: step 0 (t = 0.0): 0 iterations, ")
+    assert err[0].endswith("(path 0, seed 77)")
 
 
 def test_simulate_bisection_without_noise_exits_three(tmp_path, capsys):
@@ -299,6 +318,24 @@ def test_verify_low_alpha_refused(tmp_path, capsys):
                  str(tmp_path / "out")])
     assert code == EXIT_CONFIG
     assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, flags, named", [
+    pytest.param("sigma.alpha = 0.4\n", [], "alpha in [1/2, 1)", id="alpha"),
+    pytest.param("run.n_list = [4, 12]\n", [], "run.n_list", id="not-doubling"),
+    pytest.param("", ["--n-list", "4"], "run.n_list", id="one-level")])
+def test_verify_refuses_before_running_a_trajectory(tmp_path, capsys, monkeypatch,
+                                                     config, flags, named):
+    calls = []
+    monkeypatch.setattr(verify, "_trajectory",
+                        lambda plan, job: calls.append(job))
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    code = main(["verify", "--config", str(path), "--out", str(out)] + flags)
+    assert code == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_regcheck_refuses_flags_it_does_not_read(tmp_path):

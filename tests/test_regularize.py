@@ -245,6 +245,13 @@ def test_gap_decay_slope():
     assert np.all(study["measured_gap"] <= study["bound"] * (1.0 + 1e-9))
 
 
+@pytest.mark.parametrize("n_list", [[4], [4, 4], []])
+def test_gap_decay_needs_two_distinct_levels(n_list):
+    # a slope fitted through one point would be numpy's rank-deficient guess
+    with pytest.raises(ValueError, match="two distinct levels"):
+        gap_decay_study(power_sigma(0.5, 1.0), n_list)
+
+
 # --------------------------------------------------------------------- report
 
 

@@ -114,6 +114,14 @@ def test_cauchy_requires_doubling_chain():
         cauchy_in_n_study(bad)
 
 
+def test_cauchy_single_level_does_not_pass():
+    # one level gives no successive distances to compare, hence no checks
+    plan = desk_plan()
+    report = cauchy_in_n_study(ExperimentPlan(**{**plan.__dict__, "n_list": (4,)}))
+    assert report["checks"] == []
+    assert report["pass"] is False
+
+
 def test_cauchy_desk_scale_first_order_perturbation():
     report = cauchy_in_n_study(desk_plan(m=1, paths=4))
     assert report["pass"], report
