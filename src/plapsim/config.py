@@ -213,8 +213,11 @@ def validate_config(cfg):
         value = cfg[key]
         if not isinstance(value, kinds):
             raise ConfigError(f"{key} has the wrong type: {value!r}", field=key)
-        if kinds is int and isinstance(value, bool):
-            raise ConfigError(f"{key} must be an integer, got {value!r}", field=key)
+        # bool is an int subclass, so a switch passes the number checks;
+        # identity tests are the cheapest way to catch it
+        if (value is True or value is False) and kinds is not bool:
+            what_kind = "an integer" if kinds is int else "a number"
+            raise ConfigError(f"{key} must be {what_kind}, got {value!r}", field=key)
         if ok is not None and not ok(value):
             raise ConfigError(f"{key} {what}; got {value!r}", field=key)
     for key in ("run.n_list", "regcheck.n_list"):

@@ -4,7 +4,10 @@ Two Euler-Maruyama variants share the Ito left-point noise term
 sigma_n(t, u^k) K(dW^k): an explicit step, subject to the usual parabolic
 step-size restriction, and a drift-implicit step whose nonlinear system is
 solved by a damped Newton iteration with a finite-difference Jacobian,
-colored on a box stencil built once per (grid, half-width).  Trajectories
+colored on a box stencil built once per (grid, half-width).  The stencil
+couples only nearby grid lines, so the Newton matrix is stored by line and
+solved by block elimination over lines, with numpy alone: no size x size
+array is formed and scipy.linalg is never loaded.  Trajectories
 are bitwise reproducible from (seed, config): the Wiener increments and
 bridge points are pure functions of (seed, path, step, node) and every
 reduction runs in a fixed order.  Coupled runs -- two initial data, or two
@@ -197,13 +200,21 @@ def explicit_dt_heuristic(system, u0):
 
 @lru_cache(maxsize=None)
 def _jacobian_stencil(grid, half_width):
-    """Sparsity of the drift's Jacobian: every node pair within Chebyshev
-    distance half_width as flat (rows, cols), the color of each col, and a
-    (colors, size) indicator of the nodes of each color.
+    """Sparsity of the drift's Jacobian, and where it lands in the line slab.
+
+    Returns every node pair within Chebyshev distance half_width as flat
+    (rows, cols), the color of each col, a (colors, size) indicator of the
+    nodes of each color, the slab's shape, and the flat slab positions of
+    the pairs and of the diagonal.
 
     A node's color is its coordinates mod 2 half_width + 1 (mod n_interior
     on coarser grids), so two nodes of one color lie more than 2 half_width
     apart along some axis and their stencil boxes are disjoint.
+
+    A line is a run of n_interior nodes along the last axis (in 1d the
+    whole grid).  The stencil couples lines at most r = min(half_width,
+    lines - 1) apart, so I + dt J is stored as a (lines, n, (2 r + 1) n)
+    slab whose row-block i holds line i's rows over lines i - r ... i + r.
     """
     side = min(2 * half_width + 1, grid.n_interior)
     coords = np.indices(grid.shape).reshape(grid.dimension, 1, -1)
@@ -214,28 +225,74 @@ def _jacobian_stencil(grid, half_width):
     rows, cols = np.ravel_multi_index(out[:, ok], grid.shape), np.nonzero(ok)[1]
     color = np.ravel_multi_index(coords[:, 0] % side, (side,) * grid.dimension)
     members = color == np.arange(side ** grid.dimension)[:, None]
-    return rows, cols, color[cols], members
+    n = grid.n_interior
+    lines = grid.size // n
+    reach = min(half_width, lines - 1)
+    shape = (lines, n, (2 * reach + 1) * n)
+    # row (i, a) and col (j, c) go to slab[i, a, (j - i + reach) n + c]
+    scatter = rows * shape[2] + (cols // n - rows // n + reach) * n + cols % n
+    nodes = np.arange(grid.size)
+    diagonal = nodes * shape[2] + reach * n + nodes % n
+    return rows, cols, color[cols], members, shape, scatter, diagonal
 
 
 def _colored_jacobian(system, dt, v, base):
-    """Dense Jacobian of G(v) = v + dt A_n(v) by simultaneous perturbations.
+    """I + dt J for G(v) = v + dt A_n(v), by simultaneous perturbations,
+    stored by line as _jacobian_stencil describes.
 
     base is A_n(v).  All columns of one color are perturbed together, and
     each column takes the response only on the rows of its own stencil box,
     so the assembly costs one operator evaluation per color, (2 hw + 1)^d at
     most, regardless of the grid size.
     """
-    rows, cols, col_color, members = _jacobian_stencil(
-        system.grid, system.jacobian_half_width)
+    rows, cols, col_color, members, shape, scatter, diagonal = \
+        _jacobian_stencil(system.grid, system.jacobian_half_width)
     eps = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(v))
     resp = np.array([system.apply_drift_operator(w) - base
                      for w in v + members * eps])
-    size = system.grid.size
-    jac = np.zeros((size, size))
-    jac[rows, cols] = resp[col_color, rows] / eps[cols]
-    jac *= dt
-    jac.flat[::size + 1] += 1.0   # I + dt J in place
-    return jac
+    slab = np.zeros(shape)
+    slab.flat[scatter] = resp[col_color, rows] / eps[cols]
+    slab *= dt
+    slab.flat[diagonal] += 1.0   # I + dt J in place
+    return slab
+
+
+def _solve_lines(slab, rhs):
+    """Solve the line-stored system of _colored_jacobian for rhs.
+
+    Block Gaussian elimination over lines (block Thomas with r coupled
+    lines on each side), pivoting inside each line's diagonal block: every
+    line but the last solves its block against its rhs and its couplings to
+    the lines after it, eliminates itself from the next r lines, and back
+    substitution finishes.  In 1d there is one line and this is a single
+    dense solve.  slab is overwritten; a singular block raises LinAlgError.
+
+    Lines need no pivoting among them: A_n is monotone up to the drift's
+    Lipschitz constant L, so for dt L < 1 the symmetric part of I + dt J is
+    positive definite, and so is that of every block met on the way.
+    """
+    lines, n, width = slab.shape
+    reach = (width // n - 1) // 2
+
+    def cols(offset, count=1):
+        """Slab columns of count lines, from offset lines after the row's."""
+        return slice((reach + offset) * n, (reach + offset + count) * n)
+
+    x = rhs.reshape(lines, n).copy()
+    for i in range(lines - 1):
+        ahead = min(reach, lines - 1 - i)
+        sol = np.linalg.solve(slab[i, :, cols(0)],
+                              np.column_stack((x[i], slab[i, :, cols(1, ahead)])))
+        x[i], slab[i, :, cols(1, ahead)] = sol[:, 0], sol[:, 1:]
+        for s in range(1, ahead + 1):
+            update = slab[i + s, :, cols(-s)] @ sol
+            x[i + s] -= update[:, 0]
+            slab[i + s, :, cols(1 - s, ahead)] -= update[:, 1:]
+    x[-1] = np.linalg.solve(slab[-1, :, cols(0)], x[-1])
+    for i in range(lines - 2, -1, -1):
+        ahead = min(reach, lines - 1 - i)
+        x[i] -= slab[i, :, cols(1, ahead)] @ x[i + 1:i + 1 + ahead].ravel()
+    return x.ravel()
 
 
 def step_semi_implicit(system, config, u, t, dw):
@@ -259,9 +316,9 @@ def step_semi_implicit(system, config, u, t, dw):
     while res_norm > config.newton_tol:
         if iters >= config.newton_max_iter:
             raise NewtonDivergedError(iters, res_norm)
-        jac = _colored_jacobian(system, dt, v, drift)
+        slab = _colored_jacobian(system, dt, v, drift)
         try:
-            delta = np.linalg.solve(jac, -residual)
+            delta = _solve_lines(slab, -residual)
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergedError(iters, res_norm) from exc
         step = 1.0

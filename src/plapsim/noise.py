@@ -258,13 +258,28 @@ def holder_modulus_check(kernel, spec, v, w, t=0.0):
     return report
 
 
+# One Philox for every draw, its whole state (key, counter and buffered
+# output) set before each one, so that a draw stays a pure function of its
+# arguments; a Philox built per draw would first seed itself from OS entropy.
+# Draws must not run concurrently in threads of one process (plapsim runs
+# paths in worker processes).
+_PHILOX = np.random.Philox(0)
+_GENERATOR = np.random.Generator(_PHILOX)
+
+
 def _normals(seed, path_index, step, node, size):
     # (step, node) fill the two high counter words, so each call owns a
     # disjoint 2^128-block region of the Philox counter space; node 0 is the
-    # step's increment and node >= 1 a bridge point
-    bitgen = np.random.Philox(key=[int(seed), int(path_index)],
-                              counter=[0, 0, int(step), int(node)])
-    return np.random.Generator(bitgen).standard_normal(size)
+    # step's increment and node >= 1 a bridge point.  The words convert as
+    # Philox(key=..., counter=...) converts them: through float64 once one
+    # reaches 2^63.
+    key = np.asarray([int(seed), int(path_index)]).astype(np.uint64)
+    counter = np.asarray([0, 0, int(step), int(node)]).astype(np.uint64)
+    _PHILOX.state = {
+        "bit_generator": "Philox", "state": {"counter": counter, "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return _GENERATOR.standard_normal(size)
 
 
 @dataclass

@@ -52,6 +52,7 @@ EXPECTED_DEFAULTS = [
 
 INT_KEYS = [k for k, v in EXPECTED_DEFAULTS
             if isinstance(v, int) and not isinstance(v, bool)]
+NUMBER_KEYS = [k for k, v in EXPECTED_DEFAULTS if isinstance(v, float)]
 
 # one out-of-domain value per key that has a domain, with the full message
 OUT_OF_DOMAIN = [
@@ -145,6 +146,14 @@ def test_integer_keys_reject_booleans(key):
     err = rejection({key: True})
     assert err.field == key
     assert str(err) == f"{key} must be an integer, got True"
+
+
+@pytest.mark.parametrize("key", NUMBER_KEYS)
+@pytest.mark.parametrize("value", [True, False])
+def test_number_keys_reject_booleans(key, value):
+    err = rejection({key: value})
+    assert err.field == key
+    assert str(err) == f"{key} must be a number, got {value!r}"
 
 
 @pytest.mark.parametrize("key, value, message", OUT_OF_DOMAIN,

@@ -1,7 +1,12 @@
 """Oracle tests for the time steppers: exact linear decay, solver identities,
 determinism of the stochastic trajectories, and the failure modes."""
 
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from plapsim.evolution import (
     NewtonDivergedError,
     SolverConfig,
     _colored_jacobian,
+    _solve_lines,
     build_system,
     explicit_dt_heuristic,
     simulate_path,
@@ -100,17 +106,48 @@ def level_system(dimension, n_interior, m, p=2.5, convective=False):
     return grid, build_system(grid, coeff, tanh_drift(1.0), pert, config)
 
 
-@pytest.mark.parametrize("dimension, n_interior, m, p, convective", [
+# the tiny grids have fewer nodes per axis than the stencil has colors
+STENCIL_CASES = [
     (1, 32, 1, 2.5, False), (1, 16, 2, 2.5, True), (1, 2, 1, 2.5, False),
     (1, 3, 2, 1.5, False), (2, 8, 1, 2.5, False), (2, 9, 2, 2.5, False),
-    (2, 4, 2, 2.5, True), (2, 12, None, 2.5, False)])
-def test_colored_jacobian_equals_column_by_column_differences(
-        dimension, n_interior, m, p, convective):
-    # the tiny grids have fewer nodes per axis than the stencil has colors
+    (2, 4, 2, 2.5, True), (2, 12, None, 2.5, False), (2, 10, 3, 2.5, False)]
+
+
+def slab_to_dense(slab):
+    """The size x size matrix a line slab stores; the blocks it holds for
+    lines past either end of the grid must be zero."""
+    lines, n, width = slab.shape
+    reach = (width // n - 1) // 2
+    dense = np.zeros((lines * n, lines * n))
+    for i, b in np.ndindex(lines, 2 * reach + 1):
+        j = i - reach + b
+        block = slab[i, :, b * n:(b + 1) * n]
+        if 0 <= j < lines:
+            dense[i * n:(i + 1) * n, j * n:(j + 1) * n] = block
+        else:
+            assert not block.any()
+    return dense
+
+
+def jacobian_at_random_state(dimension, n_interior, m, p, convective, dt=1e-3):
+    """(grid, system, v, A_n(v), line slab of I + dt J at v)."""
     grid, system = level_system(dimension, n_interior, m, p, convective)
-    dt = 1e-3
     v = 0.5 * np.random.default_rng(n_interior).standard_normal(grid.size)
     base = system.apply_drift_operator(v)
+    return grid, system, v, base, _colored_jacobian(system, dt, v, base)
+
+
+@pytest.mark.parametrize("dimension, n_interior, m, p, convective",
+                         STENCIL_CASES)
+def test_colored_jacobian_equals_column_by_column_differences(
+        dimension, n_interior, m, p, convective):
+    dt = 1e-3
+    grid, system, v, base, slab = jacobian_at_random_state(
+        dimension, n_interior, m, p, convective, dt)
+    hw = m or 1
+    lines = grid.size // n_interior
+    assert slab.shape == (lines, n_interior,
+                          (2 * min(hw, lines - 1) + 1) * n_interior)
     eps = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(v))
     full = np.empty((grid.size, grid.size))
     for j in range(grid.size):
@@ -118,7 +155,56 @@ def test_colored_jacobian_equals_column_by_column_differences(
         w[j] += eps[j]
         full[:, j] = (system.apply_drift_operator(w) - base) / eps[j]
     full = np.eye(grid.size) + dt * full
-    assert np.array_equal(_colored_jacobian(system, dt, v, base), full)
+    # every stencil entry bitwise, and zero off the stencil
+    assert np.array_equal(slab_to_dense(slab), full)
+
+
+@pytest.mark.parametrize("dimension, n_interior, m, p, convective",
+                         STENCIL_CASES)
+def test_line_solve_matches_the_dense_solve(
+        dimension, n_interior, m, p, convective):
+    grid, _, _, _, slab = jacobian_at_random_state(
+        dimension, n_interior, m, p, convective)
+    dense = slab_to_dense(slab)
+    rhs = np.random.default_rng(7).standard_normal(grid.size)
+    x, direct = _solve_lines(slab, rhs), np.linalg.solve(dense, rhs)
+    if dimension == 1:   # one line: the same dense solve
+        assert np.array_equal(x, direct)
+    # backward stable like the dense LU, so the two agree to cond * eps
+    eps = np.finfo(float).eps
+    assert np.linalg.norm(dense @ x - rhs) <= 4.0 * eps * (
+        np.linalg.norm(dense, 2) * np.linalg.norm(x) + np.linalg.norm(rhs))
+    assert np.linalg.norm(x - direct) <= \
+        np.linalg.cond(dense) * eps * np.linalg.norm(direct)
+
+
+def test_line_solve_raises_on_a_singular_line_block():
+    _, _, _, _, slab = jacobian_at_random_state(2, 8, 1, 2.5, False)
+    slab[3] = 0.0   # line 3's rows: its block stays zero through elimination
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve_lines(slab, np.ones(slab.shape[0] * slab.shape[1]))
+
+
+def test_newton_solve_leaves_scipy_linalg_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from plapsim.evolution import SolverConfig, build_system, step_semi_implicit
+        from plapsim.spatial import (Grid, initial_profile, p_laplacian_coeff,
+                                     perturbation_for, tanh_drift)
+        grid = Grid(2, 8)
+        config = SolverConfig(dt=1e-3, t_end=1e-3, n=8)
+        system = build_system(grid, p_laplacian_coeff(2.5), tanh_drift(1.0),
+                              perturbation_for(2.5, m=2), config)
+        u = initial_profile(grid, "sine", amplitude=0.5)
+        _, _, iters = step_semi_implicit(system, config, u, 0.0, np.zeros(grid.size))
+        assert iters >= 1
+        assert "scipy.linalg" not in sys.modules
+        """)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("make, colors, iterations", [
