@@ -7,7 +7,7 @@ solved by a damped Newton iteration with a finite-difference Jacobian,
 colored on a box stencil built once per (grid, half-width).  The stencil
 couples only nearby grid lines, so the Newton matrix is stored by line and
 solved by block elimination over lines, with numpy alone: no size x size
-array is formed and scipy.linalg is never loaded.  Trajectories
+array is formed and no part of scipy is loaded.  Trajectories
 are bitwise reproducible from (seed, config): the Wiener increments and
 bridge points are pure functions of (seed, path, step, node) and every
 reduction runs in a fixed order.  Coupled runs -- two initial data, or two
@@ -24,8 +24,8 @@ import numpy as np
 
 from .noise import NoiseOperator, apply_B
 from .regularize import RegularizedSigma
-from .spatial import (apply_A_n, gradient_faces, hm0_norm, norm_l2,
-                      w1p_seminorm, wmq_norm)
+from .spatial import (apply_A_n, difference_blocks, gradient_faces, norm_l2,
+                      w1p_seminorm)
 
 __all__ = [
     "BlowUpError",
@@ -382,8 +382,10 @@ def _energies(system, u):
     out = {"l2_sq": norm_l2(grid, u) ** 2,
            "grad_lp_p": w1p_seminorm(grid, u, system.coeff.p) ** system.coeff.p}
     if system.pert is not None:
-        out["hm0_sq"] = hm0_norm(grid, u, system.pert.m) ** 2
-        out["wmq_q"] = wmq_norm(grid, u, system.pert.m, system.pert.q) ** system.pert.q
+        blocks = difference_blocks(grid, u, system.pert.m)
+        out["hm0_sq"] = float(sum(np.sum(d * d) for d in blocks) * grid.weight)
+        out["wmq_q"] = float(sum(np.sum(np.abs(d) ** system.pert.q) for d in blocks)
+                             * grid.weight)
     else:
         out["hm0_sq"] = 0.0
         out["wmq_q"] = 0.0

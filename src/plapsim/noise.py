@@ -270,11 +270,10 @@ _GENERATOR = np.random.Generator(_PHILOX)
 def _normals(seed, path_index, step, node, size):
     # (step, node) fill the two high counter words, so each call owns a
     # disjoint 2^128-block region of the Philox counter space; node 0 is the
-    # step's increment and node >= 1 a bridge point.  The words convert as
-    # Philox(key=..., counter=...) converts them: through float64 once one
-    # reaches 2^63.
-    key = np.asarray([int(seed), int(path_index)]).astype(np.uint64)
-    counter = np.asarray([0, 0, int(step), int(node)]).astype(np.uint64)
+    # step's increment and node >= 1 a bridge point.  Every word is built as
+    # an exact uint64, so each seed below 2^64 is its own key.
+    key = np.array([int(seed), int(path_index)], dtype=np.uint64)
+    counter = np.array([0, 0, int(step), int(node)], dtype=np.uint64)
     _PHILOX.state = {
         "bit_generator": "Philox", "state": {"counter": counter, "key": key},
         "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,

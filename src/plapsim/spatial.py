@@ -12,7 +12,6 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from scipy import sparse
 
 __all__ = [
     "Grid",
@@ -26,6 +25,7 @@ __all__ = [
     "wmq_norm",
     "multi_indices",
     "difference_matrix",
+    "difference_blocks",
     "laplacian_min_eigenvalue",
     "q_of_p",
     "LerayLionsCoeff",
@@ -153,18 +153,17 @@ def w1p_seminorm(grid, u, p):
 
 @lru_cache(maxsize=None)
 def _difference_matrix_1d(n, order, h):
-    mat = sparse.eye(n, format="csr")
-    m = n
-    for _ in range(order):
-        step = sparse.diags([np.ones(m), -np.ones(m)], offsets=[0, -1],
-                            shape=(m + 1, m), format="csr") / h
+    """Dense (n + order, n) iterated forward difference, read-only (it is shared)."""
+    mat = np.eye(n)
+    for m in range(n, n + order):
+        step = (np.eye(m + 1, m) - np.eye(m + 1, m, k=-1)) / h
         mat = step @ mat
-        m += 1
+    mat.flags.writeable = False
     return mat
 
 
 def difference_matrix(grid, gamma):
-    """Sparse matrix of the iterated forward difference D^gamma.
+    """Dense matrix of the iterated forward difference D^gamma.
 
     Input is a flat grid function extended by zero beyond the boundary;
     output lives on a staggered lattice with n_interior + gamma_k points
@@ -174,11 +173,8 @@ def difference_matrix(grid, gamma):
     if len(gamma) != grid.dimension:
         raise GridMismatchError(f"multi-index {gamma} does not match dimension "
                                 f"{grid.dimension}")
-    if grid.dimension == 1:
-        return _difference_matrix_1d(grid.n_interior, gamma[0], grid.h)
-    a = _difference_matrix_1d(grid.n_interior, gamma[0], grid.h)
-    b = _difference_matrix_1d(grid.n_interior, gamma[1], grid.h)
-    return sparse.kron(a, b, format="csr")
+    mats = [_difference_matrix_1d(grid.n_interior, g, grid.h) for g in gamma]
+    return mats[0] if grid.dimension == 1 else np.kron(*mats)
 
 
 def multi_indices(dimension, m):
@@ -188,23 +184,57 @@ def multi_indices(dimension, m):
 
 
 @lru_cache(maxsize=None)
-def _stacked_differences(grid, m):
-    """Every D^gamma with |gamma| <= m stacked as one CSR matrix, and its transpose."""
-    gammas = multi_indices(grid.dimension, m)
-    mat = sparse.vstack([difference_matrix(grid, g) for g in gammas], format="csr")
-    return mat, mat.T.tocsr()
+def _stacked_factor(n, m, h):
+    """[D_0; D_1; ...; D_m] for one axis, shape (sum_k (n + k), n), read-only."""
+    mat = np.vstack([_difference_matrix_1d(n, k, h) for k in range(m + 1)])
+    mat.flags.writeable = False
+    return mat
+
+
+def _rows_through(n, k):
+    """Rows of the stacked factor that hold D_0 ... D_k."""
+    return (k + 1) * n + k * (k + 1) // 2
+
+
+def difference_blocks(grid, u, m):
+    """D^gamma u for every |gamma| <= m, in a list of arrays holding each value once.
+
+    S = [D_0; D_1; ...; D_m] stacks the 1d differences of every order up to
+    m by rows.  In 1d the list is the one vector S u.  In 2d
+    entry 0 is S U, which holds every D^(i, 0) U, and entry j >= 1 holds
+    D^(i, j) U = D_i U D_j^T for every i <= m - j, stacked by rows: only
+    the blocks with |gamma| <= m are formed.  Sums over the entries,
+    weighted by h**d, give the H^m and W^{m,q} energies.
+    """
+    u = grid.check(u)
+    n, h = grid.n_interior, grid.h
+    factor = _stacked_factor(n, m, h)
+    if grid.dimension == 1:
+        return [factor @ u]
+    rows = factor @ u.reshape(n, n)
+    return [rows] + [rows[:_rows_through(n, m - j)] @ _difference_matrix_1d(n, j, h).T
+                     for j in range(1, m + 1)]
+
+
+def _difference_blocks_adjoint(grid, m, blocks):
+    """Transpose of difference_blocks: blocks shaped like its output (overwritten)."""
+    n, h = grid.n_interior, grid.h
+    acc = blocks[0]
+    for j, block in enumerate(blocks[1:], 1):
+        acc[:block.shape[0]] += block @ _difference_matrix_1d(n, j, h)
+    return (_stacked_factor(n, m, h).T @ acc).ravel()
 
 
 def hm0_norm(grid, u, m):
     """sqrt of sum over |gamma| <= m of the squared L2 norms of D^gamma u."""
-    du = _stacked_differences(grid, m)[0] @ grid.check(u)
-    return float(np.sqrt(np.sum(du * du) * grid.weight))
+    total = sum(np.sum(d * d) for d in difference_blocks(grid, u, m))
+    return float(np.sqrt(total * grid.weight))
 
 
 def wmq_norm(grid, u, m, q):
     """(sum over |gamma| <= m of the q-th power L^q norms of D^gamma u) ** (1/q)."""
-    du = _stacked_differences(grid, m)[0] @ grid.check(u)
-    return float((np.sum(np.abs(du) ** q) * grid.weight) ** (1.0 / q))
+    total = sum(np.sum(np.abs(d) ** q) for d in difference_blocks(grid, u, m))
+    return float((total * grid.weight) ** (1.0 / q))
 
 
 def laplacian_min_eigenvalue(grid):
@@ -433,21 +463,23 @@ def j_form(grid, pert, u, v):
     The sum runs over all multi-indices |gamma| <= m, the zeroth included,
     every term integrated with weight h^d on its staggered lattice.
     """
-    u, v = grid.check(u), grid.check(v)
     _check_order(grid, pert.m)
-    mat = _stacked_differences(grid, pert.m)[0]
-    du, dv = mat @ u, mat @ v
-    return float((np.sum(du * dv) + np.sum(np.abs(du) ** (pert.q - 2.0) * du * dv))
-                 * grid.weight)
+    dus = difference_blocks(grid, u, pert.m)
+    dvs = difference_blocks(grid, v, pert.m)
+    return float(sum(np.sum(du * dv) + np.sum(np.abs(du) ** (pert.q - 2.0) * du * dv)
+                     for du, dv in zip(dus, dvs)) * grid.weight)
 
 
 def j_operator(grid, pert, u):
     """Riesz representative of j_form(u, .) in the weighted node pairing."""
-    u = grid.check(u)
     _check_order(grid, pert.m)
-    mat, mat_t = _stacked_differences(grid, pert.m)
-    du = mat @ u
-    return mat_t @ (du + np.abs(du) ** (pert.q - 2.0) * du)
+    blocks = difference_blocks(grid, u, pert.m)
+    for du in blocks:   # du + |du|^(q-2) du, in place
+        pw = np.abs(du)
+        np.power(pw, pert.q - 2.0, out=pw)
+        pw *= du
+        du += pw
+    return _difference_blocks_adjoint(grid, pert.m, blocks)
 
 
 def apply_A_n(grid, coeff, drift, pert, n, u):

@@ -354,6 +354,21 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout.strip() == "plapsim 0.1.0"
 
 
+def test_cli_runs_with_scipy_unimportable(tmp_path):
+    # sys.modules["scipy"] = None makes every "import scipy..." raise
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for command in ("regcheck", "simulate"):
+        code = ("import runpy, sys\n"
+                "sys.modules['scipy'] = None\n"
+                f"sys.argv = ['plapsim', {command!r}, '--out', {str(tmp_path / command)!r}]\n"
+                "runpy.run_module('plapsim', run_name='__main__')\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / command / "report.json").is_file()
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--out", "/tmp/x"])

@@ -190,6 +190,7 @@ def test_newton_solve_leaves_scipy_linalg_unloaded():
     code = textwrap.dedent("""
         import sys
         import numpy as np
+        import plapsim.cli
         from plapsim.evolution import SolverConfig, build_system, step_semi_implicit
         from plapsim.spatial import (Grid, initial_profile, p_laplacian_coeff,
                                      perturbation_for, tanh_drift)
@@ -201,6 +202,7 @@ def test_newton_solve_leaves_scipy_linalg_unloaded():
         _, _, iters = step_semi_implicit(system, config, u, 0.0, np.zeros(grid.size))
         assert iters >= 1
         assert "scipy.linalg" not in sys.modules
+        assert "scipy" not in sys.modules
         """)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)})

@@ -1,6 +1,7 @@
 """Oracle and property tests for the diffusion operator and the Q-Wiener sampler."""
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,30 @@ def test_sampler_paths_are_distinct_and_count_independent():
     # drawing path 0 again after path 1 exists changes nothing
     again = default_sampler(grid, seed=7, path_index=0).sample_increment(0, 0.01)
     assert np.array_equal(a, again)
+
+
+def test_seeds_at_or_above_two_to_the_63_give_distinct_paths():
+    grid = Grid(1, 4)
+    draw = lambda seed: default_sampler(grid, seed, 2).sample_increment(5, 1e-2)
+    assert not np.array_equal(draw(2 ** 63 + 1), draw(2 ** 63 + 1000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = draw(2 ** 64 - 1)
+    assert not np.array_equal(top, draw(0))
+
+
+def test_seeds_below_two_to_the_63_keep_their_stream():
+    # drawn when the Philox key still went through np.asarray(...).astype
+    grid = Grid(1, 4)
+    expect = {
+        2711: [-0.08337909526448789, 0.04512249733424529,
+               -0.08533696120712915, -0.15887535409605733],
+        2 ** 63 - 1: [0.017009841636232006, 0.04571720586330626,
+                      0.07086110674302716, 0.12370309433828709],
+    }
+    for seed, values in expect.items():
+        got = default_sampler(grid, seed, 2).sample_increment(5, 1e-2)
+        assert got.tolist() == values
 
 
 def test_sampler_zero_dt_and_negative_dt():

@@ -14,6 +14,7 @@ from plapsim.spatial import (
     apply_A_n,
     apply_divergence_form,
     check_structure_conditions,
+    difference_blocks,
     difference_matrix,
     estimate_embedding_constants,
     hm0_norm,
@@ -39,6 +40,7 @@ from plapsim.spatial import (
     wmq_norm,
     zero_drift,
 )
+from plapsim.spatial import _difference_blocks_adjoint
 
 
 def random_field(grid, seed=0):
@@ -277,6 +279,48 @@ def test_stacked_operators_match_per_gamma_sums():
             np.testing.assert_allclose(hm0_norm(grid, u, m), ref_hm0, rtol=1e-13)
             np.testing.assert_allclose(wmq_norm(grid, u, m, pert.q), ref_wmq,
                                        rtol=1e-13)
+
+
+def _pad_diff(u_nd, gamma, h):
+    # plain numpy oracle: zero-extend by gamma_k on both sides of axis k, then
+    # take the gamma_k-th forward difference along it
+    out = np.pad(u_nd, [(g, g) for g in gamma])
+    for axis, g in enumerate(gamma):
+        out = np.diff(out, g, axis=axis)
+    return out / h ** sum(gamma)
+
+
+def test_differences_match_padded_numpy_diffs():
+    for dimension, n_interior in ((1, 9), (2, 6)):
+        grid = Grid(dimension, n_interior)
+        u = random_field(grid, 21)
+        u_nd = u.reshape(grid.shape)
+        n, m = n_interior, 3
+        blocks = difference_blocks(grid, u, m)
+        for gamma in multi_indices(dimension, m):
+            ref = _pad_diff(u_nd, gamma, grid.h)
+            tol = dict(rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+            np.testing.assert_allclose(difference_matrix(grid, gamma) @ u, ref.ravel(), **tol)
+            # difference_blocks: D^(i, j) sits in block j, after the rows of i' < i
+            i, j = (gamma[0], 0) if dimension == 1 else gamma
+            start = sum(n + k for k in range(i))
+            got = blocks[j][start:start + n + i]
+            np.testing.assert_allclose(got, ref, **tol)
+        assert sum(b.size for b in blocks) == sum(
+            _pad_diff(u_nd, g, grid.h).size for g in multi_indices(dimension, m))
+
+
+def test_difference_adjoint_identity():
+    for dimension, n_interior in ((1, 17), (2, 9)):
+        grid = Grid(dimension, n_interior)
+        u = random_field(grid, 31)
+        for m in (1, 2, 3):
+            dus = difference_blocks(grid, u, m)
+            rng = np.random.Generator(np.random.Philox(key=[m, 0xAD7]))
+            ws = [rng.standard_normal(du.shape) for du in dus]
+            lhs = sum(np.sum(du * w) for du, w in zip(dus, ws))
+            rhs = np.sum(u * _difference_blocks_adjoint(grid, m, [w.copy() for w in ws]))
+            np.testing.assert_allclose(lhs, rhs, rtol=1e-13)
 
 
 def test_j_rejects_too_coarse_grids():
