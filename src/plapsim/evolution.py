@@ -3,11 +3,13 @@
 Two Euler-Maruyama variants share the Ito left-point noise term
 sigma_n(t, u^k) K(dW^k): an explicit step, subject to the usual parabolic
 step-size restriction, and a drift-implicit step whose nonlinear system is
-solved by a damped Newton iteration with a finite-difference Jacobian,
-colored on a box stencil built once per (grid, half-width).  The stencil
-couples only nearby grid lines, so the Newton matrix is stored by line and
-solved by block elimination over lines, with numpy alone: no size x size
-array is formed and no part of scipy is loaded.  Trajectories
+solved by a damped Newton iteration.  In 1d its matrix is exact, from the
+derivatives of the flux and the drift (spatial.jacobian_A_n); on a 2d grid,
+or for a flux or drift without a derivative, it is a finite-difference
+Jacobian colored on a box stencil built once per (grid, half-width).  The
+stencil couples only nearby grid lines, so the Newton matrix is stored by
+line and solved by block elimination over lines, with numpy alone: in 2d
+no size x size array is formed, and no part of scipy is loaded.  Trajectories
 are bitwise reproducible from (seed, config): the Wiener increments and
 bridge points are pure functions of (seed, path, step, node) and every
 reduction runs in a fixed order.  Coupled runs -- two initial data, or two
@@ -24,8 +26,8 @@ import numpy as np
 
 from .noise import NoiseOperator, apply_B
 from .regularize import RegularizedSigma
-from .spatial import (apply_A_n, difference_blocks, gradient_faces, norm_l2,
-                      w1p_seminorm)
+from .spatial import (apply_A_n, difference_blocks, gradient_faces,
+                      jacobian_A_n, norm_l2, w1p_seminorm)
 
 __all__ = [
     "BlowUpError",
@@ -141,6 +143,10 @@ class System:
     def apply_drift_operator(self, u):
         return apply_A_n(self.grid, self.coeff, self.drift, self.pert, self.n, u)
 
+    def drift_jacobian(self, u):
+        """Dense Jacobian of the drift operator, or None: see jacobian_A_n."""
+        return jacobian_A_n(self.grid, self.coeff, self.drift, self.pert, self.n, u)
+
     def noise_term(self, t, u, dw):
         if self.noise_op is None:
             return np.zeros(self.grid.size)
@@ -243,7 +249,9 @@ def _colored_jacobian(system, dt, v, base):
     base is A_n(v).  All columns of one color are perturbed together, and
     each column takes the response only on the rows of its own stencil box,
     so the assembly costs one operator evaluation per color, (2 hw + 1)^d at
-    most, regardless of the grid size.
+    most, regardless of the grid size.  _newton_matrix uses it on 2d grids
+    and for a flux or drift without a derivative; in 1d it is the oracle
+    the tests hold the exact matrix to.
     """
     rows, cols, col_color, members, shape, scatter, diagonal = \
         _jacobian_stencil(system.grid, system.jacobian_half_width)
@@ -257,8 +265,23 @@ def _colored_jacobian(system, dt, v, base):
     return slab
 
 
+def _newton_matrix(system, dt, v, base):
+    """I + dt J at v, base = A_n(v), in the line slab of _jacobian_stencil.
+
+    Exact when the system has a drift_jacobian (1d, with derivatives of the
+    flux and the drift): the whole grid is one line, so the slab is the
+    dense matrix.  Colored finite differences otherwise.
+    """
+    jac = system.drift_jacobian(v)
+    if jac is None:
+        return _colored_jacobian(system, dt, v, base)
+    jac *= dt
+    jac.flat[::jac.shape[0] + 1] += 1.0
+    return jac[None]
+
+
 def _solve_lines(slab, rhs):
-    """Solve the line-stored system of _colored_jacobian for rhs.
+    """Solve the line-stored system of _newton_matrix for rhs.
 
     Block Gaussian elimination over lines (block Thomas with r coupled
     lines on each side), pivoting inside each line's diagonal block: every
@@ -301,9 +324,11 @@ def step_semi_implicit(system, config, u, t, dw):
     Damped Newton with Armijo backtracking (halving, floor 2^-20) on the
     weighted residual norm; the implicit system is strongly monotone
     whenever the higher-order term is active, which is what makes this
-    scheme solvable without a step-size restriction.  A_n at the current
-    iterate comes from its residual, so each iteration evaluates A_n once
-    per color and once per line-search trial.
+    scheme solvable without a step-size restriction.  The Newton matrix is
+    exact in 1d and colored finite differences otherwise (_newton_matrix).
+    A_n at the current iterate comes from its residual, so each iteration
+    evaluates A_n once per line-search trial, plus once per color where the
+    matrix is colored.
     """
     grid, dt = system.grid, config.dt
     noise = system.noise_term(t, u, dw)
@@ -316,7 +341,7 @@ def step_semi_implicit(system, config, u, t, dw):
     while res_norm > config.newton_tol:
         if iters >= config.newton_max_iter:
             raise NewtonDivergedError(iters, res_norm)
-        slab = _colored_jacobian(system, dt, v, drift)
+        slab = _newton_matrix(system, dt, v, drift)
         try:
             delta = _solve_lines(slab, -residual)
         except np.linalg.LinAlgError as exc:

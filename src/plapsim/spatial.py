@@ -41,6 +41,7 @@ __all__ = [
     "j_form",
     "j_operator",
     "apply_A_n",
+    "jacobian_A_n",
     "check_structure_conditions",
     "poincare_constant",
     "estimate_embedding_constants",
@@ -258,7 +259,10 @@ class LerayLionsCoeff:
     """Divergence-form coefficient a(x, lam, xi) with its structure constants.
 
     a_eval is vectorized with x and xi carrying a trailing axis of length d
-    and lam shaped like x[..., 0]; it returns an array shaped like xi.
+    and lam shaped like x[..., 0]; it returns an array shaped like xi.  It
+    may also have a method ``derivative(x, lam, xi)`` returning (da/dxi,
+    da/dlam), shaped xi.shape + (d,) and like xi, which gives jacobian_A_n
+    its flux part.
     The constants enter check_structure_conditions' bounds: coercivity
     a.xi >= c1 |xi|^p - c2 |lam|^nu, growth |a| <= c3 |xi|^(p-1) +
     c4 |lam|^(p-1) + g, continuity in lam with modulus c5 |xi|^(p-1) + h.
@@ -290,6 +294,22 @@ class PLaplaceFlux:
         out[nz] = mag_sq[nz] ** ((self.p - 2.0) / 2.0) * xi[nz]
         return out
 
+    def derivative(self, x, lam, xi):
+        """da/dxi = s^((p-2)/2) (I + (p-2) xi xi^T / s), s = |xi|^2 + eps^2; da/dlam = 0.
+
+        With eps = 0, da/dxi at xi = 0 is its limit for p >= 2: the
+        identity at p = 2 and zero above.
+        """
+        s = np.sum(xi * xi, axis=-1)[..., None, None] + self.eps ** 2
+        eye = np.eye(xi.shape[-1])
+        nz = s > 0.0
+        safe = np.where(nz, s, 1.0)
+        a_xi = safe ** ((self.p - 2.0) / 2.0) * (
+            eye + (self.p - 2.0) / safe * (xi[..., :, None] * xi[..., None, :]))
+        if self.eps == 0.0:
+            a_xi = np.where(nz, a_xi, float(self.p == 2.0) * eye)
+        return a_xi, np.zeros_like(xi)
+
 
 def p_laplacian_coeff(p):
     """a(x, lam, xi) = (|xi|^2 + eps^2)^((p-2)/2) xi with eps = 1e-12 for p < 2.
@@ -313,6 +333,13 @@ class FluxWithConvection:
         out[..., 0] = out[..., 0] + self.velocity(lam)
         return out
 
+    def derivative(self, x, lam, xi):
+        """The p-Laplace part's, with velocity'(lam) in da_0/dlam (the
+        velocity needs a ``derivative`` method, as ScaledTanh has)."""
+        a_xi, a_lam = PLaplaceFlux(self.p).derivative(x, lam, xi)
+        a_lam[..., 0] += self.velocity.derivative(lam)
+        return a_xi, a_lam
+
 
 @dataclass(frozen=True)
 class ScaledTanh:
@@ -322,6 +349,9 @@ class ScaledTanh:
 
     def __call__(self, lam):
         return self.scale * np.tanh(lam)
+
+    def derivative(self, lam):
+        return self.scale / np.cosh(lam) ** 2
 
 
 def remark_flux_coeff(p, scale=1.0):
@@ -346,6 +376,10 @@ class LinearFlux:
     def __call__(self, x, lam, xi):
         return xi
 
+    def derivative(self, x, lam, xi):
+        d = xi.shape[-1]
+        return np.broadcast_to(np.eye(d), xi.shape + (d,)), np.zeros_like(xi)
+
 
 def linear_coeff():
     """a(x, lam, xi) = xi, the heat flux (p = 2)."""
@@ -357,7 +391,11 @@ def linear_coeff():
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Pointwise reaction term with Lipschitz constant l_f, f(0) = 0, |f| <= sup_bound."""
+    """Pointwise reaction term with Lipschitz constant l_f, f(0) = 0, |f| <= sup_bound.
+
+    f_eval may have a method ``derivative(lam)``, f' pointwise, which gives
+    jacobian_A_n its reaction part.
+    """
 
     f_eval: object
     l_f: float
@@ -367,6 +405,9 @@ class DriftSpec:
 @dataclass(frozen=True)
 class ZeroDrift:
     def __call__(self, lam):
+        return np.zeros_like(lam)
+
+    def derivative(self, lam):
         return np.zeros_like(lam)
 
 
@@ -379,6 +420,15 @@ def tanh_drift(scale=1.0):
 
 
 # ------------------------------------------------------------ main operators
+
+
+def _faces_1d(grid, u):
+    """(x, lam, xi) on the n + 1 faces of a 1d grid: lam is the mean of the
+    two adjacent node values and xi the forward difference, zero-extended."""
+    h = grid.h
+    ue = np.concatenate([[0.0], u, [0.0]])
+    xf = ((np.arange(grid.n_interior + 1) + 0.5) * h)[:, None]
+    return xf, 0.5 * (ue[:-1] + ue[1:]), (np.diff(ue) / h)[:, None]
 
 
 def apply_divergence_form(grid, coeff, u):
@@ -397,12 +447,7 @@ def apply_divergence_form(grid, coeff, u):
     u = grid.check(u)
     h = grid.h
     if grid.dimension == 1:
-        n = grid.n_interior
-        ue = np.concatenate([[0.0], u, [0.0]])
-        g = (np.diff(ue) / h)[:, None]
-        lam = 0.5 * (ue[:-1] + ue[1:])
-        xf = ((np.arange(n + 1) + 0.5) * h)[:, None]
-        flux = coeff.a_eval(xf, lam, g)[:, 0]
+        flux = coeff.a_eval(*_faces_1d(grid, u))[:, 0]
         return -np.diff(flux) / h
 
     n = grid.n_interior
@@ -495,6 +540,44 @@ def apply_A_n(grid, coeff, drift, pert, n, u):
     if drift is not None:
         out = out + drift.f_eval(u)
     return out
+
+
+def jacobian_A_n(grid, coeff, drift, pert, n, u):
+    """Dense Jacobian of apply_A_n at u in 1d, or None.
+
+    None unless the grid is 1d and the flux and the drift (when present)
+    have ``derivative`` methods.  Face f carries a(x_f, lam_f, g_f) with
+    g_f = (u_f - u_{f-1}) / h and lam_f = (u_{f-1} + u_f) / 2, where
+    u_{-1} = u_n = 0, so -div a is tridiagonal, its entries made of
+    da/dxi / h^2 and da/dlam / (2 h).  The perturbation's part is
+    S^T diag(1 + (q-1) |S u|^(q-2)) S / n, with S = [D_0; ...; D_m] the
+    stacked factor.
+    """
+    flux_prime = getattr(coeff.a_eval, "derivative", None)
+    drift_prime = (getattr(drift.f_eval, "derivative", None) if drift is not None
+                   else np.zeros_like)
+    if grid.dimension != 1 or flux_prime is None or drift_prime is None:
+        return None
+    u = grid.check(u)
+    size, h = grid.n_interior, grid.h
+    a_xi, a_lam = flux_prime(*_faces_1d(grid, u))
+    stiff, drag = a_xi[:, 0, 0] / h ** 2, a_lam[:, 0] / (2.0 * h)
+    if pert is not None and n is not None:
+        _check_order(grid, pert.m)
+        factor = _stacked_factor(size, pert.m, h)
+        w = np.abs(factor @ u)
+        np.power(w, pert.q - 2.0, out=w)
+        w *= pert.q - 1.0
+        w += 1.0
+        jac = factor.T @ (w[:, None] * factor)
+        jac /= float(n)
+    else:
+        jac = np.zeros((size, size))
+    flat = jac.reshape(-1)   # a view: jac is contiguous
+    flat[::size + 1] += stiff[:-1] + stiff[1:] + drag[:-1] - drag[1:] + drift_prime(u)
+    flat[size::size + 1] += drag[1:-1] - stiff[1:-1]        # (i, i - 1)
+    flat[1::size + 1] -= stiff[1:-1] + drag[1:-1]           # (i, i + 1)
+    return jac
 
 
 # ------------------------------------------------------------ structure checks

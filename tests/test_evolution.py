@@ -6,16 +6,19 @@ import pickle
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plapsim.evolution as evolution
 from plapsim.evolution import (
     BlowUpError,
     NewtonDivergedError,
     SolverConfig,
     _colored_jacobian,
+    _newton_matrix,
     _solve_lines,
     build_system,
     explicit_dt_heuristic,
@@ -25,7 +28,7 @@ from plapsim.evolution import (
 )
 from plapsim.noise import default_sampler, gaussian_kernel
 from plapsim.regularize import power_sigma
-from plapsim.spatial import (Grid, HigherOrderPerturbation,
+from plapsim.spatial import (DriftSpec, Grid, HigherOrderPerturbation,
                              apply_divergence_form, initial_profile,
                              laplacian_min_eigenvalue, linear_coeff, norm_l1,
                              norm_l2, p_laplacian_coeff, perturbation_for,
@@ -178,6 +181,51 @@ def test_line_solve_matches_the_dense_solve(
         np.linalg.cond(dense) * eps * np.linalg.norm(direct)
 
 
+ONE_D_CASES = [c for c in STENCIL_CASES if c[0] == 1]
+
+
+@pytest.mark.parametrize("dimension, n_interior, m, p, convective",
+                         ONE_D_CASES)
+def test_exact_newton_matrix_matches_the_coloring(
+        dimension, n_interior, m, p, convective):
+    dt = 1e-3
+    _, system, v, base, colored = jacobian_at_random_state(
+        dimension, n_interior, m, p, convective, dt)
+    exact = _newton_matrix(system, dt, v, base)
+    assert exact.shape == colored.shape == (1, n_interior, n_interior)
+    # the coloring's error is about sqrt(eps) of each row's scale
+    scale = np.abs(colored).max(axis=2, keepdims=True)
+    assert np.all(np.abs(exact - colored) <= 1e-5 * scale)
+
+
+def test_exact_newton_matrix_of_the_heat_system():
+    dt = 1e-3
+    grid, system = heat_system(16)
+    v = np.random.default_rng(3).standard_normal(grid.size)
+    base = system.apply_drift_operator(v)
+    exact = _newton_matrix(system, dt, v, base)[0]
+    lap = (2.0 * np.eye(16) - np.eye(16, k=1) - np.eye(16, k=-1)) / grid.h ** 2
+    assert np.allclose(exact, np.eye(16) + dt * lap, rtol=1e-14, atol=0.0)
+    assert np.allclose(exact, _colored_jacobian(system, dt, v, base)[0],
+                       rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("part", ["flux", "drift"])
+def test_newton_matrix_without_a_derivative_is_the_coloring(part):
+    grid, system = level_system(1, 16, 1, convective=True)
+    if part == "flux":
+        flux = system.coeff.a_eval
+        system.coeff = replace(system.coeff,
+                               a_eval=lambda x, lam, xi: flux(x, lam, xi))
+    else:
+        system.drift = DriftSpec(lambda lam: np.tanh(lam), 1.0, 1.0)
+    v = 0.5 * np.random.default_rng(5).standard_normal(grid.size)
+    base = system.apply_drift_operator(v)
+    assert system.drift_jacobian(v) is None
+    assert np.array_equal(_newton_matrix(system, 1e-3, v, base),
+                          _colored_jacobian(system, 1e-3, v, base))
+
+
 def test_line_solve_raises_on_a_singular_line_block():
     _, _, _, _, slab = jacobian_at_random_state(2, 8, 1, 2.5, False)
     slab[3] = 0.0   # line 3's rows: its block stays zero through elimination
@@ -209,8 +257,9 @@ def test_newton_solve_leaves_scipy_linalg_unloaded():
     assert done.returncode == 0, done.stderr
 
 
+# the 1d matrix is exact, so it has no colors to evaluate
 @pytest.mark.parametrize("make, colors, iterations", [
-    (lambda: heat_system(16), 3, 1), (lambda: level_system(1, 16, 1), 3, 3),
+    (lambda: heat_system(16), 0, 1), (lambda: level_system(1, 16, 1), 0, 3),
     (lambda: level_system(2, 8, None), 9, 2)],
     ids=["heat", "tanh_m1", "no_perturbation_2d"])
 def test_newton_evaluates_the_drift_once_per_color_and_trial(
@@ -230,6 +279,43 @@ def test_newton_evaluates_the_drift_once_per_color_and_trial(
     # one for the initial residual, then per iteration one per color plus
     # one full line-search trial; A_n at the iterate comes from its residual
     assert len(calls) == 1 + iters * (colors + 1)
+
+
+def test_1d_newton_evaluates_the_drift_only_for_its_trials(monkeypatch):
+    # a large increment makes the line search halve some steps; every trial
+    # takes one residual norm, and so does the initial residual
+    grid = Grid(1, 16)
+    system, config = stochastic_pieces(grid, dt=0.008)
+    u = initial_profile(grid, "sine", amplitude=0.25)
+    evaluate, calls, norms = system.apply_drift_operator, [], []
+
+    def counted(w):
+        calls.append(1)
+        return evaluate(w)
+
+    def counted_norm(g, r):
+        norms.append(1)
+        return norm_l2(g, r)
+
+    system.apply_drift_operator = counted
+    monkeypatch.setattr(evolution, "norm_l2", counted_norm)
+    _, _, iters = step_semi_implicit(system, config, u, 0.0,
+                                     np.full(grid.size, 20.0))
+    trials = len(norms) - 1
+    assert trials > iters >= 1
+    assert len(calls) == 1 + trials
+
+
+def test_2d_step_is_the_colored_newton_step(monkeypatch):
+    grid, system = level_system(2, 8, 2)
+    config = SolverConfig(dt=1e-3, t_end=1e-3)
+    u = initial_profile(grid, "sine", amplitude=0.5)
+    dw = np.full(grid.size, 0.3)
+    v, _, iters = step_semi_implicit(system, config, u, 0.0, dw)
+    monkeypatch.setattr(evolution, "_newton_matrix", _colored_jacobian)
+    v_colored, _, iters_colored = step_semi_implicit(system, config, u, 0.0, dw)
+    assert iters == iters_colored >= 1
+    assert np.array_equal(v, v_colored)
 
 
 def test_newton_divergence_is_reported():
@@ -336,7 +422,7 @@ class KickedSampler:
     increment; ``log`` lists each draw handed out as (k, node, value), where
     node 0 is an increment and node >= 1 the two halves of a bridge."""
 
-    def __init__(self, grid, seed=5, kick=1.0):
+    def __init__(self, grid, seed=5, kick=1.3):
         self.base = default_sampler(grid, seed, 0)
         self.kick = kick
         self.log = []
@@ -354,7 +440,8 @@ class KickedSampler:
 
 def bisecting_pieces(grid, **kw):
     # two Newton iterations per step, except that the kick at step 3 asks
-    # for more; each half of step 3 needs at most two again
+    # for more; each half of step 3 needs at most two again (with the exact
+    # 1d Newton matrix, kicks from 1.2 to 1.5 do this)
     return stochastic_pieces(grid, dt=0.008, t_end=0.08, newton_max_iter=2, **kw)
 
 

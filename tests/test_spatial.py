@@ -22,6 +22,7 @@ from plapsim.spatial import (
     initial_profile,
     initial_to_csv,
     j_form,
+    jacobian_A_n,
     j_operator,
     laplacian_min_eigenvalue,
     linear_coeff,
@@ -40,7 +41,7 @@ from plapsim.spatial import (
     wmq_norm,
     zero_drift,
 )
-from plapsim.spatial import _difference_blocks_adjoint
+from plapsim.spatial import PLaplaceFlux, _difference_blocks_adjoint
 
 
 def random_field(grid, seed=0):
@@ -356,6 +357,105 @@ def test_apply_A_n_monotone_up_to_drift_lipschitz():
             apply_A_n(grid, coeff, drift, pert, 4, v)
         lhs = float(np.sum(gap * (u - v)) * grid.weight)
         assert lhs >= -drift.l_f * norm_l2(grid, u - v) ** 2 - 1e-9
+
+
+# ----------------------------------------------------------------- derivatives
+
+
+def central_differences(fn, at, delta=1e-6):
+    """d fn / d at[..., j] stacked on a new last axis, by central differences."""
+    cols = []
+    for j in range(at.shape[-1]):
+        step = np.zeros_like(at)
+        step[..., j] = delta * (1.0 + np.abs(at[..., j]))
+        cols.append((fn(at + step) - fn(at - step)) / (2.0 * step[..., j:j + 1]))
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("coeff", [
+    p_laplacian_coeff(2.5), p_laplacian_coeff(1.5), p_laplacian_coeff(2.0),
+    remark_flux_coeff(2.5), linear_coeff()],
+    ids=["p2.5", "p1.5_eps", "p2", "convective", "linear"])
+def test_flux_derivative_matches_central_differences(coeff, dimension):
+    rng = np.random.Generator(np.random.Philox(key=[dimension, 0xDE7]))
+    x = rng.uniform(0.0, 1.0, size=(64, dimension))
+    lam = rng.standard_normal(64)
+    xi = rng.standard_normal((64, dimension))
+    a_xi, a_lam = coeff.a_eval.derivative(x, lam, xi)
+    assert a_xi.shape == xi.shape + (dimension,) and a_lam.shape == xi.shape
+    by_xi = central_differences(lambda w: coeff.a_eval(x, lam, w), xi)
+    by_lam = central_differences(lambda w: coeff.a_eval(x, w[:, 0], xi),
+                                 lam[:, None])[..., 0]
+    assert np.allclose(a_xi, by_xi, rtol=1e-7, atol=1e-9)
+    assert np.allclose(a_lam, by_lam, rtol=1e-7, atol=1e-9)
+
+
+def test_p_laplace_derivative_at_a_zero_gradient():
+    xi, eye = np.zeros((3, 2)), np.eye(2)
+    for p, expect in ((2.5, 0.0 * eye), (2.0, eye), (4.0, 0.0 * eye)):
+        a_xi, a_lam = PLaplaceFlux(p).derivative(None, np.zeros(3), xi)
+        assert np.array_equal(a_xi, np.broadcast_to(expect, (3, 2, 2)))
+        assert not a_lam.any()
+    # the regularized singular flux has the finite slope eps^(p-2) there
+    a_xi, _ = p_laplacian_coeff(1.5).a_eval.derivative(None, np.zeros(3), xi)
+    assert np.allclose(a_xi, 1e-12 ** -0.5 * eye, rtol=1e-12)
+
+
+@pytest.mark.parametrize("drift", [tanh_drift(0.7), zero_drift()],
+                         ids=["tanh", "zero"])
+def test_drift_derivative_matches_central_differences(drift):
+    lam = np.linspace(-3.0, 3.0, 41)
+    by_lam = central_differences(drift.f_eval, lam[:, None])[:, 0, 0]
+    assert np.allclose(drift.f_eval.derivative(lam), by_lam,
+                       rtol=1e-7, atol=1e-10)
+
+
+def apply_A_n_columns(grid, coeff, drift, pert, n, u):
+    """The Jacobian of apply_A_n at u by central differences, column by column.
+
+    The steps are small because the p = 1.5 flux curves sharply at a small
+    face gradient (the p1.5_m1 field has one of 1.7e-3)."""
+    cols = []
+    for j in range(grid.size):
+        step = np.zeros(grid.size)
+        step[j] = 1e-7 * (1.0 + abs(u[j]))
+        cols.append((apply_A_n(grid, coeff, drift, pert, n, u + step)
+                     - apply_A_n(grid, coeff, drift, pert, n, u - step))
+                    / (2.0 * step[j]))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("coeff, drift, pert, n_interior", [
+    (remark_flux_coeff(2.5), None, None, 12),
+    (p_laplacian_coeff(2.5), tanh_drift(1.0), perturbation_for(2.5, m=2), 12),
+    (p_laplacian_coeff(1.5), zero_drift(), perturbation_for(1.5, m=1), 9),
+    (linear_coeff(), tanh_drift(2.0), HigherOrderPerturbation(m=1, q=2.0), 7),
+    (remark_flux_coeff(3.0), tanh_drift(1.0), perturbation_for(3.0, m=3), 3),
+    (p_laplacian_coeff(2.5), zero_drift(), perturbation_for(2.5, m=1), 1)],
+    ids=["convective_alone", "p2.5_tanh_m2", "p1.5_m1", "linear_q2",
+         "convective_m3_tiny", "one_node"])
+def test_jacobian_A_n_matches_central_differences(coeff, drift, pert,
+                                                   n_interior):
+    grid = Grid(1, n_interior)
+    u = 0.3 * random_field(grid, 31)
+    jac = jacobian_A_n(grid, coeff, drift, pert, 8, u)
+    by_cols = apply_A_n_columns(grid, coeff, drift, pert, 8, u)
+    scale = np.abs(by_cols).max(axis=1, keepdims=True)
+    assert np.all(np.abs(jac - by_cols) <= 1e-7 * scale)
+
+
+def test_jacobian_A_n_is_none_without_derivatives_or_in_2d():
+    grid, coeff = Grid(1, 8), p_laplacian_coeff(2.5)
+    u = random_field(grid, 2)
+    bare_flux = replace(coeff, a_eval=lambda x, lam, xi: coeff.a_eval(x, lam, xi))
+    bare_drift = replace(tanh_drift(1.0), f_eval=lambda lam: np.tanh(lam))
+    assert jacobian_A_n(grid, bare_flux, None, None, None, u) is None
+    assert jacobian_A_n(grid, coeff, bare_drift, None, None, u) is None
+    assert jacobian_A_n(grid, coeff, None, None, None, u) is not None
+    plane = Grid(2, 4)
+    assert jacobian_A_n(plane, coeff, zero_drift(), perturbation_for(2.5), 8,
+                        random_field(plane, 2)) is None
 
 
 # ----------------------------------------------------------- structure checks
