@@ -168,10 +168,12 @@ def cmd_simulate(cfg, seed, workers, out, config_path):
     grid = make_grid(cfg)
     solver_cfg = make_solver_config(cfg)
     noise_on = cfg["noise.enabled"]
-    system = build_system(
-        grid, make_coeff(cfg), make_drift(cfg), make_pert(cfg), solver_cfg,
-        spec=make_spec(cfg) if noise_on else None,
-        kernel=make_kernel(cfg, grid) if noise_on else None)
+    parts = (grid, make_coeff(cfg), make_drift(cfg), make_pert(cfg), solver_cfg)
+    spec, kernel = (make_spec(cfg), make_kernel(cfg, grid)) if noise_on else (None, None)
+    try:   # build_system's ValueErrors are about the level: unset, or below n0
+        system = build_system(*parts, spec=spec, kernel=kernel)
+    except ValueError as exc:
+        raise ConfigError(f"solver.n: {exc}", field="solver.n") from exc
     u0 = make_initial(cfg, grid)
 
     _write_manifest(out, cfg, seed, config_path)

@@ -232,6 +232,9 @@ def validate_config(cfg):
         if cfg[f"{kind}.type"] == "csv" and not cfg[f"{kind}.path"]:
             raise ConfigError(f"{kind}.path is required for {kind}.type = 'csv'",
                               field=f"{kind}.path")
+    if cfg["noise.modes"] > cfg["grid.n_interior"] ** cfg["grid.dimension"]:
+        raise ConfigError("noise.modes must not exceed the number of grid nodes; "
+                          f"got {cfg['noise.modes']!r}", field="noise.modes")
     if cfg["coeff.type"] == "convective" and cfg["coeff.p"] < 2.0:
         raise ConfigError(f"coeff.p must be at least 2 for the convective "
                           f"coefficient; got {cfg['coeff.p']!r}", field="coeff.p")

@@ -4,17 +4,17 @@ Two Euler-Maruyama variants share the Ito left-point noise term
 sigma_n(t, u^k) K(dW^k): an explicit step, subject to the usual parabolic
 step-size restriction, and a drift-implicit step whose nonlinear system is
 solved by a damped Newton iteration.  In 1d its matrix is exact, from the
-derivatives of the flux and the drift (spatial.jacobian_A_n); on a 2d grid,
-or for a flux or drift without a derivative, it is a finite-difference
-Jacobian colored on a box stencil built once per (grid, half-width).  The
-stencil couples only nearby grid lines, so the Newton matrix is stored by
-line and solved by block elimination over lines, with numpy alone: in 2d
-no size x size array is formed, and no part of scipy is loaded.  Trajectories
-are bitwise reproducible from (seed, config): the Wiener increments and
-bridge points are pure functions of (seed, path, step, node) and every
-reduction runs in a fixed order.  Coupled runs -- two initial data, or two
-levels, on one Wiener path -- are therefore just simulate_path calls on
-samplers with the same (seed, path), run in any order.
+derivatives of the flux and the drift (spatial.jacobian_A_n); on a 2d grid
+it is a finite-difference Jacobian colored on a box stencil built once per
+(grid, half-width).  The stencil couples only nearby grid lines, so the
+Newton matrix is stored by line and solved by block elimination over
+lines, with numpy alone: in 2d no size x size array is formed, and no part
+of scipy is loaded.  Trajectories are bitwise reproducible from (seed,
+config): the Wiener increments and bridge points are pure functions of
+(seed, path, step, node) and every reduction runs in a fixed order.
+Coupled runs -- two initial data, or two levels, on one Wiener path -- are
+therefore just simulate_path calls on samplers with the same (seed, path),
+run in any order.
 """
 
 import warnings
@@ -143,10 +143,6 @@ class System:
     def apply_drift_operator(self, u):
         return apply_A_n(self.grid, self.coeff, self.drift, self.pert, self.n, u)
 
-    def drift_jacobian(self, u):
-        """Dense Jacobian of the drift operator, or None: see jacobian_A_n."""
-        return jacobian_A_n(self.grid, self.coeff, self.drift, self.pert, self.n, u)
-
     def noise_term(self, t, u, dw):
         if self.noise_op is None:
             return np.zeros(self.grid.size)
@@ -249,9 +245,8 @@ def _colored_jacobian(system, dt, v, base):
     base is A_n(v).  All columns of one color are perturbed together, and
     each column takes the response only on the rows of its own stencil box,
     so the assembly costs one operator evaluation per color, (2 hw + 1)^d at
-    most, regardless of the grid size.  _newton_matrix uses it on 2d grids
-    and for a flux or drift without a derivative; in 1d it is the oracle
-    the tests hold the exact matrix to.
+    most, regardless of the grid size.  _newton_matrix uses it on 2d grids;
+    in 1d it is the oracle the tests hold the exact matrix to.
     """
     rows, cols, col_color, members, shape, scatter, diagonal = \
         _jacobian_stencil(system.grid, system.jacobian_half_width)
@@ -268,13 +263,12 @@ def _colored_jacobian(system, dt, v, base):
 def _newton_matrix(system, dt, v, base):
     """I + dt J at v, base = A_n(v), in the line slab of _jacobian_stencil.
 
-    Exact when the system has a drift_jacobian (1d, with derivatives of the
-    flux and the drift): the whole grid is one line, so the slab is the
-    dense matrix.  Colored finite differences otherwise.
+    Colored finite differences in 2d.  In 1d the whole grid is one line,
+    so the slab is the dense matrix, which jacobian_A_n assembles exactly.
     """
-    jac = system.drift_jacobian(v)
-    if jac is None:
+    if system.grid.dimension != 1:
         return _colored_jacobian(system, dt, v, base)
+    jac = jacobian_A_n(system.grid, system.coeff, system.drift, system.pert, system.n, v)
     jac *= dt
     jac.flat[::jac.shape[0] + 1] += 1.0
     return jac[None]

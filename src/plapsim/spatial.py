@@ -2,9 +2,10 @@
 
 Grid functions are flat float arrays over the interior nodes of a uniform
 grid on (0,1)^d (d = 1 or 2), extended by zero outside.  The divergence-form
-operator uses face-centered gradients so that summation by parts against the
-discrete gradient is exact, and the higher-order form realizes every
-multi-index derivative up to order m by iterated forward differences.
+operator evaluates its flux on the faces normal to each axis, set up alike
+in 1d and 2d, so that summation by parts against the discrete gradient is
+exact, and the higher-order form realizes every multi-index derivative up
+to order m by iterated forward differences.
 """
 
 from dataclasses import dataclass
@@ -126,18 +127,28 @@ def norm_l1(grid, u):
     return float(np.sum(np.abs(u)) * grid.weight)
 
 
+def _face_sides(ue, axis, shift=0):
+    """ue at the high and the low node of each face normal to axis, the
+    faces moved by shift nodes along the other axis."""
+    index = [slice(1 + shift, ue.shape[0] - 1 + shift)] * ue.ndim
+    index[axis] = slice(1, None)
+    high = ue[tuple(index)]
+    index[axis] = slice(None, -1)
+    return high, ue[tuple(index)]
+
+
+def _extend_and_difference(grid, u):
+    """(ue, [forward difference of ue across the faces normal to axis k]),
+    ue being u on the nodes of the closed box, zero on its boundary."""
+    n, d, h = grid.n_interior, grid.dimension, grid.h
+    ue = np.zeros((n + 2,) * d)
+    ue[(slice(1, -1),) * d] = u.reshape((n,) * d)
+    return ue, [np.subtract(*_face_sides(ue, k)) / h for k in range(d)]
+
+
 def gradient_faces(grid, u):
     """Forward differences to faces per axis, zero-extended; list of arrays."""
-    h = grid.h
-    if grid.dimension == 1:
-        ue = np.concatenate([[0.0], u, [0.0]])
-        return [np.diff(ue) / h]
-    n = grid.n_interior
-    ue = np.zeros((n + 2, n + 2))
-    ue[1:-1, 1:-1] = u.reshape(n, n)
-    gx = (ue[1:, 1:-1] - ue[:-1, 1:-1]) / h
-    gy = (ue[1:-1, 1:] - ue[1:-1, :-1]) / h
-    return [gx, gy]
+    return _extend_and_difference(grid, u)[1]
 
 
 def w1p_seminorm(grid, u, p):
@@ -260,7 +271,7 @@ class LerayLionsCoeff:
 
     a_eval is vectorized with x and xi carrying a trailing axis of length d
     and lam shaped like x[..., 0]; it returns an array shaped like xi.  It
-    may also have a method ``derivative(x, lam, xi)`` returning (da/dxi,
+    must also have a method ``derivative(x, lam, xi)`` returning (da/dxi,
     da/dlam), shaped xi.shape + (d,) and like xi, which gives jacobian_A_n
     its flux part.
     The constants enter check_structure_conditions' bounds: coercivity
@@ -285,29 +296,25 @@ class PLaplaceFlux:
     p: float
     eps: float = 0.0
 
+    def __post_init__(self):
+        if self.p < 2.0 and self.eps == 0.0:
+            raise ValueError(f"p = {self.p} < 2 needs eps > 0")
+
     def __call__(self, x, lam, xi):
         mag_sq = np.sum(xi * xi, axis=-1, keepdims=True)
-        if self.eps > 0.0:
-            return (mag_sq + self.eps ** 2) ** ((self.p - 2.0) / 2.0) * xi
-        out = np.zeros_like(xi)
-        nz = mag_sq[..., 0] > 0.0
-        out[nz] = mag_sq[nz] ** ((self.p - 2.0) / 2.0) * xi[nz]
-        return out
+        return (mag_sq + self.eps ** 2) ** ((self.p - 2.0) / 2.0) * xi
 
     def derivative(self, x, lam, xi):
         """da/dxi = s^((p-2)/2) (I + (p-2) xi xi^T / s), s = |xi|^2 + eps^2; da/dlam = 0.
 
-        With eps = 0, da/dxi at xi = 0 is its limit for p >= 2: the
-        identity at p = 2 and zero above.
+        With eps = 0, da/dxi at xi = 0 is its limit: the identity at p = 2
+        and zero above.
         """
         s = np.sum(xi * xi, axis=-1)[..., None, None] + self.eps ** 2
-        eye = np.eye(xi.shape[-1])
-        nz = s > 0.0
-        safe = np.where(nz, s, 1.0)
-        a_xi = safe ** ((self.p - 2.0) / 2.0) * (
-            eye + (self.p - 2.0) / safe * (xi[..., :, None] * xi[..., None, :]))
-        if self.eps == 0.0:
-            a_xi = np.where(nz, a_xi, float(self.p == 2.0) * eye)
+        safe = np.where(s > 0.0, s, 1.0)
+        a_xi = s ** ((self.p - 2.0) / 2.0) * (
+            np.eye(xi.shape[-1])
+            + (self.p - 2.0) / safe * (xi[..., :, None] * xi[..., None, :]))
         return a_xi, np.zeros_like(xi)
 
 
@@ -393,7 +400,7 @@ def linear_coeff():
 class DriftSpec:
     """Pointwise reaction term with Lipschitz constant l_f, f(0) = 0, |f| <= sup_bound.
 
-    f_eval may have a method ``derivative(lam)``, f' pointwise, which gives
+    f_eval must have a method ``derivative(lam)``, f' pointwise, which gives
     jacobian_A_n its reaction part.
     """
 
@@ -422,58 +429,54 @@ def tanh_drift(scale=1.0):
 # ------------------------------------------------------------ main operators
 
 
-def _faces_1d(grid, u):
-    """(x, lam, xi) on the n + 1 faces of a 1d grid: lam is the mean of the
-    two adjacent node values and xi the forward difference, zero-extended."""
-    h = grid.h
-    ue = np.concatenate([[0.0], u, [0.0]])
-    xf = ((np.arange(grid.n_interior + 1) + 0.5) * h)[:, None]
-    return xf, 0.5 * (ue[:-1] + ue[1:]), (np.diff(ue) / h)[:, None]
+@lru_cache(maxsize=None)
+def _face_coords(grid, axis):
+    """Coordinates of the faces normal to axis, read-only (they are shared)."""
+    nodes = np.arange(1, grid.n_interior + 1) * grid.h
+    faces = (np.arange(grid.n_interior + 1) + 0.5) * grid.h
+    axes = [faces if k == axis else nodes for k in range(grid.dimension)]
+    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    coords.flags.writeable = False
+    return coords
+
+
+def _faces(grid, u):
+    """[(x, lam, xi) on the faces normal to axis k, for each axis k].
+
+    A face joins two neighboring nodes of the zero extension: lam is the
+    mean of their values and xi_k their forward difference; in 2d the
+    transverse component of xi is the mean of the central differences at
+    the two nodes (the four neighboring differences, averaged).
+    """
+    ue, normals = _extend_and_difference(grid, u)
+    faces = []
+    for axis, normal in enumerate(normals):
+        high, low = _face_sides(ue, axis)
+        xi = [normal]
+        if grid.dimension == 2:
+            hi_p, lo_p = _face_sides(ue, axis, 1)
+            hi_m, lo_m = _face_sides(ue, axis, -1)
+            xi.insert(1 - axis, (hi_p - hi_m + lo_p - lo_m) / (4.0 * grid.h))
+        faces.append((_face_coords(grid, axis), 0.5 * (high + low),
+                      np.stack(xi, axis=-1)))
+    return faces
 
 
 def apply_divergence_form(grid, coeff, u):
     """Discrete -div a(x, u, grad u) with face-centered gradients.
 
-    The gradient lives on cell faces, the lam argument is the arithmetic
-    mean of the two adjacent node values (boundary ghosts zero), and the
-    flux divergence comes back to the nodes, so that
+    The flux a(x, lam, xi) is evaluated on the faces as _faces sets them
+    up, and its divergence comes back to the nodes, so that
 
         <apply_divergence_form(u), v>_h = sum over faces of a . grad_h v * h^d
 
     holds exactly for every v (summation by parts against the zero
-    extension).  In two dimensions the transverse gradient component at a
-    face is the average of the four neighboring differences.
+    extension).
     """
     u = grid.check(u)
-    h = grid.h
-    if grid.dimension == 1:
-        flux = coeff.a_eval(*_faces_1d(grid, u))[:, 0]
-        return -np.diff(flux) / h
-
-    n = grid.n_interior
-    ue = np.zeros((n + 2, n + 2))
-    ue[1:-1, 1:-1] = u.reshape(n, n)
-    axis_vals = np.arange(1, n + 1) * h
-    face_vals = (np.arange(n + 1) + 0.5) * h
-
-    # faces orthogonal to axis 0
-    gx = (ue[1:, 1:-1] - ue[:-1, 1:-1]) / h
-    lam_x = 0.5 * (ue[1:, 1:-1] + ue[:-1, 1:-1])
-    ty = (ue[1:, 2:] - ue[1:, :-2] + ue[:-1, 2:] - ue[:-1, :-2]) / (4.0 * h)
-    xi_x = np.stack([gx, ty], axis=-1)
-    coords_x = np.stack(np.meshgrid(face_vals, axis_vals, indexing="ij"), axis=-1)
-    flux_x = coeff.a_eval(coords_x, lam_x, xi_x)[..., 0]
-
-    # faces orthogonal to axis 1
-    gy = (ue[1:-1, 1:] - ue[1:-1, :-1]) / h
-    lam_y = 0.5 * (ue[1:-1, 1:] + ue[1:-1, :-1])
-    tx = (ue[2:, 1:] - ue[:-2, 1:] + ue[2:, :-1] - ue[:-2, :-1]) / (4.0 * h)
-    xi_y = np.stack([tx, gy], axis=-1)
-    coords_y = np.stack(np.meshgrid(axis_vals, face_vals, indexing="ij"), axis=-1)
-    flux_y = coeff.a_eval(coords_y, lam_y, xi_y)[..., 1]
-
-    div = (flux_x[1:, :] - flux_x[:-1, :]) / h + (flux_y[:, 1:] - flux_y[:, :-1]) / h
-    return -div.ravel()
+    first, *rest = [np.diff(coeff.a_eval(*face)[..., k], axis=k) / grid.h
+                    for k, face in enumerate(_faces(grid, u))]
+    return -sum(rest, first).ravel()   # a start of 0 would turn -0.0 into 0.0
 
 
 @dataclass(frozen=True)
@@ -543,24 +546,19 @@ def apply_A_n(grid, coeff, drift, pert, n, u):
 
 
 def jacobian_A_n(grid, coeff, drift, pert, n, u):
-    """Dense Jacobian of apply_A_n at u in 1d, or None.
+    """Dense Jacobian of apply_A_n at u on a 1d grid.
 
-    None unless the grid is 1d and the flux and the drift (when present)
-    have ``derivative`` methods.  Face f carries a(x_f, lam_f, g_f) with
-    g_f = (u_f - u_{f-1}) / h and lam_f = (u_{f-1} + u_f) / 2, where
-    u_{-1} = u_n = 0, so -div a is tridiagonal, its entries made of
-    da/dxi / h^2 and da/dlam / (2 h).  The perturbation's part is
-    S^T diag(1 + (q-1) |S u|^(q-2)) S / n, with S = [D_0; ...; D_m] the
-    stacked factor.
+    Face f joins nodes f - 1 and f (ghosts u_{-1} = u_n = 0) and carries
+    a(x_f, lam_f, xi_f) as _faces sets it up, so -div a is tridiagonal, its
+    entries made of da/dxi / h^2 and da/dlam / (2 h).  The perturbation's
+    part is S^T diag(1 + (q-1) |S u|^(q-2)) S / n, with S = [D_0; ...; D_m]
+    the stacked factor.
     """
-    flux_prime = getattr(coeff.a_eval, "derivative", None)
-    drift_prime = (getattr(drift.f_eval, "derivative", None) if drift is not None
-                   else np.zeros_like)
-    if grid.dimension != 1 or flux_prime is None or drift_prime is None:
-        return None
+    if grid.dimension != 1:
+        raise GridMismatchError("jacobian_A_n assembles the 1d matrix only")
     u = grid.check(u)
     size, h = grid.n_interior, grid.h
-    a_xi, a_lam = flux_prime(*_faces_1d(grid, u))
+    a_xi, a_lam = coeff.a_eval.derivative(*_faces(grid, u)[0])
     stiff, drag = a_xi[:, 0, 0] / h ** 2, a_lam[:, 0] / (2.0 * h)
     if pert is not None and n is not None:
         _check_order(grid, pert.m)
@@ -574,7 +572,8 @@ def jacobian_A_n(grid, coeff, drift, pert, n, u):
     else:
         jac = np.zeros((size, size))
     flat = jac.reshape(-1)   # a view: jac is contiguous
-    flat[::size + 1] += stiff[:-1] + stiff[1:] + drag[:-1] - drag[1:] + drift_prime(u)
+    flat[::size + 1] += (stiff[:-1] + stiff[1:] + drag[:-1] - drag[1:]
+                         + (drift.f_eval.derivative(u) if drift is not None else 0.0))
     flat[size::size + 1] += drag[1:-1] - stiff[1:-1]        # (i, i - 1)
     flat[1::size + 1] -= stiff[1:-1] + drag[1:-1]           # (i, i + 1)
     return jac

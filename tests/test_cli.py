@@ -213,6 +213,20 @@ def test_simulate_bisection_without_noise_exits_three(tmp_path, capsys):
                              "residual ")
 
 
+@pytest.mark.parametrize("config, named", [
+    pytest.param("solver.n = 0\n", "solver.n", id="no-level"),
+    pytest.param("solver.n = 1\nsigma.scale = 3.0\n", "solver.n", id="below-n0"),
+    pytest.param("noise.modes = 500\n", "noise.modes", id="modes")])
+def test_simulate_config_errors_exit_two_with_no_outputs(tmp_path, capsys, config,
+                                                         named):
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(path), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_verify_newton_failure_in_a_worker_exits_three(tmp_path, capsys):
     # the error is raised in a pool worker and must reach cli.main intact
     path = write_config(tmp_path, "solver.newton_max_iter = 0\n")
@@ -323,7 +337,8 @@ def test_verify_low_alpha_refused(tmp_path, capsys):
 @pytest.mark.parametrize("config, flags, named", [
     pytest.param("sigma.alpha = 0.4\n", [], "alpha in [1/2, 1)", id="alpha"),
     pytest.param("run.n_list = [4, 12]\n", [], "run.n_list", id="not-doubling"),
-    pytest.param("", ["--n-list", "4"], "run.n_list", id="one-level")])
+    pytest.param("", ["--n-list", "4"], "run.n_list", id="one-level"),
+    pytest.param("noise.modes = 500\n", [], "noise.modes", id="modes")])
 def test_verify_refuses_before_running_a_trajectory(tmp_path, capsys, monkeypatch,
                                                      config, flags, named):
     calls = []

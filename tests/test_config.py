@@ -115,6 +115,10 @@ CROSS_KEY = [
      "initial.path is required for initial.type = 'csv'"),
     ({"coeff.type": "convective", "coeff.p": 1.5}, "coeff.p",
      "coeff.p must be at least 2 for the convective coefficient; got 1.5"),
+    ({"noise.modes": 13}, "noise.modes",
+     "noise.modes must not exceed the number of grid nodes; got 13"),
+    ({"grid.dimension": 2, "grid.n_interior": 3, "noise.modes": 10}, "noise.modes",
+     "noise.modes must not exceed the number of grid nodes; got 10"),
 ]
 
 

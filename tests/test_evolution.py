@@ -6,7 +6,6 @@ import pickle
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from plapsim.evolution import (
 )
 from plapsim.noise import default_sampler, gaussian_kernel
 from plapsim.regularize import power_sigma
-from plapsim.spatial import (DriftSpec, Grid, HigherOrderPerturbation,
+from plapsim.spatial import (Grid, HigherOrderPerturbation,
                              apply_divergence_form, initial_profile,
                              laplacian_min_eigenvalue, linear_coeff, norm_l1,
                              norm_l2, p_laplacian_coeff, perturbation_for,
@@ -210,18 +209,10 @@ def test_exact_newton_matrix_of_the_heat_system():
                        rtol=1e-6, atol=1e-9)
 
 
-@pytest.mark.parametrize("part", ["flux", "drift"])
-def test_newton_matrix_without_a_derivative_is_the_coloring(part):
-    grid, system = level_system(1, 16, 1, convective=True)
-    if part == "flux":
-        flux = system.coeff.a_eval
-        system.coeff = replace(system.coeff,
-                               a_eval=lambda x, lam, xi: flux(x, lam, xi))
-    else:
-        system.drift = DriftSpec(lambda lam: np.tanh(lam), 1.0, 1.0)
+def test_newton_matrix_in_2d_is_the_coloring():
+    grid, system = level_system(2, 6, 1, convective=True)
     v = 0.5 * np.random.default_rng(5).standard_normal(grid.size)
     base = system.apply_drift_operator(v)
-    assert system.drift_jacobian(v) is None
     assert np.array_equal(_newton_matrix(system, 1e-3, v, base),
                           _colored_jacobian(system, 1e-3, v, base))
 

@@ -181,6 +181,34 @@ def test_divergence_form_summation_by_parts():
     assert np.isclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
 
+def test_divergence_form_summation_by_parts_2d_nonlinear():
+    # the same identity on a 2d grid with a flux that depends on lam, so the
+    # face means and the transverse gradient components both matter
+    grid, coeff = Grid(2, 7), remark_flux_coeff(2.5, 0.3)
+    n, h = grid.n_interior, grid.h
+    u, v = random_field(grid, 5), random_field(grid, 6)
+    lhs = float(np.sum(apply_divergence_form(grid, coeff, u) * v) * grid.weight)
+
+    ue, ve = np.zeros((n + 2, n + 2)), np.zeros((n + 2, n + 2))
+    ue[1:-1, 1:-1], ve[1:-1, 1:-1] = u.reshape(n, n), v.reshape(n, n)
+    rhs = 0.0
+    for axis in (0, 1):
+        e, t = np.eye(2, dtype=int)[axis], np.eye(2, dtype=int)[1 - axis]
+        for a in range(n + 1):           # the face between nodes a and a + 1 along axis,
+            for b in range(1, n + 1):    # at interior position b along the other axis
+                lo, hi = a * e + b * t, (a + 1) * e + b * t
+                x = (a + 0.5) * h * e + b * h * t
+                lam = 0.5 * (ue[tuple(lo)] + ue[tuple(hi)])
+                xi = np.zeros(2)
+                xi[axis] = (ue[tuple(hi)] - ue[tuple(lo)]) / h
+                xi[1 - axis] = 0.5 * sum(
+                    (ue[tuple(node + t)] - ue[tuple(node - t)]) / (2.0 * h)
+                    for node in (lo, hi))
+                flux = coeff.a_eval(x[None], np.array([lam]), xi[None])[0, axis]
+                rhs += flux * (ve[tuple(hi)] - ve[tuple(lo)]) / h * h ** 2
+    assert np.isclose(lhs, rhs, rtol=1e-12, atol=1e-14)
+
+
 def test_linear_operator_symmetry_2d():
     grid = Grid(2, 7)
     u, v = random_field(grid, 3), random_field(grid, 4)
@@ -206,6 +234,24 @@ def test_p_laplace_flux_degenerate_and_singular_limits():
     sing = p_laplacian_coeff(1.5)
     out = sing.a_eval(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)))
     assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 4.0])
+def test_p_laplace_flux_without_eps_is_the_masked_power_law(p):
+    rng = np.random.Generator(np.random.Philox(key=[0, 0xF1]))
+    xi = rng.standard_normal((48, 2))
+    xi[::6] = 0.0
+    out = PLaplaceFlux(p)(None, None, xi)
+    mag_sq = np.sum(xi * xi, axis=-1, keepdims=True)
+    nz = mag_sq[:, 0] > 0.0
+    masked = mag_sq[nz] ** ((p - 2.0) / 2.0) * xi[nz]
+    assert np.all(out[~nz] == 0.0)
+    assert np.array_equal(out[nz].view(np.uint64), masked.view(np.uint64))
+
+
+def test_p_laplace_flux_refuses_a_singular_p_without_eps():
+    with pytest.raises(ValueError, match="eps"):
+        PLaplaceFlux(1.5)
 
 
 def test_q_of_p_frozen_values():
@@ -445,17 +491,11 @@ def test_jacobian_A_n_matches_central_differences(coeff, drift, pert,
     assert np.all(np.abs(jac - by_cols) <= 1e-7 * scale)
 
 
-def test_jacobian_A_n_is_none_without_derivatives_or_in_2d():
-    grid, coeff = Grid(1, 8), p_laplacian_coeff(2.5)
-    u = random_field(grid, 2)
-    bare_flux = replace(coeff, a_eval=lambda x, lam, xi: coeff.a_eval(x, lam, xi))
-    bare_drift = replace(tanh_drift(1.0), f_eval=lambda lam: np.tanh(lam))
-    assert jacobian_A_n(grid, bare_flux, None, None, None, u) is None
-    assert jacobian_A_n(grid, coeff, bare_drift, None, None, u) is None
-    assert jacobian_A_n(grid, coeff, None, None, None, u) is not None
+def test_jacobian_A_n_refuses_a_2d_grid():
     plane = Grid(2, 4)
-    assert jacobian_A_n(plane, coeff, zero_drift(), perturbation_for(2.5), 8,
-                        random_field(plane, 2)) is None
+    with pytest.raises(GridMismatchError, match="1d"):
+        jacobian_A_n(plane, p_laplacian_coeff(2.5), zero_drift(),
+                     perturbation_for(2.5), 8, random_field(plane, 2))
 
 
 # ----------------------------------------------------------- structure checks
