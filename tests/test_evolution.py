@@ -209,8 +209,15 @@ def test_exact_newton_matrix_of_the_heat_system():
                        rtol=1e-6, atol=1e-9)
 
 
-def test_newton_matrix_in_2d_is_the_coloring():
-    grid, system = level_system(2, 6, 1, convective=True)
+@pytest.mark.parametrize("part", ["flux", "drift"])
+def test_newton_matrix_in_2d_is_the_coloring(part):
+    # the nonlinearity sits in the convective flux or in the tanh drift
+    grid = Grid(2, 6)
+    coeff, drift = ((remark_flux_coeff(2.5), zero_drift()) if part == "flux"
+                    else (linear_coeff(), tanh_drift(1.0)))
+    config = SolverConfig(dt=1e-3, t_end=1e-3, n=8)
+    system = build_system(grid, coeff, drift, perturbation_for(2.5, m=1),
+                          config)
     v = 0.5 * np.random.default_rng(5).standard_normal(grid.size)
     base = system.apply_drift_operator(v)
     assert np.array_equal(_newton_matrix(system, 1e-3, v, base),
