@@ -16,14 +16,14 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, DEFAULTS, load_config, make_coeff,
                      make_drift, make_grid, make_initial, make_kernel,
-                     make_pert, make_sampler, make_solver_config, make_spec,
+                     make_pert, make_solver_config, make_spec,
                      manifest_payload, validate_config, write_csv, write_json)
-from .evolution import NewtonDivergedError, build_system, simulate_path
+from .evolution import NewtonDivergedError, build_system
 from .regularize import gap_decay_study, verify_regularization
 from .spatial import GridMismatchError, initial_profile, initial_to_csv
-from .verify import (PATH_FAILURES, ExperimentPlan, cauchy_in_n_study,
-                     contraction_experiment, energy_report, failure_report,
-                     heat_oracle_study)
+from .verify import (PATH_FAILURES, Ensemble, ExperimentPlan,
+                     cauchy_in_n_study, contraction_experiment, energy_report,
+                     failure_report, heat_oracle_study, run_jobs)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -167,24 +167,23 @@ def _trajectory_rows(rec, config):
 def cmd_simulate(cfg, seed, workers, out, config_path):
     grid = make_grid(cfg)
     solver_cfg = make_solver_config(cfg)
-    noise_on = cfg["noise.enabled"]
-    parts = (grid, make_coeff(cfg), make_drift(cfg), make_pert(cfg), solver_cfg)
-    spec, kernel = (make_spec(cfg), make_kernel(cfg, grid)) if noise_on else (None, None)
+    parts = (grid, make_coeff(cfg), make_drift(cfg), make_pert(cfg))
+    spec, kernel = ((make_spec(cfg), make_kernel(cfg, grid)) if cfg["noise.enabled"]
+                    else (None, None))
     try:   # build_system's ValueErrors are about the level: unset, or below n0
-        system = build_system(*parts, spec=spec, kernel=kernel)
+        build_system(*parts, solver_cfg, spec=spec, kernel=kernel)
     except ValueError as exc:
         raise ConfigError(f"solver.n: {exc}", field="solver.n") from exc
     u0 = make_initial(cfg, grid)
+    ensemble = Ensemble(*parts, spec, kernel, master_seed=seed, workers=workers,
+                        num_modes=cfg["noise.modes"] if cfg["noise.modes"] > 0 else None,
+                        decay=cfg["noise.decay"])
 
     _write_manifest(out, cfg, seed, config_path)
+    records, failure = run_jobs(ensemble, [("simulate", solver_cfg.n, solver_cfg, u0, k)
+                                           for k in range(cfg["run.paths"])])
     summaries = []
-    for k in range(cfg["run.paths"]):
-        sampler = make_sampler(cfg, grid, seed, k) if noise_on else None
-        try:
-            rec = simulate_path(system, solver_cfg, u0, sampler)
-        except PATH_FAILURES as exc:
-            print(f"{_failure_line(exc)} (path {k}, seed {seed})", file=sys.stderr)
-            return EXIT_BLOW_UP
+    for k, rec in enumerate(records):   # the paths before a failing one
         write_csv(out / f"trajectory_{k:03d}.csv",
                   ["t", "l2_sq", "grad_lp_p", "hm0_sq", "wmq_q", "newton_iters"],
                   _trajectory_rows(rec, solver_cfg))
@@ -196,6 +195,10 @@ def cmd_simulate(cfg, seed, workers, out, config_path):
             "integrals": rec.integrals,
             "newton_iters_total": int(np.sum(rec.newton_iters)),
         })
+    if failure is not None:
+        print(f"{_failure_line(failure)} (path {failure.path}, seed {seed})",
+              file=sys.stderr)
+        return EXIT_BLOW_UP
     report = {"name": "simulate", "paths": summaries, "pass": True}
     write_json(out / "report.json", report)
     _summary("simulate", True, out)

@@ -9,12 +9,22 @@ it is a finite-difference Jacobian colored on a box stencil built once per
 (grid, half-width).  The stencil couples only nearby grid lines, so the
 Newton matrix is stored by line and solved by block elimination over
 lines, with numpy alone: in 2d no size x size array is formed, and no part
-of scipy is loaded.  Trajectories are bitwise reproducible from (seed,
-config): the Wiener increments and bridge points are pure functions of
-(seed, path, step, node) and every reduction runs in a fixed order.
-Coupled runs -- two initial data, or two levels, on one Wiener path -- are
-therefore just simulate_path calls on samplers with the same (seed, path),
-run in any order.
+of scipy is loaded.
+
+The steppers advance a stack of trajectories, (B, size) states, as one:
+members may differ in level (build_system's levels), initial state and
+Wiener path (simulate_batch).  Newton runs per member, with its own
+residual, line search, iteration count and stopping point; the members
+still iterating share each operator evaluation, Newton matrix and solve,
+and a member whose solve fails is bisected, or leaves the stack with its
+error, without holding up the others.  Every product and sum a member
+takes is its own, so its trajectory is bitwise the same alone or in any
+stack; simulate_path is a stack of one.  Trajectories are bitwise
+reproducible from (seed, config): the Wiener increments and bridge points
+are pure functions of (seed, path, step, node) and every reduction runs in
+a fixed order.  Coupled runs -- two initial data, or two levels, on one
+Wiener path -- are therefore members on samplers with the same (seed,
+path), stacked or run apart in any order.
 """
 
 import warnings
@@ -26,8 +36,8 @@ import numpy as np
 
 from .noise import NoiseOperator, apply_B
 from .regularize import RegularizedSigma
-from .spatial import (apply_A_n, difference_blocks, gradient_faces,
-                      jacobian_A_n, norm_l2, w1p_seminorm)
+from .spatial import (GridMismatchError, apply_A_n, difference_blocks,
+                      gradient_faces, jacobian_A_n, norm_l2, w1p_seminorm)
 
 __all__ = [
     "BlowUpError",
@@ -39,6 +49,7 @@ __all__ = [
     "step_explicit",
     "step_semi_implicit",
     "simulate_path",
+    "simulate_batch",
     "explicit_dt_heuristic",
 ]
 
@@ -50,7 +61,7 @@ BLOW_UP_NORM = 1e12
 class BlowUpError(RuntimeError):
     """Trajectory left the admissible range (non-finite or huge L2 norm).
 
-    verify's trajectory job adds ``study``, ``level`` and ``path``
+    verify's trajectory runner adds ``study``, ``level`` and ``path``
     attributes.
     """
 
@@ -70,10 +81,9 @@ class BlowUpError(RuntimeError):
 class NewtonDivergedError(RuntimeError):
     """Damped Newton failed to reduce the residual to tolerance.
 
-    ``step`` and ``time`` locate the failing step; simulate_path sets them
-    when the error passes through it, and they stay None otherwise.
-    verify's trajectory job adds ``study``, ``level`` and ``path``
-    attributes.
+    ``step`` and ``time`` locate the failing step; simulate_batch sets them
+    on the member's error, and they stay None otherwise.  verify's
+    trajectory runner adds ``study``, ``level`` and ``path`` attributes.
     """
 
     def __init__(self, iterations, residual):
@@ -131,7 +141,13 @@ class SolverConfig:
 
 @dataclass
 class System:
-    """Assembled right-hand side: grid, drift operator pieces, and noise."""
+    """Assembled right-hand side: grid, drift operator pieces, and noise.
+
+    It acts on one state or on a stack of them.  n is one level, or an
+    array with one level per member of a stack.  rows[b], when set, is the
+    row of the increment stack dw whose noise member b takes, so that
+    members on one Wiener path share it; without rows member b takes row b.
+    """
 
     grid: object
     coeff: object
@@ -139,56 +155,87 @@ class System:
     pert: object
     n: object
     noise_op: object = None
+    rows: object = None
 
     def apply_drift_operator(self, u):
         return apply_A_n(self.grid, self.coeff, self.drift, self.pert, self.n, u)
 
     def noise_term(self, t, u, dw):
         if self.noise_op is None:
-            return np.zeros(self.grid.size)
-        return apply_B(self.noise_op, t, u, dw)
+            return np.zeros(np.shape(u))
+        return apply_B(self.noise_op, t, u, dw, self.rows)
 
     @property
     def jacobian_half_width(self):
         return max(1, self.pert.m) if self.pert is not None else 1
 
+    @property
+    def slab_bytes(self):
+        """Bytes of one member's Newton matrix in its line slab (_jacobian_stencil)."""
+        n = self.grid.n_interior
+        lines = self.grid.size // n
+        return 8 * lines * n * n * (2 * min(self.jacobian_half_width, lines - 1) + 1)
 
-def build_system(grid, coeff, drift, pert, config, spec=None, kernel=None):
+    def take(self, members):
+        """The system of the sub-stack ``members`` (indices into the stack)."""
+        pick = lambda n: n if np.ndim(n) == 0 else n[members]
+        op = self.noise_op
+        if isinstance(getattr(op, "sigma", None), RegularizedSigma) and np.ndim(op.sigma.n):
+            op = NoiseOperator(op.kernel, RegularizedSigma(op.sigma.spec, pick(op.sigma.n)))
+        return replace(self, n=pick(self.n), noise_op=op,
+                       rows=None if self.rows is None else self.rows[members])
+
+
+def build_system(grid, coeff, drift, pert, config, spec=None, kernel=None,
+                 levels=None):
     """Wire the model pieces for one run at level config.n.
 
     The noise coefficient follows config.sigma_mode; the higher-order term
     is scaled by 1/n and dropped entirely when config.use_perturbation is
-    false or n is None.
+    false or n is None.  levels, one per member, builds the system of a
+    stack whose member b runs at level levels[b] in place of config.n.
     """
+    n = config.n if levels is None else np.asarray(levels)
     sigma = None
     if kernel is not None and spec is not None:
         if config.sigma_mode == "regularized":
-            if config.n is None:
+            if n is None:
                 raise ValueError("sigma_mode 'regularized' needs a level n")
-            sigma = RegularizedSigma(spec, config.n)
+            sigma = RegularizedSigma(spec, n)
         else:
             sigma = spec.eval
     noise_op = NoiseOperator(kernel, sigma) if sigma is not None else None
-    use_pert = config.use_perturbation and pert is not None and config.n is not None
+    use_pert = config.use_perturbation and pert is not None and n is not None
     return System(grid=grid, coeff=coeff, drift=drift,
                   pert=pert if use_pert else None,
-                  n=config.n if use_pert else None, noise_op=noise_op)
+                  n=n if use_pert else None, noise_op=noise_op)
 
 
 # ------------------------------------------------------------------- stepping
 
 
+def _members(u):
+    """Number of states in u: one flat state, or a stack of them."""
+    return 1 if u.ndim == 1 else len(u)
+
+
 def step_explicit(system, config, u, t, dw):
-    """u - dt A_n(u) + sigma_n(t, u) K(dW), the forward Euler-Maruyama step."""
+    """u - dt A_n(u) + sigma_n(t, u) K(dW), the forward Euler-Maruyama step.
+
+    u is one state or a stack; returns (v, noise, 0, outcomes) like
+    step_semi_implicit, with no Newton iterations for any member.
+    """
     noise = system.noise_term(t, u, dw)
-    return u - config.dt * system.apply_drift_operator(u) + noise, noise, 0
+    v = u - config.dt * system.apply_drift_operator(u) + noise
+    return v, noise, 0, [0] * _members(u)
 
 
 def explicit_dt_heuristic(system, u0):
     """Parabolic step bound h^2 / (2 d c3 max(1, |grad u0|_inf^(p-2))).
 
     A heuristic, not a guarantee: the nonlinear diffusion stiffens wherever
-    the gradient grows, and the blow-up guard is the actual safety net.
+    the gradient grows, and the blow-up guard is the actual safety net.  A
+    stack u0 gives the bound of its steepest member.
     """
     grid = system.grid
     slope = 1.0
@@ -240,28 +287,33 @@ def _jacobian_stencil(grid, half_width):
 
 def _colored_jacobian(system, dt, v, base):
     """I + dt J for G(v) = v + dt A_n(v), by simultaneous perturbations,
-    stored by line as _jacobian_stencil describes.
+    stored by line as _jacobian_stencil describes (a slab per member of a
+    stack v).
 
     base is A_n(v).  All columns of one color are perturbed together, and
     each column takes the response only on the rows of its own stencil box,
     so the assembly costs one operator evaluation per color, (2 hw + 1)^d at
-    most, regardless of the grid size.  _newton_matrix uses it on 2d grids;
-    in 1d it is the oracle the tests hold the exact matrix to.
+    most, regardless of the grid size; every color of every member goes
+    through one stacked evaluation.  _newton_matrix uses it on 2d grids; in
+    1d it is the oracle the tests hold the exact matrix to.
     """
     rows, cols, col_color, members, shape, scatter, diagonal = \
         _jacobian_stencil(system.grid, system.jacobian_half_width)
     eps = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(v))
-    resp = np.array([system.apply_drift_operator(w) - base
-                     for w in v + members * eps])
-    slab = np.zeros(shape)
-    slab.flat[scatter] = resp[col_color, rows] / eps[cols]
+    resp = (system.apply_drift_operator(v[..., None, :] + members * eps[..., None, :])
+            - base[..., None, :])
+    lead = v.shape[:-1]
+    slab = np.zeros(lead + shape)
+    flat = slab.reshape(lead + (-1,))   # a view: slab is contiguous
+    flat[..., scatter] = resp[..., col_color, rows] / eps[..., cols]
     slab *= dt
-    slab.flat[diagonal] += 1.0   # I + dt J in place
+    flat[..., diagonal] += 1.0   # I + dt J in place
     return slab
 
 
 def _newton_matrix(system, dt, v, base):
-    """I + dt J at v, base = A_n(v), in the line slab of _jacobian_stencil.
+    """I + dt J at v, base = A_n(v), in the line slab of _jacobian_stencil
+    (one per member of a stack v).
 
     Colored finite differences in 2d.  In 1d the whole grid is one line,
     so the slab is the dense matrix, which jacobian_A_n assembles exactly.
@@ -270,12 +322,14 @@ def _newton_matrix(system, dt, v, base):
         return _colored_jacobian(system, dt, v, base)
     jac = jacobian_A_n(system.grid, system.coeff, system.drift, system.pert, system.n, v)
     jac *= dt
-    jac.flat[::jac.shape[0] + 1] += 1.0
-    return jac[None]
+    size = jac.shape[-1]
+    jac.reshape(jac.shape[:-2] + (-1,))[..., ::size + 1] += 1.0
+    return jac[..., None, :, :]
 
 
 def _solve_lines(slab, rhs):
-    """Solve the line-stored system of _newton_matrix for rhs.
+    """Solve the line-stored system of _newton_matrix for rhs; a stack of
+    slabs solves a stack of right-hand sides, each member on its own.
 
     Block Gaussian elimination over lines (block Thomas with r coupled
     lines on each side), pivoting inside each line's diagonal block: every
@@ -288,28 +342,46 @@ def _solve_lines(slab, rhs):
     Lipschitz constant L, so for dt L < 1 the symmetric part of I + dt J is
     positive definite, and so is that of every block met on the way.
     """
-    lines, n, width = slab.shape
+    lines, n, width = slab.shape[-3:]
     reach = (width // n - 1) // 2
 
     def cols(offset, count=1):
         """Slab columns of count lines, from offset lines after the row's."""
         return slice((reach + offset) * n, (reach + offset + count) * n)
 
-    x = rhs.reshape(lines, n).copy()
+    slab = slab.reshape((-1,) + slab.shape[-3:])
+    x = rhs.reshape(len(slab), lines, n).copy()
     for i in range(lines - 1):
         ahead = min(reach, lines - 1 - i)
-        sol = np.linalg.solve(slab[i, :, cols(0)],
-                              np.column_stack((x[i], slab[i, :, cols(1, ahead)])))
-        x[i], slab[i, :, cols(1, ahead)] = sol[:, 0], sol[:, 1:]
+        sol = np.linalg.solve(slab[:, i, :, cols(0)], np.concatenate(
+            (x[:, i, :, None], slab[:, i, :, cols(1, ahead)]), axis=-1))
+        x[:, i], slab[:, i, :, cols(1, ahead)] = sol[..., 0], sol[..., 1:]
         for s in range(1, ahead + 1):
-            update = slab[i + s, :, cols(-s)] @ sol
-            x[i + s] -= update[:, 0]
-            slab[i + s, :, cols(1 - s, ahead)] -= update[:, 1:]
-    x[-1] = np.linalg.solve(slab[-1, :, cols(0)], x[-1])
+            update = slab[:, i + s, :, cols(-s)] @ sol
+            x[:, i + s] -= update[..., 0]
+            slab[:, i + s, :, cols(1 - s, ahead)] -= update[..., 1:]
+    x[:, -1] = np.linalg.solve(slab[:, -1, :, cols(0)], x[:, -1, :, None])[..., 0]
     for i in range(lines - 2, -1, -1):
         ahead = min(reach, lines - 1 - i)
-        x[i] -= slab[i, :, cols(1, ahead)] @ x[i + 1:i + 1 + ahead].ravel()
-    return x.ravel()
+        x[:, i] -= np.matmul(slab[:, i, :, cols(1, ahead)],
+                             x[:, i + 1:i + 1 + ahead].reshape(len(x), -1, 1))[..., 0]
+    return x.reshape(rhs.shape)
+
+
+def _newton_steps(system, dt, v, base, residual):
+    """Newton step -(I + dt J)^-1 residual of each member of the stack v,
+    and the members whose matrix is singular (their steps are NaN)."""
+    try:
+        return _solve_lines(_newton_matrix(system, dt, v, base), -residual), []
+    except np.linalg.LinAlgError:   # solve member by member to find them
+        slab = _newton_matrix(system, dt, v, base)
+        delta, singular = np.full(v.shape, np.nan), []
+        for b in range(len(v)):
+            try:
+                delta[b] = _solve_lines(slab[b], -residual[b])
+            except np.linalg.LinAlgError:
+                singular.append(b)
+        return delta, singular
 
 
 def step_semi_implicit(system, config, u, t, dw):
@@ -323,59 +395,120 @@ def step_semi_implicit(system, config, u, t, dw):
     A_n at the current iterate comes from its residual, so each iteration
     evaluates A_n once per line-search trial, plus once per color where the
     matrix is colored.
+
+    u is one state or a stack (B, size), Newton running per member: each
+    has its own residual norm, line search and iteration count, and stops
+    changing once its residual meets the tolerance; the members still
+    iterating share every evaluation, Newton matrix and solve.  Returns
+    (v, noise, iterations, outcomes): the Newton iterations of every
+    member together, and per member its own count or, where its solve
+    failed, its NewtonDivergedError (its row of v is then no solution).  A
+    single state raises its error instead.
     """
-    grid, dt = system.grid, config.dt
-    noise = system.noise_term(t, u, dw)
-    rhs = u + noise
-    v = u.copy()
+    grid, dt, tol = system.grid, config.dt, config.newton_tol
+    stack = np.atleast_2d(u)
+    count = len(stack)
+    noise = system.noise_term(t, stack, dw)
+    rhs = stack + noise
+    v = stack.copy()
     drift = system.apply_drift_operator(v)
     residual = v + dt * drift - rhs
     res_norm = norm_l2(grid, residual)
-    iters = 0
-    while res_norm > config.newton_tol:
-        if iters >= config.newton_max_iter:
-            raise NewtonDivergedError(iters, res_norm)
-        slab = _newton_matrix(system, dt, v, drift)
-        try:
-            delta = _solve_lines(slab, -residual)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergedError(iters, res_norm) from exc
-        step = 1.0
-        while True:
-            trial = v + step * delta
-            trial_drift = system.apply_drift_operator(trial)
-            trial_res = trial + dt * trial_drift - rhs
+    iters = np.zeros(count, dtype=int)
+    failed, stopped = {}, np.zeros(count, dtype=bool)
+
+    def fail(members):
+        stopped[members] = True
+        for b in members:
+            failed[b] = NewtonDivergedError(int(iters[b]), float(res_norm[b]))
+
+    def rows(members):   # members as an index: a slice when it is every one
+        return slice(None) if len(members) == count else members
+
+    def part(members):
+        return system if len(members) == count else system.take(members)
+
+    active, rounds = np.nonzero(res_norm > tol)[0], 0
+    while active.size:   # each member still iterating has had `rounds` iterations
+        if rounds >= config.newton_max_iter:
+            fail(active)
+            break
+        at = rows(active)
+        delta, singular = _newton_steps(part(active), dt, v[at], drift[at], residual[at])
+        if singular:
+            fail(active[singular])
+            keep = np.ones(active.size, dtype=bool)
+            keep[singular] = False
+            active, delta = active[keep], delta[keep]
+        step = 1.0   # every member still searching is at the same step
+        while active.size:
+            at = rows(active)
+            trial = v[at] + step * delta
+            trial_drift = part(active).apply_drift_operator(trial)
+            trial_res = trial + dt * trial_drift - rhs[at]
             trial_norm = norm_l2(grid, trial_res)
-            if trial_norm <= (1.0 - ARMIJO_SLOPE * step) * res_norm:
+            ok = trial_norm <= (1.0 - ARMIJO_SLOPE * step) * res_norm[at]
+            whole = ok.all()
+            done, take = (at, slice(None)) if whole else (active[ok], ok)
+            v[done], drift[done], residual[done] = trial[take], trial_drift[take], trial_res[take]
+            res_norm[done] = trial_norm[take]
+            iters[done] += 1
+            if whole:
                 break
-            step *= 0.5
+            active, delta, step = active[~ok], delta[~ok], 0.5 * step
             if step < MIN_LINE_STEP:
-                raise NewtonDivergedError(iters, res_norm)
-        v, drift, residual, res_norm = trial, trial_drift, trial_res, trial_norm
-        iters += 1
-    return v, noise, iters
+                fail(active)
+                break
+        rounds += 1
+        active = np.nonzero((res_norm > tol) & ~stopped)[0]
+    outcomes = [failed.get(b, int(iters[b])) for b in range(count)]
+    if u.ndim == 1:
+        if failed:
+            raise failed[0]
+        return v[0], noise[0], int(iters[0]), outcomes
+    return v, noise, int(np.sum(iters)), outcomes
 
 
-def _advance(system, config, sampler, u, t, dt, dw, k, node=1):
+def _advance(system, config, samplers, u, t, dt, dw, k, node=1):
     """Sub-interval ``node`` (heap index, the whole step k is 1) of length
-    dt, bisected at its Brownian bridge midpoint on Newton failure, down to
-    newton_dt_retries levels."""
+    dt for the stack u: (states, outcomes) as the steppers return them.
+
+    Member b takes row r of dw and draws on samplers[r], r being row b of
+    system.rows (b without them).  The members whose Newton solve fails are
+    bisected together, each at its own Brownian bridge midpoint, down to
+    newton_dt_retries levels; a member that still fails keeps its error.
+    """
     stepper = step_explicit if config.scheme == "explicit" else step_semi_implicit
     sub = replace(config, dt=dt) if dt != config.dt else config
-    try:
-        return stepper(system, sub, u, t, dw)
-    except NewtonDivergedError:
-        if node.bit_length() - 1 >= config.newton_dt_retries:   # node's depth
-            raise
-    if sampler is None:   # the halves of a zero increment are zero
-        first = second = dw
+    v, _, _, outcomes = stepper(system, sub, u, t, dw)
+    failed = [b for b, out in enumerate(outcomes) if isinstance(out, NewtonDivergedError)]
+    if not failed or node.bit_length() - 1 >= config.newton_dt_retries:   # node's depth
+        return v, outcomes
+    rows = np.arange(len(u)) if system.rows is None else system.rows
+    whole = dw[rows[failed]]
+    if samplers is None:   # the halves of a zero increment are zero
+        own, first, second = None, whole, whole
     else:
-        first, second = sampler.sample_bridge(k, node, dt, dw)
-    u_mid, _, it1 = _advance(system, config, sampler, u, t, dt / 2.0, first,
-                             k, 2 * node)
-    u_end, _, it2 = _advance(system, config, sampler, u_mid, t + dt / 2.0,
-                             dt / 2.0, second, k, 2 * node + 1)
-    return u_end, None, it1 + it2
+        own = [samplers[rows[b]] for b in failed]
+        halves = [s.sample_bridge(k, node, dt, w) for s, w in zip(own, whole)]
+        first, second = (np.array([pair[i] for pair in halves]) for i in (0, 1))
+    part = replace(system.take(failed), rows=None)
+    mid, first_out = _advance(part, config, own, u[failed], t, dt / 2.0, first,
+                              k, 2 * node)
+    go = [j for j, out in enumerate(first_out) if not isinstance(out, NewtonDivergedError)]
+    if go:
+        end, second_out = _advance(part.take(go), config,
+                                   None if own is None else [own[j] for j in go],
+                                   mid[go], t + dt / 2.0, dt / 2.0, second[go],
+                                   k, 2 * node + 1)
+        mid[go] = end
+        for j, out in zip(go, second_out):
+            first_out[j] = out if isinstance(out, NewtonDivergedError) \
+                else first_out[j] + out
+    v[failed] = mid
+    for b, out in zip(failed, first_out):
+        outcomes[b] = out
+    return v, outcomes
 
 
 # ---------------------------------------------------------------- trajectories
@@ -396,87 +529,160 @@ class TrajectoryRecord:
         return self.states[-1]
 
 
-def _energies(system, u):
-    grid = system.grid
-    out = {"l2_sq": norm_l2(grid, u) ** 2,
-           "grad_lp_p": w1p_seminorm(grid, u, system.coeff.p) ** system.coeff.p}
-    if system.pert is not None:
-        blocks = difference_blocks(grid, u, system.pert.m)
-        out["hm0_sq"] = float(sum(np.sum(d * d) for d in blocks) * grid.weight)
-        out["wmq_q"] = float(sum(np.sum(np.abs(d) ** system.pert.q) for d in blocks)
-                             * grid.weight)
-    else:
-        out["hm0_sq"] = 0.0
-        out["wmq_q"] = 0.0
-    return out
+def _guard(grid, u):
+    """||u_b||_2^2 of each member of the stack u, and {b: norm} for the
+    members that left the admissible range (norm inf where not finite).
+
+    The norm is the root of the squared norm, each taken as a scalar, as
+    the energies have it; a runaway state's squares overflow to inf, and a
+    state that is not finite has no finite norm either."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        l2_sq = np.array([x ** 2 for x in norm_l2(grid, u)])
+        norm = np.sqrt(l2_sq)
+    bad = np.nonzero(~(norm <= BLOW_UP_NORM))[0]
+    return l2_sq, {b: norm[b] if np.isfinite(u[b]).all() else np.inf for b in bad}
+
+
+_ENERGIES = ("l2_sq", "grad_lp_p", "hm0_sq", "wmq_q")
+
+
+def _energies(system, u, l2_sq):
+    """_ENERGIES (rows) of each member (columns) of the stack u, whose
+    ||u_b||_2^2 are l2_sq.
+
+    Roots and powers of a member's norms are scalar ones (see spatial's
+    norms), so a member's energies do not depend on the stack."""
+    grid, p, lead = system.grid, system.coeff.p, u.shape[:-1]
+    grad = [x ** p for x in w1p_seminorm(grid, u, p)]
+    if system.pert is None:
+        return np.array([l2_sq, grad, np.zeros(len(u)), np.zeros(len(u))])
+    blocks = [d.reshape(lead + (-1,)) for d in difference_blocks(grid, u, system.pert.m)]
+    return np.array([
+        l2_sq, grad,
+        sum(np.sum(d * d, axis=-1) for d in blocks) * grid.weight,
+        sum(np.sum(np.abs(d) ** system.pert.q, axis=-1) for d in blocks) * grid.weight])
+
+
+def simulate_batch(system, config, u0, samplers=None, rows=None):
+    """Integrate a stack of trajectories, one per row of u0, from 0 to t_end.
+
+    Member b runs on the Wiener path of samplers[rows[b]] (rows defaults to
+    b; samplers None runs without noise): each step draws the increment of
+    each path once, and the members on a path share its kernel quadrature.
+    system may give each member its own level (build_system's levels).
+
+    Returns a list over the members: the TrajectoryRecord of each, or the
+    BlowUpError or NewtonDivergedError that stopped it, carrying the step
+    and time.  A failing member leaves the stack and the others run on.
+    Snapshots land every record_every steps (first and last always); the
+    running sup of ||u||_2^2 and the left-endpoint quadratures of the
+    energy integrands accumulate every step.  The blow-up guard sees each
+    state before any of its energies is formed.
+    """
+    grid, dt, steps = system.grid, config.dt, config.num_steps
+    u = np.array(grid.check(u0))
+    if u.ndim != 2:
+        raise GridMismatchError(f"expected a stack of grid functions, got shape {u.shape}")
+    count = len(u)
+    if config.scheme == "explicit" and steps > 0:
+        bound = explicit_dt_heuristic(system, u)
+        if dt > bound:
+            warnings.warn(f"explicit dt = {dt:g} exceeds the stability "
+                          f"heuristic {bound:g}", RuntimeWarning, stacklevel=2)
+    rows = np.arange(count) if rows is None else np.asarray(rows)
+    results = [None] * count
+    alive, live, part, paths = np.arange(count), slice(None), None, None
+
+    def regroup():
+        """The system and the Wiener paths of the members still running."""
+        nonlocal live, part, paths
+        if not alive.size:
+            return
+        live = slice(None) if alive.size == count else alive
+        part = system.take(alive)
+        if samplers is not None:
+            slots, part.rows = np.unique(rows[alive], return_inverse=True)
+            paths = [samplers[r] for r in slots]
+
+    def leave(members, errors):
+        nonlocal alive
+        for b, exc in zip(members, errors):
+            results[b] = exc
+        alive = np.setdiff1d(alive, members)
+        regroup()
+
+    energy = np.zeros((len(_ENERGIES), count))   # at the current state
+    integrals = np.zeros((len(_ENERGIES) - 1, count))   # of all but l2_sq
+    times, states, energy_log = [], [], []
+    iters = np.zeros((steps, count), dtype=int)
+
+    def admit(k):
+        """Guard the running members' states at step k, then take the
+        energies of those that stay."""
+        l2_sq, blown = _guard(grid, u[live])
+        if blown:
+            leave(alive[list(blown)], [BlowUpError(k, k * dt, norm)
+                                       for norm in blown.values()])
+            l2_sq = np.delete(l2_sq, list(blown))
+        if not alive.size:
+            return
+        energy[:, live] = _energies(system, u[live], l2_sq)
+
+    def record(k):
+        times.append(k * dt)
+        states.append(u.copy())
+        energy_log.append(energy.copy())
+
+    regroup()
+    admit(0)
+    sup_l2_sq = energy[0].copy()
+    record(0)
+    for k in range(steps):
+        if not alive.size:
+            break
+        t = k * dt
+        integrals[:, live] += dt * energy[1:, live]
+        if paths is None:
+            dw = np.zeros((len(alive), grid.size))
+        else:
+            dw = np.array([sampler.sample_increment(k, dt) for sampler in paths])
+        u[live], outcomes = _advance(part, config, paths, u[live], t, dt, dw, k)
+        stopped = [j for j, out in enumerate(outcomes) if isinstance(out, NewtonDivergedError)]
+        for j in stopped:
+            outcomes[j].step, outcomes[j].time = k, t
+        iters[k, live] = [0 if j in stopped else out for j, out in enumerate(outcomes)]
+        if stopped:
+            leave(alive[stopped], [outcomes[j] for j in stopped])
+
+        admit(k + 1)
+        sup_l2_sq[live] = np.maximum(sup_l2_sq[live], energy[0, live])
+        if (k + 1) % config.record_every == 0 or k + 1 == steps:
+            record(k + 1)
+
+    states, energy_log = np.array(states), np.array(energy_log)
+    for b in alive:
+        results[b] = TrajectoryRecord(
+            times=np.asarray(times),
+            states=np.ascontiguousarray(states[:, b]),
+            energies={name: np.ascontiguousarray(energy_log[:, i, b])
+                      for i, name in enumerate(_ENERGIES)},
+            newton_iters=iters[:, b].copy(),
+            sup_l2_sq=float(sup_l2_sq[b]),
+            integrals={name: float(total) for name, total in
+                       zip(_ENERGIES[1:], integrals[:, b])},
+        )
+    return results
 
 
 def simulate_path(system, config, u0, sampler=None):
-    """Integrate one trajectory from 0 to t_end.
-
-    Snapshots land every record_every steps (first and last always); the
-    running sup of ||u||_2^2 and the left-endpoint quadratures of the
-    energy integrands accumulate every step.  Raises BlowUpError the moment
-    the state leaves the admissible range.
-    """
-    grid = system.grid
-    u = grid.check(u0).copy()
-    steps = config.num_steps
-    if config.scheme == "explicit" and steps > 0:
-        bound = explicit_dt_heuristic(system, u)
-        if config.dt > bound:
-            warnings.warn(f"explicit dt = {config.dt:g} exceeds the stability "
-                          f"heuristic {bound:g}", RuntimeWarning, stacklevel=2)
-
-    times, states, iters_log = [], [], []
-    energy_log = {k: [] for k in ("l2_sq", "grad_lp_p", "hm0_sq", "wmq_q")}
-    integrals = {"grad_lp_p": 0.0, "hm0_sq": 0.0, "wmq_q": 0.0}
-
-    def admit(k, t_now):
-        """Energies of the state at step k, once it passes the blow-up guard."""
-        if not np.all(np.isfinite(u)):
-            raise BlowUpError(k, t_now, np.inf)
-        here = _energies(system, u)
-        if np.sqrt(here["l2_sq"]) > BLOW_UP_NORM:
-            raise BlowUpError(k, t_now, np.sqrt(here["l2_sq"]))
-        return here
-
-    def record(k, here):
-        times.append(k * config.dt)
-        states.append(u.copy())
-        for name, val in here.items():
-            energy_log[name].append(val)
-
-    here = admit(0, 0.0)
-    sup_l2_sq = here["l2_sq"]
-    record(0, here)
-    for k in range(steps):
-        t = k * config.dt
-        integrals["grad_lp_p"] += config.dt * here["grad_lp_p"]
-        integrals["hm0_sq"] += config.dt * here["hm0_sq"]
-        integrals["wmq_q"] += config.dt * here["wmq_q"]
-
-        if sampler is not None:
-            dw = sampler.sample_increment(k, config.dt)
-        else:
-            dw = np.zeros(grid.size)
-        try:
-            u, _, iters = _advance(system, config, sampler, u, t, config.dt, dw, k)
-        except NewtonDivergedError as exc:
-            exc.step, exc.time = k, t
-            raise
-        iters_log.append(iters)
-
-        here = admit(k + 1, (k + 1) * config.dt)
-        sup_l2_sq = max(sup_l2_sq, here["l2_sq"])
-        if (k + 1) % config.record_every == 0 or k + 1 == steps:
-            record(k + 1, here)
-
-    return TrajectoryRecord(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        energies={k: np.asarray(v) for k, v in energy_log.items()},
-        newton_iters=np.asarray(iters_log, dtype=int),
-        sup_l2_sq=float(sup_l2_sq),
-        integrals=integrals,
-    )
+    """Integrate one trajectory from 0 to t_end: a stack of one in
+    simulate_batch.  Raises the BlowUpError or NewtonDivergedError that
+    stops it."""
+    u0 = system.grid.check(u0)
+    if u0.ndim != 1:
+        raise GridMismatchError(f"expected one flat grid function, got shape {u0.shape}")
+    (result,) = simulate_batch(system, config, u0[None],
+                               None if sampler is None else [sampler])
+    if isinstance(result, Exception):
+        raise result
+    return result

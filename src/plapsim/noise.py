@@ -49,11 +49,14 @@ def _along_axes(mat, x, axes):
 
     x stacks flat functions on a tensor grid with mat.shape[1] nodes per
     axis, row-major; the result has mat.shape[0] nodes per axis.  In 2d
-    this is mat X mat^T, never a (size, size) matrix.
+    this is mat X mat^T, never a (size, size) matrix.  Each function of
+    the stack takes its own products, so its result does not depend on
+    the others (one stacked product over all of them would round
+    differently).
     """
     (k, m), lead = mat.shape, x.shape[:-1]
     if axes == 1:
-        return x @ mat.T
+        return np.matmul(x[..., None, :], mat.T)[..., 0, :]
     return (mat @ x.reshape(lead + (m, m)) @ mat.T).reshape(lead + (k * k,))
 
 
@@ -162,11 +165,18 @@ class NoiseOperator:
         return self.kernel.grid
 
 
-def apply_B(op, t, v, phi):
-    """B(t, v) applied to phi: sigma(t, v) times the kernel quadrature of phi."""
+def apply_B(op, t, v, phi, rows=None):
+    """B(t, v) applied to phi: sigma(t, v) times the kernel quadrature of phi.
+
+    v and phi may be stacks.  With rows, state v[b] takes row rows[b] of
+    phi, so that states driven by one Wiener increment share its quadrature.
+    """
     grid = op.grid
     v, phi = grid.check(v), grid.check(phi)
-    return np.asarray(op.sigma(t, v), dtype=float) * op.kernel.apply(phi)
+    quadrature = op.kernel.apply(phi)
+    if rows is not None:
+        quadrature = quadrature[rows]
+    return np.asarray(op.sigma(t, v), dtype=float) * quadrature
 
 
 def hs_norm_sq(op, t, v):

@@ -159,6 +159,9 @@ class RegularizedSigma:
     The returned value is never below the true infimum, never above
     sigma(t, lam), and exceeds the infimum by at most
     l_alpha * delta**alpha + n * delta.
+
+    n may also be an array of levels, one per member of a stack of states
+    (lam[b] is member b's): each member then gets its own level.
     """
 
     spec: HolderSpec
@@ -169,7 +172,7 @@ class RegularizedSigma:
             raise ValueError("regularization targets alpha < 1; a Lipschitz "
                              "coefficient can be used directly")
         lower = n0(self.spec.c_sigma)
-        if self.n < lower:
+        if np.min(self.n) < lower:
             raise ValueError(f"n = {self.n} is below n0 = {lower}")
 
     def __call__(self, t, lam):
@@ -180,8 +183,14 @@ def sigma_n_values(reg, t, lam):
     """Vectorized sigma_n; exact if the evaluator has ``inf_convolution``."""
     lam = np.asarray(lam, dtype=float)
     exact = getattr(reg.spec.eval, "inf_convolution", None)
+    n = reg.n
+    if np.ndim(n):   # one level per member
+        if exact is None:
+            return np.stack([sigma_n_values(RegularizedSigma(reg.spec, level), t, row)
+                             for level, row in zip(n, lam)])
+        n = np.reshape(n, np.shape(n) + (1,) * (lam.ndim - np.ndim(n)))
     if exact is not None:
-        out = exact(t, lam, reg.n)
+        out = exact(t, lam, n)
     else:
         flat, out = lam.ravel(), np.empty(lam.size)
         for start in range(0, flat.size, _BLOCK):

@@ -6,6 +6,12 @@ operator evaluates its flux on the faces normal to each axis, set up alike
 in 1d and 2d, so that summation by parts against the discrete gradient is
 exact, and the higher-order form realizes every multi-index derivative up
 to order m by iterated forward differences.
+
+The operators, the 1d Jacobian and the L2 and W^{1,p} norms also take a
+stack of grid functions along leading axes.  Each member's result is
+bitwise the one it gets alone: a stacked product is one BLAS call per
+member (in 1d a matrix-vector product, as for a lone function), a sum runs
+along the member's own values, and a norm's root is taken as a scalar.
 """
 
 from dataclasses import dataclass
@@ -101,8 +107,9 @@ class Grid:
         return np.stack([x1.ravel(), x2.ravel()], axis=-1)
 
     def check(self, u):
+        """u as floats: a flat grid function, or a stack of them along leading axes."""
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.size,):
+        if u.ndim == 0 or u.shape[-1] != self.size:
             raise GridMismatchError(
                 f"expected flat grid function of size {self.size}, got shape {u.shape}")
         return u
@@ -118,8 +125,10 @@ def norm_lp(grid, u, p):
 
 
 def norm_l2(grid, u):
+    """Weighted L2 norm: a float, or one per member of a stack."""
     u = grid.check(u)
-    return float(np.sqrt(np.sum(u * u) * grid.weight))
+    out = np.sqrt(np.sum(u * u, axis=-1) * grid.weight)
+    return float(out) if u.ndim == 1 else out
 
 
 def norm_l1(grid, u):
@@ -127,23 +136,38 @@ def norm_l1(grid, u):
     return float(np.sum(np.abs(u)) * grid.weight)
 
 
-def _face_sides(ue, axis, shift=0):
+def _face_sides(ue, d, axis, shift=0):
     """ue at the high and the low node of each face normal to axis, the
-    faces moved by shift nodes along the other axis."""
-    index = [slice(1 + shift, ue.shape[0] - 1 + shift)] * ue.ndim
+    faces moved by shift nodes along the other axis; the grid's d axes are
+    the last ones of ue."""
+    index = [slice(1 + shift, ue.shape[-1] - 1 + shift)] * d
     index[axis] = slice(1, None)
-    high = ue[tuple(index)]
+    high = ue[(..., *index)]
     index[axis] = slice(None, -1)
-    return high, ue[tuple(index)]
+    return high, ue[(..., *index)]
 
 
 def _extend_and_difference(grid, u):
     """(ue, [forward difference of ue across the faces normal to axis k]),
     ue being u on the nodes of the closed box, zero on its boundary."""
     n, d, h = grid.n_interior, grid.dimension, grid.h
-    ue = np.zeros((n + 2,) * d)
-    ue[(slice(1, -1),) * d] = u.reshape((n,) * d)
-    return ue, [np.subtract(*_face_sides(ue, k)) / h for k in range(d)]
+    lead = u.shape[:-1]
+    ue = np.zeros(lead + (n + 2,) * d)
+    ue[(..., *(slice(1, -1),) * d)] = u.reshape(lead + (n,) * d)
+    return ue, [np.subtract(*_face_sides(ue, d, k)) / h for k in range(d)]
+
+
+def _member_sums(x, lead):
+    """Sum of each member's values: x has the leading axes lead, then its own."""
+    return np.sum(x.reshape(lead + (-1,)), axis=-1)
+
+
+def _scalar_power(values, exponent):
+    """values ** exponent entry by entry, in the scalar form (libm's pow).
+
+    numpy's vectorized power can differ from it in the last bit, which
+    would make a member's norm depend on whether it ran in a stack."""
+    return np.array([v ** exponent for v in values.ravel()]).reshape(values.shape)
 
 
 def gradient_faces(grid, u):
@@ -159,8 +183,10 @@ def w1p_seminorm(grid, u, p):
     seminorm within a factor 2**(1/2 - 1/p) in either direction).
     """
     u = grid.check(u)
-    total = sum(np.sum(np.abs(g) ** p) for g in gradient_faces(grid, u))
-    return float((total * grid.weight) ** (1.0 / p))
+    lead = u.shape[:-1]
+    total = sum(_member_sums(np.abs(g) ** p, lead) for g in gradient_faces(grid, u))
+    out = _scalar_power(total * grid.weight, 1.0 / p)
+    return float(out) if not lead else out
 
 
 @lru_cache(maxsize=None)
@@ -221,11 +247,11 @@ def difference_blocks(grid, u, m):
     u = grid.check(u)
     n, h = grid.n_interior, grid.h
     factor = _stacked_factor(n, m, h)
-    if grid.dimension == 1:
-        return [factor @ u]
-    rows = factor @ u.reshape(n, n)
-    return [rows] + [rows[:_rows_through(n, m - j)] @ _difference_matrix_1d(n, j, h).T
-                     for j in range(1, m + 1)]
+    if grid.dimension == 1:   # a column per member: one matrix-vector product each
+        return [np.matmul(factor, u[..., None])[..., 0]]
+    rows = factor @ u.reshape(u.shape[:-1] + (n, n))
+    return [rows] + [rows[..., :_rows_through(n, m - j), :]
+                     @ _difference_matrix_1d(n, j, h).T for j in range(1, m + 1)]
 
 
 def _difference_blocks_adjoint(grid, m, blocks):
@@ -233,8 +259,11 @@ def _difference_blocks_adjoint(grid, m, blocks):
     n, h = grid.n_interior, grid.h
     acc = blocks[0]
     for j, block in enumerate(blocks[1:], 1):
-        acc[:block.shape[0]] += block @ _difference_matrix_1d(n, j, h)
-    return (_stacked_factor(n, m, h).T @ acc).ravel()
+        acc[..., :block.shape[-2], :] += block @ _difference_matrix_1d(n, j, h)
+    factor_t = _stacked_factor(n, m, h).T
+    if grid.dimension == 1:
+        return np.matmul(factor_t, acc[..., None])[..., 0]
+    return (factor_t @ acc).reshape(acc.shape[:-2] + (-1,))
 
 
 def hm0_norm(grid, u, m):
@@ -449,13 +478,14 @@ def _faces(grid, u):
     the two nodes (the four neighboring differences, averaged).
     """
     ue, normals = _extend_and_difference(grid, u)
+    d = grid.dimension
     faces = []
     for axis, normal in enumerate(normals):
-        high, low = _face_sides(ue, axis)
+        high, low = _face_sides(ue, d, axis)
         xi = [normal]
-        if grid.dimension == 2:
-            hi_p, lo_p = _face_sides(ue, axis, 1)
-            hi_m, lo_m = _face_sides(ue, axis, -1)
+        if d == 2:
+            hi_p, lo_p = _face_sides(ue, d, axis, 1)
+            hi_m, lo_m = _face_sides(ue, d, axis, -1)
             xi.insert(1 - axis, (hi_p - hi_m + lo_p - lo_m) / (4.0 * grid.h))
         faces.append((_face_coords(grid, axis), 0.5 * (high + low),
                       np.stack(xi, axis=-1)))
@@ -474,9 +504,11 @@ def apply_divergence_form(grid, coeff, u):
     extension).
     """
     u = grid.check(u)
-    first, *rest = [np.diff(coeff.a_eval(*face)[..., k], axis=k) / grid.h
+    d = grid.dimension
+    first, *rest = [np.diff(coeff.a_eval(*face)[..., k], axis=k - d) / grid.h
                     for k, face in enumerate(_faces(grid, u))]
-    return -sum(rest, first).ravel()   # a start of 0 would turn -0.0 into 0.0
+    # a start of 0 would turn -0.0 into 0.0
+    return -sum(rest, first).reshape(u.shape)
 
 
 @dataclass(frozen=True)
@@ -530,16 +562,25 @@ def j_operator(grid, pert, u):
     return _difference_blocks_adjoint(grid, pert.m, blocks)
 
 
+def _level(n, ndim):
+    """A level as a divisor of an array with ndim axes: a float, or a
+    member's level broadcast over its own axes (n has the batch axes)."""
+    if np.ndim(n) == 0:
+        return float(n)
+    return np.reshape(n, np.shape(n) + (1,) * (ndim - np.ndim(n)))
+
+
 def apply_A_n(grid, coeff, drift, pert, n, u):
     """Full drift operator -div a + (1/n) j + f at level n.
 
     Pass n = None (or pert = None) to drop the higher-order perturbation,
-    which corresponds to the unperturbed limit dynamics.
+    which corresponds to the unperturbed limit dynamics.  For a stack u, n
+    may also hold one level per member (an array of u's leading shape).
     """
     u = grid.check(u)
     out = apply_divergence_form(grid, coeff, u)
     if pert is not None and n is not None:
-        out = out + j_operator(grid, pert, u) / float(n)
+        out = out + j_operator(grid, pert, u) / _level(n, u.ndim)
     if drift is not None:
         out = out + drift.f_eval(u)
     return out
@@ -552,30 +593,33 @@ def jacobian_A_n(grid, coeff, drift, pert, n, u):
     a(x_f, lam_f, xi_f) as _faces sets it up, so -div a is tridiagonal, its
     entries made of da/dxi / h^2 and da/dlam / (2 h).  The perturbation's
     part is S^T diag(1 + (q-1) |S u|^(q-2)) S / n, with S = [D_0; ...; D_m]
-    the stacked factor.
+    the stacked factor.  A stack u gives a stack of matrices, n as in
+    apply_A_n.
     """
     if grid.dimension != 1:
         raise GridMismatchError("jacobian_A_n assembles the 1d matrix only")
     u = grid.check(u)
-    size, h = grid.n_interior, grid.h
+    size, h, lead = grid.n_interior, grid.h, u.shape[:-1]
     a_xi, a_lam = coeff.a_eval.derivative(*_faces(grid, u)[0])
-    stiff, drag = a_xi[:, 0, 0] / h ** 2, a_lam[:, 0] / (2.0 * h)
+    stiff, drag = a_xi[..., 0, 0] / h ** 2, a_lam[..., 0] / (2.0 * h)
     if pert is not None and n is not None:
         _check_order(grid, pert.m)
         factor = _stacked_factor(size, pert.m, h)
-        w = np.abs(factor @ u)
+        w = np.abs(np.matmul(factor, u[..., None]))   # a column per member
         np.power(w, pert.q - 2.0, out=w)
         w *= pert.q - 1.0
         w += 1.0
-        jac = factor.T @ (w[:, None] * factor)
-        jac /= float(n)
+        jac = factor.T @ (w * factor)
+        jac /= _level(n, jac.ndim)
     else:
-        jac = np.zeros((size, size))
-    flat = jac.reshape(-1)   # a view: jac is contiguous
-    flat[::size + 1] += (stiff[:-1] + stiff[1:] + drag[:-1] - drag[1:]
-                         + (drift.f_eval.derivative(u) if drift is not None else 0.0))
-    flat[size::size + 1] += drag[1:-1] - stiff[1:-1]        # (i, i - 1)
-    flat[1::size + 1] -= stiff[1:-1] + drag[1:-1]           # (i, i + 1)
+        jac = np.zeros(lead + (size, size))
+    flat = jac.reshape(lead + (-1,))   # a view: jac is contiguous
+    flat[..., ::size + 1] += (stiff[..., :-1] + stiff[..., 1:] + drag[..., :-1]
+                              - drag[..., 1:]
+                              + (drift.f_eval.derivative(u) if drift is not None
+                                 else 0.0))
+    flat[..., size::size + 1] += drag[..., 1:-1] - stiff[..., 1:-1]   # (i, i - 1)
+    flat[..., 1::size + 1] -= stiff[..., 1:-1] + drag[..., 1:-1]      # (i, i + 1)
     return jac
 
 

@@ -3,20 +3,24 @@
 Each study returns a JSON-ready report dict: a list of named checks, each
 carrying the measured estimate, the bound it is held against, a standard
 error where the estimate is a Monte Carlo mean, and a pass flag.  Every
-Monte Carlo trajectory is one ``_trajectory`` job.  The Wiener path is a
-pure function of (master_seed, path_index), so jobs that share a path index
-are coupled across levels and initial data without running together, and
-each study reduces its records into paired differences.
+Monte Carlo trajectory is a job (study, level, config, initial state, path
+index), and run_jobs steps a study's jobs as a few stacks (one per worker,
+cut to a fixed memory budget) through evolution.simulate_batch.  The Wiener
+path is a pure function of (master_seed, path_index), so jobs that share a
+path index are coupled across levels and initial data whether or not they
+share a stack; a job's record is bitwise the same in any stack, and each
+study reduces its records into paired differences.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .evolution import (BlowUpError, NewtonDivergedError, SolverConfig,
-                        build_system, simulate_path)
+                        build_system, simulate_batch, simulate_path)
 from .noise import default_sampler
 from .spatial import (Grid, initial_profile, linear_coeff, n_min_default,
                       norm_l1, norm_l2, zero_drift)
@@ -24,6 +28,8 @@ from .spatial import (Grid, initial_profile, linear_coeff, n_min_default,
 __all__ = [
     "MCEstimate",
     "ExperimentPlan",
+    "Ensemble",
+    "run_jobs",
     "energy_report",
     "contraction_experiment",
     "cauchy_in_n_study",
@@ -62,8 +68,9 @@ class ExperimentPlan:
     minimum is computed and checked on construction and not stored.
     num_paths >= 2 so standard errors exist.  workers > 1 fans trajectory
     jobs out to a process pool; the aggregates are independent of the pool
-    size because every path is keyed by (master_seed, path_index) and
-    merged in job order.
+    size because every path is keyed by (master_seed, path_index), every
+    record is independent of the stack it runs in, and records are merged
+    in job order.
     """
 
     grid: object
@@ -103,40 +110,108 @@ class ExperimentPlan:
                                num_modes=self.num_modes, decay=self.decay)
 
 
+@dataclass(frozen=True)
+class Ensemble:
+    """The model trajectory jobs run on outside a study, as `plapsim
+    simulate` runs its paths: an ExperimentPlan's grid, operator, noise and
+    sampler fields, without its levels and statistics.  spec and kernel are
+    None to run without noise."""
+
+    grid: object
+    coeff: object
+    drift: object
+    pert: object
+    spec: object
+    kernel: object
+    master_seed: int
+    workers: int = 1
+    num_modes: int = None
+    decay: float = 2.0
+
+    def sampler(self, path_index):
+        if self.kernel is None:
+            return None
+        return default_sampler(self.grid, self.master_seed, path_index,
+                               num_modes=self.num_modes, decay=self.decay)
+
+
 PATH_FAILURES = (BlowUpError, NewtonDivergedError)
 
+# Bytes of Newton matrix one stack of jobs may hold (System.slab_bytes per
+# member).  It bounds a stack's memory, not its results: a job's record is
+# the same in a stack of any size.
+_STACK_BYTES = 2 ** 20
 
-def _trajectory(plan, job):
-    """One Monte Carlo trajectory, job = (study, level, cfg, u0, path_index).
 
-    Returns the TrajectoryRecord, or the path failure tagged with study,
-    level and path; study and level only tag it."""
-    study, level, cfg, u0, path_index = job
+def _trajectories(plan, jobs):
+    """The trajectory jobs (study, level, cfg, u0, path_index) of one
+    stack, which differ only in level, initial state and path, stepped as
+    one: per job its TrajectoryRecord, or its path failure tagged with
+    study, level and path (study and level only tag it)."""
+    cfg = jobs[0][2]
     system = build_system(plan.grid, plan.coeff, plan.drift, plan.pert, cfg,
-                          spec=plan.spec, kernel=plan.kernel)
-    try:
-        return simulate_path(system, cfg, u0, plan.sampler(path_index))
-    except PATH_FAILURES as exc:
-        exc.study, exc.level, exc.path = study, level, path_index
-        return exc
+                          spec=plan.spec, kernel=plan.kernel,
+                          levels=None if cfg.n is None else [job[2].n for job in jobs])
+    paths = sorted({job[4] for job in jobs})
+    samplers = [plan.sampler(p) for p in paths] if plan.kernel is not None else None
+    results = simulate_batch(system, cfg, [job[3] for job in jobs], samplers,
+                             rows=[paths.index(job[4]) for job in jobs])
+    for (study, level, _, _, path_index), res in zip(jobs, results):
+        if isinstance(res, PATH_FAILURES):
+            res.study, res.level, res.path = study, level, path_index
+    return results
 
 
-def _map_jobs(plan, jobs):
-    """Records of the trajectory jobs in job order; a path failure raises,
-    and it is the first failing job in job order, whatever the timing."""
-    run = functools.partial(_trajectory, plan)
-    if plan.workers <= 1 or len(jobs) <= 1:
-        results = map(run, jobs)   # lazy: a serial run stops at the failure
+def _stacks(plan, jobs):
+    """The jobs cut into contiguous stacks: one run per worker, cut where
+    the configuration changes other than in its level, and into stacks
+    whose Newton matrices fit _STACK_BYTES."""
+    stacks = []
+    for run in np.array_split(np.arange(len(jobs)), max(1, plan.workers)):
+        kinds = itertools.groupby(run, key=lambda j: (replace(jobs[j][2], n=None),
+                                                      jobs[j][2].n is None))
+        for _, group in kinds:
+            group = [jobs[j] for j in group]
+            cfg = group[0][2]
+            slab = build_system(plan.grid, plan.coeff, plan.drift, plan.pert,
+                                cfg).slab_bytes
+            per = max(1, _STACK_BYTES // slab)
+            stacks += [group[i:i + per] for i in range(0, len(group), per)]
+    return stacks
+
+
+def run_jobs(plan, jobs):
+    """Run trajectory jobs as stacks on an ExperimentPlan or an Ensemble,
+    in plan.workers processes.
+
+    Returns (records, failure): the records of the jobs before the first
+    failing job in job order, and that job's tagged path failure (None if
+    every job ran to the end).  Which job fails first does not depend on
+    the stacks or the timing; a serial run stops at the stack that holds it.
+    """
+    stacks = _stacks(plan, jobs)
+    run = functools.partial(_trajectories, plan)
+    if plan.workers <= 1 or len(stacks) <= 1:
+        results = map(run, stacks)   # lazy: a serial run stops at the failure
     else:
         import multiprocessing as mp
 
-        with mp.get_context("fork").Pool(processes=plan.workers) as pool:
-            results = pool.map(run, jobs)
+        with mp.get_context("fork").Pool(processes=min(plan.workers, len(stacks))) as pool:
+            results = pool.map(run, stacks)
     records = []
-    for res in results:
+    for res in itertools.chain.from_iterable(results):
         if isinstance(res, PATH_FAILURES):
-            raise res
+            return records, res
         records.append(res)
+    return records, None
+
+
+def _map_jobs(plan, jobs):
+    """Records of the trajectory jobs in job order; the first failing job
+    in job order raises its path failure."""
+    records, failure = run_jobs(plan, jobs)
+    if failure is not None:
+        raise failure
     return records
 
 

@@ -213,6 +213,51 @@ def test_simulate_bisection_without_noise_exits_three(tmp_path, capsys):
                              "residual ")
 
 
+def test_simulate_runaway_2d_explicit_exits_three_under_warnings_as_errors(tmp_path):
+    # the blow-up guard sees the runaway state before any of its energies
+    # is formed, so no overflow warning turns into a traceback first
+    path = write_config(tmp_path, 'grid.dimension = 2\nsolver.scheme = "explicit"\n'
+                        "solver.dt = 0.001\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "plapsim", "simulate", "--config",
+         str(path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == EXIT_BLOW_UP, done.stderr
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("blow-up: blow-up at step 2 (t = 0.002): ||u||_2 = ")
+    assert line.endswith("(path 0, seed 1)")
+
+
+@pytest.mark.filterwarnings("ignore:explicit dt")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_writes_the_paths_before_the_failing_one(tmp_path, capsys, workers):
+    # on seed 24 the noise drives path 2 alone past the blow-up guard
+    path = write_config(tmp_path, 'solver.scheme = "explicit"\npert.enabled = false\n'
+                        "solver.dt = 0.003\nsolver.t_end = 0.06\nkernel.scale = 3.0\n"
+                        "run.paths = 3\nrun.seed = 24\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out),
+                 "--workers", workers]) == EXIT_BLOW_UP
+    assert {p.name for p in out.iterdir()} == {
+        "manifest.json", "trajectory_000.csv", "trajectory_001.csv",
+        "final_state_000.csv", "final_state_001.csv"}
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("blow-up: blow-up at step 15 (t = 0.045)")
+    assert line.endswith("(path 2, seed 24)")
+
+
+def test_simulate_workers_do_not_change_outputs(tmp_path):
+    outs = [tmp_path / w for w in ("1", "3")]
+    for out in outs:
+        assert main(["simulate", "--out", str(out), "--paths", "3",
+                     "--workers", out.name]) == EXIT_PASS
+    names = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
+    assert len(names) == 7
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 @pytest.mark.parametrize("config, named", [
     pytest.param("solver.n = 0\n", "solver.n", id="no-level"),
     pytest.param("solver.n = 1\nsigma.scale = 3.0\n", "solver.n", id="below-n0"),
@@ -342,8 +387,8 @@ def test_verify_low_alpha_refused(tmp_path, capsys):
 def test_verify_refuses_before_running_a_trajectory(tmp_path, capsys, monkeypatch,
                                                      config, flags, named):
     calls = []
-    monkeypatch.setattr(verify, "_trajectory",
-                        lambda plan, job: calls.append(job))
+    monkeypatch.setattr(verify, "_trajectories",
+                        lambda plan, jobs: calls.append(jobs))
     path = write_config(tmp_path, config)
     out = tmp_path / "out"
     code = main(["verify", "--config", str(path), "--out", str(out)] + flags)

@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from plapsim.evolution import (
     _solve_lines,
     build_system,
     explicit_dt_heuristic,
+    simulate_batch,
     simulate_path,
     step_explicit,
     step_semi_implicit,
@@ -58,8 +60,8 @@ def test_explicit_step_matches_eigen_decay():
     mu = laplacian_min_eigenvalue(grid)
     u = np.sin(np.pi * grid.nodes()[:, 0])
     config = SolverConfig(dt=1e-4, t_end=1e-4, scheme="explicit")
-    v, _, iters = step_explicit(system, config, u, 0.0, np.zeros(grid.size))
-    assert iters == 0
+    v, _, iters, outcomes = step_explicit(system, config, u, 0.0, np.zeros(grid.size))
+    assert iters == 0 and outcomes == [0]
     assert np.allclose(v, (1.0 - config.dt * mu) * u, rtol=1e-12)
 
 
@@ -68,7 +70,7 @@ def test_explicit_step_adds_the_noise_term():
     system, config = stochastic_pieces(grid)
     u = initial_profile(grid, "sine", amplitude=0.25)
     dw = default_sampler(grid, seed=3, path_index=0).sample_increment(0, config.dt)
-    v, noise, _ = step_explicit(system, config, u, 0.0, dw)
+    v, noise, _, _ = step_explicit(system, config, u, 0.0, dw)
     by_hand = u - config.dt * system.apply_drift_operator(u) \
         + system.noise_term(0.0, u, dw)
     assert np.array_equal(v, by_hand)
@@ -79,7 +81,7 @@ def test_semi_implicit_linear_step_equals_direct_solve():
     grid, system = heat_system(24)
     config = SolverConfig(dt=2e-3, t_end=2e-3)
     u = initial_profile(grid, "bump", amplitude=1.0)
-    v, _, _ = step_semi_implicit(system, config, u, 0.0, np.zeros(grid.size))
+    v, _, _, _ = step_semi_implicit(system, config, u, 0.0, np.zeros(grid.size))
     # assemble I + dt L column by column and solve directly
     lap = np.column_stack([
         apply_divergence_form(grid, linear_coeff(), e)
@@ -93,10 +95,10 @@ def test_semi_implicit_residual_meets_tolerance():
     system, config = stochastic_pieces(grid, newton_tol=1e-11)
     u = initial_profile(grid, "sine", amplitude=0.25)
     dw = default_sampler(grid, seed=1, path_index=0).sample_increment(0, config.dt)
-    v, noise, iters = step_semi_implicit(system, config, u, 0.0, dw)
+    v, noise, iters, outcomes = step_semi_implicit(system, config, u, 0.0, dw)
     residual = v + config.dt * system.apply_drift_operator(v) - u - noise
     assert np.sqrt(np.sum(residual ** 2) * grid.weight) <= config.newton_tol
-    assert iters >= 1
+    assert iters >= 1 and outcomes == [iters]
 
 
 def level_system(dimension, n_interior, m, p=2.5, convective=False):
@@ -245,7 +247,7 @@ def test_newton_solve_leaves_scipy_linalg_unloaded():
         system = build_system(grid, p_laplacian_coeff(2.5), tanh_drift(1.0),
                               perturbation_for(2.5, m=2), config)
         u = initial_profile(grid, "sine", amplitude=0.5)
-        _, _, iters = step_semi_implicit(system, config, u, 0.0, np.zeros(grid.size))
+        _, _, iters, _ = step_semi_implicit(system, config, u, 0.0, np.zeros(grid.size))
         assert iters >= 1
         assert "scipy.linalg" not in sys.modules
         assert "scipy" not in sys.modules
@@ -267,16 +269,18 @@ def test_newton_evaluates_the_drift_once_per_color_and_trial(
     u = initial_profile(grid, "sine", amplitude=0.5)
     evaluate, calls = system.apply_drift_operator, []
 
-    def counted(w):
-        calls.append(1)
+    def counted(w):   # the number of states evaluated in one call
+        calls.append(int(np.prod(w.shape[:-1])))
         return evaluate(w)
 
     system.apply_drift_operator = counted
-    _, _, iters = step_semi_implicit(system, config, u, 0.0, np.zeros(grid.size))
+    _, _, iters, _ = step_semi_implicit(system, config, u, 0.0, np.zeros(grid.size))
     assert iters == iterations
     # one for the initial residual, then per iteration one per color plus
     # one full line-search trial; A_n at the iterate comes from its residual
-    assert len(calls) == 1 + iters * (colors + 1)
+    assert sum(calls) == 1 + iters * (colors + 1)
+    # and every color goes through one call
+    assert len(calls) == 1 + iters * (2 if colors else 1)
 
 
 def test_1d_newton_evaluates_the_drift_only_for_its_trials(monkeypatch):
@@ -297,7 +301,7 @@ def test_1d_newton_evaluates_the_drift_only_for_its_trials(monkeypatch):
 
     system.apply_drift_operator = counted
     monkeypatch.setattr(evolution, "norm_l2", counted_norm)
-    _, _, iters = step_semi_implicit(system, config, u, 0.0,
+    _, _, iters, _ = step_semi_implicit(system, config, u, 0.0,
                                      np.full(grid.size, 20.0))
     trials = len(norms) - 1
     assert trials > iters >= 1
@@ -309,9 +313,9 @@ def test_2d_step_is_the_colored_newton_step(monkeypatch):
     config = SolverConfig(dt=1e-3, t_end=1e-3)
     u = initial_profile(grid, "sine", amplitude=0.5)
     dw = np.full(grid.size, 0.3)
-    v, _, iters = step_semi_implicit(system, config, u, 0.0, dw)
+    v, _, iters, _ = step_semi_implicit(system, config, u, 0.0, dw)
     monkeypatch.setattr(evolution, "_newton_matrix", _colored_jacobian)
-    v_colored, _, iters_colored = step_semi_implicit(system, config, u, 0.0, dw)
+    v_colored, _, iters_colored, _ = step_semi_implicit(system, config, u, 0.0, dw)
     assert iters == iters_colored >= 1
     assert np.array_equal(v, v_colored)
 
@@ -560,6 +564,166 @@ def test_scheme_difference_shrinks_first_order():
         gaps.append(norm_l2(grid, finals[0] - finals[1]))
     assert 1.6 <= gaps[0] / gaps[1] <= 2.4
     assert 1.6 <= gaps[1] / gaps[2] <= 2.4
+
+
+# --------------------------------------------------------------- stacked runs
+
+
+def assert_same_bits(rec, alone):
+    """Two TrajectoryRecords hold the same bytes."""
+    bits = lambda x: (np.asarray(x).dtype, np.asarray(x).shape, np.asarray(x).tobytes())
+    for field in ("times", "states", "newton_iters", "sup_l2_sq"):
+        assert bits(getattr(rec, field)) == bits(getattr(alone, field)), field
+    assert list(rec.energies) == list(alone.energies)
+    for name in rec.energies:
+        assert bits(rec.energies[name]) == bits(alone.energies[name]), name
+    assert {k: bits(v) for k, v in rec.integrals.items()} \
+        == {k: bits(v) for k, v in alone.integrals.items()}
+
+
+def run_members(grid, coeff, drift, pert, config, members, order, seed=3):
+    """Records of members (level, profile, amplitude, path) stacked in the
+    given order, listed in member order."""
+    picked = [members[i] for i in order]
+    paths = sorted({path for *_, path in picked})
+    system = build_system(grid, coeff, drift, pert, config, spec=power_sigma(0.75),
+                          kernel=gaussian_kernel(grid), levels=[m[0] for m in picked])
+    results = simulate_batch(
+        system, config,
+        [initial_profile(grid, name, amplitude=amp) for _, name, amp, _ in picked],
+        [default_sampler(grid, seed, path) for path in paths],
+        rows=[paths.index(path) for *_, path in picked])
+    records = [None] * len(members)
+    for i, rec in zip(order, results):
+        records[i] = rec
+    return records
+
+
+def run_alone(grid, coeff, drift, pert, config, member, seed=3):
+    level, name, amp, path = member
+    cfg = replace(config, n=level)
+    system = build_system(grid, coeff, drift, pert, cfg, spec=power_sigma(0.75),
+                          kernel=gaussian_kernel(grid))
+    return simulate_path(system, cfg, initial_profile(grid, name, amplitude=amp),
+                         default_sampler(grid, seed, path))
+
+
+STACK_CASES = {
+    # levels 4 to 64 with the perturbation on, paths shared and not
+    "1d_levels": (Grid(1, 16), p_laplacian_coeff(2.5), tanh_drift(1.0),
+                  perturbation_for(2.5, m=2), SolverConfig(dt=2e-3, t_end=0.02),
+                  [(4, "sine", 0.25, 0), (64, "bump", 0.3, 1), (16, "sine", 0.25, 1),
+                   (8, "bump", 0.2, 2), (32, "sine", 0.25, 0)]),
+    # the colored Newton matrix, with the nonlinearity in flux and drift
+    "2d_colored": (Grid(2, 6), remark_flux_coeff(2.5), tanh_drift(1.0),
+                   perturbation_for(2.5, m=1), SolverConfig(dt=2e-3, t_end=0.01),
+                   [(4, "bump", 0.5, 0), (16, "sine", 0.4, 1), (8, "bump", 0.5, 1)]),
+    # the explicit scheme: sigma_n at each member's level, no Newton solve
+    "2d_explicit": (Grid(2, 8), p_laplacian_coeff(2.5), tanh_drift(1.0), None,
+                    SolverConfig(dt=2e-4, t_end=4e-3, scheme="explicit"),
+                    [(4, "sine", 0.25, 0), (32, "bump", 0.3, 0), (8, "sine", 0.2, 1)]),
+}
+
+
+@pytest.mark.parametrize("case", list(STACK_CASES))
+def test_stacked_members_are_bitwise_their_lone_runs(case):
+    grid, coeff, drift, pert, config, members = STACK_CASES[case]
+    everyone = run_members(grid, coeff, drift, pert, config, members,
+                           list(range(len(members))))
+    reordered = run_members(grid, coeff, drift, pert, config, members,
+                            list(reversed(range(len(members)))))
+    pair = run_members(grid, coeff, drift, pert, config, members, [2, 0])
+    for i, member in enumerate(members):
+        alone = run_alone(grid, coeff, drift, pert, config, member)
+        assert_same_bits(everyone[i], alone)
+        assert_same_bits(reordered[i], alone)
+        if i in (0, 2):
+            assert_same_bits(pair[i], alone)
+    if config.scheme != "explicit":   # the members took different Newton paths
+        assert len({rec.newton_iters.tobytes() for rec in everyone}) > 1
+
+
+def test_a_bisecting_member_leaves_its_stack_mates_alone():
+    # the member on the kicked path bisects step 3; the others, on plain
+    # paths, need two Newton iterations at most in every step
+    grid = Grid(1, 16)
+    system, config = bisecting_pieces(grid, newton_dt_retries=1)
+    stack = build_system(grid, system.coeff, system.drift, perturbation_for(2.5),
+                         config, spec=power_sigma(0.75, 1.0),
+                         kernel=gaussian_kernel(grid), levels=[8, 8, 16])
+    u0 = initial_profile(grid, "sine", amplitude=0.0025)
+    kicked = KickedSampler(grid)
+    samplers = [default_sampler(grid, 5, 1), kicked, default_sampler(grid, 5, 2)]
+    recs = simulate_batch(stack, config, [u0, u0, u0], samplers, rows=[1, 0, 2])
+    assert [(k, node) for k, node, _ in kicked.log if node] == [(3, 1)]
+    assert recs[0].newton_iters[3] > config.newton_max_iter
+    assert np.all(recs[1].newton_iters <= config.newton_max_iter)
+    assert np.all(recs[2].newton_iters <= config.newton_max_iter)
+
+    assert_same_bits(recs[0], simulate_path(system, config, u0, KickedSampler(grid)))
+    for rec, sampler, level in ((recs[1], samplers[0], 8), (recs[2], samplers[2], 16)):
+        cfg = replace(config, n=level)
+        alone = build_system(grid, system.coeff, system.drift, perturbation_for(2.5),
+                             cfg, spec=power_sigma(0.75, 1.0),
+                             kernel=gaussian_kernel(grid))
+        assert_same_bits(rec, simulate_path(alone, cfg, u0, sampler))
+
+
+def test_a_failing_member_leaves_the_stack_and_the_others_run_on():
+    # the kicked member fails step 3 (no dt retry); its stack mate finishes
+    grid = Grid(1, 16)
+    system, config = bisecting_pieces(grid)
+    u0 = initial_profile(grid, "sine", amplitude=0.0025)
+    plain = default_sampler(grid, 5, 1)
+    failed, rec = simulate_batch(system, config, [u0, u0],
+                                 [KickedSampler(grid), plain])
+    assert isinstance(failed, NewtonDivergedError)
+    assert (failed.step, failed.time) == (3, 3 * config.dt)
+    assert_same_bits(rec, simulate_path(system, config, u0, plain))
+
+
+def test_a_singular_member_fails_alone(monkeypatch):
+    # member 1's Newton matrix is zeroed: its solve fails at the first
+    # iteration, and member 0 steps as it does alone
+    grid = Grid(1, 16)
+    system, config = stochastic_pieces(grid)
+    u = np.stack([initial_profile(grid, "sine", amplitude=0.25)] * 2)
+    dw = default_sampler(grid, 1, 0).sample_increment(0, config.dt)
+    newton_matrix = evolution._newton_matrix
+
+    def singular_second(system, dt, v, base):
+        slab = newton_matrix(system, dt, v, base)
+        if len(slab) == 2:
+            slab[1] = 0.0
+        return slab
+
+    monkeypatch.setattr(evolution, "_newton_matrix", singular_second)
+    v, _, _, outcomes = step_semi_implicit(system, config, u, 0.0, dw)
+    assert isinstance(outcomes[1], NewtonDivergedError)
+    assert outcomes[1].iterations == 0
+    v_alone, _, iters, _ = step_semi_implicit(system, config, u[0], 0.0, dw)
+    assert outcomes[0] == iters and v[0].tobytes() == v_alone.tobytes()
+
+
+def test_stacked_steps_count_every_members_iterations():
+    grid = Grid(1, 16)
+    system, config = stochastic_pieces(grid)
+    stack = build_system(grid, system.coeff, system.drift, perturbation_for(2.5),
+                         config, spec=power_sigma(0.75, 1.0),
+                         kernel=gaussian_kernel(grid), levels=[4, 32])
+    u = np.stack([initial_profile(grid, "sine", amplitude=0.25),
+                  initial_profile(grid, "bump", amplitude=0.4)])
+    dw = default_sampler(grid, 1, 0).sample_increment(0, config.dt)
+    v, noise, iterations, outcomes = step_semi_implicit(stack, config, u, 0.0, dw)
+    assert v.shape == noise.shape == u.shape
+    assert iterations == sum(outcomes) and all(o >= 1 for o in outcomes)
+    for b, level in enumerate((4, 32)):
+        alone = build_system(grid, system.coeff, system.drift, perturbation_for(2.5),
+                             replace(config, n=level), spec=power_sigma(0.75, 1.0),
+                             kernel=gaussian_kernel(grid))
+        v_b, noise_b, iters_b, _ = step_semi_implicit(alone, config, u[b], 0.0, dw)
+        assert (v[b].tobytes(), noise[b].tobytes(), outcomes[b]) \
+            == (v_b.tobytes(), noise_b.tobytes(), iters_b)
 
 
 # ------------------------------------------------------------------- failures

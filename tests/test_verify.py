@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from plapsim.evolution import BlowUpError, SolverConfig, build_system, simulate_path
+from plapsim import verify
+from plapsim.evolution import (BlowUpError, SolverConfig, build_system,
+                               simulate_path)
 from plapsim.noise import default_sampler, gaussian_kernel
 from plapsim.regularize import power_sigma
 from plapsim.spatial import (Grid, HigherOrderPerturbation, initial_profile,
@@ -178,3 +180,55 @@ def test_worker_pool_does_not_change_results():
     v0 = initial_profile(plan1.grid, "bump", amplitude=0.2)
     assert json.dumps(contraction_experiment(plan1, u0, v0), sort_keys=True) \
         == json.dumps(contraction_experiment(plan2, u0, v0), sort_keys=True)
+
+
+# -------------------------------------------------------------------- stacks
+
+
+def job_record(plan, job):
+    """The record, or path failure, of one job run alone by simulate_path."""
+    _, _, cfg, u0, path = job
+    system = build_system(plan.grid, plan.coeff, plan.drift, plan.pert, cfg,
+                          spec=plan.spec, kernel=plan.kernel)
+    try:
+        return simulate_path(system, cfg, u0, plan.sampler(path))
+    except BlowUpError as exc:
+        return exc
+
+
+def test_jobs_in_one_stack_are_bitwise_their_lone_runs(monkeypatch):
+    plan = desk_plan(m=1, paths=3)
+    u0 = initial_profile(plan.grid, "sine", amplitude=0.25)
+    v0 = initial_profile(plan.grid, "bump", amplitude=0.3)
+    jobs = [("mix", n, replace(plan.config, n=n), start, p)
+            for n, start, p in ((4, u0, 0), (16, v0, 2), (8, u0, 0), (64, u0, 1))]
+    records = verify._map_jobs(plan, jobs)
+    monkeypatch.setattr(verify, "_STACK_BYTES", 1)   # a stack per job
+    for rec, one, job in zip(records, verify._map_jobs(plan, jobs), jobs):
+        alone = job_record(plan, job)
+        for r in (rec, one):
+            assert r.states.tobytes() == alone.states.tobytes()
+            assert r.newton_iters.tobytes() == alone.newton_iters.tobytes()
+            assert r.integrals == alone.integrals and r.sup_l2_sq == alone.sup_l2_sq
+
+
+@pytest.mark.filterwarnings("ignore:explicit dt")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_failing_job_in_job_order_raises(workers):
+    # the explicit scheme at dt = 0.004 blows up sooner from a larger
+    # amplitude: job 0 fails late, job 2 early, and job 0 must be the one
+    plan = desk_plan(scheme="explicit", dt=0.004, t_end=0.08,
+                     use_perturbation=False, workers=workers)
+    sine = lambda amp: initial_profile(plan.grid, "sine", amplitude=amp)
+    jobs = [("order", 4, replace(plan.config, n=4), sine(0.5), 0),
+            ("order", 8, replace(plan.config, n=8), sine(0.05), 1),
+            ("order", 8, replace(plan.config, n=8), sine(4.0), 2)]
+    late, calm, early = (job_record(plan, job) for job in jobs)
+    assert isinstance(late, BlowUpError) and isinstance(early, BlowUpError)
+    assert not isinstance(calm, BlowUpError)
+    assert early.step < late.step
+    with pytest.raises(BlowUpError) as info:
+        verify._map_jobs(plan, jobs)
+    exc = info.value
+    assert (exc.study, exc.level, exc.path, exc.step, exc.time, exc.norm) == (
+        "order", 4, 0, late.step, late.time, late.norm)
