@@ -19,7 +19,8 @@ still iterating share each operator evaluation, Newton matrix and solve,
 and a member whose solve fails is bisected, or leaves the stack with its
 error, without holding up the others.  Every product and sum a member
 takes is its own, so its trajectory is bitwise the same alone or in any
-stack; simulate_path is a stack of one.  Trajectories are bitwise
+stack; simulate_path is a stack of one, which the steppers run on its
+member's flat state (System.lone).  Trajectories are bitwise
 reproducible from (seed, config): the Wiener increments and bridge points
 are pure functions of (seed, path, step, node) and every reduction runs in
 a fixed order.  Coupled runs -- two initial data, or two levels, on one
@@ -27,9 +28,10 @@ Wiener path -- are therefore members on samplers with the same (seed,
 path), stacked or run apart in any order.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -177,13 +179,19 @@ class System:
         return 8 * lines * n * n * (2 * min(self.jacobian_half_width, lines - 1) + 1)
 
     def take(self, members):
-        """The system of the sub-stack ``members`` (indices into the stack)."""
-        pick = lambda n: n if np.ndim(n) == 0 else n[members]
-        op = self.noise_op
-        if isinstance(getattr(op, "sigma", None), RegularizedSigma) and np.ndim(op.sigma.n):
-            op = NoiseOperator(op.kernel, RegularizedSigma(op.sigma.spec, pick(op.sigma.n)))
-        return replace(self, n=pick(self.n), noise_op=op,
+        """The system of the sub-stack ``members`` (indices into the stack),
+        or of one member for its flat state (one index)."""
+        return replace(self, n=self.n if np.ndim(self.n) == 0 else self.n[members],
+                       noise_op=None if self.noise_op is None else self.noise_op.take(members),
                        rows=None if self.rows is None else self.rows[members])
+
+    @cached_property
+    def lone(self):
+        """The system of a stack of one for its member's flat state, which
+        the steppers run in place of the stack: the spatial operators give
+        a flat state the bits they give a member of a stack, without the
+        cost of the stacked forms."""
+        return replace(self.take(0), rows=None)
 
 
 def build_system(grid, coeff, drift, pert, config, spec=None, kernel=None,
@@ -219,15 +227,25 @@ def _members(u):
     return 1 if u.ndim == 1 else len(u)
 
 
+def _unstacked(system, u, dw):
+    """(system, state, increment) for a stepper to run in place of (system,
+    u, dw): a stack of one as its member's flat state (see System.lone),
+    anything else as it is."""
+    if u.ndim == 2 and len(u) == 1:
+        return system.lone, u[0], dw[0 if system.rows is None else system.rows[0]]
+    return system, u, dw
+
+
 def step_explicit(system, config, u, t, dw):
     """u - dt A_n(u) + sigma_n(t, u) K(dW), the forward Euler-Maruyama step.
 
     u is one state or a stack; returns (v, noise, 0, outcomes) like
     step_semi_implicit, with no Newton iterations for any member.
     """
-    noise = system.noise_term(t, u, dw)
-    v = u - config.dt * system.apply_drift_operator(u) + noise
-    return v, noise, 0, [0] * _members(u)
+    system, state, dw = _unstacked(system, u, dw)
+    noise = system.noise_term(t, state, dw)
+    v = state - config.dt * system.apply_drift_operator(state) + noise
+    return v.reshape(u.shape), noise.reshape(u.shape), 0, [0] * _members(u)
 
 
 def explicit_dt_heuristic(system, u0):
@@ -343,6 +361,8 @@ def _solve_lines(slab, rhs):
     positive definite, and so is that of every block met on the way.
     """
     lines, n, width = slab.shape[-3:]
+    if lines == 1:   # one dense block
+        return np.linalg.solve(slab[..., 0, :, :], rhs[..., None])[..., 0]
     reach = (width // n - 1) // 2
 
     def cols(offset, count=1):
@@ -369,19 +389,22 @@ def _solve_lines(slab, rhs):
 
 
 def _newton_steps(system, dt, v, base, residual):
-    """Newton step -(I + dt J)^-1 residual of each member of the stack v,
-    and the members whose matrix is singular (their steps are NaN)."""
+    """Newton step -(I + dt J)^-1 residual of the state v, or of each
+    member of the stack v, and the members whose matrix is singular (their
+    steps are NaN)."""
     try:
         return _solve_lines(_newton_matrix(system, dt, v, base), -residual), []
     except np.linalg.LinAlgError:   # solve member by member to find them
         slab = _newton_matrix(system, dt, v, base)
-        delta, singular = np.full(v.shape, np.nan), []
-        for b in range(len(v)):
+        slab = slab.reshape((-1,) + slab.shape[-3:])
+        residual = residual.reshape(len(slab), -1)
+        delta, singular = np.full(residual.shape, np.nan), []
+        for b in range(len(slab)):
             try:
                 delta[b] = _solve_lines(slab[b], -residual[b])
             except np.linalg.LinAlgError:
                 singular.append(b)
-        return delta, singular
+        return delta.reshape(v.shape), singular
 
 
 def step_semi_implicit(system, config, u, t, dw):
@@ -405,68 +428,92 @@ def step_semi_implicit(system, config, u, t, dw):
     failed, its NewtonDivergedError (its row of v is then no solution).  A
     single state raises its error instead.
     """
+    system, state, dw = _unstacked(system, u, dw)
+    v, noise, iters, outcomes = _newton_solve(system, config, state, t, dw)
+    if u.ndim == 1 and isinstance(outcomes[0], NewtonDivergedError):
+        raise outcomes[0]
+    return v.reshape(u.shape), noise.reshape(u.shape), iters, outcomes
+
+
+def _newton_solve(system, config, u, t, dw):
+    """step_semi_implicit on one flat state or a stack, returning the
+    failures among the outcomes.
+
+    The states (v, its drift and residual) keep u's shape; the per-member
+    arrays (residual norms, iteration counts) have one entry per member,
+    so a flat state runs the same loop as a member of a stack.
+    """
     grid, dt, tol = system.grid, config.dt, config.newton_tol
-    stack = np.atleast_2d(u)
-    count = len(stack)
-    noise = system.noise_term(t, stack, dw)
-    rhs = stack + noise
-    v = stack.copy()
+    count = _members(u)
+    noise = system.noise_term(t, u, dw)
+    rhs = u + noise
+    v = u.copy()
     drift = system.apply_drift_operator(v)
     residual = v + dt * drift - rhs
-    res_norm = norm_l2(grid, residual)
+    res_norm = np.atleast_1d(norm_l2(grid, residual))
     iters = np.zeros(count, dtype=int)
-    failed, stopped = {}, np.zeros(count, dtype=bool)
+    failed = {}
 
     def fail(members):
-        stopped[members] = True
         for b in members:
             failed[b] = NewtonDivergedError(int(iters[b]), float(res_norm[b]))
 
-    def rows(members):   # members as an index: a slice when it is every one
-        return slice(None) if len(members) == count else members
+    # members as an index, and their system: while every member takes part
+    # (a flat state always), the whole slice and the system itself, so the
+    # common round copies and gathers nothing
+    whole = (slice(None), system)
 
     def part(members):
-        return system if len(members) == count else system.take(members)
+        return whole if len(members) == count else (members, system.take(members))
 
-    active, rounds = np.nonzero(res_norm > tol)[0], 0
+    active, rounds = (res_norm > tol).nonzero()[0], 0
     while active.size:   # each member still iterating has had `rounds` iterations
         if rounds >= config.newton_max_iter:
             fail(active)
             break
-        at = rows(active)
-        delta, singular = _newton_steps(part(active), dt, v[at], drift[at], residual[at])
+        at, sub = part(active)
+        delta, singular = _newton_steps(sub, dt, v[at], drift[at], residual[at])
         if singular:
             fail(active[singular])
             keep = np.ones(active.size, dtype=bool)
             keep[singular] = False
-            active, delta = active[keep], delta[keep]
-        step = 1.0   # every member still searching is at the same step
-        while active.size:
-            at = rows(active)
-            trial = v[at] + step * delta
-            trial_drift = part(active).apply_drift_operator(trial)
-            trial_res = trial + dt * trial_drift - rhs[at]
-            trial_norm = norm_l2(grid, trial_res)
-            ok = trial_norm <= (1.0 - ARMIJO_SLOPE * step) * res_norm[at]
-            whole = ok.all()
-            done, take = (at, slice(None)) if whole else (active[ok], ok)
-            v[done], drift[done], residual[done] = trial[take], trial_drift[take], trial_res[take]
-            res_norm[done] = trial_norm[take]
-            iters[done] += 1
-            if whole:
+            active = active[keep]
+            if not active.size:
                 break
-            active, delta, step = active[~ok], delta[~ok], 0.5 * step
+            delta = delta[keep]
+            at, sub = part(active)
+        step = 1.0   # every member still searching is at the same step
+        while True:
+            trial = v[at] + step * delta
+            trial_drift = sub.apply_drift_operator(trial)
+            trial_res = trial + dt * trial_drift - rhs[at]
+            trial_norm = np.atleast_1d(norm_l2(grid, trial_res))
+            ok = trial_norm <= (1.0 - ARMIJO_SLOPE * step) * res_norm[at]
+            if ok.all():
+                if at is whole[0]:   # take the trials whole
+                    v, drift, residual, res_norm = trial, trial_drift, trial_res, trial_norm
+                else:
+                    v[at], drift[at], residual[at], res_norm[at] = \
+                        trial, trial_drift, trial_res, trial_norm
+                iters[at] += 1
+                break
+            if ok.any():   # the members whose trial passes take it
+                done = active[ok]
+                v[done], drift[done], residual[done] = trial[ok], trial_drift[ok], trial_res[ok]
+                res_norm[done] = trial_norm[ok]
+                iters[done] += 1
+                active, delta = active[~ok], delta[~ok]
+                at, sub = part(active)
+            step *= 0.5
             if step < MIN_LINE_STEP:
                 fail(active)
                 break
         rounds += 1
-        active = np.nonzero((res_norm > tol) & ~stopped)[0]
-    outcomes = [failed.get(b, int(iters[b])) for b in range(count)]
-    if u.ndim == 1:
+        going = res_norm > tol
         if failed:
-            raise failed[0]
-        return v[0], noise[0], int(iters[0]), outcomes
-    return v, noise, int(np.sum(iters)), outcomes
+            going[list(failed)] = False
+        active = going.nonzero()[0]
+    return v, noise, int(iters.sum()), [failed.get(b, int(iters[b])) for b in range(count)]
 
 
 def _advance(system, config, samplers, u, t, dt, dw, k, node=1):
@@ -537,10 +584,12 @@ def _guard(grid, u):
     the energies have it; a runaway state's squares overflow to inf, and a
     state that is not finite has no finite norm either."""
     with np.errstate(over="ignore", invalid="ignore"):
-        l2_sq = np.array([x ** 2 for x in norm_l2(grid, u)])
-        norm = np.sqrt(l2_sq)
-    bad = np.nonzero(~(norm <= BLOW_UP_NORM))[0]
-    return l2_sq, {b: norm[b] if np.isfinite(u[b]).all() else np.inf for b in bad}
+        l2_sq = [x ** 2 for x in norm_l2(grid, u)]
+    blown = {}
+    for b, norm in enumerate(map(math.sqrt, l2_sq)):
+        if not norm <= BLOW_UP_NORM:
+            blown[b] = norm if np.isfinite(u[b]).all() else math.inf
+    return np.array(l2_sq), blown
 
 
 _ENERGIES = ("l2_sq", "grad_lp_p", "hm0_sq", "wmq_q")
@@ -553,14 +602,14 @@ def _energies(system, u, l2_sq):
     Roots and powers of a member's norms are scalar ones (see spatial's
     norms), so a member's energies do not depend on the stack."""
     grid, p, lead = system.grid, system.coeff.p, u.shape[:-1]
-    grad = [x ** p for x in w1p_seminorm(grid, u, p)]
-    if system.pert is None:
-        return np.array([l2_sq, grad, np.zeros(len(u)), np.zeros(len(u))])
-    blocks = [d.reshape(lead + (-1,)) for d in difference_blocks(grid, u, system.pert.m)]
-    return np.array([
-        l2_sq, grad,
-        sum(np.sum(d * d, axis=-1) for d in blocks) * grid.weight,
-        sum(np.sum(np.abs(d) ** system.pert.q, axis=-1) for d in blocks) * grid.weight])
+    out = np.zeros((len(_ENERGIES), len(u)))
+    out[0] = l2_sq
+    out[1] = [x ** p for x in w1p_seminorm(grid, u, p)]
+    if system.pert is not None:
+        blocks = [d.reshape(lead + (-1,)) for d in difference_blocks(grid, u, system.pert.m)]
+        out[2] = sum((d * d).sum(axis=-1) for d in blocks) * grid.weight
+        out[3] = sum((np.abs(d) ** system.pert.q).sum(axis=-1) for d in blocks) * grid.weight
+    return out
 
 
 def simulate_batch(system, config, u0, samplers=None, rows=None):
@@ -611,7 +660,9 @@ def simulate_batch(system, config, u0, samplers=None, rows=None):
         alive = np.setdiff1d(alive, members)
         regroup()
 
-    energy = np.zeros((len(_ENERGIES), count))   # at the current state
+    # the energies at the current state, and the sums over the steps (the
+    # columns of a member that left the stack stop changing and are not read)
+    energy = np.zeros((len(_ENERGIES), count))
     integrals = np.zeros((len(_ENERGIES) - 1, count))   # of all but l2_sq
     times, states, energy_log = [], [], []
     iters = np.zeros((steps, count), dtype=int)
@@ -641,21 +692,22 @@ def simulate_batch(system, config, u0, samplers=None, rows=None):
         if not alive.size:
             break
         t = k * dt
-        integrals[:, live] += dt * energy[1:, live]
+        integrals += dt * energy[1:]
         if paths is None:
             dw = np.zeros((len(alive), grid.size))
         else:
             dw = np.array([sampler.sample_increment(k, dt) for sampler in paths])
         u[live], outcomes = _advance(part, config, paths, u[live], t, dt, dw, k)
+        iters[k, live] = [0 if isinstance(out, NewtonDivergedError) else out
+                          for out in outcomes]
         stopped = [j for j, out in enumerate(outcomes) if isinstance(out, NewtonDivergedError)]
         for j in stopped:
             outcomes[j].step, outcomes[j].time = k, t
-        iters[k, live] = [0 if j in stopped else out for j, out in enumerate(outcomes)]
         if stopped:
             leave(alive[stopped], [outcomes[j] for j in stopped])
 
         admit(k + 1)
-        sup_l2_sq[live] = np.maximum(sup_l2_sq[live], energy[0, live])
+        np.maximum(sup_l2_sq, energy[0], out=sup_l2_sq)
         if (k + 1) % config.record_every == 0 or k + 1 == steps:
             record(k + 1)
 

@@ -18,7 +18,7 @@ sine modes are products of 1d modes, so both are applied one axis at a
 time with an (n, n) matrix; no (size, size) table is built for them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -163,6 +163,13 @@ class NoiseOperator:
     @property
     def grid(self):
         return self.kernel.grid
+
+    def take(self, members):
+        """The operator of the members (indices, or one index) of a stack
+        whose coefficient holds a level per member; any other operator
+        serves every member as it is."""
+        take = getattr(self.sigma, "take", None)
+        return self if take is None else replace(self, sigma=take(members))
 
 
 def apply_B(op, t, v, phi, rows=None):

@@ -12,7 +12,7 @@ approximation error, and checks the claimed properties on dense grids.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -177,6 +177,10 @@ class RegularizedSigma:
 
     def __call__(self, t, lam):
         return sigma_n_values(self, t, lam)
+
+    def take(self, members):
+        """sigma_n of the members (indices, or one index) of the stack."""
+        return self if np.ndim(self.n) == 0 else replace(self, n=self.n[members])
 
 
 def sigma_n_values(reg, t, lam):

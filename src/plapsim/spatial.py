@@ -127,7 +127,7 @@ def norm_lp(grid, u, p):
 def norm_l2(grid, u):
     """Weighted L2 norm: a float, or one per member of a stack."""
     u = grid.check(u)
-    out = np.sqrt(np.sum(u * u, axis=-1) * grid.weight)
+    out = np.sqrt((u * u).sum(axis=-1) * grid.weight)
     return float(out) if u.ndim == 1 else out
 
 
@@ -159,7 +159,7 @@ def _extend_and_difference(grid, u):
 
 def _member_sums(x, lead):
     """Sum of each member's values: x has the leading axes lead, then its own."""
-    return np.sum(x.reshape(lead + (-1,)), axis=-1)
+    return x.reshape(lead + (-1,)).sum(axis=-1)
 
 
 def _scalar_power(values, exponent):

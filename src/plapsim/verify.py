@@ -59,19 +59,12 @@ class MCEstimate:
 
 
 @dataclass(frozen=True)
-class ExperimentPlan:
-    """Everything a study needs to rebuild its systems and samplers.
-
-    n_list must be sorted.  When spec is given, every level must stay at
-    or above n_min_default: the growth threshold n0, sharpened by the
-    dissipativity bound when the coefficient has a nontrivial c2.  The
-    minimum is computed and checked on construction and not stored.
-    num_paths >= 2 so standard errors exist.  workers > 1 fans trajectory
-    jobs out to a process pool; the aggregates are independent of the pool
-    size because every path is keyed by (master_seed, path_index), every
-    record is independent of the stack it runs in, and records are merged
-    in job order.
-    """
+class Ensemble:
+    """The model trajectory jobs run on: grid, operator, noise and the
+    sampler of each Wiener path, keyed by (master_seed, path_index).  spec
+    and kernel are None to run without noise.  `plapsim simulate` runs its
+    paths on an Ensemble; a study's ExperimentPlan is one.  workers > 1
+    fans the jobs out to a process pool."""
 
     grid: object
     coeff: object
@@ -79,16 +72,37 @@ class ExperimentPlan:
     pert: object
     spec: object
     kernel: object
-    config: SolverConfig
-    n_list: tuple
-    num_paths: int
     master_seed: int
-    slack: float = 0.05
-    se_mult: float = 3.0
-    checkpoints: int = 10
     workers: int = 1
     num_modes: int = None
     decay: float = 2.0
+
+    def sampler(self, path_index):
+        return default_sampler(self.grid, self.master_seed, path_index,
+                               num_modes=self.num_modes, decay=self.decay)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentPlan(Ensemble):
+    """Everything a study needs: its Ensemble, the levels, the solver
+    configuration and the statistics.
+
+    n_list must be sorted.  When spec is given, every level must stay at
+    or above n_min_default: the growth threshold n0, sharpened by the
+    dissipativity bound when the coefficient has a nontrivial c2.  The
+    minimum is computed and checked on construction and not stored.
+    num_paths >= 2 so standard errors exist.  The aggregates are
+    independent of the pool size because every path is keyed by
+    (master_seed, path_index), every record is independent of the stack it
+    runs in, and records are merged in job order.
+    """
+
+    config: SolverConfig
+    n_list: tuple
+    num_paths: int
+    slack: float = 0.05
+    se_mult: float = 3.0
+    checkpoints: int = 10
 
     def __post_init__(self):
         if self.num_paths < 2:
@@ -104,35 +118,6 @@ class ExperimentPlan:
             if low:
                 raise ValueError(f"levels {low} fall below the minimum "
                                  f"admissible level {level:g}")
-
-    def sampler(self, path_index):
-        return default_sampler(self.grid, self.master_seed, path_index,
-                               num_modes=self.num_modes, decay=self.decay)
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """The model trajectory jobs run on outside a study, as `plapsim
-    simulate` runs its paths: an ExperimentPlan's grid, operator, noise and
-    sampler fields, without its levels and statistics.  spec and kernel are
-    None to run without noise."""
-
-    grid: object
-    coeff: object
-    drift: object
-    pert: object
-    spec: object
-    kernel: object
-    master_seed: int
-    workers: int = 1
-    num_modes: int = None
-    decay: float = 2.0
-
-    def sampler(self, path_index):
-        if self.kernel is None:
-            return None
-        return default_sampler(self.grid, self.master_seed, path_index,
-                               num_modes=self.num_modes, decay=self.decay)
 
 
 PATH_FAILURES = (BlowUpError, NewtonDivergedError)
@@ -181,8 +166,8 @@ def _stacks(plan, jobs):
 
 
 def run_jobs(plan, jobs):
-    """Run trajectory jobs as stacks on an ExperimentPlan or an Ensemble,
-    in plan.workers processes.
+    """Run trajectory jobs as stacks on an Ensemble (a study's
+    ExperimentPlan, say), in plan.workers processes.
 
     Returns (records, failure): the records of the jobs before the first
     failing job in job order, and that job's tagged path failure (None if

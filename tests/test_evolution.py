@@ -705,6 +705,25 @@ def test_a_singular_member_fails_alone(monkeypatch):
     assert outcomes[0] == iters and v[0].tobytes() == v_alone.tobytes()
 
 
+def test_a_singular_lone_state_raises_and_a_stack_of_one_reports(monkeypatch):
+    # a stack of one steps its member's flat state; both meet the singular
+    # matrix in the member-by-member fallback
+    grid = Grid(1, 16)
+    system, config = stochastic_pieces(grid)
+    u = initial_profile(grid, "sine", amplitude=0.25)
+    dw = default_sampler(grid, 1, 0).sample_increment(0, config.dt)
+    newton_matrix = evolution._newton_matrix
+    monkeypatch.setattr(evolution, "_newton_matrix",
+                        lambda *args: 0.0 * newton_matrix(*args))
+    with pytest.raises(NewtonDivergedError) as raised:
+        step_semi_implicit(system, config, u, 0.0, dw)
+    assert raised.value.iterations == 0
+    v, _, iters, outcomes = step_semi_implicit(system, config, u[None], 0.0, dw[None])
+    assert v.shape == (1, grid.size) and iters == 0
+    assert isinstance(outcomes[0], NewtonDivergedError)
+    assert outcomes[0].residual == raised.value.residual
+
+
 def test_stacked_steps_count_every_members_iterations():
     grid = Grid(1, 16)
     system, config = stochastic_pieces(grid)
