@@ -489,15 +489,17 @@ def _newton_solve(system, config, u, t, dw):
             trial_res = trial + dt * trial_drift - rhs[at]
             trial_norm = np.atleast_1d(norm_l2(grid, trial_res))
             ok = trial_norm <= (1.0 - ARMIJO_SLOPE * step) * res_norm[at]
-            if ok.all():
+            passed = np.count_nonzero(ok)
+            if passed == ok.size:
                 if at is whole[0]:   # take the trials whole
                     v, drift, residual, res_norm = trial, trial_drift, trial_res, trial_norm
+                    iters += 1
                 else:
                     v[at], drift[at], residual[at], res_norm[at] = \
                         trial, trial_drift, trial_res, trial_norm
-                iters[at] += 1
+                    iters[at] += 1
                 break
-            if ok.any():   # the members whose trial passes take it
+            if passed:   # the members whose trial passes take it
                 done = active[ok]
                 v[done], drift[done], residual[done] = trial[ok], trial_drift[ok], trial_res[ok]
                 res_norm[done] = trial_norm[ok]
@@ -513,7 +515,8 @@ def _newton_solve(system, config, u, t, dw):
         if failed:
             going[list(failed)] = False
         active = going.nonzero()[0]
-    return v, noise, int(iters.sum()), [failed.get(b, int(iters[b])) for b in range(count)]
+    counts = iters.tolist()
+    return v, noise, sum(counts), [failed.get(b, c) for b, c in enumerate(counts)]
 
 
 def _advance(system, config, samplers, u, t, dt, dw, k, node=1):
@@ -577,18 +580,19 @@ class TrajectoryRecord:
 
 
 def _guard(grid, u):
-    """||u_b||_2^2 of each member of the stack u, and {b: norm} for the
-    members that left the admissible range (norm inf where not finite).
+    """||u_b||_2^2 of each member of the stack u (of the one state u), and
+    {b: norm} for the members that left the admissible range (norm inf
+    where not finite).
 
     The norm is the root of the squared norm, each taken as a scalar, as
     the energies have it; a runaway state's squares overflow to inf, and a
     state that is not finite has no finite norm either."""
     with np.errstate(over="ignore", invalid="ignore"):
-        l2_sq = [x ** 2 for x in norm_l2(grid, u)]
+        l2_sq = [x ** 2 for x in np.atleast_1d(norm_l2(grid, u))]
     blown = {}
     for b, norm in enumerate(map(math.sqrt, l2_sq)):
         if not norm <= BLOW_UP_NORM:
-            blown[b] = norm if np.isfinite(u[b]).all() else math.inf
+            blown[b] = norm if np.isfinite(u[b] if u.ndim == 2 else u).all() else math.inf
     return np.array(l2_sq), blown
 
 
@@ -596,15 +600,15 @@ _ENERGIES = ("l2_sq", "grad_lp_p", "hm0_sq", "wmq_q")
 
 
 def _energies(system, u, l2_sq):
-    """_ENERGIES (rows) of each member (columns) of the stack u, whose
-    ||u_b||_2^2 are l2_sq.
+    """_ENERGIES (rows) of each member (columns) of the stack u (of the one
+    state u), whose ||u_b||_2^2 are l2_sq.
 
     Roots and powers of a member's norms are scalar ones (see spatial's
     norms), so a member's energies do not depend on the stack."""
     grid, p, lead = system.grid, system.coeff.p, u.shape[:-1]
-    out = np.zeros((len(_ENERGIES), len(u)))
+    out = np.zeros((len(_ENERGIES), len(l2_sq)))
     out[0] = l2_sq
-    out[1] = [x ** p for x in w1p_seminorm(grid, u, p)]
+    out[1] = [x ** p for x in np.atleast_1d(w1p_seminorm(grid, u, p))]
     if system.pert is not None:
         blocks = [d.reshape(lead + (-1,)) for d in difference_blocks(grid, u, system.pert.m)]
         out[2] = sum((d * d).sum(axis=-1) for d in blocks) * grid.weight
@@ -667,17 +671,22 @@ def simulate_batch(system, config, u0, samplers=None, rows=None):
     times, states, energy_log = [], [], []
     iters = np.zeros((steps, count), dtype=int)
 
+    def running():
+        """The running members' states: a stack, or a lone member's flat
+        state, which costs less to guard and measure (see System.lone)."""
+        return u[alive[0]] if alive.size == 1 else u[live]
+
     def admit(k):
         """Guard the running members' states at step k, then take the
         energies of those that stay."""
-        l2_sq, blown = _guard(grid, u[live])
+        l2_sq, blown = _guard(grid, running())
         if blown:
             leave(alive[list(blown)], [BlowUpError(k, k * dt, norm)
                                        for norm in blown.values()])
             l2_sq = np.delete(l2_sq, list(blown))
         if not alive.size:
             return
-        energy[:, live] = _energies(system, u[live], l2_sq)
+        energy[:, live] = _energies(system, running(), l2_sq)
 
     def record(k):
         times.append(k * dt)
