@@ -3,13 +3,12 @@
 Two Euler-Maruyama variants share the Ito left-point noise term
 sigma_n(t, u^k) K(dW^k): an explicit step, subject to the usual parabolic
 step-size restriction, and a drift-implicit step whose nonlinear system is
-solved by a damped Newton iteration.  In 1d its matrix is exact, from the
-derivatives of the flux and the drift (spatial.jacobian_A_n); on a 2d grid
-it is a finite-difference Jacobian colored on a box stencil built once per
-(grid, half-width).  The stencil couples only nearby grid lines, so the
-Newton matrix is stored by line and solved by block elimination over
-lines, with numpy alone: in 2d no size x size array is formed, and no part
-of scipy is loaded.
+solved by a damped Newton iteration.  Its matrix is exact, from the
+derivatives of the flux and the drift (spatial.jacobian_A_n), in 1d and
+2d alike.  It couples only nearby grid lines, so it is assembled straight
+into a slab stored by line and solved by block elimination over lines,
+with numpy alone: in 2d no size x size array is formed, and no part of
+scipy is loaded.
 
 The steppers advance a stack of trajectories, (B, size) states, as one:
 members may differ in level (build_system's levels), initial state and
@@ -29,10 +28,10 @@ path), stacked or run apart in any order.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
-from itertools import product
+from functools import cached_property
 
 import numpy as np
 
@@ -173,7 +172,7 @@ class System:
 
     @property
     def slab_bytes(self):
-        """Bytes of one member's Newton matrix in its line slab (_jacobian_stencil)."""
+        """Bytes of one member's Newton matrix in its line slab (_newton_matrix)."""
         n = self.grid.n_interior
         lines = self.grid.size // n
         return 8 * lines * n * n * (2 * min(self.jacobian_half_width, lines - 1) + 1)
@@ -265,84 +264,22 @@ def explicit_dt_heuristic(system, u0):
     return grid.h ** 2 / (2.0 * grid.dimension * c3 * slope)
 
 
-@lru_cache(maxsize=None)
-def _jacobian_stencil(grid, half_width):
-    """Sparsity of the drift's Jacobian, and where it lands in the line slab.
+def _newton_matrix(system, dt, v):
+    """I + dt J at v, J the exact Jacobian of A_n (spatial.jacobian_A_n),
+    stored by line: a (lines, n, (2 r + 1) n) slab per member of a stack v.
 
-    Returns every node pair within Chebyshev distance half_width as flat
-    (rows, cols), the color of each col, a (colors, size) indicator of the
-    nodes of each color, the slab's shape, and the flat slab positions of
-    the pairs and of the diagonal.
-
-    A node's color is its coordinates mod 2 half_width + 1 (mod n_interior
-    on coarser grids), so two nodes of one color lie more than 2 half_width
-    apart along some axis and their stencil boxes are disjoint.
-
-    A line is a run of n_interior nodes along the last axis (in 1d the
-    whole grid).  The stencil couples lines at most r = min(half_width,
-    lines - 1) apart, so I + dt J is stored as a (lines, n, (2 r + 1) n)
-    slab whose row-block i holds line i's rows over lines i - r ... i + r.
+    A line is a run of n_interior nodes along the last axis; J couples lines
+    at most r apart, and row-block i of the slab holds line i's rows over
+    lines i - r ... i + r.  In 1d the whole grid is one line, so the slab
+    is the dense matrix.
     """
-    side = min(2 * half_width + 1, grid.n_interior)
-    coords = np.indices(grid.shape).reshape(grid.dimension, 1, -1)
-    offsets = np.array(list(product(range(-half_width, half_width + 1),
-                                    repeat=grid.dimension)))
-    out = coords + offsets.T[:, :, None]
-    ok = np.all((out >= 0) & (out < grid.n_interior), axis=0)
-    rows, cols = np.ravel_multi_index(out[:, ok], grid.shape), np.nonzero(ok)[1]
-    color = np.ravel_multi_index(coords[:, 0] % side, (side,) * grid.dimension)
-    members = color == np.arange(side ** grid.dimension)[:, None]
-    n = grid.n_interior
-    lines = grid.size // n
-    reach = min(half_width, lines - 1)
-    shape = (lines, n, (2 * reach + 1) * n)
-    # row (i, a) and col (j, c) go to slab[i, a, (j - i + reach) n + c]
-    scatter = rows * shape[2] + (cols // n - rows // n + reach) * n + cols % n
-    nodes = np.arange(grid.size)
-    diagonal = nodes * shape[2] + reach * n + nodes % n
-    return rows, cols, color[cols], members, shape, scatter, diagonal
-
-
-def _colored_jacobian(system, dt, v, base):
-    """I + dt J for G(v) = v + dt A_n(v), by simultaneous perturbations,
-    stored by line as _jacobian_stencil describes (a slab per member of a
-    stack v).
-
-    base is A_n(v).  All columns of one color are perturbed together, and
-    each column takes the response only on the rows of its own stencil box,
-    so the assembly costs one operator evaluation per color, (2 hw + 1)^d at
-    most, regardless of the grid size; every color of every member goes
-    through one stacked evaluation.  _newton_matrix uses it on 2d grids; in
-    1d it is the oracle the tests hold the exact matrix to.
-    """
-    rows, cols, col_color, members, shape, scatter, diagonal = \
-        _jacobian_stencil(system.grid, system.jacobian_half_width)
-    eps = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(v))
-    resp = (system.apply_drift_operator(v[..., None, :] + members * eps[..., None, :])
-            - base[..., None, :])
-    lead = v.shape[:-1]
-    slab = np.zeros(lead + shape)
-    flat = slab.reshape(lead + (-1,))   # a view: slab is contiguous
-    flat[..., scatter] = resp[..., col_color, rows] / eps[..., cols]
-    slab *= dt
-    flat[..., diagonal] += 1.0   # I + dt J in place
-    return slab
-
-
-def _newton_matrix(system, dt, v, base):
-    """I + dt J at v, base = A_n(v), in the line slab of _jacobian_stencil
-    (one per member of a stack v).
-
-    Colored finite differences in 2d.  In 1d the whole grid is one line,
-    so the slab is the dense matrix, which jacobian_A_n assembles exactly.
-    """
-    if system.grid.dimension != 1:
-        return _colored_jacobian(system, dt, v, base)
     jac = jacobian_A_n(system.grid, system.coeff, system.drift, system.pert, system.n, v)
-    jac *= dt
-    size = jac.shape[-1]
-    jac.reshape(jac.shape[:-2] + (-1,))[..., ::size + 1] += 1.0
-    return jac[..., None, :, :]
+    slab = jac[..., None, :, :] if system.grid.dimension == 1 else jac
+    slab *= dt
+    n, width = slab.shape[-2:]
+    nodes = np.arange(n)
+    slab[..., nodes, (width - n) // 2 + nodes] += 1.0   # I + dt J in place
+    return slab
 
 
 def _solve_lines(slab, rhs):
@@ -388,14 +325,14 @@ def _solve_lines(slab, rhs):
     return x.reshape(rhs.shape)
 
 
-def _newton_steps(system, dt, v, base, residual):
+def _newton_steps(system, dt, v, residual):
     """Newton step -(I + dt J)^-1 residual of the state v, or of each
     member of the stack v, and the members whose matrix is singular (their
     steps are NaN)."""
     try:
-        return _solve_lines(_newton_matrix(system, dt, v, base), -residual), []
+        return _solve_lines(_newton_matrix(system, dt, v), -residual), []
     except np.linalg.LinAlgError:   # solve member by member to find them
-        slab = _newton_matrix(system, dt, v, base)
+        slab = _newton_matrix(system, dt, v)
         slab = slab.reshape((-1,) + slab.shape[-3:])
         residual = residual.reshape(len(slab), -1)
         delta, singular = np.full(residual.shape, np.nan), []
@@ -414,10 +351,8 @@ def step_semi_implicit(system, config, u, t, dw):
     weighted residual norm; the implicit system is strongly monotone
     whenever the higher-order term is active, which is what makes this
     scheme solvable without a step-size restriction.  The Newton matrix is
-    exact in 1d and colored finite differences otherwise (_newton_matrix).
-    A_n at the current iterate comes from its residual, so each iteration
-    evaluates A_n once per line-search trial, plus once per color where the
-    matrix is colored.
+    exact (_newton_matrix), and A_n at the current iterate comes from its
+    residual, so each iteration evaluates A_n once per line-search trial.
 
     u is one state or a stack (B, size), Newton running per member: each
     has its own residual norm, line search and iteration count, and stops
@@ -472,7 +407,7 @@ def _newton_solve(system, config, u, t, dw):
             fail(active)
             break
         at, sub = part(active)
-        delta, singular = _newton_steps(sub, dt, v[at], drift[at], residual[at])
+        delta, singular = _newton_steps(sub, dt, v[at], residual[at])
         if singular:
             fail(active[singular])
             keep = np.ones(active.size, dtype=bool)
@@ -616,6 +551,21 @@ def _energies(system, u, l2_sq):
     return out
 
 
+# the modules that run trajectories for a caller: a warning names the
+# first frame outside them
+_RUNNERS = (__name__, "plapsim.verify")
+
+
+def _caller_level():
+    """The stacklevel, for a warning raised in the function that calls
+    this, of the caller that asked for the run: the first frame outside
+    _RUNNERS (simulate_path's caller, say, or cli.py for plapsim simulate)."""
+    level, frame = 2, sys._getframe(2)
+    while frame is not None and frame.f_globals.get("__name__") in _RUNNERS:
+        level, frame = level + 1, frame.f_back
+    return level
+
+
 def simulate_batch(system, config, u0, samplers=None, rows=None):
     """Integrate a stack of trajectories, one per row of u0, from 0 to t_end.
 
@@ -641,7 +591,8 @@ def simulate_batch(system, config, u0, samplers=None, rows=None):
         bound = explicit_dt_heuristic(system, u)
         if dt > bound:
             warnings.warn(f"explicit dt = {dt:g} exceeds the stability "
-                          f"heuristic {bound:g}", RuntimeWarning, stacklevel=2)
+                          f"heuristic {bound:g}", RuntimeWarning,
+                          stacklevel=_caller_level())
     rows = np.arange(count) if rows is None else np.asarray(rows)
     results = [None] * count
     alive, live, part, paths = np.arange(count), slice(None), None, None

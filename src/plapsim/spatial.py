@@ -5,9 +5,12 @@ grid on (0,1)^d (d = 1 or 2), extended by zero outside.  The divergence-form
 operator evaluates its flux on the faces normal to each axis, set up alike
 in 1d and 2d, so that summation by parts against the discrete gradient is
 exact, and the higher-order form realizes every multi-index derivative up
-to order m by iterated forward differences.
+to order m by iterated forward differences.  The drift operator's Jacobian
+is exact, from the derivative methods every flux and drift carries: a
+dense matrix in 1d, and in 2d a slab stored by grid line, assembled from
+each face's stencil weights and each multi-index's small products.
 
-The operators, the 1d Jacobian and the L2 and W^{1,p} norms also take a
+The operators, the Jacobian and the L2 and W^{1,p} norms also take a
 stack of grid functions along leading axes.  Each member's result is
 bitwise the one it gets alone: a stacked product is one BLAS call per
 member (in 1d a matrix-vector product, as for a lone function), a sum runs
@@ -301,8 +304,8 @@ class LerayLionsCoeff:
     a_eval is vectorized with x and xi carrying a trailing axis of length d
     and lam shaped like x[..., 0]; it returns an array shaped like xi.  It
     must also have a method ``derivative(x, lam, xi)`` returning (da/dxi,
-    da/dlam), shaped xi.shape + (d,) and like xi, which gives jacobian_A_n
-    its flux part.
+    da/dlam), shaped xi.shape + (d,) with entry [..., k, j] = da_k/dxi_j,
+    and like xi, which gives jacobian_A_n its flux part in 1d and 2d.
     The constants enter check_structure_conditions' bounds: coercivity
     a.xi >= c1 |xi|^p - c2 |lam|^nu, growth |a| <= c3 |xi|^(p-1) +
     c4 |lam|^(p-1) + g, continuity in lam with modulus c5 |xi|^(p-1) + h.
@@ -586,19 +589,120 @@ def apply_A_n(grid, coeff, drift, pert, n, u):
     return out
 
 
+@lru_cache(maxsize=None)
+def _slab_positions(grid, half_width):
+    """Where a 2d stencil band lands in the line slab: (slab shape, band
+    positions, slab positions), the positions flat and read-only.
+
+    A line is a run of n_interior nodes along the last axis.  The band is
+    (2 w + 1, 2 w + 1, n, n), w = half_width: entry (da + w, db + w, a0, a1)
+    holds the coupling of node (a0, a1) to node (a0 + da, a1 + db).  The
+    slab is (lines, n, (2 r + 1) n), r = min(w, lines - 1), and row-block i
+    holds line i's rows over lines i - r ... i + r.  The positions list the
+    band entries whose column node lies on the grid.
+    """
+    n, w = grid.n_interior, half_width
+    reach = min(w, n - 1)
+    shape = (n, n, (2 * reach + 1) * n)
+    da, db, a0, a1 = np.indices((2 * w + 1, 2 * w + 1, n, n)).reshape(4, -1) \
+        - np.array([w, w, 0, 0])[:, None]
+    on = (0 <= a0 + da) & (a0 + da < n) & (0 <= a1 + db) & (a1 + db < n)
+    band = np.nonzero(on)[0]
+    # row (a0, a1) and col (a0 + da, c) go to slab[a0, a1, (da + r) n + c]
+    slab = ((a0 * n + a1) * shape[2] + (da + reach) * n + a1 + db)[on]
+    band.flags.writeable = slab.flags.writeable = False
+    return shape, band, slab
+
+
+@lru_cache(maxsize=None)
+def _paired_rows(n, order, h):
+    """E_d[s, a] = D[s, a] D[s, a + d] (zero off the grid), D the order's
+    difference: the E_d^T stacked by rows, d = -order ... order, and the
+    E_d stacked by columns, both read-only."""
+    mat = _difference_matrix_1d(n, order, h)
+    pairs = np.zeros((2 * order + 1,) + mat.shape)
+    for d in range(-order, order + 1):
+        cols = slice(max(0, -d), min(n, n - d))
+        pairs[d + order][:, cols] = mat[:, cols] * mat[:, max(0, d):min(n, n + d)]
+    left, right = np.vstack(pairs.transpose(0, 2, 1)), np.hstack(pairs)
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
+
+
+def _jacobian_2d(grid, coeff, drift, pert, n, u):
+    """jacobian_A_n on a 2d grid: the line slab, assembled as a band."""
+    size, h, lead = grid.n_interior, grid.h, u.shape[:-1]
+    active = pert is not None and n is not None
+    w = max(1, pert.m) if active else 1
+    band = np.zeros(lead + (2 * w + 1, 2 * w + 1, size, size))
+    if active:
+        _check_order(grid, pert.m)
+        # D_(i,j)^T diag(W) D_(i,j), W = 1 + (q-1)|D_(i,j) u|^(q-2), couples
+        # (a0, a1) to (a0 + da, a1 + db) by (E_da^T W F_db)[a0, a1]
+        for j, block in enumerate(difference_blocks(grid, u, pert.m)):
+            weights = np.abs(block)
+            np.power(weights, pert.q - 2.0, out=weights)
+            weights *= pert.q - 1.0
+            weights += 1.0
+            right = _paired_rows(size, j, h)[1]
+            for i in range(pert.m - j + 1):
+                start = _rows_through(size, i - 1)
+                prod = (_paired_rows(size, i, h)[0]
+                        @ weights[..., start:start + size + i, :] @ right)
+                prod = prod.reshape(lead + (2 * i + 1, size, 2 * j + 1, size))
+                band[..., w - i:w + i + 1, w - j:w + j + 1, :, :] += \
+                    np.moveaxis(prod, -3, -2)
+        band /= _level(n, band.ndim)
+    for axis, face in enumerate(_faces(grid, u)):
+        # a_k on a face normal to axis k, over h, through its low node L, its
+        # high node L + e_k (lam is their mean) and their neighbours across
+        # the axis, L +- e_t and L + e_k +- e_t
+        a_xi, a_lam = coeff.a_eval.derivative(*face)
+        normal = a_xi[..., axis, axis] / h
+        low = (0.5 * a_lam[..., axis] - normal) / h
+        high = (0.5 * a_lam[..., axis] + normal) / h
+        across = a_xi[..., axis, 1 - axis] / (4.0 * h * h)
+        # -div a takes -a_k / h at L (row offset 0 from L) and +a_k / h at
+        # L + e_k (offset -1 from it); each term's column is at (k, t)
+        # offsets from the row, and its sign is sign * turn
+        for faces, sign, k in ((slice(1, None), -1, 0), (slice(None, -1), 1, -1)):
+            index = (..., faces, slice(None)) if axis == 0 else (..., faces)
+            for dk, dt, weight, turn in ((k, 0, low, 1), (k + 1, 0, high, 1),
+                                         (k, 1, across, 1), (k, -1, across, -1),
+                                         (k + 1, 1, across, 1), (k + 1, -1, across, -1)):
+                into = band[..., (dk, dt)[axis] + w, (dt, dk)[axis] + w, :, :]
+                (np.add if sign * turn > 0 else np.subtract)(into, weight[index], out=into)
+    if drift is not None:
+        band[..., w, w, :, :] += drift.f_eval.derivative(u).reshape(lead + (size, size))
+    shape, at_band, at_slab = _slab_positions(grid, w)
+    slab = np.zeros(lead + shape)
+    slab.reshape(lead + (-1,))[..., at_slab] = band.reshape(lead + (-1,))[..., at_band]
+    return slab
+
+
 def jacobian_A_n(grid, coeff, drift, pert, n, u):
-    """Dense Jacobian of apply_A_n at u on a 1d grid.
+    """Exact Jacobian of apply_A_n at u, from the flux's and the drift's
+    derivative methods: the dense matrix on a 1d grid, the line slab on a
+    2d grid.
 
     Face f joins nodes f - 1 and f (ghosts u_{-1} = u_n = 0) and carries
-    a(x_f, lam_f, xi_f) as _faces sets it up, so -div a is tridiagonal, its
-    entries made of da/dxi / h^2 and da/dlam / (2 h).  The perturbation's
-    part is S^T diag(1 + (q-1) |S u|^(q-2)) S / n, with S = [D_0; ...; D_m]
-    the stacked factor.  A stack u gives a stack of matrices, n as in
-    apply_A_n.
+    a(x_f, lam_f, xi_f) as _faces sets it up, so in 1d -div a is
+    tridiagonal, its entries made of da/dxi / h^2 and da/dlam / (2 h).  The
+    perturbation's part is S^T diag(1 + (q-1) |S u|^(q-2)) S / n, with
+    S = [D_0; ...; D_m] the stacked factor.
+
+    In 2d a face also reads the four differences across it, so -div a
+    couples each node to its 3 x 3 box, and the perturbation to its box of
+    half-width m.  The slab is (lines, n, (2 r + 1) n), lines and n both
+    n_interior, r = min(max(1, m), lines - 1) (r = 1 without the
+    perturbation): row-block i holds line i's rows over lines i - r ... i +
+    r, the blocks for lines past either end of the grid zero.
+
+    A stack u gives a stack of matrices or slabs, n as in apply_A_n.
     """
-    if grid.dimension != 1:
-        raise GridMismatchError("jacobian_A_n assembles the 1d matrix only")
     u = grid.check(u)
+    if grid.dimension == 2:
+        return _jacobian_2d(grid, coeff, drift, pert, n, u)
     size, h, lead = grid.n_interior, grid.h, u.shape[:-1]
     a_xi, a_lam = coeff.a_eval.derivative(*_faces(grid, u)[0])
     stiff, drag = a_xi[..., 0, 0] / h ** 2, a_lam[..., 0] / (2.0 * h)

@@ -9,9 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plapsim import verify
+from plapsim import cli, verify
 from plapsim.cli import EXIT_BLOW_UP, EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main
-from plapsim.config import parse_config_text, ConfigError, load_config
+from plapsim.config import (ConfigError, load_config, make_coeff, make_drift, make_grid,
+                            make_initial, make_kernel, make_pert, make_sampler,
+                            make_solver_config, make_spec, parse_config_text)
+from plapsim.evolution import build_system, simulate_path
 from plapsim.spatial import Grid, initial_from_csv
 
 HEAT_CONFIG = """
@@ -245,6 +248,27 @@ def test_simulate_writes_the_paths_before_the_failing_one(tmp_path, capsys, work
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert line.startswith("blow-up: blow-up at step 15 (t = 0.045)")
     assert line.endswith("(path 2, seed 24)")
+
+
+@pytest.mark.parametrize("caller", ["simulate_path", "cli"])
+def test_stability_warning_names_the_caller(tmp_path, caller):
+    # raised inside the stepping, the warning names the line that asked
+    # for the run: this file's, or cli.py's for plapsim simulate
+    path = write_config(tmp_path, 'solver.scheme = "explicit"\npert.enabled = false\n'
+                        "solver.dt = 0.003\nsolver.t_end = 0.006\nrun.paths = 1\n")
+    with pytest.warns(RuntimeWarning, match="stability heuristic") as caught:
+        if caller == "cli":
+            main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        else:
+            cfg, _ = load_config(path)
+            grid, solver_cfg = make_grid(cfg), make_solver_config(cfg)
+            system = build_system(grid, make_coeff(cfg), make_drift(cfg), make_pert(cfg),
+                                  solver_cfg, spec=make_spec(cfg),
+                                  kernel=make_kernel(cfg, grid))
+            simulate_path(system, solver_cfg, make_initial(cfg, grid),
+                          make_sampler(cfg, grid, 1, 0))
+    expect = cli.__file__ if caller == "cli" else __file__
+    assert [Path(w.filename) for w in caught] == [Path(expect)]
 
 
 def test_simulate_workers_do_not_change_outputs(tmp_path):

@@ -491,11 +491,53 @@ def test_jacobian_A_n_matches_central_differences(coeff, drift, pert,
     assert np.all(np.abs(jac - by_cols) <= 1e-7 * scale)
 
 
-def test_jacobian_A_n_refuses_a_2d_grid():
-    plane = Grid(2, 4)
-    with pytest.raises(GridMismatchError, match="1d"):
-        jacobian_A_n(plane, p_laplacian_coeff(2.5), zero_drift(),
-                     perturbation_for(2.5), 8, random_field(plane, 2))
+def slab_to_dense(slab):
+    """The size x size matrix a line slab stores; its blocks for lines past
+    either end of the grid must be zero."""
+    lines, n, width = slab.shape
+    reach = (width // n - 1) // 2
+    padded = np.zeros((lines * n, (lines + 2 * reach) * n))
+    for i in range(lines):
+        padded[i * n:(i + 1) * n, i * n:i * n + width] = slab[i]
+    assert not padded[:, :reach * n].any() and not padded[:, (reach + lines) * n:].any()
+    return padded[:, reach * n:(reach + lines) * n]
+
+
+def test_jacobian_A_n_on_a_2d_grid_is_a_line_slab():
+    # n_interior lines of n_interior nodes, each coupled to the lines up to
+    # max(1, m) away, and a stack of states gives a stack of slabs
+    plane = Grid(2, 5)
+    u = random_field(plane, 2)
+    for pert, n, reach in ((perturbation_for(2.5), 8, 2), (None, 8, 1),
+                           (perturbation_for(2.5, m=3), None, 1)):
+        slab = jacobian_A_n(plane, p_laplacian_coeff(2.5), zero_drift(), pert, n, u)
+        assert slab.shape == (5, 5, (2 * reach + 1) * 5)
+    stack = jacobian_A_n(plane, p_laplacian_coeff(2.5), tanh_drift(1.0),
+                         perturbation_for(2.5), np.array([8, 4]), np.stack([u, -u]))
+    assert stack.shape == (2, 5, 5, 25)
+    assert np.array_equal(stack[1], jacobian_A_n(
+        plane, p_laplacian_coeff(2.5), tanh_drift(1.0), perturbation_for(2.5), 4, -u))
+
+
+@pytest.mark.parametrize("coeff, drift, pert, n_interior", [
+    (p_laplacian_coeff(2.5), None, None, 6),
+    (remark_flux_coeff(2.5), None, None, 6),
+    (p_laplacian_coeff(2.5), tanh_drift(1.0), perturbation_for(2.5, m=2), 6),
+    (p_laplacian_coeff(2.5), zero_drift(), perturbation_for(2.5, m=3), 10),
+    (p_laplacian_coeff(1.5), zero_drift(), perturbation_for(1.5, m=1), 5),
+    (remark_flux_coeff(2.5), tanh_drift(1.0), perturbation_for(2.5, m=2), 2),
+    (remark_flux_coeff(3.0), tanh_drift(1.0), perturbation_for(3.0, m=4), 4)],
+    ids=["p2.5_alone", "convective_alone", "p2.5_tanh_m2", "m3", "p1.5_m1",
+         "two_lines_m2", "four_lines_m4"])
+def test_2d_jacobian_A_n_matches_central_differences(coeff, drift, pert,
+                                                     n_interior):
+    # on the two- and four-line grids the slab's reach is cut to lines - 1
+    grid = Grid(2, n_interior)
+    u = 0.3 * random_field(grid, 31)
+    jac = slab_to_dense(jacobian_A_n(grid, coeff, drift, pert, 8, u))
+    by_cols = apply_A_n_columns(grid, coeff, drift, pert, 8, u)
+    scale = np.abs(by_cols).max(axis=1, keepdims=True)
+    assert np.all(np.abs(jac - by_cols) <= 1e-7 * scale)
 
 
 # ----------------------------------------------------------- structure checks
