@@ -615,7 +615,7 @@ def _slab_positions(grid, half_width):
 
 
 @lru_cache(maxsize=None)
-def _paired_rows(n, order, h):
+def _difference_pairs(n, order, h):
     """E_d[s, a] = D[s, a] D[s, a + d] (zero off the grid), D the order's
     difference: the E_d^T stacked by rows, d = -order ... order, and the
     E_d stacked by columns, both read-only."""
@@ -644,10 +644,10 @@ def _jacobian_2d(grid, coeff, drift, pert, n, u):
             np.power(weights, pert.q - 2.0, out=weights)
             weights *= pert.q - 1.0
             weights += 1.0
-            right = _paired_rows(size, j, h)[1]
+            right = _difference_pairs(size, j, h)[1]
             for i in range(pert.m - j + 1):
                 start = _rows_through(size, i - 1)
-                prod = (_paired_rows(size, i, h)[0]
+                prod = (_difference_pairs(size, i, h)[0]
                         @ weights[..., start:start + size + i, :] @ right)
                 prod = prod.reshape(lead + (2 * i + 1, size, 2 * j + 1, size))
                 band[..., w - i:w + i + 1, w - j:w + j + 1, :, :] += \
@@ -662,15 +662,16 @@ def _jacobian_2d(grid, coeff, drift, pert, n, u):
         low = (0.5 * a_lam[..., axis] - normal) / h
         high = (0.5 * a_lam[..., axis] + normal) / h
         across = a_xi[..., axis, 1 - axis] / (4.0 * h * h)
-        # -div a takes -a_k / h at L (row offset 0 from L) and +a_k / h at
-        # L + e_k (offset -1 from it); each term's column is at (k, t)
-        # offsets from the row, and its sign is sign * turn
+        # -div a takes -a_k / h at L and +a_k / h at L + e_k, so a row takes
+        # the face above it as its L (L is 0 nodes along axis k from the
+        # row) and the face below as its L + e_k (L is 1 node back); each
+        # column lies (along, across) of the row, its sign sign * turn
         for faces, sign, k in ((slice(1, None), -1, 0), (slice(None, -1), 1, -1)):
             index = (..., faces, slice(None)) if axis == 0 else (..., faces)
-            for dk, dt, weight, turn in ((k, 0, low, 1), (k + 1, 0, high, 1),
-                                         (k, 1, across, 1), (k, -1, across, -1),
-                                         (k + 1, 1, across, 1), (k + 1, -1, across, -1)):
-                into = band[..., (dk, dt)[axis] + w, (dt, dk)[axis] + w, :, :]
+            for along, cross, weight, turn in (
+                    (k, 0, low, 1), (k + 1, 0, high, 1), (k, 1, across, 1),
+                    (k, -1, across, -1), (k + 1, 1, across, 1), (k + 1, -1, across, -1)):
+                into = band[..., (along, cross)[axis] + w, (cross, along)[axis] + w, :, :]
                 (np.add if sign * turn > 0 else np.subtract)(into, weight[index], out=into)
     if drift is not None:
         band[..., w, w, :, :] += drift.f_eval.derivative(u).reshape(lead + (size, size))
@@ -694,7 +695,7 @@ def jacobian_A_n(grid, coeff, drift, pert, n, u):
     In 2d a face also reads the four differences across it, so -div a
     couples each node to its 3 x 3 box, and the perturbation to its box of
     half-width m.  The slab is (lines, n, (2 r + 1) n), lines and n both
-    n_interior, r = min(max(1, m), lines - 1) (r = 1 without the
+    n_interior, r = min(max(1, m), lines - 1) (m counted as 0 without the
     perturbation): row-block i holds line i's rows over lines i - r ... i +
     r, the blocks for lines past either end of the grid zero.
 
