@@ -6,29 +6,33 @@ step-size restriction, and a drift-implicit step whose nonlinear system is
 solved by a damped Newton iteration.  Its matrix is exact, from the
 derivatives of the flux and the drift (spatial.jacobian_A_n), in 1d and
 2d alike.  It couples only nearby grid lines, so it is assembled straight
-into a slab stored by line and solved by block elimination over lines,
+into a slab stored by line and factored by block elimination over lines,
 with numpy alone: in 2d no size x size array is formed, and no part of
-scipy is loaded.
+scipy is loaded.  In 2d the iteration is a chord iteration with refresh:
+the factors made at the step's start serve the iterations that follow,
+and are made again at the iterate only where an iteration falls short of
+a fixed residual cut (CHORD_RATIO) or its line search fails.  In 1d the
+matrix is one dense block and every iteration refactors, which is
+Newton's method.
 
 The steppers advance a stack of trajectories, (B, size) states, as one:
 members may differ in level (build_system's levels), initial state and
-Wiener path (simulate_batch).  Newton runs per member, with its own
-residual, line search, iteration count and stopping point; the members
-still iterating share each operator evaluation, Newton matrix and solve,
-and a member whose solve fails is bisected, or leaves the stack with its
-error, without holding up the others.  Every product and sum a member
-takes is its own, so its trajectory is bitwise the same alone or in any
-stack; simulate_path is a stack of one, which the steppers run on its
-member's flat state (System.lone).  Trajectories are bitwise
-reproducible from (seed, config): the Wiener increments and bridge points
-are pure functions of (seed, path, step, node) and every reduction runs in
-a fixed order.  Coupled runs -- two initial data, or two levels, on one
-Wiener path -- are therefore members on samplers with the same (seed,
-path), stacked or run apart in any order.
+Wiener path (simulate_batch).  The iteration runs per member, with its
+own residual, factors, line search, iteration count and stopping point;
+the members still iterating share each operator evaluation,
+factorization and solve, and a member whose solve fails is bisected, or
+leaves the stack with its error, without holding up the others.  Every
+product and sum a member takes is its own, so its trajectory is bitwise
+the same alone or in any stack; simulate_path is a stack of one, which
+the steppers run on its member's flat state (System.lone).  Trajectories
+are bitwise reproducible from (seed, config): the Wiener increments and
+bridge points are pure functions of (seed, path, step, node) and every
+reduction runs in a fixed order.  Coupled runs -- two initial data, or two
+levels, on one Wiener path -- are therefore members on samplers with the
+same (seed, path), stacked or run apart in any order.
 """
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -52,10 +56,14 @@ __all__ = [
     "simulate_path",
     "simulate_batch",
     "explicit_dt_heuristic",
+    "warn_explicit_dt",
 ]
 
 ARMIJO_SLOPE = 1e-4
 MIN_LINE_STEP = 2.0 ** -20
+# an accepted iteration whose residual is above this fraction of the one
+# before refactors the Newton matrix at its iterate (step_semi_implicit)
+CHORD_RATIO = 0.25
 BLOW_UP_NORM = 1e12
 
 
@@ -172,7 +180,8 @@ class System:
 
     @property
     def slab_bytes(self):
-        """Bytes of one member's Newton matrix in its line slab (_newton_matrix)."""
+        """Bytes of one member's Newton matrix in its line slab
+        (_newton_matrix), which its factors (_factor_lines) replace."""
         n = self.grid.n_interior
         lines = self.grid.size // n
         return 8 * lines * n * n * (2 * min(self.jacobian_half_width, lines - 1) + 1)
@@ -264,6 +273,20 @@ def explicit_dt_heuristic(system, u0):
     return grid.h ** 2 / (2.0 * grid.dimension * c3 * slope)
 
 
+def warn_explicit_dt(system, config, u0):
+    """Warn (RuntimeWarning) when config steps the explicit scheme with a
+    dt above explicit_dt_heuristic(system, u0), u0 one state or a stack.
+    The warning names the caller of the function that calls this one: the
+    line that asked for the run (simulate_path's, say).
+    """
+    if config.scheme != "explicit" or config.num_steps == 0:
+        return
+    bound = explicit_dt_heuristic(system, u0)
+    if config.dt > bound:
+        warnings.warn(f"explicit dt = {config.dt:g} exceeds the stability "
+                      f"heuristic {bound:g}", RuntimeWarning, stacklevel=3)
+
+
 def _newton_matrix(system, dt, v):
     """I + dt J at v, J the exact Jacobian of A_n (spatial.jacobian_A_n),
     stored by line: a (lines, n, (2 r + 1) n) slab per member of a stack v.
@@ -282,86 +305,139 @@ def _newton_matrix(system, dt, v):
     return slab
 
 
-def _solve_lines(slab, rhs):
-    """Solve the line-stored system of _newton_matrix for rhs; a stack of
-    slabs solves a stack of right-hand sides, each member on its own.
-
-    Block Gaussian elimination over lines (block Thomas with r coupled
-    lines on each side), pivoting inside each line's diagonal block: every
-    line but the last solves its block against its rhs and its couplings to
-    the lines after it, eliminates itself from the next r lines, and back
-    substitution finishes.  In 1d there is one line and this is a single
-    dense solve.  slab is overwritten; a singular block raises LinAlgError.
-
-    Lines need no pivoting among them: A_n is monotone up to the drift's
-    Lipschitz constant L, so for dt L < 1 the symmetric part of I + dt J is
-    positive definite, and so is that of every block met on the way.
-    """
+def _line_blocks(slab):
+    """(lines, reach, cols) of a line slab: its lines, the r of
+    _newton_matrix, and cols(offset, count) the slab columns of count
+    lines from offset lines after the row's."""
     lines, n, width = slab.shape[-3:]
-    if lines == 1:   # one dense block
-        return np.linalg.solve(slab[..., 0, :, :], rhs[..., None])[..., 0]
     reach = (width // n - 1) // 2
 
     def cols(offset, count=1):
-        """Slab columns of count lines, from offset lines after the row's."""
         return slice((reach + offset) * n, (reach + offset + count) * n)
 
-    slab = slab.reshape((-1,) + slab.shape[-3:])
-    x = rhs.reshape(len(slab), lines, n).copy()
-    for i in range(lines - 1):
+    return lines, reach, cols
+
+
+def _factor_lines(slab):
+    """Factors of the line-stored matrix of _newton_matrix for
+    _apply_factors, made in place of the slab; a stack of slabs factors
+    each member on its own.
+
+    Block Gaussian elimination over lines (block Thomas with r coupled
+    lines on each side): line i's diagonal block, the Schur complement S_i
+    the lines before it leave, becomes S_i^-1, its couplings to the next r
+    lines C_i become S_i^-1 C_i, and line i is eliminated from those lines;
+    the couplings behind, which the elimination reads, stay as they are.
+    So the factors take exactly the slab's bytes.  A one-line slab (1d) is
+    its own factor.  A singular block raises LinAlgError.
+
+    Lines need no pivoting among them: A_n is monotone up to the drift's
+    Lipschitz constant L, so for dt L < 1 the symmetric part of I + dt J is
+    positive definite, and so is that of every Schur complement.
+    """
+    lines, reach, cols = _line_blocks(slab)
+    if lines == 1:
+        return slab
+    flat = slab.reshape((-1,) + slab.shape[-3:])
+    for i in range(lines):
         ahead = min(reach, lines - 1 - i)
-        sol = np.linalg.solve(slab[:, i, :, cols(0)], np.concatenate(
-            (x[:, i, :, None], slab[:, i, :, cols(1, ahead)]), axis=-1))
-        x[:, i], slab[:, i, :, cols(1, ahead)] = sol[..., 0], sol[..., 1:]
+        inverse = np.linalg.inv(flat[:, i, :, cols(0)])
+        coupled = flat[:, i, :, cols(1, ahead)]
+        coupled[...] = inverse @ coupled
+        flat[:, i, :, cols(0)] = inverse
         for s in range(1, ahead + 1):
-            update = slab[:, i + s, :, cols(-s)] @ sol
-            x[:, i + s] -= update[..., 0]
-            slab[:, i + s, :, cols(1 - s, ahead)] -= update[..., 1:]
-    x[:, -1] = np.linalg.solve(slab[:, -1, :, cols(0)], x[:, -1, :, None])[..., 0]
+            flat[:, i + s, :, cols(1 - s, ahead)] -= flat[:, i + s, :, cols(-s)] @ coupled
+    return flat.reshape(slab.shape)
+
+
+def _apply_factors(factors, rhs):
+    """Solve the system _factor_lines factored for rhs; a stack of factors
+    solves a stack of right-hand sides, each member on its own.
+
+    A forward sweep over the lines and back substitution, one product per
+    line and member with the blocks it reads.  A one-line slab is solved
+    densely, which raises LinAlgError when its matrix is singular.
+    """
+    lines, reach, cols = _line_blocks(factors)
+    if lines == 1:
+        return np.linalg.solve(factors[..., 0, :, :], rhs[..., None])[..., 0]
+    flat = factors.reshape((-1,) + factors.shape[-3:])
+    n = flat.shape[-2]
+    x = rhs.reshape(len(flat), -1, 1).copy()   # a column per member
+    for i in range(lines):
+        behind = min(reach, i)
+        line = x[:, i * n:(i + 1) * n]
+        if behind:
+            line -= flat[:, i, :, cols(-behind, behind)] @ x[:, (i - behind) * n:i * n]
+        line[...] = flat[:, i, :, cols(0)] @ line
     for i in range(lines - 2, -1, -1):
         ahead = min(reach, lines - 1 - i)
-        x[:, i] -= np.matmul(slab[:, i, :, cols(1, ahead)],
-                             x[:, i + 1:i + 1 + ahead].reshape(len(x), -1, 1))[..., 0]
+        x[:, i * n:(i + 1) * n] -= flat[:, i, :, cols(1, ahead)] @ \
+            x[:, (i + 1) * n:(i + 1 + ahead) * n]
     return x.reshape(rhs.shape)
 
 
-def _newton_steps(system, dt, v, residual):
-    """Newton step -(I + dt J)^-1 residual of the state v, or of each
-    member of the stack v, and the members whose matrix is singular (their
-    steps are NaN)."""
+def _chord_steps(system, dt, v, residual, factors, renew):
+    """Steps -F^-1 residual of the state v, or of each member of the stack
+    v, F the member's factors of I + dt J (_factor_lines).
+
+    The members where renew is set first get new factors at their v; the
+    others keep theirs from factors, which runs over the same members
+    (None when every member renews).  Returns the steps, the factors and
+    the members whose matrix is singular (their steps are NaN).
+    """
+    (fresh,) = renew.nonzero()
+    every = fresh.size == renew.size
     try:
-        return _solve_lines(_newton_matrix(system, dt, v), -residual), []
-    except np.linalg.LinAlgError:   # solve member by member to find them
-        slab = _newton_matrix(system, dt, v)
-        slab = slab.reshape((-1,) + slab.shape[-3:])
-        residual = residual.reshape(len(slab), -1)
-        delta, singular = np.full(residual.shape, np.nan), []
-        for b in range(len(slab)):
+        if every:
+            factors = _factor_lines(_newton_matrix(system, dt, v))
+        elif fresh.size:
+            factors[fresh] = _factor_lines(_newton_matrix(system.take(fresh), dt, v[fresh]))
+        return _apply_factors(factors, -residual), factors, []
+    except np.linalg.LinAlgError:   # member by member, to find them
+        slabs = _newton_matrix(system, dt, v) if every else \
+            _newton_matrix(system.take(fresh), dt, v[fresh])
+        shape = slabs.shape[-3:]
+        slabs = iter(slabs.reshape((-1,) + shape))
+        stack = np.empty((renew.size,) + shape) if every else \
+            factors.reshape((renew.size,) + shape)
+        residual = residual.reshape(renew.size, -1)
+        steps, singular = np.full(residual.shape, np.nan), []
+        for b in range(renew.size):
             try:
-                delta[b] = _solve_lines(slab[b], -residual[b])
+                if renew[b]:
+                    stack[b] = _factor_lines(next(slabs))
+                steps[b] = _apply_factors(stack[b], -residual[b])
             except np.linalg.LinAlgError:
                 singular.append(b)
-        return delta.reshape(v.shape), singular
+        return steps.reshape(v.shape), stack.reshape(v.shape[:-1] + shape), singular
 
 
 def step_semi_implicit(system, config, u, t, dw):
     """Drift-implicit step: solve v + dt A_n(v) = u + sigma_n(t, u) K(dW).
 
-    Damped Newton with Armijo backtracking (halving, floor 2^-20) on the
-    weighted residual norm; the implicit system is strongly monotone
-    whenever the higher-order term is active, which is what makes this
-    scheme solvable without a step-size restriction.  The Newton matrix is
-    exact (_newton_matrix), and A_n at the current iterate comes from its
-    residual, so each iteration evaluates A_n once per line-search trial.
+    A chord iteration with refresh, damped by Armijo backtracking
+    (halving, floor 2^-20) on the weighted residual norm; the implicit
+    system is strongly monotone whenever the higher-order term is active,
+    which is what makes this scheme solvable without a step-size
+    restriction.  The Newton matrix is exact (_newton_matrix).  It is
+    factored (_factor_lines) at the step's start, and the iterations solve
+    with those factors (_apply_factors) until an accepted iteration cuts
+    the residual by less than CHORD_RATIO; the next one refactors at its
+    iterate.  A line search that reaches the floor on factors older than
+    the iterate refactors and retries; only one on factors at the iterate
+    fails.  A one-line matrix (1d) refactors at every iteration, which is
+    Newton's method.  A_n at the current iterate comes from its residual,
+    so each iteration evaluates A_n once per line-search trial.
 
-    u is one state or a stack (B, size), Newton running per member: each
-    has its own residual norm, line search and iteration count, and stops
-    changing once its residual meets the tolerance; the members still
-    iterating share every evaluation, Newton matrix and solve.  Returns
-    (v, noise, iterations, outcomes): the Newton iterations of every
-    member together, and per member its own count or, where its solve
-    failed, its NewtonDivergedError (its row of v is then no solution).  A
-    single state raises its error instead.
+    u is one state or a stack (B, size), the iteration running per member:
+    each has its own residual norm, factors, line search and iteration
+    count (its linear solves), and stops changing once its residual meets
+    the tolerance; the members still iterating share every evaluation,
+    factorization and solve.  Returns (v, noise, iterations, outcomes): the
+    iterations of every member together, and per member its own count or,
+    where its solve failed, its NewtonDivergedError (its row of v is then
+    no solution).  A single state raises its error instead.
     """
     system, state, dw = _unstacked(system, u, dw)
     v, noise, iters, outcomes = _newton_solve(system, config, state, t, dw)
@@ -374,20 +450,24 @@ def _newton_solve(system, config, u, t, dw):
     """step_semi_implicit on one flat state or a stack, returning the
     failures among the outcomes.
 
-    The states (v, its drift and residual) keep u's shape; the per-member
-    arrays (residual norms, iteration counts) have one entry per member,
-    so a flat state runs the same loop as a member of a stack.
+    The states (v and its residual) keep u's shape; the per-member arrays
+    (residual norms, iteration counts, refresh flags) have one entry per
+    member, so a flat state runs the same loop as a member of a stack.
     """
     grid, dt, tol = system.grid, config.dt, config.newton_tol
     count = _members(u)
     noise = system.noise_term(t, u, dw)
     rhs = u + noise
     v = u.copy()
-    drift = system.apply_drift_operator(v)
-    residual = v + dt * drift - rhs
+    residual = v + dt * system.apply_drift_operator(v) - rhs
     res_norm = np.atleast_1d(norm_l2(grid, residual))
     iters = np.zeros(count, dtype=int)
     failed = {}
+    # a member refactors at its iterate in the next round when this is set;
+    # a one-line matrix always does, which is Newton's method
+    one_line = grid.size == grid.n_interior
+    refresh = np.ones(count, dtype=bool)
+    factors = None   # of the members of the round, in order
 
     def fail(members):
         for b in members:
@@ -402,12 +482,13 @@ def _newton_solve(system, config, u, t, dw):
         return whole if len(members) == count else (members, system.take(members))
 
     active, rounds = (res_norm > tol).nonzero()[0], 0
-    while active.size:   # each member still iterating has had `rounds` iterations
+    while active.size:   # each member still iterating has had `rounds` solves
         if rounds >= config.newton_max_iter:
             fail(active)
             break
         at, sub = part(active)
-        delta, singular = _newton_steps(sub, dt, v[at], residual[at])
+        fresh = refresh[active]   # factors at the member's iterate
+        delta, factors, singular = _chord_steps(sub, dt, v[at], residual[at], factors, fresh)
         if singular:
             fail(active[singular])
             keep = np.ones(active.size, dtype=bool)
@@ -415,41 +496,48 @@ def _newton_solve(system, config, u, t, dw):
             active = active[keep]
             if not active.size:
                 break
-            delta = delta[keep]
+            delta, factors, fresh = delta[keep], factors[keep], fresh[keep]
             at, sub = part(active)
+        members = active
+        refresh[active] = one_line
         step = 1.0   # every member still searching is at the same step
         while True:
             trial = v[at] + step * delta
-            trial_drift = sub.apply_drift_operator(trial)
-            trial_res = trial + dt * trial_drift - rhs[at]
+            trial_res = trial + dt * sub.apply_drift_operator(trial) - rhs[at]
             trial_norm = np.atleast_1d(norm_l2(grid, trial_res))
             ok = trial_norm <= (1.0 - ARMIJO_SLOPE * step) * res_norm[at]
+            # a passing trial that cuts the residual by less than CHORD_RATIO
+            # refactors at the start of the next round
+            refresh[active[ok & (trial_norm > CHORD_RATIO * res_norm[at])]] = True
             passed = np.count_nonzero(ok)
             if passed == ok.size:
                 if at is whole[0]:   # take the trials whole
-                    v, drift, residual, res_norm = trial, trial_drift, trial_res, trial_norm
+                    v, residual, res_norm = trial, trial_res, trial_norm
                     iters += 1
                 else:
-                    v[at], drift[at], residual[at], res_norm[at] = \
-                        trial, trial_drift, trial_res, trial_norm
+                    v[at], residual[at], res_norm[at] = trial, trial_res, trial_norm
                     iters[at] += 1
                 break
             if passed:   # the members whose trial passes take it
                 done = active[ok]
-                v[done], drift[done], residual[done] = trial[ok], trial_drift[ok], trial_res[ok]
-                res_norm[done] = trial_norm[ok]
+                v[done], residual[done], res_norm[done] = trial[ok], trial_res[ok], trial_norm[ok]
                 iters[done] += 1
-                active, delta = active[~ok], delta[~ok]
+                active, delta, fresh = active[~ok], delta[~ok], fresh[~ok]
                 at, sub = part(active)
             step *= 0.5
-            if step < MIN_LINE_STEP:
-                fail(active)
+            if step < MIN_LINE_STEP:   # fail on fresh factors, else refactor
+                fail(active[fresh])
+                retry = active[~fresh]
+                refresh[retry] = True
+                iters[retry] += 1
                 break
         rounds += 1
         going = res_norm > tol
         if failed:
             going[list(failed)] = False
         active = going.nonzero()[0]
+        if 0 < active.size < members.size:
+            factors = factors[np.isin(members, active)]
     counts = iters.tolist()
     return v, noise, sum(counts), [failed.get(b, c) for b, c in enumerate(counts)]
 
@@ -551,21 +639,6 @@ def _energies(system, u, l2_sq):
     return out
 
 
-# the modules that run trajectories for a caller: a warning names the
-# first frame outside them
-_RUNNERS = (__name__, "plapsim.verify")
-
-
-def _caller_level():
-    """The stacklevel, for a warning raised in the function that calls
-    this, of the caller that asked for the run: the first frame outside
-    _RUNNERS (simulate_path's caller, say, or cli.py for plapsim simulate)."""
-    level, frame = 2, sys._getframe(2)
-    while frame is not None and frame.f_globals.get("__name__") in _RUNNERS:
-        level, frame = level + 1, frame.f_back
-    return level
-
-
 def simulate_batch(system, config, u0, samplers=None, rows=None):
     """Integrate a stack of trajectories, one per row of u0, from 0 to t_end.
 
@@ -580,19 +653,15 @@ def simulate_batch(system, config, u0, samplers=None, rows=None):
     Snapshots land every record_every steps (first and last always); the
     running sup of ||u||_2^2 and the left-endpoint quadratures of the
     energy integrands accumulate every step.  The blow-up guard sees each
-    state before any of its energies is formed.
+    state before any of its energies is formed.  The explicit dt is not
+    checked here: simulate_path and verify.run_jobs check it for their
+    caller (warn_explicit_dt).
     """
     grid, dt, steps = system.grid, config.dt, config.num_steps
     u = np.array(grid.check(u0))
     if u.ndim != 2:
         raise GridMismatchError(f"expected a stack of grid functions, got shape {u.shape}")
     count = len(u)
-    if config.scheme == "explicit" and steps > 0:
-        bound = explicit_dt_heuristic(system, u)
-        if dt > bound:
-            warnings.warn(f"explicit dt = {dt:g} exceeds the stability "
-                          f"heuristic {bound:g}", RuntimeWarning,
-                          stacklevel=_caller_level())
     rows = np.arange(count) if rows is None else np.asarray(rows)
     results = [None] * count
     alive, live, part, paths = np.arange(count), slice(None), None, None
@@ -689,10 +758,11 @@ def simulate_batch(system, config, u0, samplers=None, rows=None):
 def simulate_path(system, config, u0, sampler=None):
     """Integrate one trajectory from 0 to t_end: a stack of one in
     simulate_batch.  Raises the BlowUpError or NewtonDivergedError that
-    stops it."""
+    stops it, and warns its caller of an explicit dt above the heuristic."""
     u0 = system.grid.check(u0)
     if u0.ndim != 1:
         raise GridMismatchError(f"expected one flat grid function, got shape {u0.shape}")
+    warn_explicit_dt(system, config, u0)
     (result,) = simulate_batch(system, config, u0[None],
                                None if sampler is None else [sampler])
     if isinstance(result, Exception):

@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evolution import (BlowUpError, NewtonDivergedError, SolverConfig,
-                        build_system, simulate_batch, simulate_path)
+                        build_system, simulate_batch, simulate_path,
+                        warn_explicit_dt)
 from .noise import default_sampler
 from .spatial import (Grid, initial_profile, linear_coeff, n_min_default,
                       norm_l1, norm_l2, zero_drift)
@@ -173,7 +174,16 @@ def run_jobs(plan, jobs):
     failing job in job order, and that job's tagged path failure (None if
     every job ran to the end).  Which job fails first does not depend on
     the stacks or the timing; a serial run stops at the stack that holds it.
+    An explicit dt above the stability heuristic warns the caller once per
+    configuration, before any job runs.
     """
+    explicit = {}
+    for _, _, cfg, u0, _ in jobs:
+        if cfg.scheme == "explicit":
+            explicit.setdefault(replace(cfg, n=None), []).append(u0)
+    for cfg, states in explicit.items():
+        warn_explicit_dt(build_system(plan.grid, plan.coeff, plan.drift, plan.pert, cfg),
+                         cfg, np.array(states))
     stacks = _stacks(plan, jobs)
     run = functools.partial(_trajectories, plan)
     if plan.workers <= 1 or len(stacks) <= 1:

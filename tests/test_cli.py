@@ -250,15 +250,17 @@ def test_simulate_writes_the_paths_before_the_failing_one(tmp_path, capsys, work
     assert line.endswith("(path 2, seed 24)")
 
 
-@pytest.mark.parametrize("caller", ["simulate_path", "cli"])
+@pytest.mark.parametrize("caller", ["simulate_path", "cli", "cli_workers2"])
 def test_stability_warning_names_the_caller(tmp_path, caller):
-    # raised inside the stepping, the warning names the line that asked
-    # for the run: this file's, or cli.py's for plapsim simulate
+    # the warning names the line that asked for the run: this file's, or
+    # cli.py's for plapsim simulate, once, before a pool of workers starts
+    paths = 2 if caller == "cli_workers2" else 1
     path = write_config(tmp_path, 'solver.scheme = "explicit"\npert.enabled = false\n'
-                        "solver.dt = 0.003\nsolver.t_end = 0.006\nrun.paths = 1\n")
+                        f"solver.dt = 0.003\nsolver.t_end = 0.006\nrun.paths = {paths}\n")
     with pytest.warns(RuntimeWarning, match="stability heuristic") as caught:
-        if caller == "cli":
-            main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        if caller.startswith("cli"):
+            main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
+                  "--workers", str(paths)])
         else:
             cfg, _ = load_config(path)
             grid, solver_cfg = make_grid(cfg), make_solver_config(cfg)
@@ -267,7 +269,7 @@ def test_stability_warning_names_the_caller(tmp_path, caller):
                                   kernel=make_kernel(cfg, grid))
             simulate_path(system, solver_cfg, make_initial(cfg, grid),
                           make_sampler(cfg, grid, 1, 0))
-    expect = cli.__file__ if caller == "cli" else __file__
+    expect = cli.__file__ if caller.startswith("cli") else __file__
     assert [Path(w.filename) for w in caught] == [Path(expect)]
 
 

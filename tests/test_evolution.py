@@ -19,7 +19,8 @@ from plapsim.evolution import (
     NewtonDivergedError,
     SolverConfig,
     _newton_matrix,
-    _solve_lines,
+    _apply_factors,
+    _factor_lines,
     build_system,
     explicit_dt_heuristic,
     simulate_batch,
@@ -207,7 +208,7 @@ def test_line_solve_matches_the_dense_solve(
     slab = _newton_matrix(system, 1e-3, v)
     dense = slab_to_dense(slab)
     rhs = np.random.default_rng(7).standard_normal(grid.size)
-    x, direct = _solve_lines(slab, rhs), np.linalg.solve(dense, rhs)
+    x, direct = _apply_factors(_factor_lines(slab), rhs), np.linalg.solve(dense, rhs)
     if dimension == 1:   # one line: the same dense solve
         assert np.array_equal(x, direct)
     # backward stable like the dense LU, so the two agree to cond * eps
@@ -216,6 +217,21 @@ def test_line_solve_matches_the_dense_solve(
         np.linalg.norm(dense, 2) * np.linalg.norm(x) + np.linalg.norm(rhs))
     assert np.linalg.norm(x - direct) <= \
         np.linalg.cond(dense) * eps * np.linalg.norm(direct)
+
+
+@pytest.mark.parametrize("dimension, n_interior, m, p, convective",
+                         STENCIL_CASES)
+def test_stacked_factors_are_bitwise_each_members_own(
+        dimension, n_interior, m, p, convective):
+    grid, system = level_system(dimension, n_interior, m, p, convective)
+    rng = np.random.default_rng(n_interior)
+    v, rhs = 0.5 * rng.standard_normal((3, grid.size)), rng.standard_normal((3, grid.size))
+    factors = _factor_lines(_newton_matrix(system, 1e-3, v))
+    x = _apply_factors(factors, rhs)
+    for b in range(3):
+        alone = _factor_lines(_newton_matrix(system, 1e-3, v[b]))
+        assert factors[b].tobytes() == alone.tobytes()
+        assert x[b].tobytes() == _apply_factors(alone, rhs[b]).tobytes()
 
 
 @pytest.mark.parametrize("dimension, n_interior, m, p, convective",
@@ -271,7 +287,12 @@ def test_line_solve_raises_on_a_singular_line_block():
     _, _, _, _, slab = jacobian_at_random_state(2, 8, 1, 2.5, False)
     slab[3] = 0.0   # line 3's rows: its block stays zero through elimination
     with pytest.raises(np.linalg.LinAlgError):
-        _solve_lines(slab, np.ones(slab.shape[0] * slab.shape[1]))
+        _factor_lines(slab)
+    # one line is its own factor, and its dense solve raises
+    _, _, _, _, slab = jacobian_at_random_state(1, 16, 1, 2.5, False)
+    slab[0] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        _apply_factors(_factor_lines(slab), np.ones(16))
 
 
 def test_newton_solve_leaves_scipy_linalg_unloaded():
@@ -301,7 +322,7 @@ def test_newton_solve_leaves_scipy_linalg_unloaded():
 # the Newton matrix is exact, so it has no colors to evaluate
 @pytest.mark.parametrize("make, colors, iterations", [
     (lambda: heat_system(16), 0, 1), (lambda: level_system(1, 16, 1), 0, 3),
-    (lambda: level_system(2, 8, None), 0, 2)],
+    (lambda: level_system(2, 8, None), 0, 3)],
     ids=["heat", "tanh_m1", "no_perturbation_2d"])
 def test_newton_evaluates_the_drift_once_per_color_and_trial(
         make, colors, iterations):
@@ -347,6 +368,50 @@ def test_1d_newton_evaluates_the_drift_only_for_its_trials(monkeypatch):
     trials = len(norms) - 1
     assert trials > iters >= 1
     assert len(calls) == 1 + trials
+
+
+def test_2d_chord_step_refactors_where_it_fails_and_fails_only_on_fresh_factors(
+        monkeypatch):
+    # with no halving allowed, a trial that fails Armijo fails the line
+    # search.  A large increment carries the iterate far from the step's
+    # start, so a chord step on older factors fails: the member refactors
+    # at its iterate, retries and converges.  A larger increment fails the
+    # first Newton step, on factors at the iterate, and the member fails.
+    monkeypatch.setattr(evolution, "MIN_LINE_STEP", 1.0)
+    grid = Grid(2, 8)
+    config = SolverConfig(dt=0.01, t_end=0.01, n=8)
+    system = build_system(grid, p_laplacian_coeff(1.5), tanh_drift(1.0),
+                          perturbation_for(1.5, m=2), config,
+                          spec=power_sigma(0.75, 1.0), kernel=gaussian_kernel(grid))
+    u = initial_profile(grid, "sine", amplitude=0.25)
+    newton_matrix, apply_factors, log = evolution._newton_matrix, evolution._apply_factors, []
+
+    def logged_matrix(system, dt, v):   # the state each matrix is made at
+        log.append(("factor", v.copy()))
+        return newton_matrix(system, dt, v)
+
+    def logged_solve(factors, rhs):   # the right-hand side of each solve
+        log.append(("solve", rhs.copy()))
+        return apply_factors(factors, rhs)
+
+    monkeypatch.setattr(evolution, "_newton_matrix", logged_matrix)
+    monkeypatch.setattr(evolution, "_apply_factors", logged_solve)
+    v, noise, iters, _ = step_semi_implicit(system, config, u, 0.0, np.full(grid.size, 10.0))
+    residual = v + config.dt * system.apply_drift_operator(v) - u - noise
+    assert norm_l2(grid, residual) <= config.newton_tol
+    kinds = [kind for kind, _ in log]
+    assert kinds.count("solve") == iters
+    retries = [i for i in range(len(log) - 2)
+               if kinds[i:i + 3] == ["solve", "factor", "solve"]
+               and np.array_equal(log[i][1], log[i + 2][1])]
+    assert retries and not np.array_equal(log[retries[0] + 1][1], u)
+
+    log.clear()
+    with pytest.raises(NewtonDivergedError) as raised:
+        step_semi_implicit(system, config, u, 0.0, np.full(grid.size, 100.0))
+    assert raised.value.iterations == 0
+    assert [kind for kind, _ in log] == ["factor", "solve"]
+    assert np.array_equal(log[0][1], u)
 
 
 def test_newton_divergence_is_reported():
@@ -711,10 +776,9 @@ def test_a_failing_member_leaves_the_stack_and_the_others_run_on():
     assert_same_bits(rec, simulate_path(system, config, u0, plain))
 
 
-def test_a_singular_member_fails_alone(monkeypatch):
+def assert_a_singular_member_fails_alone(grid, monkeypatch):
     # member 1's Newton matrix is zeroed: its solve fails at the first
     # iteration, and member 0 steps as it does alone
-    grid = Grid(1, 16)
     system, config = stochastic_pieces(grid)
     u = np.stack([initial_profile(grid, "sine", amplitude=0.25)] * 2)
     dw = default_sampler(grid, 1, 0).sample_increment(0, config.dt)
@@ -722,7 +786,7 @@ def test_a_singular_member_fails_alone(monkeypatch):
 
     def singular_second(system, dt, v):
         slab = newton_matrix(system, dt, v)
-        if len(slab) == 2:
+        if slab.ndim == 4 and len(slab) == 2:   # the stack of both
             slab[1] = 0.0
         return slab
 
@@ -734,10 +798,18 @@ def test_a_singular_member_fails_alone(monkeypatch):
     assert outcomes[0] == iters and v[0].tobytes() == v_alone.tobytes()
 
 
-def test_a_singular_lone_state_raises_and_a_stack_of_one_reports(monkeypatch):
+def test_a_singular_member_fails_alone(monkeypatch):
+    assert_a_singular_member_fails_alone(Grid(1, 16), monkeypatch)
+
+
+def test_a_singular_2d_member_fails_alone(monkeypatch):
+    # in 2d the singular block is met while factoring, not while solving
+    assert_a_singular_member_fails_alone(Grid(2, 6), monkeypatch)
+
+
+def assert_a_singular_lone_state_raises_and_a_stack_of_one_reports(grid, monkeypatch):
     # a stack of one steps its member's flat state; both meet the singular
     # matrix in the member-by-member fallback
-    grid = Grid(1, 16)
     system, config = stochastic_pieces(grid)
     u = initial_profile(grid, "sine", amplitude=0.25)
     dw = default_sampler(grid, 1, 0).sample_increment(0, config.dt)
@@ -751,6 +823,14 @@ def test_a_singular_lone_state_raises_and_a_stack_of_one_reports(monkeypatch):
     assert v.shape == (1, grid.size) and iters == 0
     assert isinstance(outcomes[0], NewtonDivergedError)
     assert outcomes[0].residual == raised.value.residual
+
+
+def test_a_singular_lone_state_raises_and_a_stack_of_one_reports(monkeypatch):
+    assert_a_singular_lone_state_raises_and_a_stack_of_one_reports(Grid(1, 16), monkeypatch)
+
+
+def test_a_singular_2d_lone_state_raises_and_a_stack_of_one_reports(monkeypatch):
+    assert_a_singular_lone_state_raises_and_a_stack_of_one_reports(Grid(2, 6), monkeypatch)
 
 
 def test_stacked_steps_count_every_members_iterations():
