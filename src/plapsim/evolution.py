@@ -335,9 +335,9 @@ def _factor_lines(slab):
     Lipschitz constant L, so for dt L < 1 the symmetric part of I + dt J is
     positive definite, and so is that of every Schur complement.
     """
-    lines, reach, cols = _line_blocks(slab)
-    if lines == 1:
+    if slab.shape[-3] == 1:
         return slab
+    lines, reach, cols = _line_blocks(slab)
     flat = slab.reshape((-1,) + slab.shape[-3:])
     for i in range(lines):
         ahead = min(reach, lines - 1 - i)
@@ -358,9 +358,9 @@ def _apply_factors(factors, rhs):
     line and member with the blocks it reads.  A one-line slab is solved
     densely, which raises LinAlgError when its matrix is singular.
     """
-    lines, reach, cols = _line_blocks(factors)
-    if lines == 1:
+    if factors.shape[-3] == 1:
         return np.linalg.solve(factors[..., 0, :, :], rhs[..., None])[..., 0]
+    lines, reach, cols = _line_blocks(factors)
     flat = factors.reshape((-1,) + factors.shape[-3:])
     n = flat.shape[-2]
     x = rhs.reshape(len(flat), -1, 1).copy()   # a column per member
@@ -386,8 +386,8 @@ def _chord_steps(system, dt, v, residual, factors, renew):
     (None when every member renews).  Returns the steps, the factors and
     the members whose matrix is singular (their steps are NaN).
     """
-    (fresh,) = renew.nonzero()
-    every = fresh.size == renew.size
+    every = renew.all()
+    fresh = None if every else renew.nonzero()[0]
     try:
         if every:
             factors = _factor_lines(_newton_matrix(system, dt, v))
@@ -463,9 +463,10 @@ def _newton_solve(system, config, u, t, dw):
     res_norm = np.atleast_1d(norm_l2(grid, residual))
     iters = np.zeros(count, dtype=int)
     failed = {}
-    # a member refactors at its iterate in the next round when this is set;
-    # a one-line matrix always does, which is Newton's method
-    one_line = grid.size == grid.n_interior
+    # with more than one line, a chord iteration: a member refactors at its
+    # iterate in the next round where refresh is set.  A one-line matrix
+    # refactors every round, which is Newton's method.
+    chord = grid.size > grid.n_interior
     refresh = np.ones(count, dtype=bool)
     factors = None   # of the members of the round, in order
 
@@ -499,16 +500,17 @@ def _newton_solve(system, config, u, t, dw):
             delta, factors, fresh = delta[keep], factors[keep], fresh[keep]
             at, sub = part(active)
         members = active
-        refresh[active] = one_line
+        if chord:
+            refresh[active] = False
         step = 1.0   # every member still searching is at the same step
         while True:
             trial = v[at] + step * delta
             trial_res = trial + dt * sub.apply_drift_operator(trial) - rhs[at]
             trial_norm = np.atleast_1d(norm_l2(grid, trial_res))
             ok = trial_norm <= (1.0 - ARMIJO_SLOPE * step) * res_norm[at]
-            # a passing trial that cuts the residual by less than CHORD_RATIO
-            # refactors at the start of the next round
-            refresh[active[ok & (trial_norm > CHORD_RATIO * res_norm[at])]] = True
+            if chord:   # a passing trial that cuts the residual by less
+                # than CHORD_RATIO refactors at the start of the next round
+                refresh[active[ok & (trial_norm > CHORD_RATIO * res_norm[at])]] = True
             passed = np.count_nonzero(ok)
             if passed == ok.size:
                 if at is whole[0]:   # take the trials whole
@@ -536,8 +538,8 @@ def _newton_solve(system, config, u, t, dw):
         if failed:
             going[list(failed)] = False
         active = going.nonzero()[0]
-        if 0 < active.size < members.size:
-            factors = factors[np.isin(members, active)]
+        if chord and 0 < active.size < members.size:
+            factors = factors[going[members]]
     counts = iters.tolist()
     return v, noise, sum(counts), [failed.get(b, c) for b, c in enumerate(counts)]
 

@@ -283,6 +283,31 @@ def test_2d_newton_step_meets_the_tolerance_in_the_colored_iterations(
     assert iters_colored >= 1 and abs(iters - iters_colored) <= 1
 
 
+def test_chord_steps_refactor_only_the_members_that_renew(monkeypatch):
+    # member 1 refactors at its state; members 0 and 2 solve with the
+    # factors they had, made at other states
+    grid, system = level_system(2, 6, 1)
+    rng = np.random.default_rng(5)
+    v, residual = 0.5 * rng.standard_normal((3, grid.size)), rng.standard_normal((3, grid.size))
+    old = _factor_lines(_newton_matrix(system, 1e-3, v + 0.5))
+    renew = np.array([False, True, False])
+    steps, factors, singular = evolution._chord_steps(system, 1e-3, v, residual,
+                                                      old.copy(), renew)
+    fresh = _factor_lines(_newton_matrix(system, 1e-3, v[1]))
+    assert singular == [] and factors[1].tobytes() == fresh.tobytes()
+    for b, own in ((0, old[0]), (1, fresh), (2, old[2])):
+        assert steps[b].tobytes() == _apply_factors(own, -residual[b]).tobytes()
+    # a singular new matrix fails that member alone, in the member-by-member
+    # fallback, and the others keep their factors and steps
+    newton_matrix = evolution._newton_matrix
+    monkeypatch.setattr(evolution, "_newton_matrix", lambda *args: 0.0 * newton_matrix(*args))
+    again, kept, singular = evolution._chord_steps(system, 1e-3, v, residual, old.copy(), renew)
+    assert singular == [1] and np.isnan(again[1]).all()
+    for b in (0, 2):
+        assert kept[b].tobytes() == old[b].tobytes()
+        assert again[b].tobytes() == steps[b].tobytes()
+
+
 def test_line_solve_raises_on_a_singular_line_block():
     _, _, _, _, slab = jacobian_at_random_state(2, 8, 1, 2.5, False)
     slab[3] = 0.0   # line 3's rows: its block stays zero through elimination
