@@ -124,7 +124,7 @@ class SolverConfig:
     sigma_mode: str = "regularized"
     use_perturbation: bool = True
     newton_tol: float = 1e-10
-    newton_max_iter: int = 40
+    newton_max_iter: int = 40   # factorizations per step (step_semi_implicit)
     newton_dt_retries: int = 0
     record_every: int = 1
 
@@ -273,18 +273,18 @@ def explicit_dt_heuristic(system, u0):
     return grid.h ** 2 / (2.0 * grid.dimension * c3 * slope)
 
 
-def warn_explicit_dt(system, config, u0):
+def warn_explicit_dt(system, config, u0, stacklevel=1):
     """Warn (RuntimeWarning) when config steps the explicit scheme with a
     dt above explicit_dt_heuristic(system, u0), u0 one state or a stack.
-    The warning names the caller of the function that calls this one: the
-    line that asked for the run (simulate_path's, say).
+    stacklevel counts as in warnings.warn, from the caller of this
+    function: 1 names that caller, 2 its caller (simulate_path's, say).
     """
     if config.scheme != "explicit" or config.num_steps == 0:
         return
     bound = explicit_dt_heuristic(system, u0)
     if config.dt > bound:
         warnings.warn(f"explicit dt = {config.dt:g} exceeds the stability "
-                      f"heuristic {bound:g}", RuntimeWarning, stacklevel=3)
+                      f"heuristic {bound:g}", RuntimeWarning, stacklevel=stacklevel + 1)
 
 
 def _newton_matrix(system, dt, v):
@@ -394,23 +394,25 @@ def _chord_steps(system, dt, v, residual, factors, renew):
         elif fresh.size:
             factors[fresh] = _factor_lines(_newton_matrix(system.take(fresh), dt, v[fresh]))
         return _apply_factors(factors, -residual), factors, []
-    except np.linalg.LinAlgError:   # member by member, to find them
-        slabs = _newton_matrix(system, dt, v) if every else \
-            _newton_matrix(system.take(fresh), dt, v[fresh])
-        shape = slabs.shape[-3:]
-        slabs = iter(slabs.reshape((-1,) + shape))
-        stack = np.empty((renew.size,) + shape) if every else \
-            factors.reshape((renew.size,) + shape)
-        residual = residual.reshape(renew.size, -1)
-        steps, singular = np.full(residual.shape, np.nan), []
-        for b in range(renew.size):
-            try:
-                if renew[b]:
-                    stack[b] = _factor_lines(next(slabs))
-                steps[b] = _apply_factors(stack[b], -residual[b])
-            except np.linalg.LinAlgError:
-                singular.append(b)
-        return steps.reshape(v.shape), stack.reshape(v.shape[:-1] + shape), singular
+    except np.linalg.LinAlgError:
+        pass
+    # member by member, to find them, each factored in place of its slab
+    slabs = _newton_matrix(system, dt, v) if every else \
+        _newton_matrix(system.take(fresh), dt, v[fresh])
+    shape = slabs.shape[-3:]
+    slabs = slabs.reshape((-1,) + shape)
+    stack = slabs if every else factors.reshape((renew.size,) + shape)
+    slabs = iter(slabs)
+    residual = residual.reshape(renew.size, -1)
+    steps, singular = np.full(residual.shape, np.nan), []
+    for b in range(renew.size):
+        try:
+            if renew[b]:
+                stack[b] = _factor_lines(next(slabs))
+            steps[b] = _apply_factors(stack[b], -residual[b])
+        except np.linalg.LinAlgError:
+            singular.append(b)
+    return steps.reshape(v.shape), stack.reshape(v.shape[:-1] + shape), singular
 
 
 def step_semi_implicit(system, config, u, t, dw):
@@ -426,8 +428,10 @@ def step_semi_implicit(system, config, u, t, dw):
     the residual by less than CHORD_RATIO; the next one refactors at its
     iterate.  A line search that reaches the floor on factors older than
     the iterate refactors and retries; only one on factors at the iterate
-    fails.  A one-line matrix (1d) refactors at every iteration, which is
-    Newton's method.  A_n at the current iterate comes from its residual,
+    fails.  newton_max_iter caps the Newton iterations, the solves on
+    factors at the iterate, so the chord solves between them come on top.
+    A one-line matrix (1d) refactors at every iteration, which is Newton's
+    method.  A_n at the current iterate comes from its residual,
     so each iteration evaluates A_n once per line-search trial.
 
     u is one state or a stack (B, size), the iteration running per member:
@@ -451,7 +455,7 @@ def _newton_solve(system, config, u, t, dw):
     failures among the outcomes.
 
     The states (v and its residual) keep u's shape; the per-member arrays
-    (residual norms, iteration counts, refresh flags) have one entry per
+    (residual norms, solve counts, refresh flags) have one entry per
     member, so a flat state runs the same loop as a member of a stack.
     """
     grid, dt, tol = system.grid, config.dt, config.newton_tol
@@ -462,6 +466,7 @@ def _newton_solve(system, config, u, t, dw):
     residual = v + dt * system.apply_drift_operator(v) - rhs
     res_norm = np.atleast_1d(norm_l2(grid, residual))
     iters = np.zeros(count, dtype=int)
+    stale = np.zeros(count, dtype=int)   # solves on factors older than the iterate
     failed = {}
     # with more than one line, a chord iteration: a member refactors at its
     # iterate in the next round where refresh is set.  A one-line matrix
@@ -484,11 +489,25 @@ def _newton_solve(system, config, u, t, dw):
 
     active, rounds = (res_norm > tol).nonzero()[0], 0
     while active.size:   # each member still iterating has had `rounds` solves
+        # at most.  newton_max_iter caps the Newton iterations, the solves on
+        # factors at the iterate: a member due new factors with none left
+        # fails.  Between two of them each chord solve takes the residual
+        # below CHORD_RATIO of the one before or ends in a refresh, so the
+        # loop ends.
         if rounds >= config.newton_max_iter:
-            fail(active)
-            break
+            newton = iters[active] - stale[active]
+            spent = refresh[active] & (newton >= config.newton_max_iter)
+            if spent.any():
+                fail(active[spent])
+                active = active[~spent]
+                if not active.size:
+                    break
+                if chord:   # the factors run over the members of active
+                    factors = factors[~spent]
         at, sub = part(active)
         fresh = refresh[active]   # factors at the member's iterate
+        if not chord or fresh.all():   # free the old factors before the new
+            factors = None
         delta, factors, singular = _chord_steps(sub, dt, v[at], residual[at], factors, fresh)
         if singular:
             fail(active[singular])
@@ -501,6 +520,7 @@ def _newton_solve(system, config, u, t, dw):
             at, sub = part(active)
         members = active
         if chord:
+            stale[active[~fresh]] += 1
             refresh[active] = False
         step = 1.0   # every member still searching is at the same step
         while True:
@@ -764,7 +784,7 @@ def simulate_path(system, config, u0, sampler=None):
     u0 = system.grid.check(u0)
     if u0.ndim != 1:
         raise GridMismatchError(f"expected one flat grid function, got shape {u0.shape}")
-    warn_explicit_dt(system, config, u0)
+    warn_explicit_dt(system, config, u0, stacklevel=2)
     (result,) = simulate_batch(system, config, u0[None],
                                None if sampler is None else [sampler])
     if isinstance(result, Exception):

@@ -124,8 +124,10 @@ class ExperimentPlan(Ensemble):
 PATH_FAILURES = (BlowUpError, NewtonDivergedError)
 
 # Bytes of Newton matrix one stack of jobs may hold (System.slab_bytes per
-# member).  It bounds a stack's memory, not its results: a job's record is
-# the same in a stack of any size.
+# member).  A 2d round in which only some members refactor makes their new
+# matrices beside the stack's factors, so the peak is below twice this.
+# It bounds a stack's memory, not its results: a job's record is the same
+# in a stack of any size.
 _STACK_BYTES = 2 ** 20
 
 
@@ -166,7 +168,7 @@ def _stacks(plan, jobs):
     return stacks
 
 
-def run_jobs(plan, jobs):
+def run_jobs(plan, jobs, stacklevel=1):
     """Run trajectory jobs as stacks on an Ensemble (a study's
     ExperimentPlan, say), in plan.workers processes.
 
@@ -174,8 +176,9 @@ def run_jobs(plan, jobs):
     failing job in job order, and that job's tagged path failure (None if
     every job ran to the end).  Which job fails first does not depend on
     the stacks or the timing; a serial run stops at the stack that holds it.
-    An explicit dt above the stability heuristic warns the caller once per
-    configuration, before any job runs.
+    An explicit dt above the stability heuristic warns once per
+    configuration, before any job runs; stacklevel counts as in
+    warnings.warn from the caller of run_jobs, which 1 names.
     """
     explicit = {}
     for _, _, cfg, u0, _ in jobs:
@@ -183,7 +186,7 @@ def run_jobs(plan, jobs):
             explicit.setdefault(replace(cfg, n=None), []).append(u0)
     for cfg, states in explicit.items():
         warn_explicit_dt(build_system(plan.grid, plan.coeff, plan.drift, plan.pert, cfg),
-                         cfg, np.array(states))
+                         cfg, np.array(states), stacklevel=stacklevel + 1)
     stacks = _stacks(plan, jobs)
     run = functools.partial(_trajectories, plan)
     if plan.workers <= 1 or len(stacks) <= 1:
@@ -203,8 +206,9 @@ def run_jobs(plan, jobs):
 
 def _map_jobs(plan, jobs):
     """Records of the trajectory jobs in job order; the first failing job
-    in job order raises its path failure."""
-    records, failure = run_jobs(plan, jobs)
+    in job order raises its path failure.  A study calls this, and its
+    explicit-dt warning names the study's caller."""
+    records, failure = run_jobs(plan, jobs, stacklevel=3)
     if failure is not None:
         raise failure
     return records

@@ -250,15 +250,18 @@ def test_simulate_writes_the_paths_before_the_failing_one(tmp_path, capsys, work
     assert line.endswith("(path 2, seed 24)")
 
 
-@pytest.mark.parametrize("caller", ["simulate_path", "cli", "cli_workers2"])
+@pytest.mark.parametrize("caller", ["simulate_path", "cli", "cli_workers2", "cli_verify"])
 def test_stability_warning_names_the_caller(tmp_path, caller):
     # the warning names the line that asked for the run: this file's, or
-    # cli.py's for plapsim simulate, once, before a pool of workers starts
-    paths = 2 if caller == "cli_workers2" else 1
+    # cli.py's for plapsim simulate, once, before a pool of workers starts;
+    # plapsim verify warns once for each of its three stepping studies
+    paths = 1 if caller in ("simulate_path", "cli") else 2
     path = write_config(tmp_path, 'solver.scheme = "explicit"\npert.enabled = false\n'
                         f"solver.dt = 0.003\nsolver.t_end = 0.006\nrun.paths = {paths}\n")
     with pytest.warns(RuntimeWarning, match="stability heuristic") as caught:
-        if caller.startswith("cli"):
+        if caller == "cli_verify":
+            main(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
+        elif caller.startswith("cli"):
             main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
                   "--workers", str(paths)])
         else:
@@ -270,7 +273,8 @@ def test_stability_warning_names_the_caller(tmp_path, caller):
             simulate_path(system, solver_cfg, make_initial(cfg, grid),
                           make_sampler(cfg, grid, 1, 0))
     expect = cli.__file__ if caller.startswith("cli") else __file__
-    assert [Path(w.filename) for w in caught] == [Path(expect)]
+    count = 3 if caller == "cli_verify" else 1
+    assert [Path(w.filename) for w in caught] == [Path(expect)] * count
 
 
 def test_simulate_workers_do_not_change_outputs(tmp_path):

@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import weakref
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -437,6 +438,64 @@ def test_2d_chord_step_refactors_where_it_fails_and_fails_only_on_fresh_factors(
     assert raised.value.iterations == 0
     assert [kind for kind, _ in log] == ["factor", "solve"]
     assert np.array_equal(log[0][1], u)
+
+
+def stiff_step(grid):
+    # p = 4, m = 2 and a kick of 20: a step of many Newton iterations
+    config = SolverConfig(dt=0.01, t_end=0.01, n=8)
+    system = build_system(grid, p_laplacian_coeff(4.0), tanh_drift(1.0),
+                          perturbation_for(4.0, m=2), config,
+                          spec=power_sigma(0.75, 1.0), kernel=gaussian_kernel(grid))
+    return (system, config, initial_profile(grid, "sine", amplitude=0.25),
+            np.full(grid.size, 20.0))
+
+
+def test_the_newton_budget_caps_the_solves_on_fresh_factors(monkeypatch):
+    # a stiff 2d step that Newton solves in 37 iterations: the chord
+    # iteration takes more solves than the default budget of 40 but fewer
+    # factorizations, and newton_max_iter caps those
+    grid = Grid(2, 6)
+    system, config, u, dw = stiff_step(grid)
+    newton_matrix, made = evolution._newton_matrix, []
+
+    def counted_matrix(system, dt, v):
+        made.append(v)
+        return newton_matrix(system, dt, v)
+
+    monkeypatch.setattr(evolution, "_newton_matrix", counted_matrix)
+    v, noise, iters, _ = step_semi_implicit(system, config, u, 0.0, dw)
+    residual = v + config.dt * system.apply_drift_operator(v) - u - noise
+    assert norm_l2(grid, residual) <= config.newton_tol
+    factored = len(made)
+    assert factored <= config.newton_max_iter < iters
+
+    exact = replace(config, newton_max_iter=factored)
+    assert np.array_equal(step_semi_implicit(system, exact, u, 0.0, dw)[0], v)
+    short = replace(config, newton_max_iter=factored - 1)
+    with pytest.raises(NewtonDivergedError):
+        step_semi_implicit(system, short, u, 0.0, dw)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_a_refactoring_round_lets_the_old_factors_go_first(monkeypatch, dimension):
+    # a lone state holds one slab at a time: its old factors are freed
+    # before the matrix of its new ones is assembled
+    system, config, u, dw = stiff_step(Grid(dimension, 6))
+    newton_matrix, factor_lines, made = evolution._newton_matrix, evolution._factor_lines, []
+
+    def assembled(system, dt, v):
+        assert all(ref() is None for ref in made)
+        return newton_matrix(system, dt, v)
+
+    def factored(slab):
+        factors = factor_lines(slab)
+        made.append(weakref.ref(factors))
+        return factors
+
+    monkeypatch.setattr(evolution, "_newton_matrix", assembled)
+    monkeypatch.setattr(evolution, "_factor_lines", factored)
+    step_semi_implicit(system, config, u, 0.0, dw)
+    assert len(made) > 2
 
 
 def test_newton_divergence_is_reported():

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,11 +82,13 @@ def test_energy_report_desk_scale():
 
 
 def test_energy_report_propagates_blow_ups():
+    # the explicit-dt warning names the line that called the study
     plan = desk_plan(scheme="explicit", dt=0.02, t_end=0.2)
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning, match="stability heuristic") as caught:
         with pytest.raises(BlowUpError):
             energy_report(plan, u0=initial_profile(plan.grid, "sine",
                                                    amplitude=3.0))
+    assert [Path(w.filename) for w in caught] == [Path(__file__)]
 
 
 def test_contraction_requires_alpha_at_least_half():
