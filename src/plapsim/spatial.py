@@ -17,7 +17,7 @@ member (in 1d a matrix-vector product, as for a lone function), a sum runs
 along the member's own values, and a norm's root is taken as a scalar.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -309,6 +309,11 @@ class LerayLionsCoeff:
     The constants enter check_structure_conditions' bounds: coercivity
     a.xi >= c1 |xi|^p - c2 |lam|^nu, growth |a| <= c3 |xi|^(p-1) +
     c4 |lam|^(p-1) + g, continuity in lam with modulus c5 |xi|^(p-1) + h.
+
+    Both run on every face at every step, so a custom flux should read the
+    length-d component axis term by term (xi[..., 0], xi[..., 1]), as
+    PLaplaceFlux does, and not reduce or broadcast over it: numpy handles
+    such a short axis one output at a time.
     """
 
     a_eval: object
@@ -323,8 +328,29 @@ class LerayLionsCoeff:
     h: float = 0.0
 
 
+def _norm_sq(xi):
+    """|xi|^2 over the trailing component axis, added term by term.
+
+    Bitwise np.sum(xi * xi, axis=-1): numpy adds fewer than eight terms
+    from the left, and no square is -0.0.
+    """
+    sq = xi * xi
+    out = sq[..., 0]
+    for k in range(1, xi.shape[-1]):
+        out = out + sq[..., k]
+    return out
+
+
 @dataclass(frozen=True)
 class PLaplaceFlux:
+    """a(x, lam, xi) = (|xi|^2 + eps^2)^((p-2)/2) xi, with its derivative.
+
+    |xi|^2 and da/dxi are formed component by component, not by numpy
+    reductions or broadcasts over the length-d axis, which numpy runs one
+    short output at a time: on the faces of a 2d grid that is several times
+    faster, and the bits are those of the reduction and the broadcast.
+    """
+
     p: float
     eps: float = 0.0
 
@@ -333,20 +359,32 @@ class PLaplaceFlux:
             raise ValueError(f"p = {self.p} < 2 needs eps > 0")
 
     def __call__(self, x, lam, xi):
-        mag_sq = np.sum(xi * xi, axis=-1, keepdims=True)
-        return (mag_sq + self.eps ** 2) ** ((self.p - 2.0) / 2.0) * xi
+        power = (_norm_sq(xi) + self.eps ** 2) ** ((self.p - 2.0) / 2.0)
+        out = np.empty(xi.shape)
+        for k in range(xi.shape[-1]):
+            np.multiply(power, xi[..., k], out=out[..., k])
+        return out
 
     def derivative(self, x, lam, xi):
         """da/dxi = s^((p-2)/2) (I + (p-2) xi xi^T / s), s = |xi|^2 + eps^2; da/dlam = 0.
 
         With eps = 0, da/dxi at xi = 0 is its limit: the identity at p = 2
-        and zero above.
+        and zero above.  Each of the d(d+1)/2 distinct entries is
+        s^((p-2)/2) (delta_kj + ((p-2)/s) (xi_k xi_j)), in that order; the
+        delta_kj term is added where it is 0.0 too, which turns a -0.0
+        product into +0.0 as the identity matrix does.
         """
-        s = np.sum(xi * xi, axis=-1)[..., None, None] + self.eps ** 2
-        safe = np.where(s > 0.0, s, 1.0)
-        a_xi = s ** ((self.p - 2.0) / 2.0) * (
-            np.eye(xi.shape[-1])
-            + (self.p - 2.0) / safe * (xi[..., :, None] * xi[..., None, :]))
+        d = xi.shape[-1]
+        s = _norm_sq(xi) + self.eps ** 2
+        power = s ** ((self.p - 2.0) / 2.0)
+        scale = (self.p - 2.0) / np.where(s > 0.0, s, 1.0)
+        a_xi = np.empty(xi.shape + (d,))
+        for k in range(d):
+            for j in range(k, d):
+                entry = scale * (xi[..., k] * xi[..., j])
+                entry += float(k == j)
+                entry *= power
+                a_xi[..., k, j] = a_xi[..., j, k] = entry
         return a_xi, np.zeros_like(xi)
 
 
@@ -366,16 +404,20 @@ class FluxWithConvection:
     p: float
     velocity: object
     lip: float
+    flux: PLaplaceFlux = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "flux", PLaplaceFlux(self.p))
 
     def __call__(self, x, lam, xi):
-        out = PLaplaceFlux(self.p)(x, lam, xi)
+        out = self.flux(x, lam, xi)
         out[..., 0] = out[..., 0] + self.velocity(lam)
         return out
 
     def derivative(self, x, lam, xi):
         """The p-Laplace part's, with velocity'(lam) in da_0/dlam (the
         velocity needs a ``derivative`` method, as ScaledTanh has)."""
-        a_xi, a_lam = PLaplaceFlux(self.p).derivative(x, lam, xi)
+        a_xi, a_lam = self.flux.derivative(x, lam, xi)
         a_lam[..., 0] += self.velocity.derivative(lam)
         return a_xi, a_lam
 

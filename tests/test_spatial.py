@@ -236,17 +236,73 @@ def test_p_laplace_flux_degenerate_and_singular_limits():
     assert np.all(np.isfinite(out))
 
 
+def flux_test_gradients(shape, seed=0):
+    """Face gradients with whole faces at xi = 0, faces with one component
+    0.0 or -0.0 (their off-diagonal products are signed zeros), and tiny ones."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0xF1]))
+    xi = rng.standard_normal(shape)
+    xi[..., ::6, :] = 0.0
+    xi[..., 1::7, 0] = 0.0
+    xi[..., 2::9, -1] = -0.0
+    xi[..., 3::11, :] *= 1e-150
+    return xi
+
+
+def broadcast_flux(p, eps, xi):
+    """PLaplaceFlux by a reduction over the component axis: the oracle."""
+    mag_sq = np.sum(xi * xi, axis=-1, keepdims=True)
+    return (mag_sq + eps ** 2) ** ((p - 2.0) / 2.0) * xi
+
+
+def broadcast_flux_derivative(p, eps, xi):
+    """PLaplaceFlux's da/dxi by a reduction and an identity broadcast over
+    the component axes: the oracle."""
+    s = np.sum(xi * xi, axis=-1)[..., None, None] + eps ** 2
+    safe = np.where(s > 0.0, s, 1.0)
+    return s ** ((p - 2.0) / 2.0) * (
+        np.eye(xi.shape[-1])
+        + (p - 2.0) / safe * (xi[..., :, None] * xi[..., None, :]))
+
+
+FLUX_SHAPES = pytest.mark.parametrize(
+    "shape", [(48, 1), (48, 2), (3, 16, 1), (3, 16, 2)],
+    ids=["1d", "2d", "1d_stack", "2d_stack"])
+
+
 @pytest.mark.parametrize("p", [2.0, 2.5, 4.0])
 def test_p_laplace_flux_without_eps_is_the_masked_power_law(p):
-    rng = np.random.Generator(np.random.Philox(key=[0, 0xF1]))
-    xi = rng.standard_normal((48, 2))
-    xi[::6] = 0.0
-    out = PLaplaceFlux(p)(None, None, xi)
-    mag_sq = np.sum(xi * xi, axis=-1, keepdims=True)
-    nz = mag_sq[:, 0] > 0.0
-    masked = mag_sq[nz] ** ((p - 2.0) / 2.0) * xi[nz]
-    assert np.all(out[~nz] == 0.0)
-    assert np.array_equal(out[nz].view(np.uint64), masked.view(np.uint64))
+    for shape in ((48, 2), (3, 16, 2)):
+        xi = flux_test_gradients(shape)
+        out = PLaplaceFlux(p)(None, None, xi)
+        mag_sq = np.sum(xi * xi, axis=-1, keepdims=True)
+        nz = mag_sq[..., 0] > 0.0
+        masked = mag_sq[nz] ** ((p - 2.0) / 2.0) * xi[nz]
+        assert np.all(out[~nz] == 0.0)
+        assert np.array_equal(out[nz].view(np.uint64), masked.view(np.uint64))
+
+
+@FLUX_SHAPES
+@pytest.mark.parametrize("p, eps", [(1.5, 1e-12), (2.5, 0.3), (4.0, 1e-3)],
+                         ids=["p1.5_eps", "p2.5_eps", "p4_eps"])
+def test_p_laplace_flux_with_eps_is_bitwise_the_reduction(p, eps, shape):
+    xi = flux_test_gradients(shape, 1)
+    out = PLaplaceFlux(p, eps)(None, None, xi)
+    assert np.array_equal(out.view(np.uint64),
+                          broadcast_flux(p, eps, xi).view(np.uint64))
+
+
+@FLUX_SHAPES
+@pytest.mark.parametrize("p, eps", [(1.5, 1e-12), (2.0, 0.0), (2.5, 0.0), (4.0, 0.0)],
+                         ids=["p1.5_eps", "p2", "p2.5", "p4"])
+def test_p_laplace_derivative_is_bitwise_the_broadcast_formula(p, eps, shape):
+    # bit patterns, so that a -0.0 where the identity broadcast gives +0.0
+    # (a p < 2 off-diagonal entry at a zero component) fails
+    xi = flux_test_gradients(shape, 2)
+    a_xi, a_lam = PLaplaceFlux(p, eps).derivative(None, None, xi)
+    assert a_xi.shape == shape + (shape[-1],)
+    assert np.array_equal(a_xi.view(np.uint64),
+                          broadcast_flux_derivative(p, eps, xi).view(np.uint64))
+    assert a_lam.shape == shape and not a_lam.any()
 
 
 def test_p_laplace_flux_refuses_a_singular_p_without_eps():
@@ -517,6 +573,26 @@ def test_jacobian_A_n_on_a_2d_grid_is_a_line_slab():
     assert stack.shape == (2, 5, 5, 25)
     assert np.array_equal(stack[1], jacobian_A_n(
         plane, p_laplacian_coeff(2.5), tanh_drift(1.0), perturbation_for(2.5), 4, -u))
+
+
+@pytest.mark.parametrize("coeff", [p_laplacian_coeff(2.5), p_laplacian_coeff(1.5),
+                                   remark_flux_coeff(2.5)],
+                         ids=["p2.5", "p1.5", "convective"])
+def test_2d_flux_operators_on_a_stack_are_bitwise_each_members_own(coeff):
+    plane = Grid(2, 7)
+    sparse = random_field(plane, 4)
+    sparse[::3] = 0.0
+    stack = np.stack([random_field(plane, 3), sparse, np.zeros(plane.size)])
+    levels = np.array([4, 8, 16])
+    div = apply_divergence_form(plane, coeff, stack)
+    jac = jacobian_A_n(plane, coeff, tanh_drift(1.0), perturbation_for(coeff.p),
+                       levels, stack)
+    for member, n, div_b, jac_b in zip(stack, levels, div, jac):
+        alone = apply_divergence_form(plane, coeff, member)
+        assert np.array_equal(div_b.view(np.uint64), alone.view(np.uint64))
+        alone = jacobian_A_n(plane, coeff, tanh_drift(1.0), perturbation_for(coeff.p),
+                             n, member)
+        assert np.array_equal(jac_b.view(np.uint64), alone.view(np.uint64))
 
 
 @pytest.mark.parametrize("coeff, drift, pert, n_interior", [
