@@ -296,7 +296,7 @@ def test_p_laplace_flux_with_eps_is_bitwise_the_reduction(p, eps, shape):
                          ids=["p1.5_eps", "p2", "p2.5", "p4"])
 def test_p_laplace_derivative_is_bitwise_the_broadcast_formula(p, eps, shape):
     # bit patterns, so that a -0.0 where the identity broadcast gives +0.0
-    # (a p < 2 off-diagonal entry at a zero component) fails
+    # (an off-diagonal entry at a zero component) fails
     xi = flux_test_gradients(shape, 2)
     a_xi, a_lam = PLaplaceFlux(p, eps).derivative(None, None, xi)
     assert a_xi.shape == shape + (shape[-1],)
@@ -583,15 +583,13 @@ def test_2d_flux_operators_on_a_stack_are_bitwise_each_members_own(coeff):
     sparse = random_field(plane, 4)
     sparse[::3] = 0.0
     stack = np.stack([random_field(plane, 3), sparse, np.zeros(plane.size)])
-    levels = np.array([4, 8, 16])
+    levels, drift, pert = np.array([4, 8, 16]), tanh_drift(1.0), perturbation_for(coeff.p)
     div = apply_divergence_form(plane, coeff, stack)
-    jac = jacobian_A_n(plane, coeff, tanh_drift(1.0), perturbation_for(coeff.p),
-                       levels, stack)
+    jac = jacobian_A_n(plane, coeff, drift, pert, levels, stack)
     for member, n, div_b, jac_b in zip(stack, levels, div, jac):
         alone = apply_divergence_form(plane, coeff, member)
         assert np.array_equal(div_b.view(np.uint64), alone.view(np.uint64))
-        alone = jacobian_A_n(plane, coeff, tanh_drift(1.0), perturbation_for(coeff.p),
-                             n, member)
+        alone = jacobian_A_n(plane, coeff, drift, pert, n, member)
         assert np.array_equal(jac_b.view(np.uint64), alone.view(np.uint64))
 
 
