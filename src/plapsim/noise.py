@@ -6,12 +6,11 @@ The diffusion coefficient sends a state v to the operator
 
 discretized with one quadrature weight h^d per interior node.  Its
 Hilbert-Schmidt norm has the closed form sum_i sigma(t, v_i)^2 *
-||k(x_i, .)||_2^2 * h^d, which the Parseval route over any complete discrete
-orthonormal basis must reproduce exactly.  Wiener increments come from a
-truncated Karhunen-Loeve expansion whose normals are a pure function of
-(seed, path_index, step, node): the increment over step k and the Brownian
-bridge points that bisect it read disjoint regions of the Philox counter
-space, so a path is the same whatever is drawn, in whatever order.
+||k(x_i, .)||_2^2 * h^d.  Wiener increments come from a truncated
+Karhunen-Loeve expansion whose normals are a pure function of (seed,
+path_index, step, node): the increment over step k and the Brownian bridge
+points that bisect it read disjoint regions of the Philox counter space, so
+a path is the same whatever is drawn, in whatever order.
 
 On the unit square the Gaussian kernel is a product of 1d kernels and the
 sine modes are products of 1d modes, so both are applied one axis at a
@@ -29,13 +28,10 @@ __all__ = [
     "kernel_from_matrix",
     "gaussian_kernel",
     "rank_one_kernel",
-    "kernel_to_csv",
     "kernel_from_csv",
     "NoiseOperator",
     "apply_B",
     "hs_norm_sq",
-    "hs_norm_sq_parseval",
-    "sine_basis",
     "hs_uniform_bound",
     "b_lipschitz_constant",
     "holder_modulus_check",
@@ -86,13 +82,6 @@ class Kernel:
     def _axes(self):
         return 1 if self.factor.shape[0] == self.grid.size else self.grid.dimension
 
-    @property
-    def values(self):
-        """Dense (size, size) values, built from a separable factor on demand."""
-        if self._axes == 1:
-            return self.scale * self.factor
-        return self.scale * np.kron(self.factor, self.factor)
-
     def apply(self, phi):
         """Quadrature sum_y k(x, y) phi(y) h^d of each flat grid function in phi."""
         return _along_axes(self.factor, phi, self._axes) * (self.scale * self.grid.weight)
@@ -135,15 +124,13 @@ def rank_one_kernel(grid, profile):
     return kernel_from_matrix(grid, np.outer(phi, phi))
 
 
-def kernel_to_csv(kernel, path):
-    """Row-major CSV; the header row carries the grid size."""
-    with open(path, "w") as fh:
-        fh.write(f"n,{kernel.grid.n_interior},d,{kernel.grid.dimension}\n")
-        for row in kernel.values:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 def kernel_from_csv(path):
+    """Kernel from a CSV file of its node values.
+
+    The first row is the header ``n,<n_interior>,d,<dimension>``; then come
+    size = n_interior**dimension rows of size comma-separated values, row i
+    holding k(x_i, x_j) for the flat (row-major) node order j.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if len(header) != 4 or header[0] != "n" or header[2] != "d":
@@ -198,28 +185,6 @@ def _sine_modes(grid):
     """The n discrete sine modes of one axis, orthonormal for the weight h."""
     i = np.arange(1, grid.n_interior + 1)
     return np.sqrt(2.0) * np.sin(np.pi * np.outer(i, i) * grid.h)
-
-
-def sine_basis(grid):
-    """Complete discrete orthonormal basis of products of sine modes, (size, size).
-
-    Row k * n + l of the 2d basis is the product of modes k and l.
-    """
-    modes = _sine_modes(grid)
-    return modes if grid.dimension == 1 else np.kron(modes, modes)
-
-
-def hs_norm_sq_parseval(op, t, v, basis=None):
-    """Independent route: sum of ||B(t,v) e||_2^2 over a complete orthonormal basis."""
-    grid = op.grid
-    if basis is None:
-        basis = sine_basis(grid)
-    basis = np.asarray(basis, dtype=float)
-    if basis.shape != (grid.size, grid.size):
-        raise GridMismatchError(
-            f"basis must be {(grid.size, grid.size)}, got {basis.shape}")
-    sig = np.asarray(op.sigma(t, grid.check(v)), dtype=float)
-    return float(np.sum((sig * op.kernel.apply(basis)) ** 2) * grid.weight)
 
 
 def hs_uniform_bound(kernel, spec, v):
@@ -373,7 +338,8 @@ class QWienerSampler:
 def default_sampler(grid, seed, path_index, num_modes=None, decay=2.0):
     """Sine eigenfunctions with spectrum q_j = j**(-decay), j = 1..num_modes.
 
-    The modes are the rows of sine_basis(grid), in its order.
+    The modes are the discrete sine modes of one axis in 1d, and their
+    products in 2d, in QWienerSampler's row-major order.
     """
     if num_modes is None:
         num_modes = grid.size

@@ -6,9 +6,10 @@ inf-convolution
     sigma_n(t, lam) = inf_mu [ sigma(t, mu) + n * |lam - mu| ],
 
 which is n-Lipschitz, sits below sigma, and converges uniformly at the rate
-n**(alpha/(alpha-1)).  This module evaluates sigma_n (exactly for the power
-prototype), provides the closed-form gap bounds that control the
-approximation error, and checks the claimed properties on dense grids.
+n**(alpha/(alpha-1)).  This module evaluates sigma_n through the
+coefficient's own inf_convolution (exact for the power prototype),
+provides the closed-form gap bounds that control the approximation error,
+and checks the claimed properties on dense grids.
 """
 
 import math
@@ -22,7 +23,6 @@ __all__ = [
     "power_sigma",
     "RegularizedSigma",
     "n0",
-    "r0",
     "gap_bound",
     "c_alpha",
     "sublinear_growth_bound",
@@ -61,7 +61,8 @@ class HolderSpec:
     Parameters
     ----------
     eval : callable
-        Vectorized ``(t, lam) -> value`` with ``eval(t, 0) == 0``.
+        Vectorized ``(t, lam) -> value`` with ``eval(t, 0) == 0``;
+        RegularizedSigma also needs its ``inf_convolution(t, lam, n)``.
     alpha : float
         Holder exponent in (0, 1].
     l_alpha : float
@@ -101,14 +102,9 @@ def n0(c_sigma):
     return k
 
 
-def r0(alpha, l_alpha, n):
-    """Maximizer of h_n(r) = l_alpha * r**alpha - n * r over r > 0."""
-    _check_strict_holder(alpha, l_alpha)
-    return (n / (l_alpha * alpha)) ** (1.0 / (alpha - 1.0))
-
-
 def gap_bound(alpha, l_alpha, n):
-    """Uniform bound on sigma - sigma_n, namely h_n(r0) = c_alpha * n**(alpha/(alpha-1))."""
+    """Uniform bound on sigma - sigma_n: the max over r > 0 of
+    l_alpha * r**alpha - n * r, which is c_alpha * n**(alpha/(alpha-1))."""
     _check_strict_holder(alpha, l_alpha)
     return c_alpha(alpha, l_alpha) * n ** (alpha / (alpha - 1.0))
 
@@ -134,34 +130,14 @@ def _check_strict_holder(alpha, l_alpha):
         raise ValueError(f"l_alpha must be positive, got {l_alpha}")
 
 
-# fixed constants of the bracket-and-refine search
-_GRID_POINTS = 1024    # uniform grid across the bracket
-_REFINE_ROUNDS = 6     # local grids around the incumbent, each 8x narrower
-_REFINE_POINTS = 17
-_BLOCK = 256           # lam values per vectorized block
-
-
 @dataclass(frozen=True)
 class RegularizedSigma:
-    """sigma_n: exact via the evaluator's ``inf_convolution``, else searched.
+    """sigma_n, from the evaluator's ``inf_convolution(t, lam, n)`` method.
 
-    The infimum over mu is localized: any mu with |mu - lam| >= R, where
-    R = (l_alpha/n)**(1/(1-alpha)), cannot improve on mu = lam, so the
-    search runs on the bracket [lam - 2R, lam + 2R].  There the objective
-    is minimized over a uniform grid of 1024 points (spacing
-    delta = 4R/1023), then over 6 rounds of 17-point local grids around
-    the incumbent, each round 8 times narrower; the cusp of the
-    |.|**alpha prototype at interior minimizers rules out a single
-    parabolic polish.  The candidates mu = lam and mu = 0 (the anchor of
-    the growth bound) are always included.  The search takes 256 lam
-    values per block.
-
-    The returned value is never below the true infimum, never above
-    sigma(t, lam), and exceeds the infimum by at most
-    l_alpha * delta**alpha + n * delta.
-
-    n may also be an array of levels, one per member of a stack of states
-    (lam[b] is member b's): each member then gets its own level.
+    The method must return the infimum over mu of sigma(t, mu) +
+    n |lam - mu| for every lam; PowerSigma's is exact.  n may also be an
+    array of levels, one per member of a stack of states (lam[b] is
+    member b's): each member then gets its own level.
     """
 
     spec: HolderSpec
@@ -174,6 +150,9 @@ class RegularizedSigma:
         lower = n0(self.spec.c_sigma)
         if np.min(self.n) < lower:
             raise ValueError(f"n = {self.n} is below n0 = {lower}")
+        if not hasattr(self.spec.eval, "inf_convolution"):
+            raise ValueError(f"the evaluator {self.spec.eval!r} has no "
+                             f"inf_convolution(t, lam, n) method")
 
     def __call__(self, t, lam):
         return sigma_n_values(self, t, lam)
@@ -184,53 +163,14 @@ class RegularizedSigma:
 
 
 def sigma_n_values(reg, t, lam):
-    """Vectorized sigma_n; exact if the evaluator has ``inf_convolution``."""
+    """Vectorized sigma_n: the evaluator's inf_convolution, a member's level
+    broadcast over its own axes."""
     lam = np.asarray(lam, dtype=float)
-    exact = getattr(reg.spec.eval, "inf_convolution", None)
     n = reg.n
     if np.ndim(n):   # one level per member
-        if exact is None:
-            return np.stack([sigma_n_values(RegularizedSigma(reg.spec, level), t, row)
-                             for level, row in zip(n, lam)])
         n = np.reshape(n, np.shape(n) + (1,) * (lam.ndim - np.ndim(n)))
-    if exact is not None:
-        out = exact(t, lam, n)
-    else:
-        flat, out = lam.ravel(), np.empty(lam.size)
-        for start in range(0, flat.size, _BLOCK):
-            out[start:start + _BLOCK] = _sigma_n_block(reg, t, flat[start:start + _BLOCK])
-        out = out.reshape(lam.shape)
+    out = reg.spec.eval.inf_convolution(t, lam, n)
     return float(out) if lam.ndim == 0 else out
-
-
-def _sigma_n_block(reg, t, lam):
-    sig, n = reg.spec.eval, reg.n
-    radius = 2.0 * (reg.spec.l_alpha / n) ** (1.0 / (1.0 - reg.spec.alpha))
-    col = lam[:, None]
-    offsets = np.linspace(-radius, radius, _GRID_POINTS)
-    mu = col + offsets[None, :]
-    obj = sig(t, mu) + n * np.abs(mu - col)
-    ibest = np.argmin(obj, axis=1)
-    rows = np.arange(lam.size)
-    best = obj[rows, ibest]
-    center = mu[rows, ibest]
-
-    width = np.full(lam.size, 2.0 * radius / (_GRID_POINTS - 1))
-    local = np.linspace(-1.0, 1.0, _REFINE_POINTS)
-    for _ in range(_REFINE_ROUNDS):
-        mu = center[:, None] + width[:, None] * local[None, :]
-        obj = sig(t, mu) + n * np.abs(mu - col)
-        j = np.argmin(obj, axis=1)
-        center = mu[rows, j]
-        best = np.minimum(best, obj[rows, j])
-        width /= 8.0
-
-    # mu = lam guarantees sigma_n <= sigma; mu = 0 is exact for the
-    # prototype below its crossover, and beyond the bracket it never beats
-    # mu = lam since there n|lam| >= l_alpha |lam|**alpha
-    best = np.minimum(best, np.asarray(sig(t, lam), dtype=float))
-    at_zero = np.asarray(sig(t, np.zeros_like(lam)), dtype=float) + n * np.abs(lam)
-    return np.minimum(best, at_zero)
 
 
 def sup_gap_scan(reg, lam_lo=-4.0, lam_hi=4.0, t=0.0):

@@ -19,7 +19,6 @@ along the member's own values, and a norm's root is taken as a scalar.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -33,10 +32,7 @@ __all__ = [
     "w1p_seminorm",
     "hm0_norm",
     "wmq_norm",
-    "multi_indices",
-    "difference_matrix",
     "difference_blocks",
-    "laplacian_min_eigenvalue",
     "q_of_p",
     "LerayLionsCoeff",
     "p_laplacian_coeff",
@@ -48,12 +44,10 @@ __all__ = [
     "HigherOrderPerturbation",
     "perturbation_for",
     "apply_divergence_form",
-    "j_form",
     "j_operator",
     "apply_A_n",
     "jacobian_A_n",
     "check_structure_conditions",
-    "poincare_constant",
     "estimate_embedding_constants",
     "n_min_default",
     "initial_profile",
@@ -193,7 +187,7 @@ def w1p_seminorm(grid, u, p):
 
 
 @lru_cache(maxsize=None)
-def _difference_matrix_1d(n, order, h):
+def _iterated_difference_1d(n, order, h):
     """Dense (n + order, n) iterated forward difference, read-only (it is shared)."""
     mat = np.eye(n)
     for m in range(n, n + order):
@@ -203,31 +197,10 @@ def _difference_matrix_1d(n, order, h):
     return mat
 
 
-def difference_matrix(grid, gamma):
-    """Dense matrix of the iterated forward difference D^gamma.
-
-    Input is a flat grid function extended by zero beyond the boundary;
-    output lives on a staggered lattice with n_interior + gamma_k points
-    along axis k, all carrying quadrature weight h**d.
-    """
-    gamma = tuple(int(g) for g in gamma)
-    if len(gamma) != grid.dimension:
-        raise GridMismatchError(f"multi-index {gamma} does not match dimension "
-                                f"{grid.dimension}")
-    mats = [_difference_matrix_1d(grid.n_interior, g, grid.h) for g in gamma]
-    return mats[0] if grid.dimension == 1 else np.kron(*mats)
-
-
-def multi_indices(dimension, m):
-    """All multi-indices of order <= m, the zeroth included."""
-    out = [g for g in product(range(m + 1), repeat=dimension) if sum(g) <= m]
-    return sorted(out, key=lambda g: (sum(g), g))
-
-
 @lru_cache(maxsize=None)
 def _stacked_factor(n, m, h):
     """[D_0; D_1; ...; D_m] for one axis, shape (sum_k (n + k), n), read-only."""
-    mat = np.vstack([_difference_matrix_1d(n, k, h) for k in range(m + 1)])
+    mat = np.vstack([_iterated_difference_1d(n, k, h) for k in range(m + 1)])
     mat.flags.writeable = False
     return mat
 
@@ -254,7 +227,7 @@ def difference_blocks(grid, u, m):
         return [np.matmul(factor, u[..., None])[..., 0]]
     rows = factor @ u.reshape(u.shape[:-1] + (n, n))
     return [rows] + [rows[..., :_rows_through(n, m - j), :]
-                     @ _difference_matrix_1d(n, j, h).T for j in range(1, m + 1)]
+                     @ _iterated_difference_1d(n, j, h).T for j in range(1, m + 1)]
 
 
 def _difference_blocks_adjoint(grid, m, blocks):
@@ -262,7 +235,7 @@ def _difference_blocks_adjoint(grid, m, blocks):
     n, h = grid.n_interior, grid.h
     acc = blocks[0]
     for j, block in enumerate(blocks[1:], 1):
-        acc[..., :block.shape[-2], :] += block @ _difference_matrix_1d(n, j, h)
+        acc[..., :block.shape[-2], :] += block @ _iterated_difference_1d(n, j, h)
     factor_t = _stacked_factor(n, m, h).T
     if grid.dimension == 1:
         return np.matmul(factor_t, acc[..., None])[..., 0]
@@ -279,12 +252,6 @@ def wmq_norm(grid, u, m, q):
     """(sum over |gamma| <= m of the q-th power L^q norms of D^gamma u) ** (1/q)."""
     total = sum(np.sum(np.abs(d) ** q) for d in difference_blocks(grid, u, m))
     return float((total * grid.weight) ** (1.0 / q))
-
-
-def laplacian_min_eigenvalue(grid):
-    """Smallest eigenvalue of the discrete Dirichlet Laplacian, d*(4/h^2)*sin^2(pi h/2)."""
-    h = grid.h
-    return grid.dimension * (4.0 / h ** 2) * np.sin(np.pi * h / 2.0) ** 2
 
 
 # ---------------------------------------------------------------- coefficients
@@ -372,12 +339,16 @@ class PLaplaceFlux:
         and zero above.  Each of the d(d+1)/2 distinct entries is
         s^((p-2)/2) (delta_kj + ((p-2)/s) (xi_k xi_j)), in that order; the
         delta_kj term is added where it is 0.0 too, which turns a -0.0
-        product into +0.0 as the identity matrix does.
+        product into +0.0 as the identity matrix does.  The s in (p-2)/s
+        is floored at tiny * max(1, |p-2|), which keeps it finite: below the
+        floor xi_k xi_j <= s, so no entry exceeds |p-2| + 1 before the
+        power, and at s = 0, where every xi_k xi_j is 0, nothing changes.
         """
         d = xi.shape[-1]
         s = _norm_sq(xi) + self.eps ** 2
         power = s ** ((self.p - 2.0) / 2.0)
-        scale = (self.p - 2.0) / np.where(s > 0.0, s, 1.0)
+        floor = np.finfo(float).tiny * max(1.0, abs(self.p - 2.0))
+        scale = (self.p - 2.0) / np.maximum(s, floor)
         a_xi = np.empty(xi.shape + (d,))
         for k in range(d):
             for j in range(k, d):
@@ -582,21 +553,13 @@ def _check_order(grid, m):
             f"differences of order {m}")
 
 
-def j_form(grid, pert, u, v):
-    """Duality pairing sum_gamma [ <D^g u, D^g v> + <|D^g u|^(q-2) D^g u, D^g v> ].
-
-    The sum runs over all multi-indices |gamma| <= m, the zeroth included,
-    every term integrated with weight h^d on its staggered lattice.
-    """
-    _check_order(grid, pert.m)
-    dus = difference_blocks(grid, u, pert.m)
-    dvs = difference_blocks(grid, v, pert.m)
-    return float(sum(np.sum(du * dv) + np.sum(np.abs(du) ** (pert.q - 2.0) * du * dv)
-                     for du, dv in zip(dus, dvs)) * grid.weight)
-
-
 def j_operator(grid, pert, u):
-    """Riesz representative of j_form(u, .) in the weighted node pairing."""
+    """Riesz representative of the pairing j(u, .) in the weighted node pairing.
+
+    j(u, v) = sum over |gamma| <= m, the zeroth included, of <D^g u, D^g v>
+    + <|D^g u|^(q-2) D^g u, D^g v>, every term integrated with weight h^d
+    on its staggered lattice.
+    """
     _check_order(grid, pert.m)
     blocks = difference_blocks(grid, u, pert.m)
     for du in blocks:   # du + |du|^(q-2) du, in place
@@ -661,7 +624,7 @@ def _difference_pairs(n, order, h):
     """E_d[s, a] = D[s, a] D[s, a + d] (zero off the grid), D the order's
     difference: the E_d^T stacked by rows, d = -order ... order, and the
     E_d stacked by columns, both read-only."""
-    mat = _difference_matrix_1d(n, order, h)
+    mat = _iterated_difference_1d(n, order, h)
     pairs = np.zeros((2 * order + 1,) + mat.shape)
     for d in range(-order, order + 1):
         cols = slice(max(0, -d), min(n, n - d))
@@ -828,11 +791,6 @@ def check_structure_conditions(coeff, dimension=1):
 
 
 # --------------------------------------------------- embedding constants, N0
-
-
-def poincare_constant(grid):
-    """Discrete Poincare constant: ||u||_2 <= c * ||grad u||_2 with c = mu_min^(-1/2)."""
-    return float(1.0 / np.sqrt(laplacian_min_eigenvalue(grid)))
 
 
 def _test_fields(grid):

@@ -15,8 +15,7 @@ from plapsim.cli import main
 from plapsim.evolution import SolverConfig
 from plapsim.noise import (NoiseOperator, gaussian_kernel,
                            holder_modulus_check, hs_norm_sq,
-                           hs_norm_sq_parseval, kernel_from_matrix,
-                           rank_one_kernel)
+                           kernel_from_matrix, rank_one_kernel)
 from plapsim.regularize import (RegularizedSigma, gap_bound, power_sigma,
                                 sup_gap_scan, verify_regularization)
 from plapsim.spatial import (Grid, initial_profile, p_laplacian_coeff,
@@ -24,6 +23,8 @@ from plapsim.spatial import (Grid, initial_profile, p_laplacian_coeff,
 from plapsim.verify import (ExperimentPlan, cauchy_in_n_study,
                             contraction_experiment, energy_report,
                             heat_oracle_study)
+
+from oracles import hs_norm_sq_parseval
 
 pytestmark = pytest.mark.slow
 

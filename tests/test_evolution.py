@@ -33,9 +33,11 @@ from plapsim.noise import default_sampler, gaussian_kernel
 from plapsim.regularize import power_sigma
 from plapsim.spatial import (Grid, HigherOrderPerturbation,
                              apply_divergence_form, initial_profile,
-                             laplacian_min_eigenvalue, linear_coeff, norm_l1,
-                             norm_l2, p_laplacian_coeff, perturbation_for,
-                             q_of_p, remark_flux_coeff, tanh_drift, zero_drift)
+                             linear_coeff, norm_l1, norm_l2, p_laplacian_coeff,
+                             perturbation_for, q_of_p, remark_flux_coeff,
+                             tanh_drift, zero_drift)
+
+from oracles import laplacian_min_eigenvalue
 
 
 def heat_system(n_interior):

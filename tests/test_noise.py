@@ -16,17 +16,16 @@ from plapsim.noise import (
     gaussian_kernel,
     holder_modulus_check,
     hs_norm_sq,
-    hs_norm_sq_parseval,
     hs_uniform_bound,
     kernel_from_csv,
     kernel_from_matrix,
-    kernel_to_csv,
     rank_one_kernel,
-    sine_basis,
 )
 from plapsim.noise import _normals
 from plapsim.regularize import RegularizedSigma, power_sigma
 from plapsim.spatial import Grid, norm_l2
+
+from oracles import hs_norm_sq_parseval, sine_basis
 
 
 def random_field(grid, seed=0):
@@ -39,18 +38,34 @@ def indicator_basis(grid):
     return np.eye(grid.size) / np.sqrt(grid.weight)
 
 
+def kernel_values(kernel):
+    """Dense (size, size) values, built from a separable factor."""
+    if kernel.factor.shape[0] == kernel.grid.size:
+        return kernel.scale * kernel.factor
+    return kernel.scale * np.kron(kernel.factor, kernel.factor)
+
+
+def kernel_to_csv(kernel, path):
+    """The layout kernel_from_csv reads: header row n,<n>,d,<d>, then the
+    dense values row by row."""
+    with open(path, "w") as fh:
+        fh.write(f"n,{kernel.grid.n_interior},d,{kernel.grid.dimension}\n")
+        for row in kernel_values(kernel):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
 # --------------------------------------------------------------------- kernels
 
 
 def test_gaussian_kernel_shape_and_constants():
     grid = Grid(1, 16)
     ker = gaussian_kernel(grid, ell=0.25, scale=2.0)
-    assert ker.values.shape == (16, 16)
-    assert np.allclose(ker.values, ker.values.T)
-    assert np.isclose(np.max(ker.values), 2.0)
+    assert kernel_values(ker).shape == (16, 16)
+    assert np.allclose(kernel_values(ker), kernel_values(ker).T)
+    assert np.isclose(np.max(kernel_values(ker)), 2.0)
     assert np.isclose(ker.c_k, np.max(ker.row_norms_sq()), rtol=1e-12)
     assert np.isclose(ker.l2_norm_sq,
-                      np.sum(ker.values ** 2) * grid.weight ** 2, rtol=1e-12)
+                      np.sum(kernel_values(ker) ** 2) * grid.weight ** 2, rtol=1e-12)
 
 
 def test_kernel_from_matrix_rejects_asymmetry_and_nonfinite():
@@ -70,7 +85,7 @@ def test_rank_one_kernel_row_structure():
     grid = Grid(1, 8)
     profile = np.sin(np.pi * grid.nodes()[:, 0])
     ker = rank_one_kernel(grid, profile)
-    assert np.allclose(ker.values, np.outer(profile, profile))
+    assert np.allclose(kernel_values(ker), np.outer(profile, profile))
 
 
 def test_kernel_csv_round_trip(tmp_path):
@@ -80,7 +95,7 @@ def test_kernel_csv_round_trip(tmp_path):
     kernel_to_csv(ker, path)
     back = kernel_from_csv(path)
     assert back.grid == ker.grid
-    assert np.array_equal(back.values, ker.values)
+    assert np.array_equal(kernel_values(back), kernel_values(ker))
     assert back.c_k == ker.c_k
 
 
@@ -96,7 +111,7 @@ def test_gaussian_operator_matches_dense_kernel():
     for grid in (Grid(1, 13), Grid(2, 9)):
         ker = gaussian_kernel(grid, ell=0.3, scale=0.7)
         ref = dense_gaussian(grid, 0.3, 0.7)
-        assert np.allclose(ker.values, ref.values, rtol=1e-13, atol=0.0)
+        assert np.allclose(kernel_values(ker), kernel_values(ref), rtol=1e-13, atol=0.0)
         assert np.allclose(ker.row_norms_sq(), ref.row_norms_sq(), rtol=1e-13, atol=0.0)
         assert np.isclose(ker.c_k, ref.c_k, rtol=1e-13, atol=0.0)
         assert np.isclose(ker.l2_norm_sq, ref.l2_norm_sq, rtol=1e-13, atol=0.0)
@@ -116,7 +131,7 @@ def test_gaussian_kernel_2d_csv_round_trip(tmp_path):
     kernel_to_csv(ker, path)
     back = kernel_from_csv(path)
     assert back.grid == grid
-    assert np.array_equal(back.values, ker.values)
+    assert np.array_equal(kernel_values(back), kernel_values(ker))
     phi = random_field(grid, 1)
     assert np.allclose(back.apply(phi), ker.apply(phi), rtol=1e-13, atol=0.0)
     assert np.isclose(back.c_k, ker.c_k, rtol=1e-13, atol=0.0)

@@ -1,6 +1,6 @@
 """Oracle and property tests for the inf-convolution regularization."""
 
-from dataclasses import replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,19 +14,103 @@ from plapsim.regularize import (
     gap_decay_study,
     n0,
     power_sigma,
-    r0,
     sigma_n_values,
     sublinear_growth_bound,
     sup_gap_scan,
     verify_regularization,
 )
+from plapsim.regularize import _check_strict_holder
+
+
+def r0(alpha, l_alpha, n):
+    """Maximizer of h_n(r) = l_alpha * r**alpha - n * r over r > 0."""
+    _check_strict_holder(alpha, l_alpha)
+    return (n / (l_alpha * alpha)) ** (1.0 / (alpha - 1.0))
+
+
+# fixed constants of the bracket-and-refine search
+GRID_POINTS = 1024    # uniform grid across the bracket
+REFINE_ROUNDS = 6     # local grids around the incumbent, each 8x narrower
+REFINE_POINTS = 17
+BLOCK = 256           # lam values per vectorized block
+
+
+def _search_block(sigma, alpha, l_alpha, t, lam, n):
+    col, n_col = lam[:, None], n[:, None]
+    radius = 2.0 * (l_alpha / n) ** (1.0 / (1.0 - alpha))
+    mu = col + np.linspace(-radius, radius, GRID_POINTS, axis=-1)
+    obj = sigma(t, mu) + n_col * np.abs(mu - col)
+    ibest = np.argmin(obj, axis=1)
+    rows = np.arange(lam.size)
+    best = obj[rows, ibest]
+    center = mu[rows, ibest]
+
+    width = 2.0 * radius / (GRID_POINTS - 1)
+    local = np.linspace(-1.0, 1.0, REFINE_POINTS)
+    for _ in range(REFINE_ROUNDS):
+        mu = center[:, None] + width[:, None] * local[None, :]
+        obj = sigma(t, mu) + n_col * np.abs(mu - col)
+        j = np.argmin(obj, axis=1)
+        center = mu[rows, j]
+        best = np.minimum(best, obj[rows, j])
+        width /= 8.0
+
+    # mu = lam guarantees sigma_n <= sigma; mu = 0 is exact for the
+    # prototype below its crossover, and beyond the bracket it never beats
+    # mu = lam since there n|lam| >= l_alpha |lam|**alpha
+    best = np.minimum(best, np.asarray(sigma(t, lam), dtype=float))
+    at_zero = np.asarray(sigma(t, np.zeros_like(lam)), dtype=float) + n * np.abs(lam)
+    return np.minimum(best, at_zero)
+
+
+@dataclass(frozen=True)
+class Searched:
+    """A Holder sigma whose inf_convolution is a bracket-and-refine search.
+
+    The infimum over mu is localized: any mu with |mu - lam| >= R, where
+    R = (l_alpha/n)**(1/(1-alpha)), cannot improve on mu = lam, so the
+    search runs on the bracket [lam - 2R, lam + 2R].  There the objective
+    is minimized over a uniform grid of 1024 points (spacing
+    delta = 4R/1023), then over 6 rounds of 17-point local grids around
+    the incumbent, each round 8 times narrower; the cusp of the
+    |.|**alpha prototype at interior minimizers rules out a single
+    parabolic polish.  The candidates mu = lam and mu = 0 (the anchor of
+    the growth bound) are always included.  The search takes 256 lam
+    values per block, each with its own level.
+
+    The returned value is never below the true infimum, never above
+    sigma(t, lam), and exceeds the infimum by at most
+    l_alpha * delta**alpha + n * delta: an oracle independent of any
+    closed form.
+    """
+
+    sigma: object
+    alpha: float
+    l_alpha: float
+
+    def __call__(self, t, lam):
+        return self.sigma(t, lam)
+
+    def inf_convolution(self, t, lam, n):
+        lam, n = np.broadcast_arrays(np.asarray(lam, dtype=float),
+                                     np.asarray(n, dtype=float))
+        flat_lam, flat_n, out = lam.ravel(), n.ravel(), np.empty(lam.size)
+        for start in range(0, out.size, BLOCK):
+            block = slice(start, start + BLOCK)
+            out[block] = _search_block(self.sigma, self.alpha, self.l_alpha, t,
+                                       flat_lam[block], flat_n[block])
+        return out.reshape(lam.shape)
+
+
+def searched_spec(sigma, alpha, l_alpha, c_sigma):
+    return HolderSpec(eval=Searched(sigma, alpha, l_alpha), alpha=alpha,
+                      l_alpha=l_alpha, c_sigma=c_sigma)
 
 
 def search_power_sigma(alpha, scale=1.0):
-    """power_sigma behind a plain function: no exact inf_convolution, so
-    sigma_n runs the numerical bracket-and-refine search."""
+    """power_sigma with the search in place of its exact inf_convolution."""
     spec = power_sigma(alpha, scale)
-    return replace(spec, eval=lambda t, lam: spec.eval(t, lam))
+    return searched_spec(spec.eval, alpha, spec.l_alpha, spec.c_sigma)
 
 
 # the exact power path and the numerical search over the same evaluator
@@ -157,7 +241,7 @@ def test_numeric_search_against_breakpoint_oracle():
     def sigma(t, lam):
         return np.abs(np.sin(3.0 * lam)) ** 0.5 + 0.2 * np.abs(lam - 0.7) ** 0.5
 
-    spec = HolderSpec(eval=sigma, alpha=0.5, l_alpha=3.0 ** 0.5 + 0.2, c_sigma=10.0)
+    spec = searched_spec(sigma, alpha=0.5, l_alpha=3.0 ** 0.5 + 0.2, c_sigma=10.0)
     lam = np.linspace(-1.5, 1.5, 1201)
     kinks = np.append(np.arange(-3, 4) * np.pi / 3.0, 0.7)
     mu = np.concatenate([np.broadcast_to(kinks, (lam.size, kinks.size)),
@@ -177,6 +261,24 @@ def test_rejects_n_below_n0():
     with pytest.raises(ValueError):
         RegularizedSigma(spec, 8)
     RegularizedSigma(spec, 9)
+
+
+def test_rejects_an_evaluator_without_inf_convolution():
+    spec = HolderSpec(eval=lambda t, lam: np.abs(lam) ** 0.5, alpha=0.5,
+                      l_alpha=1.0, c_sigma=1.0)
+    with pytest.raises(ValueError, match="inf_convolution"):
+        RegularizedSigma(spec, 4)
+
+
+def test_one_level_per_member_is_each_members_own_level():
+    lam = np.linspace(-2.0, 2.0, 3 * 300).reshape(3, 300)
+    levels = np.array([4, 64, 16])
+    for make_spec in SPEC_MAKERS:
+        spec = make_spec(0.5)
+        got = sigma_n_values(RegularizedSigma(spec, levels), 0.0, lam)
+        for row, level in enumerate(levels):
+            alone = sigma_n_values(RegularizedSigma(spec, int(level)), 0.0, lam[row])
+            assert np.array_equal(got[row], alone)
 
 
 def test_rejects_lipschitz_alpha():
@@ -272,13 +374,10 @@ def test_verify_regularization_report():
 
 def test_verify_regularization_time_dependent():
     # time enters through a modulating factor; properties hold per time slice
-    class Wobble:
-        alpha = 0.5
+    def wobble(t, lam):
+        return (1.0 + 0.5 * np.sin(t)) * np.abs(lam) ** 0.5
 
-        def __call__(self, t, lam):
-            return (1.0 + 0.5 * np.sin(t)) * np.abs(lam) ** 0.5
-
-    spec = HolderSpec(eval=Wobble(), alpha=0.5, l_alpha=1.5, c_sigma=2.25)
+    spec = searched_spec(wobble, alpha=0.5, l_alpha=1.5, c_sigma=2.25)
     report = verify_regularization(spec, 4, lam_grid=np.linspace(-2, 2, 801),
                                    t_grid=(0.0, 0.7, 1.9))
     assert report["overshoot_pass"] and report["slope_pass"] and report["gap_pass"]

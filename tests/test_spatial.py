@@ -1,6 +1,8 @@
 """Oracle and property tests for grids, norms, operators, and structure checks."""
 
+import warnings
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,25 +17,20 @@ from plapsim.spatial import (
     apply_divergence_form,
     check_structure_conditions,
     difference_blocks,
-    difference_matrix,
     estimate_embedding_constants,
     hm0_norm,
     initial_from_csv,
     initial_profile,
     initial_to_csv,
-    j_form,
     jacobian_A_n,
     j_operator,
-    laplacian_min_eigenvalue,
     linear_coeff,
-    multi_indices,
     n_min_default,
     norm_l1,
     norm_l2,
     norm_lp,
     p_laplacian_coeff,
     perturbation_for,
-    poincare_constant,
     q_of_p,
     remark_flux_coeff,
     tanh_drift,
@@ -41,12 +38,51 @@ from plapsim.spatial import (
     wmq_norm,
     zero_drift,
 )
-from plapsim.spatial import PLaplaceFlux, _difference_blocks_adjoint
+from plapsim.spatial import (PLaplaceFlux, _check_order, _difference_blocks_adjoint,
+                             _iterated_difference_1d)
+
+from oracles import laplacian_min_eigenvalue
 
 
 def random_field(grid, seed=0):
     rng = np.random.Generator(np.random.Philox(key=[seed, 0x7E57]))
     return rng.standard_normal(grid.size)
+
+
+def multi_indices(dimension, m):
+    """All multi-indices of order <= m, the zeroth included."""
+    out = [g for g in product(range(m + 1), repeat=dimension) if sum(g) <= m]
+    return sorted(out, key=lambda g: (sum(g), g))
+
+
+def difference_matrix(grid, gamma):
+    """Dense matrix of the iterated forward difference D^gamma.
+
+    Input is a flat grid function extended by zero beyond the boundary;
+    output lives on a staggered lattice with n_interior + gamma_k points
+    along axis k, all carrying quadrature weight h**d.
+    """
+    assert len(gamma) == grid.dimension, gamma
+    mats = [_iterated_difference_1d(grid.n_interior, g, grid.h) for g in gamma]
+    return mats[0] if grid.dimension == 1 else np.kron(*mats)
+
+
+def j_form(grid, pert, u, v):
+    """Duality pairing sum_gamma [ <D^g u, D^g v> + <|D^g u|^(q-2) D^g u, D^g v> ].
+
+    The sum runs over all multi-indices |gamma| <= m, the zeroth included,
+    every term integrated with weight h^d on its staggered lattice.
+    """
+    _check_order(grid, pert.m)
+    dus = difference_blocks(grid, u, pert.m)
+    dvs = difference_blocks(grid, v, pert.m)
+    return float(sum(np.sum(du * dv) + np.sum(np.abs(du) ** (pert.q - 2.0) * du * dv)
+                     for du, dv in zip(dus, dvs)) * grid.weight)
+
+
+def poincare_constant(grid):
+    """Discrete Poincare constant: ||u||_2 <= c * ||grad u||_2 with c = mu_min^(-1/2)."""
+    return float(1.0 / np.sqrt(laplacian_min_eigenvalue(grid)))
 
 
 # ----------------------------------------------------------------------- grids
@@ -431,6 +467,8 @@ def test_j_rejects_too_coarse_grids():
     pert = HigherOrderPerturbation(m=2, q=4.0)
     with pytest.raises(GridMismatchError):
         j_form(grid, pert, np.ones(1), np.ones(1))
+    with pytest.raises(GridMismatchError):
+        j_operator(grid, pert, np.ones(1))
 
 
 def test_apply_A_n_drops_perturbation_when_asked():
@@ -502,6 +540,23 @@ def test_p_laplace_derivative_at_a_zero_gradient():
     # the regularized singular flux has the finite slope eps^(p-2) there
     a_xi, _ = p_laplacian_coeff(1.5).a_eval.derivative(None, np.zeros(3), xi)
     assert np.allclose(a_xi, 1e-12 ** -0.5 * eye, rtol=1e-12)
+
+
+@pytest.mark.parametrize("p, eps", [(2.0, 0.0), (2.5, 0.0), (4.0, 0.0), (12.0, 0.0),
+                                    (1.5, 1e-12)],
+                         ids=["p2", "p2.5", "p4", "p12", "p1.5_eps"])
+def test_p_laplace_derivative_is_finite_where_p_minus_2_over_s_overflows(p, eps):
+    # |xi|^2 of 1e-320 and 2e-310 lies below |p - 2| / max float
+    for xi in (np.array([[1e-160], [1e-155]]),
+               np.array([[1e-160, 0.0], [1e-155, 1e-155]])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a_xi, a_lam = PLaplaceFlux(p, eps).derivative(None, None, xi)
+        assert np.all(np.isfinite(a_xi)) and not a_lam.any()
+        assert np.array_equal(a_xi, np.swapaxes(a_xi, -1, -2))
+        power = (np.sum(xi * xi, axis=-1) + eps ** 2) ** ((p - 2.0) / 2.0)
+        bound = (abs(p - 2.0) + 1.0) * power[:, None, None]
+        assert np.all(np.abs(a_xi) <= bound)
 
 
 @pytest.mark.parametrize("drift", [tanh_drift(0.7), zero_drift()],
