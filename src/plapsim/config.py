@@ -262,7 +262,10 @@ def make_kernel(cfg, grid):
         profile = cfg["kernel.scale"] * np.sqrt(2.0) ** grid.dimension \
             * np.prod(np.sin(np.pi * x), axis=-1)
         return rank_one_kernel(grid, profile)
-    kernel = kernel_from_csv(cfg["kernel.path"])
+    try:
+        kernel = kernel_from_csv(cfg["kernel.path"])
+    except ValueError as exc:
+        raise ConfigError(f"kernel.path: {exc}", field="kernel.path") from exc
     if kernel.grid != grid:
         raise ConfigError(f"kernel.path grid {kernel.grid} does not match the "
                           f"configured grid {grid}", field="kernel.path")
@@ -313,7 +316,10 @@ def make_solver_config(cfg):
 
 def make_initial(cfg, grid):
     if cfg["initial.type"] == "csv":
-        return initial_from_csv(grid, cfg["initial.path"])
+        try:
+            return initial_from_csv(grid, cfg["initial.path"])
+        except ValueError as exc:
+            raise ConfigError(f"initial.path: {exc}", field="initial.path") from exc
     return initial_profile(grid, cfg["initial.type"],
                            amplitude=cfg["initial.amplitude"],
                            seed=cfg["initial.seed"])

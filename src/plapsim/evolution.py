@@ -7,7 +7,7 @@ solved by a damped Newton iteration.  Its matrix is exact, from the
 derivatives of the flux and the drift (spatial.jacobian_A_n), in 1d and
 2d alike.  It couples only nearby grid lines, so it is assembled straight
 into a slab stored by line and factored by block elimination over lines,
-with numpy alone: in 2d no size x size array is formed, and no part of
+with numpy only: in 2d no size x size array is formed, and no part of
 scipy is loaded.  In 2d the iteration is a chord iteration with refresh:
 the factors made at the step's start serve the iterations that follow,
 and are made again at the iterate only where an iteration falls short of
@@ -23,19 +23,17 @@ the members still iterating share each operator evaluation,
 factorization and solve, and a member whose solve fails is bisected, or
 leaves the stack with its error, without holding up the others.  Every
 product and sum a member takes is its own, so its trajectory is bitwise
-the same alone or in any stack; simulate_path is a stack of one, which
-the steppers run on its member's flat state (System.lone).  Trajectories
-are bitwise reproducible from (seed, config): the Wiener increments and
-bridge points are pure functions of (seed, path, step, node) and every
-reduction runs in a fixed order.  Coupled runs -- two initial data, or two
-levels, on one Wiener path -- are therefore members on samplers with the
-same (seed, path), stacked or run apart in any order.
+the same in any stack, a stack of one (simulate_path) included.
+Trajectories are bitwise reproducible from (seed, config): the Wiener
+increments and bridge points are pure functions of (seed, path, step,
+node) and every reduction runs in a fixed order.  Coupled runs -- two
+initial data, or two levels, on one Wiener path -- are therefore members
+on samplers with the same (seed, path), stacked or run apart in any order.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -187,19 +185,10 @@ class System:
         return 8 * lines * n * n * (2 * min(self.jacobian_half_width, lines - 1) + 1)
 
     def take(self, members):
-        """The system of the sub-stack ``members`` (indices into the stack),
-        or of one member for its flat state (one index)."""
+        """The system of the sub-stack ``members`` (indices into the stack)."""
         return replace(self, n=self.n if np.ndim(self.n) == 0 else self.n[members],
                        noise_op=None if self.noise_op is None else self.noise_op.take(members),
                        rows=None if self.rows is None else self.rows[members])
-
-    @cached_property
-    def lone(self):
-        """The system of a stack of one for its member's flat state, which
-        the steppers run in place of the stack: the spatial operators give
-        a flat state the bits they give a member of a stack, without the
-        cost of the stacked forms."""
-        return replace(self.take(0), rows=None)
 
 
 def build_system(grid, coeff, drift, pert, config, spec=None, kernel=None,
@@ -230,30 +219,25 @@ def build_system(grid, coeff, drift, pert, config, spec=None, kernel=None,
 # ------------------------------------------------------------------- stepping
 
 
-def _members(u):
-    """Number of states in u: one flat state, or a stack of them."""
-    return 1 if u.ndim == 1 else len(u)
-
-
-def _unstacked(system, u, dw):
-    """(system, state, increment) for a stepper to run in place of (system,
-    u, dw): a stack of one as its member's flat state (see System.lone),
-    anything else as it is."""
-    if u.ndim == 2 and len(u) == 1:
-        return system.lone, u[0], dw[0 if system.rows is None else system.rows[0]]
-    return system, u, dw
+def _stack(grid, u):
+    """u as a (B, size) stack of grid functions; GridMismatchError if it is
+    anything else."""
+    u = grid.check(u)
+    if u.ndim != 2:
+        raise GridMismatchError(f"expected a stack of grid functions, got shape {u.shape}")
+    return u
 
 
 def step_explicit(system, config, u, t, dw):
     """u - dt A_n(u) + sigma_n(t, u) K(dW), the forward Euler-Maruyama step.
 
-    u is one state or a stack; returns (v, noise, 0, outcomes) like
+    u is a stack (B, size); returns (v, noise, 0, outcomes) like
     step_semi_implicit, with no Newton iterations for any member.
     """
-    system, state, dw = _unstacked(system, u, dw)
-    noise = system.noise_term(t, state, dw)
-    v = state - config.dt * system.apply_drift_operator(state) + noise
-    return v.reshape(u.shape), noise.reshape(u.shape), 0, [0] * _members(u)
+    u = _stack(system.grid, u)
+    noise = system.noise_term(t, u, dw)
+    v = u - config.dt * system.apply_drift_operator(u) + noise
+    return v, noise, 0, [0] * len(u)
 
 
 def explicit_dt_heuristic(system, u0):
@@ -378,8 +362,8 @@ def _apply_factors(factors, rhs):
 
 
 def _chord_steps(system, dt, v, residual, factors, renew):
-    """Steps -F^-1 residual of the state v, or of each member of the stack
-    v, F the member's factors of I + dt J (_factor_lines).
+    """Steps -F^-1 residual of each member of the stack v, F the member's
+    factors of I + dt J (_factor_lines).
 
     The members where renew is set first get new factors at their v; the
     others keep theirs from factors, which runs over the same members
@@ -399,11 +383,8 @@ def _chord_steps(system, dt, v, residual, factors, renew):
     # member by member, to find them, each factored in place of its slab
     slabs = _newton_matrix(system, dt, v) if every else \
         _newton_matrix(system.take(fresh), dt, v[fresh])
-    shape = slabs.shape[-3:]
-    slabs = slabs.reshape((-1,) + shape)
-    stack = slabs if every else factors.reshape((renew.size,) + shape)
+    stack = slabs if every else factors
     slabs = iter(slabs)
-    residual = residual.reshape(renew.size, -1)
     steps, singular = np.full(residual.shape, np.nan), []
     for b in range(renew.size):
         try:
@@ -412,7 +393,7 @@ def _chord_steps(system, dt, v, residual, factors, renew):
             steps[b] = _apply_factors(stack[b], -residual[b])
         except np.linalg.LinAlgError:
             singular.append(b)
-    return steps.reshape(v.shape), stack.reshape(v.shape[:-1] + shape), singular
+    return steps, stack, singular
 
 
 def step_semi_implicit(system, config, u, t, dw):
@@ -434,37 +415,23 @@ def step_semi_implicit(system, config, u, t, dw):
     method.  A_n at the current iterate comes from its residual,
     so each iteration evaluates A_n once per line-search trial.
 
-    u is one state or a stack (B, size), the iteration running per member:
-    each has its own residual norm, factors, line search and iteration
-    count (its linear solves), and stops changing once its residual meets
-    the tolerance; the members still iterating share every evaluation,
-    factorization and solve.  Returns (v, noise, iterations, outcomes): the
-    iterations of every member together, and per member its own count or,
-    where its solve failed, its NewtonDivergedError (its row of v is then
-    no solution).  A single state raises its error instead.
-    """
-    system, state, dw = _unstacked(system, u, dw)
-    v, noise, iters, outcomes = _newton_solve(system, config, state, t, dw)
-    if u.ndim == 1 and isinstance(outcomes[0], NewtonDivergedError):
-        raise outcomes[0]
-    return v.reshape(u.shape), noise.reshape(u.shape), iters, outcomes
-
-
-def _newton_solve(system, config, u, t, dw):
-    """step_semi_implicit on one flat state or a stack, returning the
-    failures among the outcomes.
-
-    The states (v and its residual) keep u's shape; the per-member arrays
-    (residual norms, solve counts, refresh flags) have one entry per
-    member, so a flat state runs the same loop as a member of a stack.
+    u is a stack (B, size), the iteration running per member: each has its
+    own residual norm, factors, line search and iteration count (its linear
+    solves), and stops changing once its residual meets the tolerance; the
+    members still iterating share every evaluation, factorization and
+    solve.  Returns (v, noise, iterations, outcomes): the iterations of
+    every member together, and per member its own count or, where its
+    solve failed, its NewtonDivergedError (its row of v is then no
+    solution).
     """
     grid, dt, tol = system.grid, config.dt, config.newton_tol
-    count = _members(u)
+    u = _stack(grid, u)
+    count = len(u)
     noise = system.noise_term(t, u, dw)
     rhs = u + noise
     v = u.copy()
     residual = v + dt * system.apply_drift_operator(v) - rhs
-    res_norm = np.atleast_1d(norm_l2(grid, residual))
+    res_norm = norm_l2(grid, residual)
     iters = np.zeros(count, dtype=int)
     stale = np.zeros(count, dtype=int)   # solves on factors older than the iterate
     failed = {}
@@ -479,9 +446,9 @@ def _newton_solve(system, config, u, t, dw):
         for b in members:
             failed[b] = NewtonDivergedError(int(iters[b]), float(res_norm[b]))
 
-    # members as an index, and their system: while every member takes part
-    # (a flat state always), the whole slice and the system itself, so the
-    # common round copies and gathers nothing
+    # members as an index, and their system: while every member takes part,
+    # the whole slice and the system itself, so the common round copies and
+    # gathers nothing
     whole = (slice(None), system)
 
     def part(members):
@@ -526,7 +493,7 @@ def _newton_solve(system, config, u, t, dw):
         while True:
             trial = v[at] + step * delta
             trial_res = trial + dt * sub.apply_drift_operator(trial) - rhs[at]
-            trial_norm = np.atleast_1d(norm_l2(grid, trial_res))
+            trial_norm = norm_l2(grid, trial_res)
             ok = trial_norm <= (1.0 - ARMIJO_SLOPE * step) * res_norm[at]
             if chord:   # a passing trial that cuts the residual by less
                 # than CHORD_RATIO refactors at the start of the next round
@@ -625,19 +592,18 @@ class TrajectoryRecord:
 
 
 def _guard(grid, u):
-    """||u_b||_2^2 of each member of the stack u (of the one state u), and
-    {b: norm} for the members that left the admissible range (norm inf
-    where not finite).
+    """||u_b||_2^2 of each member of the stack u, and {b: norm} for the
+    members that left the admissible range (norm inf where not finite).
 
     The norm is the root of the squared norm, each taken as a scalar, as
     the energies have it; a runaway state's squares overflow to inf, and a
     state that is not finite has no finite norm either."""
     with np.errstate(over="ignore", invalid="ignore"):
-        l2_sq = [x ** 2 for x in np.atleast_1d(norm_l2(grid, u))]
+        l2_sq = [x ** 2 for x in norm_l2(grid, u)]
     blown = {}
     for b, norm in enumerate(map(math.sqrt, l2_sq)):
         if not norm <= BLOW_UP_NORM:
-            blown[b] = norm if np.isfinite(u[b] if u.ndim == 2 else u).all() else math.inf
+            blown[b] = norm if np.isfinite(u[b]).all() else math.inf
     return np.array(l2_sq), blown
 
 
@@ -645,17 +611,17 @@ _ENERGIES = ("l2_sq", "grad_lp_p", "hm0_sq", "wmq_q")
 
 
 def _energies(system, u, l2_sq):
-    """_ENERGIES (rows) of each member (columns) of the stack u (of the one
-    state u), whose ||u_b||_2^2 are l2_sq.
+    """_ENERGIES (rows) of each member (columns) of the stack u, whose
+    ||u_b||_2^2 are l2_sq.
 
     Roots and powers of a member's norms are scalar ones (see spatial's
     norms), so a member's energies do not depend on the stack."""
-    grid, p, lead = system.grid, system.coeff.p, u.shape[:-1]
+    grid, p = system.grid, system.coeff.p
     out = np.zeros((len(_ENERGIES), len(l2_sq)))
     out[0] = l2_sq
-    out[1] = [x ** p for x in np.atleast_1d(w1p_seminorm(grid, u, p))]
+    out[1] = [x ** p for x in w1p_seminorm(grid, u, p)]
     if system.pert is not None:
-        blocks = [d.reshape(lead + (-1,)) for d in difference_blocks(grid, u, system.pert.m)]
+        blocks = [d.reshape(len(u), -1) for d in difference_blocks(grid, u, system.pert.m)]
         out[2] = sum((d * d).sum(axis=-1) for d in blocks) * grid.weight
         out[3] = sum((np.abs(d) ** system.pert.q).sum(axis=-1) for d in blocks) * grid.weight
     return out
@@ -680,9 +646,7 @@ def simulate_batch(system, config, u0, samplers=None, rows=None):
     caller (warn_explicit_dt).
     """
     grid, dt, steps = system.grid, config.dt, config.num_steps
-    u = np.array(grid.check(u0))
-    if u.ndim != 2:
-        raise GridMismatchError(f"expected a stack of grid functions, got shape {u.shape}")
+    u = np.array(_stack(grid, u0))
     count = len(u)
     rows = np.arange(count) if rows is None else np.asarray(rows)
     results = [None] * count
@@ -713,22 +677,17 @@ def simulate_batch(system, config, u0, samplers=None, rows=None):
     times, states, energy_log = [], [], []
     iters = np.zeros((steps, count), dtype=int)
 
-    def running():
-        """The running members' states: a stack, or a lone member's flat
-        state, which costs less to guard and measure (see System.lone)."""
-        return u[alive[0]] if alive.size == 1 else u[live]
-
     def admit(k):
         """Guard the running members' states at step k, then take the
         energies of those that stay."""
-        l2_sq, blown = _guard(grid, running())
+        l2_sq, blown = _guard(grid, u[live])
         if blown:
             leave(alive[list(blown)], [BlowUpError(k, k * dt, norm)
                                        for norm in blown.values()])
             l2_sq = np.delete(l2_sq, list(blown))
         if not alive.size:
             return
-        energy[:, live] = _energies(system, running(), l2_sq)
+        energy[:, live] = _energies(system, u[live], l2_sq)
 
     def record(k):
         times.append(k * dt)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .regularize import c_alpha
 from .spatial import Grid, GridMismatchError, norm_l2
 
 __all__ = [
@@ -152,9 +153,9 @@ class NoiseOperator:
         return self.kernel.grid
 
     def take(self, members):
-        """The operator of the members (indices, or one index) of a stack
-        whose coefficient holds a level per member; any other operator
-        serves every member as it is."""
+        """The operator of the members (indices) of a stack whose
+        coefficient holds a level per member; any other operator serves
+        every member as it is."""
         take = getattr(self.sigma, "take", None)
         return self if take is None else replace(self, sigma=take(members))
 
@@ -193,8 +194,6 @@ def hs_uniform_bound(kernel, spec, v):
     2 * ((c_alpha^2 + c_sigma) ||k||^2 + c_sigma c_k ||v||_2^2), valid
     uniformly over the regularization level.
     """
-    from .regularize import c_alpha
-
     ca = c_alpha(spec.alpha, spec.l_alpha) if spec.alpha < 1.0 else 0.0
     v2 = norm_l2(kernel.grid, v) ** 2
     return 2.0 * ((ca ** 2 + spec.c_sigma) * kernel.l2_norm_sq
@@ -303,10 +302,6 @@ class QWienerSampler:
         if defect > 1e-10:
             raise ValueError(
                 f"eigenfunctions not orthonormal (defect {defect:g} exceeds 1e-10)")
-
-    @property
-    def trace(self):
-        return float(np.sum(self.eigenvalues))
 
     def _draw(self, k, node, dt):
         """sum_j sqrt(q_j dt) xi_j e_j for the normals xi of (k, node)."""

@@ -158,7 +158,7 @@ class RegularizedSigma:
         return sigma_n_values(self, t, lam)
 
     def take(self, members):
-        """sigma_n of the members (indices, or one index) of the stack."""
+        """sigma_n of the members (indices) of the stack."""
         return self if np.ndim(self.n) == 0 else replace(self, n=self.n[members])
 
 

@@ -22,6 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .regularize import n0
+
 __all__ = [
     "Grid",
     "GridMismatchError",
@@ -841,8 +843,6 @@ def n_min_default(grid, coeff, pert, c_sigma):
     with the embedding constants estimated on the grid; when c2 = 0 the
     second entry is absent and the growth threshold n0 alone applies.
     """
-    from .regularize import n0
-
     base = float(n0(c_sigma))
     if coeff.c2 == 0.0:
         return base

@@ -277,6 +277,21 @@ def test_stability_warning_names_the_caller(tmp_path, caller):
     assert [Path(w.filename) for w in caught] == [Path(expect)] * count
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("key, text", [
+    pytest.param("kernel", "n,4,d,3\n", id="kernel-dimension"),
+    pytest.param("kernel", "m,4,d,1\n", id="kernel-header"),
+    pytest.param("initial", "nan\n" * 12, id="initial-nan")])
+def test_a_malformed_csv_input_exits_config_error(tmp_path, capsys, command, key, text):
+    data = tmp_path / f"{key}.csv"
+    data.write_text(text)
+    path = write_config(tmp_path, f'{key}.type = "csv"\n{key}.path = "{data}"\n')
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{key}.path" in err
+
+
 def test_simulate_workers_do_not_change_outputs(tmp_path):
     outs = [tmp_path / w for w in ("1", "3")]
     for out in outs:

@@ -31,7 +31,7 @@ from plapsim.evolution import (
 )
 from plapsim.noise import default_sampler, gaussian_kernel
 from plapsim.regularize import power_sigma
-from plapsim.spatial import (Grid, HigherOrderPerturbation,
+from plapsim.spatial import (Grid, GridMismatchError, HigherOrderPerturbation,
                              apply_divergence_form, initial_profile,
                              linear_coeff, norm_l1, norm_l2, p_laplacian_coeff,
                              perturbation_for, q_of_p, remark_flux_coeff,
@@ -64,7 +64,8 @@ def test_explicit_step_matches_eigen_decay():
     mu = laplacian_min_eigenvalue(grid)
     u = np.sin(np.pi * grid.nodes()[:, 0])
     config = SolverConfig(dt=1e-4, t_end=1e-4, scheme="explicit")
-    v, _, iters, outcomes = step_explicit(system, config, u, 0.0, np.zeros(grid.size))
+    (v,), _, iters, outcomes = step_explicit(system, config, u[None], 0.0,
+                                             np.zeros((1, grid.size)))
     assert iters == 0 and outcomes == [0]
     assert np.allclose(v, (1.0 - config.dt * mu) * u, rtol=1e-12)
 
@@ -74,7 +75,7 @@ def test_explicit_step_adds_the_noise_term():
     system, config = stochastic_pieces(grid)
     u = initial_profile(grid, "sine", amplitude=0.25)
     dw = default_sampler(grid, seed=3, path_index=0).sample_increment(0, config.dt)
-    v, noise, _, _ = step_explicit(system, config, u, 0.0, dw)
+    (v,), (noise,), _, _ = step_explicit(system, config, u[None], 0.0, dw[None])
     by_hand = u - config.dt * system.apply_drift_operator(u) \
         + system.noise_term(0.0, u, dw)
     assert np.array_equal(v, by_hand)
@@ -85,7 +86,7 @@ def test_semi_implicit_linear_step_equals_direct_solve():
     grid, system = heat_system(24)
     config = SolverConfig(dt=2e-3, t_end=2e-3)
     u = initial_profile(grid, "bump", amplitude=1.0)
-    v, _, _, _ = step_semi_implicit(system, config, u, 0.0, np.zeros(grid.size))
+    (v,), _, _, _ = step_semi_implicit(system, config, u[None], 0.0, np.zeros((1, grid.size)))
     # assemble I + dt L column by column and solve directly
     lap = np.column_stack([
         apply_divergence_form(grid, linear_coeff(), e)
@@ -99,7 +100,7 @@ def test_semi_implicit_residual_meets_tolerance():
     system, config = stochastic_pieces(grid, newton_tol=1e-11)
     u = initial_profile(grid, "sine", amplitude=0.25)
     dw = default_sampler(grid, seed=1, path_index=0).sample_increment(0, config.dt)
-    v, noise, iters, outcomes = step_semi_implicit(system, config, u, 0.0, dw)
+    (v,), (noise,), iters, outcomes = step_semi_implicit(system, config, u[None], 0.0, dw[None])
     residual = v + config.dt * system.apply_drift_operator(v) - u - noise
     assert np.sqrt(np.sum(residual ** 2) * grid.weight) <= config.newton_tol
     assert iters >= 1 and outcomes == [iters]
@@ -277,12 +278,12 @@ def test_2d_newton_step_meets_the_tolerance_in_the_colored_iterations(
     system = build_system(grid, coeff, drift, perturbation_for(2.5, m=m), config)
     u = initial_profile(grid, "sine", amplitude=0.5)
     dw = np.full(grid.size, 0.3)
-    v, noise, iters, _ = step_semi_implicit(system, config, u, 0.0, dw)
+    (v,), (noise,), iters, _ = step_semi_implicit(system, config, u[None], 0.0, dw[None])
     residual = v + config.dt * system.apply_drift_operator(v) - u - noise
     assert norm_l2(grid, residual) <= config.newton_tol
-    monkeypatch.setattr(evolution, "_newton_matrix", lambda system, dt, v:
-                        colored_newton_matrix(system, dt, v, system.apply_drift_operator(v)))
-    _, _, iters_colored, _ = step_semi_implicit(system, config, u, 0.0, dw)
+    monkeypatch.setattr(evolution, "_newton_matrix", lambda system, dt, v: np.stack([
+        colored_newton_matrix(system, dt, w, system.apply_drift_operator(w)) for w in v]))
+    _, _, iters_colored, _ = step_semi_implicit(system, config, u[None], 0.0, dw[None])
     assert iters_colored >= 1 and abs(iters - iters_colored) <= 1
 
 
@@ -337,7 +338,8 @@ def test_newton_solve_leaves_scipy_linalg_unloaded():
         system = build_system(grid, p_laplacian_coeff(2.5), tanh_drift(1.0),
                               perturbation_for(2.5, m=2), config)
         u = initial_profile(grid, "sine", amplitude=0.5)
-        _, _, iters, _ = step_semi_implicit(system, config, u, 0.0, np.zeros(grid.size))
+        _, _, iters, _ = step_semi_implicit(system, config, u[None], 0.0,
+                                           np.zeros((1, grid.size)))
         assert iters >= 1
         assert "scipy.linalg" not in sys.modules
         assert "scipy" not in sys.modules
@@ -364,7 +366,7 @@ def test_newton_evaluates_the_drift_once_per_color_and_trial(
         return evaluate(w)
 
     system.apply_drift_operator = counted
-    _, _, iters, _ = step_semi_implicit(system, config, u, 0.0, np.zeros(grid.size))
+    _, _, iters, _ = step_semi_implicit(system, config, u[None], 0.0, np.zeros((1, grid.size)))
     assert iters == iterations
     # one for the initial residual, then per iteration one per color plus
     # one full line-search trial; A_n at the iterate comes from its residual
@@ -391,8 +393,8 @@ def test_1d_newton_evaluates_the_drift_only_for_its_trials(monkeypatch):
 
     system.apply_drift_operator = counted
     monkeypatch.setattr(evolution, "norm_l2", counted_norm)
-    _, _, iters, _ = step_semi_implicit(system, config, u, 0.0,
-                                     np.full(grid.size, 20.0))
+    _, _, iters, _ = step_semi_implicit(system, config, u[None], 0.0,
+                                        np.full((1, grid.size), 20.0))
     trials = len(norms) - 1
     assert trials > iters >= 1
     assert len(calls) == 1 + trials
@@ -424,7 +426,8 @@ def test_2d_chord_step_refactors_where_it_fails_and_fails_only_on_fresh_factors(
 
     monkeypatch.setattr(evolution, "_newton_matrix", logged_matrix)
     monkeypatch.setattr(evolution, "_apply_factors", logged_solve)
-    v, noise, iters, _ = step_semi_implicit(system, config, u, 0.0, np.full(grid.size, 10.0))
+    (v,), (noise,), iters, _ = step_semi_implicit(system, config, u[None], 0.0,
+                                                  np.full((1, grid.size), 10.0))
     residual = v + config.dt * system.apply_drift_operator(v) - u - noise
     assert norm_l2(grid, residual) <= config.newton_tol
     kinds = [kind for kind, _ in log]
@@ -432,14 +435,15 @@ def test_2d_chord_step_refactors_where_it_fails_and_fails_only_on_fresh_factors(
     retries = [i for i in range(len(log) - 2)
                if kinds[i:i + 3] == ["solve", "factor", "solve"]
                and np.array_equal(log[i][1], log[i + 2][1])]
-    assert retries and not np.array_equal(log[retries[0] + 1][1], u)
+    assert retries and not np.array_equal(log[retries[0] + 1][1], u[None])
 
     log.clear()
-    with pytest.raises(NewtonDivergedError) as raised:
-        step_semi_implicit(system, config, u, 0.0, np.full(grid.size, 100.0))
-    assert raised.value.iterations == 0
+    _, _, _, (failed,) = step_semi_implicit(system, config, u[None], 0.0,
+                                            np.full((1, grid.size), 100.0))
+    assert isinstance(failed, NewtonDivergedError)
+    assert failed.iterations == 0
     assert [kind for kind, _ in log] == ["factor", "solve"]
-    assert np.array_equal(log[0][1], u)
+    assert np.array_equal(log[0][1], u[None])
 
 
 def stiff_step(grid):
@@ -465,22 +469,22 @@ def test_the_newton_budget_caps_the_solves_on_fresh_factors(monkeypatch):
         return newton_matrix(system, dt, v)
 
     monkeypatch.setattr(evolution, "_newton_matrix", counted_matrix)
-    v, noise, iters, _ = step_semi_implicit(system, config, u, 0.0, dw)
+    (v,), (noise,), iters, _ = step_semi_implicit(system, config, u[None], 0.0, dw[None])
     residual = v + config.dt * system.apply_drift_operator(v) - u - noise
     assert norm_l2(grid, residual) <= config.newton_tol
     factored = len(made)
     assert factored <= config.newton_max_iter < iters
 
     exact = replace(config, newton_max_iter=factored)
-    assert np.array_equal(step_semi_implicit(system, exact, u, 0.0, dw)[0], v)
+    assert np.array_equal(step_semi_implicit(system, exact, u[None], 0.0, dw[None])[0][0], v)
     short = replace(config, newton_max_iter=factored - 1)
-    with pytest.raises(NewtonDivergedError):
-        step_semi_implicit(system, short, u, 0.0, dw)
+    _, _, _, (failed,) = step_semi_implicit(system, short, u[None], 0.0, dw[None])
+    assert isinstance(failed, NewtonDivergedError)
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_a_refactoring_round_lets_the_old_factors_go_first(monkeypatch, dimension):
-    # a lone state holds one slab at a time: its old factors are freed
+    # a stack of one holds one slab at a time: its old factors are freed
     # before the matrix of its new ones is assembled
     system, config, u, dw = stiff_step(Grid(dimension, 6))
     newton_matrix, factor_lines, made = evolution._newton_matrix, evolution._factor_lines, []
@@ -496,7 +500,7 @@ def test_a_refactoring_round_lets_the_old_factors_go_first(monkeypatch, dimensio
 
     monkeypatch.setattr(evolution, "_newton_matrix", assembled)
     monkeypatch.setattr(evolution, "_factor_lines", factored)
-    step_semi_implicit(system, config, u, 0.0, dw)
+    step_semi_implicit(system, config, u[None], 0.0, dw[None])
     assert len(made) > 2
 
 
@@ -504,8 +508,9 @@ def test_newton_divergence_is_reported():
     grid = Grid(1, 16)
     system, config = stochastic_pieces(grid, newton_max_iter=0)
     u = initial_profile(grid, "sine", amplitude=0.25)
-    with pytest.raises(NewtonDivergedError):
-        step_semi_implicit(system, config, u, 0.0, np.zeros(grid.size))
+    _, _, _, (failed,) = step_semi_implicit(system, config, u[None], 0.0,
+                                            np.zeros((1, grid.size)))
+    assert isinstance(failed, NewtonDivergedError)
 
 
 def test_newton_failure_carries_step_and_time():
@@ -880,7 +885,7 @@ def assert_a_singular_member_fails_alone(grid, monkeypatch):
     v, _, _, outcomes = step_semi_implicit(system, config, u, 0.0, dw)
     assert isinstance(outcomes[1], NewtonDivergedError)
     assert outcomes[1].iterations == 0
-    v_alone, _, iters, _ = step_semi_implicit(system, config, u[0], 0.0, dw)
+    (v_alone,), _, iters, _ = step_semi_implicit(system, config, u[:1], 0.0, dw[None])
     assert outcomes[0] == iters and v[0].tobytes() == v_alone.tobytes()
 
 
@@ -893,30 +898,39 @@ def test_a_singular_2d_member_fails_alone(monkeypatch):
     assert_a_singular_member_fails_alone(Grid(2, 6), monkeypatch)
 
 
-def assert_a_singular_lone_state_raises_and_a_stack_of_one_reports(grid, monkeypatch):
-    # a stack of one steps its member's flat state; both meet the singular
-    # matrix in the member-by-member fallback
+def assert_a_singular_stack_of_one_reports(grid, monkeypatch):
+    # the member meets the singular matrix in the member-by-member fallback
+    # and fails at its initial residual
     system, config = stochastic_pieces(grid)
-    u = initial_profile(grid, "sine", amplitude=0.25)
-    dw = default_sampler(grid, 1, 0).sample_increment(0, config.dt)
+    u = initial_profile(grid, "sine", amplitude=0.25)[None]
+    dw = default_sampler(grid, 1, 0).sample_increment(0, config.dt)[None]
     newton_matrix = evolution._newton_matrix
     monkeypatch.setattr(evolution, "_newton_matrix",
                         lambda *args: 0.0 * newton_matrix(*args))
-    with pytest.raises(NewtonDivergedError) as raised:
-        step_semi_implicit(system, config, u, 0.0, dw)
-    assert raised.value.iterations == 0
-    v, _, iters, outcomes = step_semi_implicit(system, config, u[None], 0.0, dw[None])
+    v, noise, iters, outcomes = step_semi_implicit(system, config, u, 0.0, dw)
     assert v.shape == (1, grid.size) and iters == 0
     assert isinstance(outcomes[0], NewtonDivergedError)
-    assert outcomes[0].residual == raised.value.residual
+    assert outcomes[0].iterations == 0
+    residual = u + config.dt * system.apply_drift_operator(u) - (u + noise)
+    assert outcomes[0].residual == norm_l2(grid, residual)[0]
 
 
-def test_a_singular_lone_state_raises_and_a_stack_of_one_reports(monkeypatch):
-    assert_a_singular_lone_state_raises_and_a_stack_of_one_reports(Grid(1, 16), monkeypatch)
+def test_a_singular_stack_of_one_reports(monkeypatch):
+    assert_a_singular_stack_of_one_reports(Grid(1, 16), monkeypatch)
 
 
-def test_a_singular_2d_lone_state_raises_and_a_stack_of_one_reports(monkeypatch):
-    assert_a_singular_lone_state_raises_and_a_stack_of_one_reports(Grid(2, 6), monkeypatch)
+def test_a_singular_2d_stack_of_one_reports(monkeypatch):
+    assert_a_singular_stack_of_one_reports(Grid(2, 6), monkeypatch)
+
+
+@pytest.mark.parametrize("stepper", [step_explicit, step_semi_implicit])
+def test_the_steppers_take_only_a_stack(stepper):
+    grid = Grid(1, 16)
+    system, config = stochastic_pieces(grid)
+    u = initial_profile(grid, "sine", amplitude=0.25)
+    dw = default_sampler(grid, 1, 0).sample_increment(0, config.dt)
+    with pytest.raises(GridMismatchError, match="stack"):
+        stepper(system, config, u, 0.0, dw)
 
 
 def test_stacked_steps_count_every_members_iterations():
@@ -935,7 +949,8 @@ def test_stacked_steps_count_every_members_iterations():
         alone = build_system(grid, system.coeff, system.drift, perturbation_for(2.5),
                              replace(config, n=level), spec=power_sigma(0.75, 1.0),
                              kernel=gaussian_kernel(grid))
-        v_b, noise_b, iters_b, _ = step_semi_implicit(alone, config, u[b], 0.0, dw)
+        (v_b,), (noise_b,), iters_b, _ = step_semi_implicit(alone, config, u[b:b + 1],
+                                                            0.0, dw[None])
         assert (v[b].tobytes(), noise[b].tobytes(), outcomes[b]) \
             == (v_b.tobytes(), noise_b.tobytes(), iters_b)
 

@@ -349,7 +349,7 @@ def test_increment_variance_matches_trace():
     dt = 0.02
     draws = np.array([norm_l2(grid, sampler.sample_increment(k, dt)) ** 2
                       for k in range(4000)])
-    expect = dt * sampler.trace
+    expect = dt * np.sum(sampler.eigenvalues)
     se = np.std(draws, ddof=1) / np.sqrt(draws.size)
     assert abs(np.mean(draws) - expect) <= 5.0 * se
 
@@ -365,7 +365,7 @@ def test_bridge_is_consistent_and_marginally_correct():
         assert np.allclose(first + second, dw, rtol=1e-12, atol=1e-15)
         halves.append(norm_l2(grid, first) ** 2)
     halves = np.asarray(halves)
-    expect = 0.5 * dt * sampler.trace
+    expect = 0.5 * dt * np.sum(sampler.eigenvalues)
     se = np.std(halves, ddof=1) / np.sqrt(halves.size)
     assert abs(np.mean(halves) - expect) <= 5.0 * se
 

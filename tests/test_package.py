@@ -1,7 +1,11 @@
 """The package's public surface."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +21,16 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", ())
     assert len(set(exported)) == len(exported)
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+def test_regularize_loads_no_other_plapsim_module():
+    # spatial and noise import from regularize at their tops, which holds
+    # no cycle only while regularize imports no other plapsim module
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "import plapsim.regularize\n"
+            "print(*(m for m in sys.modules if m.startswith('plapsim.')))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["plapsim.regularize"]
