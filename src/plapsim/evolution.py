@@ -415,6 +415,11 @@ def step_semi_implicit(system, config, u, t, dw):
     method.  A_n at the current iterate comes from its residual,
     so each iteration evaluates A_n once per line-search trial.
 
+    The iteration starts from the explicit noise update u + sigma_n(t, u)
+    K(dW), the right-hand side itself: the noise is already in it, and only
+    the drift is left to the solve, whose first residual is dt A_n(rhs).
+    Without noise that start is u.
+
     u is a stack (B, size), the iteration running per member: each has its
     own residual norm, factors, line search and iteration count (its linear
     solves), and stops changing once its residual meets the tolerance; the
@@ -429,7 +434,7 @@ def step_semi_implicit(system, config, u, t, dw):
     count = len(u)
     noise = system.noise_term(t, u, dw)
     rhs = u + noise
-    v = u.copy()
+    v = rhs.copy()
     residual = v + dt * system.apply_drift_operator(v) - rhs
     res_norm = norm_l2(grid, residual)
     iters = np.zeros(count, dtype=int)
@@ -627,7 +632,7 @@ def _energies(system, u, l2_sq):
     return out
 
 
-def simulate_batch(system, config, u0, samplers=None, rows=None):
+def simulate_batch(system, config, u0, samplers=None, rows=None, energies=True):
     """Integrate a stack of trajectories, one per row of u0, from 0 to t_end.
 
     Member b runs on the Wiener path of samplers[rows[b]] (rows defaults to
@@ -638,12 +643,15 @@ def simulate_batch(system, config, u0, samplers=None, rows=None):
     Returns a list over the members: the TrajectoryRecord of each, or the
     BlowUpError or NewtonDivergedError that stopped it, carrying the step
     and time.  A failing member leaves the stack and the others run on.
-    Snapshots land every record_every steps (first and last always); the
-    running sup of ||u||_2^2 and the left-endpoint quadratures of the
-    energy integrands accumulate every step.  The blow-up guard sees each
-    state before any of its energies is formed.  The explicit dt is not
-    checked here: simulate_path and verify.run_jobs check it for their
-    caller (warn_explicit_dt).
+    Snapshots land every record_every steps (first and last always).  The
+    blow-up guard takes ||u||_2^2 of every state, so the running sup of it
+    and its snapshots (energies["l2_sq"]) are always measured.  With
+    energies set, the other _ENERGIES are formed at every state, after the
+    guard has passed it, and their left-endpoint quadratures accumulate
+    every step; without it the record has no other energies and no
+    integrals, and states, sup and iteration counts are bitwise the same.
+    The explicit dt is not checked here: simulate_path and verify.run_jobs
+    check it for their caller (warn_explicit_dt).
     """
     grid, dt, steps = system.grid, config.dt, config.num_steps
     u = np.array(_stack(grid, u0))
@@ -672,14 +680,15 @@ def simulate_batch(system, config, u0, samplers=None, rows=None):
 
     # the energies at the current state, and the sums over the steps (the
     # columns of a member that left the stack stop changing and are not read)
-    energy = np.zeros((len(_ENERGIES), count))
-    integrals = np.zeros((len(_ENERGIES) - 1, count))   # of all but l2_sq
+    names = _ENERGIES if energies else _ENERGIES[:1]
+    energy = np.zeros((len(names), count))
+    integrals = np.zeros((len(names) - 1, count))   # of all but l2_sq
     times, states, energy_log = [], [], []
     iters = np.zeros((steps, count), dtype=int)
 
     def admit(k):
         """Guard the running members' states at step k, then take the
-        energies of those that stay."""
+        energies of those that stay (l2_sq alone without energies)."""
         l2_sq, blown = _guard(grid, u[live])
         if blown:
             leave(alive[list(blown)], [BlowUpError(k, k * dt, norm)
@@ -687,7 +696,7 @@ def simulate_batch(system, config, u0, samplers=None, rows=None):
             l2_sq = np.delete(l2_sq, list(blown))
         if not alive.size:
             return
-        energy[:, live] = _energies(system, u[live], l2_sq)
+        energy[:, live] = _energies(system, u[live], l2_sq) if energies else l2_sq
 
     def record(k):
         times.append(k * dt)
@@ -727,11 +736,11 @@ def simulate_batch(system, config, u0, samplers=None, rows=None):
             times=np.asarray(times),
             states=np.ascontiguousarray(states[:, b]),
             energies={name: np.ascontiguousarray(energy_log[:, i, b])
-                      for i, name in enumerate(_ENERGIES)},
+                      for i, name in enumerate(names)},
             newton_iters=iters[:, b].copy(),
             sup_l2_sq=float(sup_l2_sq[b]),
             integrals={name: float(total) for name, total in
-                       zip(_ENERGIES[1:], integrals[:, b])},
+                       zip(names[1:], integrals[:, b])},
         )
     return results
 

@@ -118,9 +118,11 @@ class Grid:
 
 
 def norm_lp(grid, u, p):
-    """(sum |u_i|**p * h**d) ** (1/p) over interior nodes."""
+    """(sum |u_i|**p * h**d) ** (1/p) over interior nodes: a float, or one
+    per member of a stack, its root taken in the scalar form."""
     u = grid.check(u)
-    return float((np.sum(np.abs(u) ** p) * grid.weight) ** (1.0 / p))
+    out = _scalar_power((np.abs(u) ** p).sum(axis=-1) * grid.weight, 1.0 / p)
+    return float(out) if u.ndim == 1 else out
 
 
 def norm_l2(grid, u):
@@ -131,8 +133,10 @@ def norm_l2(grid, u):
 
 
 def norm_l1(grid, u):
+    """Weighted L1 norm: a float, or one per member of a stack."""
     u = grid.check(u)
-    return float(np.sum(np.abs(u)) * grid.weight)
+    out = np.abs(u).sum(axis=-1) * grid.weight
+    return float(out) if u.ndim == 1 else out
 
 
 def _face_sides(ue, d, axis, shift=0):

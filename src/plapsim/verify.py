@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evolution import (BlowUpError, NewtonDivergedError, SolverConfig,
-                        build_system, simulate_batch, simulate_path,
-                        warn_explicit_dt)
+                        build_system, simulate_batch, warn_explicit_dt)
 from .noise import default_sampler
 from .spatial import (Grid, initial_profile, linear_coeff, n_min_default,
                       norm_l1, norm_l2, zero_drift)
@@ -131,11 +130,12 @@ PATH_FAILURES = (BlowUpError, NewtonDivergedError)
 _STACK_BYTES = 2 ** 20
 
 
-def _trajectories(plan, jobs):
+def _trajectories(plan, jobs, energies):
     """The trajectory jobs (study, level, cfg, u0, path_index) of one
     stack, which differ only in level, initial state and path, stepped as
     one: per job its TrajectoryRecord, or its path failure tagged with
-    study, level and path (study and level only tag it)."""
+    study, level and path (study and level only tag it).  energies as in
+    simulate_batch."""
     cfg = jobs[0][2]
     system = build_system(plan.grid, plan.coeff, plan.drift, plan.pert, cfg,
                           spec=plan.spec, kernel=plan.kernel,
@@ -143,7 +143,8 @@ def _trajectories(plan, jobs):
     paths = sorted({job[4] for job in jobs})
     samplers = [plan.sampler(p) for p in paths] if plan.kernel is not None else None
     results = simulate_batch(system, cfg, [job[3] for job in jobs], samplers,
-                             rows=[paths.index(job[4]) for job in jobs])
+                             rows=[paths.index(job[4]) for job in jobs],
+                             energies=energies)
     for (study, level, _, _, path_index), res in zip(jobs, results):
         if isinstance(res, PATH_FAILURES):
             res.study, res.level, res.path = study, level, path_index
@@ -168,9 +169,12 @@ def _stacks(plan, jobs):
     return stacks
 
 
-def run_jobs(plan, jobs, stacklevel=1):
+def run_jobs(plan, jobs, stacklevel=1, energies=True):
     """Run trajectory jobs as stacks on an Ensemble (a study's
-    ExperimentPlan, say), in plan.workers processes.
+    ExperimentPlan, say), in plan.workers processes.  energies, as in
+    simulate_batch, says whether the records carry the energies beyond
+    ||u||_2^2 and their integrals: a caller that reads states alone turns
+    it off.
 
     Returns (records, failure): the records of the jobs before the first
     failing job in job order, and that job's tagged path failure (None if
@@ -188,7 +192,7 @@ def run_jobs(plan, jobs, stacklevel=1):
         warn_explicit_dt(build_system(plan.grid, plan.coeff, plan.drift, plan.pert, cfg),
                          cfg, np.array(states), stacklevel=stacklevel + 1)
     stacks = _stacks(plan, jobs)
-    run = functools.partial(_trajectories, plan)
+    run = functools.partial(_trajectories, plan, energies=energies)
     if plan.workers <= 1 or len(stacks) <= 1:
         results = map(run, stacks)   # lazy: a serial run stops at the failure
     else:
@@ -204,11 +208,11 @@ def run_jobs(plan, jobs, stacklevel=1):
     return records, None
 
 
-def _map_jobs(plan, jobs):
+def _map_jobs(plan, jobs, energies=True):
     """Records of the trajectory jobs in job order; the first failing job
     in job order raises its path failure.  A study calls this, and its
     explicit-dt warning names the study's caller."""
-    records, failure = run_jobs(plan, jobs, stacklevel=3)
+    records, failure = run_jobs(plan, jobs, stacklevel=3, energies=energies)
     if failure is not None:
         raise failure
     return records
@@ -347,11 +351,9 @@ def contraction_experiment(plan, u0_a, u0_b):
                   record_every=1)
     jobs = [("l1_contraction", None, cfg, u0, p)
             for p in range(plan.num_paths) for u0 in (u0_a, u0_b)]
-    records = _map_jobs(plan, jobs)
-    curves = np.asarray([
-        [norm_l1(grid, d)
-         for d in rec_a.states[snap_idx] - rec_b.states[snap_idx]]
-        for rec_a, rec_b in zip(records[::2], records[1::2])])
+    records = _map_jobs(plan, jobs, energies=False)
+    curves = np.asarray([norm_l1(grid, rec_a.states[snap_idx] - rec_b.states[snap_idx])
+                         for rec_a, rec_b in zip(records[::2], records[1::2])])
 
     d0 = norm_l1(grid, u0_a - u0_b)
     l_f = plan.drift.l_f if plan.drift is not None else 0.0
@@ -397,7 +399,7 @@ def cauchy_in_n_study(plan, u0=None):
     cfgs = [replace(plan.config, n=n, record_every=1) for n in levels]
     jobs = [("cauchy_in_level", n, cfg, u0, p)
             for p in range(plan.num_paths) for n, cfg in zip(levels, cfgs)]
-    records = _map_jobs(plan, jobs)
+    records = _map_jobs(plan, jobs, energies=False)
 
     w, dt = plan.grid.weight, plan.config.dt
     values = np.empty((len(plan.n_list), plan.num_paths))
@@ -423,12 +425,17 @@ def cauchy_in_n_study(plan, u0=None):
 
 
 def _heat_error(n_interior, dt, t_end):
+    """Relative L2 error at t_end of the noise-free heat path from
+    sin(pi x); a path failure raises, tagged with study heat_oracle."""
     grid = Grid(1, n_interior)
     cfg = SolverConfig(dt=dt, t_end=t_end, use_perturbation=False,
                        newton_tol=1e-12, record_every=max(1, int(round(t_end / dt))))
     system = build_system(grid, linear_coeff(), zero_drift(), None, cfg)
     x = grid.nodes()[:, 0]
-    rec = simulate_path(system, cfg, np.sin(np.pi * x), sampler=None)
+    (rec,) = simulate_batch(system, cfg, np.sin(np.pi * x)[None], energies=False)
+    if isinstance(rec, PATH_FAILURES):
+        rec.study, rec.level, rec.path = "heat_oracle", None, None
+        raise rec
     exact = math.exp(-math.pi ** 2 * t_end) * np.sin(np.pi * x)
     err = norm_l2(grid, rec.final_state() - exact)
     return err / norm_l2(grid, exact)

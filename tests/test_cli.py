@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plapsim import cli, verify
+from plapsim import cli, evolution, verify
 from plapsim.cli import EXIT_BLOW_UP, EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main
 from plapsim.config import (ConfigError, load_config, make_coeff, make_drift, make_grid,
                             make_initial, make_kernel, make_pert, make_sampler,
@@ -368,6 +368,55 @@ def test_verify_path_failure_keeps_the_battery(tmp_path, capsys, workers, retrie
     assert main(["verify", "--config", str(out / "manifest.json"),
                  "--out", str(again)]) == EXIT_BLOW_UP
     assert (again / "report.json").read_bytes() == (out / "report.json").read_bytes()
+
+
+def test_verify_heat_oracle_failure_keeps_the_battery(tmp_path, capsys, monkeypatch):
+    # the heat path meets a singular Newton matrix: its study fails with
+    # the failure as a check, the others pass, and report.json is written
+    heat_error, newton_matrix = verify._heat_error, evolution._newton_matrix
+
+    def failing(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(evolution, "_newton_matrix", lambda *a: 0.0 * newton_matrix(*a))
+            return heat_error(*args)
+
+    monkeypatch.setattr(verify, "_heat_error", failing)
+    out = tmp_path / "out"
+    assert main(["verify", "--out", str(out), "--seed", "7"]) == EXIT_BLOW_UP
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] is False
+    studies = {s["name"]: s for s in report["studies"]}
+    assert list(studies) == ["energy_boundedness", "l1_contraction",
+                             "cauchy_in_level", "heat_oracle"]
+    assert all(studies[name]["pass"] for name in list(studies)[:3])
+    (check,) = studies["heat_oracle"]["checks"]
+    failure = check["failure"]
+    assert check["pass"] is False and failure["kind"] == "newton_failure"
+    assert (failure["study"], failure["level"], failure["path"], failure["seed"],
+            failure["step"], failure["t"]) == ("heat_oracle", None, None, 7, 0, 0.0)
+    assert not (out / "heat_errors.csv").exists()
+    for name in ("energy_levels.csv", "contraction_curve.csv", "cauchy_levels.csv"):
+        assert (out / name).exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 2
+    assert err[0].endswith("(study heat_oracle, level None, path None, seed 7)")
+    assert err[1].startswith("reproduce: plapsim verify --config")
+
+
+def test_verify_writes_the_same_bytes_with_every_energy_formed(tmp_path, monkeypatch):
+    # the studies that read states alone skip the energies; forcing them
+    # on must not move a byte of the report or the CSVs
+    assert main(["verify", "--out", str(tmp_path / "skip")]) == EXIT_PASS
+    batch = verify.simulate_batch
+    monkeypatch.setattr(verify, "simulate_batch",
+                        lambda *args, energies=True, **kw: batch(*args, energies=True, **kw))
+    assert main(["verify", "--out", str(tmp_path / "full")]) == EXIT_PASS
+    names = sorted(p.name for p in (tmp_path / "skip").iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in (tmp_path / "full").iterdir()
+                           if p.name != "manifest.json")
+    assert len(names) == 5
+    for name in names:
+        assert (tmp_path / "skip" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
 
 def test_outputs_stay_inside_out_dir(tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ from plapsim.evolution import (
     BlowUpError,
     NewtonDivergedError,
     SolverConfig,
+    TrajectoryRecord,
     _newton_matrix,
     _apply_factors,
     _factor_lines,
@@ -375,6 +376,33 @@ def test_newton_evaluates_the_drift_once_per_color_and_trial(
     assert len(calls) == 1 + iters * (2 if colors else 1)
 
 
+def test_a_start_that_meets_the_tolerance_takes_no_iteration(monkeypatch):
+    # the iteration starts from u + noise; a noise of -u makes that start
+    # the solution 0, whose residual dt A_n(0) vanishes, so the step
+    # evaluates A_n once, factors nothing and returns its start
+    grid = Grid(1, 16)
+    system, config = stochastic_pieces(grid)
+    u = np.stack([initial_profile(grid, "sine", amplitude=0.25),
+                  initial_profile(grid, "bump", amplitude=0.4)])
+
+    def unused(*args):
+        raise AssertionError("a Newton matrix was assembled")
+
+    monkeypatch.setattr(evolution.System, "noise_term", lambda self, t, u, dw: -u)
+    monkeypatch.setattr(evolution, "_newton_matrix", unused)
+    evaluate, calls = system.apply_drift_operator, []
+
+    def counted(w):
+        calls.append(len(w))
+        return evaluate(w)
+
+    system.apply_drift_operator = counted
+    v, noise, iters, outcomes = step_semi_implicit(system, config, u, 0.0, np.zeros_like(u))
+    assert iters == 0 and outcomes == [0, 0]
+    assert calls == [2]
+    assert v.tobytes() == (u + noise).tobytes() and not v.any()
+
+
 def test_1d_newton_evaluates_the_drift_only_for_its_trials(monkeypatch):
     # a large increment makes the line search halve some steps; every trial
     # takes one residual norm, and so does the initial residual
@@ -403,17 +431,18 @@ def test_1d_newton_evaluates_the_drift_only_for_its_trials(monkeypatch):
 def test_2d_chord_step_refactors_where_it_fails_and_fails_only_on_fresh_factors(
         monkeypatch):
     # with no halving allowed, a trial that fails Armijo fails the line
-    # search.  A large increment carries the iterate far from the step's
-    # start, so a chord step on older factors fails: the member refactors
-    # at its iterate, retries and converges.  A larger increment fails the
-    # first Newton step, on factors at the iterate, and the member fails.
+    # search.  The flux at p = 1.3 is concave in the gradient, so a Newton
+    # step from the start u + noise can overshoot.  From a tall sine, a
+    # chord step on older factors fails: the member refactors at its
+    # iterate, retries and converges.  From a near-zero sine the first
+    # Newton step fails, on factors at the iterate, and the member fails.
     monkeypatch.setattr(evolution, "MIN_LINE_STEP", 1.0)
     grid = Grid(2, 8)
     config = SolverConfig(dt=0.01, t_end=0.01, n=8)
-    system = build_system(grid, p_laplacian_coeff(1.5), tanh_drift(1.0),
-                          perturbation_for(1.5, m=2), config,
+    system = build_system(grid, p_laplacian_coeff(1.3), tanh_drift(1.0),
+                          perturbation_for(1.3, m=2), config,
                           spec=power_sigma(0.75, 1.0), kernel=gaussian_kernel(grid))
-    u = initial_profile(grid, "sine", amplitude=0.25)
+    u = initial_profile(grid, "sine", amplitude=4.0)
     newton_matrix, apply_factors, log = evolution._newton_matrix, evolution._apply_factors, []
 
     def logged_matrix(system, dt, v):   # the state each matrix is made at
@@ -427,7 +456,7 @@ def test_2d_chord_step_refactors_where_it_fails_and_fails_only_on_fresh_factors(
     monkeypatch.setattr(evolution, "_newton_matrix", logged_matrix)
     monkeypatch.setattr(evolution, "_apply_factors", logged_solve)
     (v,), (noise,), iters, _ = step_semi_implicit(system, config, u[None], 0.0,
-                                                  np.full((1, grid.size), 10.0))
+                                                  np.full((1, grid.size), -2.5))
     residual = v + config.dt * system.apply_drift_operator(v) - u - noise
     assert norm_l2(grid, residual) <= config.newton_tol
     kinds = [kind for kind, _ in log]
@@ -435,29 +464,30 @@ def test_2d_chord_step_refactors_where_it_fails_and_fails_only_on_fresh_factors(
     retries = [i for i in range(len(log) - 2)
                if kinds[i:i + 3] == ["solve", "factor", "solve"]
                and np.array_equal(log[i][1], log[i + 2][1])]
-    assert retries and not np.array_equal(log[retries[0] + 1][1], u[None])
+    assert retries and not np.array_equal(log[retries[0] + 1][1], (u + noise)[None])
 
     log.clear()
-    _, _, _, (failed,) = step_semi_implicit(system, config, u[None], 0.0,
-                                            np.full((1, grid.size), 100.0))
+    low = initial_profile(grid, "sine", amplitude=0.01)
+    _, (noise,), _, (failed,) = step_semi_implicit(system, config, low[None], 0.0,
+                                                   np.full((1, grid.size), -1.5))
     assert isinstance(failed, NewtonDivergedError)
     assert failed.iterations == 0
     assert [kind for kind, _ in log] == ["factor", "solve"]
-    assert np.array_equal(log[0][1], u[None])
+    assert np.array_equal(log[0][1], (low + noise)[None])
 
 
 def stiff_step(grid):
-    # p = 4, m = 2 and a kick of 20: a step of many Newton iterations
+    # p = 4, m = 2 and a kick of 1.6: a step of many Newton iterations
     config = SolverConfig(dt=0.01, t_end=0.01, n=8)
     system = build_system(grid, p_laplacian_coeff(4.0), tanh_drift(1.0),
                           perturbation_for(4.0, m=2), config,
                           spec=power_sigma(0.75, 1.0), kernel=gaussian_kernel(grid))
-    return (system, config, initial_profile(grid, "sine", amplitude=0.25),
-            np.full(grid.size, 20.0))
+    return (system, config, initial_profile(grid, "sine", amplitude=0.15),
+            np.full(grid.size, 1.6))
 
 
 def test_the_newton_budget_caps_the_solves_on_fresh_factors(monkeypatch):
-    # a stiff 2d step that Newton solves in 37 iterations: the chord
+    # a stiff 2d step that Newton solves in 40 iterations: the chord
     # iteration takes more solves than the default budget of 40 but fewer
     # factorizations, and newton_max_iter caps those
     grid = Grid(2, 6)
@@ -609,7 +639,7 @@ class KickedSampler:
     increment; ``log`` lists each draw handed out as (k, node, value), where
     node 0 is an increment and node >= 1 the two halves of a bridge."""
 
-    def __init__(self, grid, seed=5, kick=1.3):
+    def __init__(self, grid, seed=5, kick=1.8):
         self.base = default_sampler(grid, seed, 0)
         self.kick = kick
         self.log = []
@@ -628,8 +658,8 @@ class KickedSampler:
 def bisecting_pieces(grid, **kw):
     # two Newton iterations per step, except that the kick at step 3 asks
     # for more; each half of step 3 needs at most two again (with the exact
-    # 1d Newton matrix, kicks from 1.2 to 1.5 do this)
-    return stochastic_pieces(grid, dt=0.008, t_end=0.08, newton_max_iter=2, **kw)
+    # 1d Newton matrix, kicks from 1.5 to 2.15 do this)
+    return stochastic_pieces(grid, dt=0.016, t_end=0.16, newton_max_iter=2, **kw)
 
 
 def test_dt_bisection_keeps_the_wiener_path():
@@ -648,7 +678,7 @@ def test_dt_bisection_keeps_the_wiener_path():
     assert rec.newton_iters[3] > config.newton_max_iter   # both halves' iterations
 
     # an unbisected run on the same path requests the same increments
-    system, config = stochastic_pieces(grid, dt=0.008, t_end=0.08)
+    system, config = stochastic_pieces(grid, dt=0.016, t_end=0.16)
     plain = KickedSampler(grid)
     simulate_path(system, config, u0, plain)
     increments = [(k, dw) for k, node, dw in bisected.log if node == 0]
@@ -766,9 +796,9 @@ def assert_same_bits(rec, alone):
         == {k: bits(v) for k, v in alone.integrals.items()}
 
 
-def run_members(grid, coeff, drift, pert, config, members, order, seed=3):
+def run_members(grid, coeff, drift, pert, config, members, order, seed=3, **kw):
     """Records of members (level, profile, amplitude, path) stacked in the
-    given order, listed in member order."""
+    given order, listed in member order; kw goes to simulate_batch."""
     picked = [members[i] for i in order]
     paths = sorted({path for *_, path in picked})
     system = build_system(grid, coeff, drift, pert, config, spec=power_sigma(0.75),
@@ -777,7 +807,7 @@ def run_members(grid, coeff, drift, pert, config, members, order, seed=3):
         system, config,
         [initial_profile(grid, name, amplitude=amp) for _, name, amp, _ in picked],
         [default_sampler(grid, seed, path) for path in paths],
-        rows=[paths.index(path) for *_, path in picked])
+        rows=[paths.index(path) for *_, path in picked], **kw)
     records = [None] * len(members)
     for i, rec in zip(order, results):
         records[i] = rec
@@ -826,6 +856,40 @@ def test_stacked_members_are_bitwise_their_lone_runs(case):
             assert_same_bits(pair[i], alone)
     if config.scheme != "explicit":   # the members took different Newton paths
         assert len({rec.newton_iters.tobytes() for rec in everyone}) > 1
+
+
+# the explicit scheme at a dt below the stability heuristic of the small
+# members and far above that of the tall sine, which blows up
+BLOW_UP_CASES = {
+    "1d_blow_up": (Grid(1, 16), p_laplacian_coeff(3.0), tanh_drift(1.0), None,
+                   SolverConfig(dt=1e-3, t_end=0.04, scheme="explicit"),
+                   [(4, "sine", 0.25, 0), (8, "sine", 20.0, 1), (16, "bump", 0.3, 0)]),
+    "2d_blow_up": (Grid(2, 8), p_laplacian_coeff(3.0), tanh_drift(1.0), None,
+                   SolverConfig(dt=2e-3, t_end=0.08, scheme="explicit"),
+                   [(4, "sine", 0.25, 0), (8, "sine", 20.0, 1), (16, "bump", 0.3, 0)]),
+}
+
+
+@pytest.mark.parametrize("case", list(STACK_CASES) + list(BLOW_UP_CASES))
+def test_a_stack_run_without_energies_steps_the_same_bits(case):
+    # energies=False drops every energy but the guard's ||u||_2^2, and the
+    # integrals; states, sup, iterations and failures stay bit for bit
+    grid, coeff, drift, pert, config, members = {**STACK_CASES, **BLOW_UP_CASES}[case]
+    order = list(range(len(members)))
+    measured = run_members(grid, coeff, drift, pert, config, members, order)
+    bare = run_members(grid, coeff, drift, pert, config, members, order, energies=False)
+    bits = lambda x: (np.asarray(x).dtype, np.asarray(x).shape, np.asarray(x).tobytes())
+    for rec, plain in zip(measured, bare):
+        if isinstance(rec, Exception):
+            assert type(plain) is type(rec) and plain.__dict__ == rec.__dict__
+            continue
+        for field in ("times", "states", "newton_iters", "sup_l2_sq"):
+            assert bits(getattr(plain, field)) == bits(getattr(rec, field)), field
+        assert list(plain.energies) == ["l2_sq"] and plain.integrals == {}
+        assert bits(plain.energies["l2_sq"]) == bits(rec.energies["l2_sq"])
+    if case in BLOW_UP_CASES:
+        assert [type(rec) for rec in measured] == [TrajectoryRecord, BlowUpError,
+                                                   TrajectoryRecord]
 
 
 def test_a_bisecting_member_leaves_its_stack_mates_alone():
@@ -900,7 +964,7 @@ def test_a_singular_2d_member_fails_alone(monkeypatch):
 
 def assert_a_singular_stack_of_one_reports(grid, monkeypatch):
     # the member meets the singular matrix in the member-by-member fallback
-    # and fails at its initial residual
+    # and fails at its initial residual, the one at its start u + noise
     system, config = stochastic_pieces(grid)
     u = initial_profile(grid, "sine", amplitude=0.25)[None]
     dw = default_sampler(grid, 1, 0).sample_increment(0, config.dt)[None]
@@ -911,7 +975,8 @@ def assert_a_singular_stack_of_one_reports(grid, monkeypatch):
     assert v.shape == (1, grid.size) and iters == 0
     assert isinstance(outcomes[0], NewtonDivergedError)
     assert outcomes[0].iterations == 0
-    residual = u + config.dt * system.apply_drift_operator(u) - (u + noise)
+    rhs = u + noise
+    residual = rhs + config.dt * system.apply_drift_operator(rhs) - rhs
     assert outcomes[0].residual == norm_l2(grid, residual)[0]
 
 

@@ -125,6 +125,25 @@ def test_norm_consistency_l1_l2_lp():
     assert np.isclose(norm_lp(grid, u, 1.0), norm_l1(grid, u), rtol=1e-12)
 
 
+@pytest.mark.parametrize("dimension, n_interior", [(1, 17), (2, 9)])
+def test_norms_take_one_value_per_member_of_a_stack(dimension, n_interior):
+    grid = Grid(dimension, n_interior)
+    stack = np.stack([random_field(grid, seed) for seed in range(4)])
+    # flat input: a float, bitwise the flat sum it always was
+    for u in stack:
+        l1, l3 = norm_l1(grid, u), norm_lp(grid, u, 3.0)
+        assert type(l1) is float and type(l3) is float
+        assert l1 == float(np.sum(np.abs(u)) * grid.weight)
+        assert l3 == float((np.sum(np.abs(u) ** 3.0) * grid.weight) ** (1.0 / 3.0))
+    # a stack: one value per member, bitwise that member's own
+    for norm in (norm_l1, norm_l2, lambda g, u: norm_lp(g, u, 3.0),
+                 lambda g, u: norm_lp(g, u, 1.5)):
+        out = norm(grid, stack)
+        assert out.shape == (4,)
+        assert out.tobytes() == np.array([norm(grid, u) for u in stack]).tobytes()
+        assert norm(grid, stack.reshape(2, 2, -1)).tobytes() == out.tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(-8.0, 8.0), st.floats(min_value=1.0, max_value=6.0))
 def test_norm_homogeneity(c, p):

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plapsim import verify
-from plapsim.evolution import (BlowUpError, SolverConfig, build_system,
-                               simulate_path)
+from plapsim import cli, evolution, verify
+from plapsim.config import DEFAULTS, make_solver_config, validate_config
+from plapsim.evolution import (BlowUpError, NewtonDivergedError, SolverConfig,
+                               build_system, simulate_path)
 from plapsim.noise import default_sampler, gaussian_kernel
 from plapsim.regularize import power_sigma
 from plapsim.spatial import (Grid, HigherOrderPerturbation, initial_profile,
@@ -165,6 +166,45 @@ def test_heat_oracle_quick():
     assert report["pass"], report
     assert 1.7 <= report["slope"] <= 2.3
     json.dumps(report)
+
+
+def test_heat_oracle_tags_its_path_failure(monkeypatch):
+    # a singular Newton matrix fails the heat path at its first step
+    newton_matrix = evolution._newton_matrix
+    monkeypatch.setattr(evolution, "_newton_matrix", lambda *args: 0.0 * newton_matrix(*args))
+    with pytest.raises(NewtonDivergedError) as info:
+        heat_oracle_study(n_interior=8, dt=1e-3, t_end=0.01, slope_grids=(4, 8))
+    exc = info.value
+    assert (exc.study, exc.level, exc.path, exc.step, exc.time, exc.iterations) == (
+        "heat_oracle", None, None, 0, 0.0, 0)
+
+
+def test_only_the_callers_that_read_energies_form_them(monkeypatch, tmp_path):
+    # the Cauchy, contraction and heat studies read states alone; the
+    # energy study and `plapsim simulate` take the energies of every
+    # member at every step
+    energies, measured = evolution._energies, []
+
+    def counted(system, u, l2_sq):
+        measured.append(len(u))
+        return energies(system, u, l2_sq)
+
+    monkeypatch.setattr(evolution, "_energies", counted)
+    plan = desk_plan(m=1)
+    u0 = initial_profile(plan.grid, "sine", amplitude=0.25)
+    cauchy_in_n_study(plan, u0=u0)
+    contraction_experiment(plan, u0, initial_profile(plan.grid, "bump", amplitude=0.2))
+    heat_oracle_study(n_interior=8, dt=1e-3, t_end=0.01, slope_grids=(4, 8))
+    assert measured == []
+
+    energy_report(plan, u0=u0)   # one stack of every job
+    jobs = len(plan.n_list) * plan.num_paths
+    assert measured == [jobs] * (plan.config.num_steps + 1)
+
+    measured.clear()
+    assert cli.main(["simulate", "--out", str(tmp_path), "--paths", "2"]) == cli.EXIT_PASS
+    steps = make_solver_config(validate_config(dict(DEFAULTS))).num_steps
+    assert measured == [2] * (steps + 1)
 
 
 # ------------------------------------------------------------------- workers
