@@ -16,6 +16,7 @@ merged in path order, so it cannot influence any output byte.
 """
 
 import json
+import math
 import re
 
 import numpy as np
@@ -218,6 +219,8 @@ def validate_config(cfg):
         if (value is True or value is False) and kinds is not bool:
             what_kind = "an integer" if kinds is int else "a number"
             raise ConfigError(f"{key} must be {what_kind}, got {value!r}", field=key)
+        if kinds is _NUM and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite; got {value!r}", field=key)
         if ok is not None and not ok(value):
             raise ConfigError(f"{key} {what}; got {value!r}", field=key)
     for key in ("run.n_list", "regcheck.n_list"):

@@ -4,16 +4,16 @@ Two Euler-Maruyama variants share the Ito left-point noise term
 sigma_n(t, u^k) K(dW^k): an explicit step, subject to the usual parabolic
 step-size restriction, and a drift-implicit step whose nonlinear system is
 solved by a damped Newton iteration.  Its matrix is exact, from the
-derivatives of the flux and the drift (spatial.jacobian_A_n), in 1d and
-2d alike.  It couples only nearby grid lines, so it is assembled straight
-into a slab stored by line and factored by block elimination over lines,
-with numpy only: in 2d no size x size array is formed, and no part of
-scipy is loaded.  In 2d the iteration is a chord iteration with refresh:
-the factors made at the step's start serve the iterations that follow,
-and are made again at the iterate only where an iteration falls short of
-a fixed residual cut (CHORD_RATIO) or its line search fails.  In 1d the
-matrix is one dense block and every iteration refactors, which is
-Newton's method.
+derivatives of the flux and the drift: spatial.jacobian_A_n gives it as
+the grid's stencil band, in 1d and 2d alike.  It couples only nearby grid
+lines, so the band is scattered into a slab stored by line and factored
+by block elimination over lines, with numpy only: in 2d no size x size
+array is formed, and no part of scipy is loaded.  In 2d the iteration is
+a chord iteration with refresh: the factors made at the step's start
+serve the iterations that follow, and are made again at the iterate only
+where an iteration falls short of a fixed residual cut (CHORD_RATIO) or
+its line search fails.  In 1d the matrix is one dense block and every
+iteration refactors, which is Newton's method.
 
 The steppers advance a stack of trajectories, (B, size) states, as one:
 members may differ in level (build_system's levels), initial state and
@@ -34,6 +34,7 @@ on samplers with the same (seed, path), stacked or run apart in any order.
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -180,9 +181,7 @@ class System:
     def slab_bytes(self):
         """Bytes of one member's Newton matrix in its line slab
         (_newton_matrix), which its factors (_factor_lines) replace."""
-        n = self.grid.n_interior
-        lines = self.grid.size // n
-        return 8 * lines * n * n * (2 * min(self.jacobian_half_width, lines - 1) + 1)
+        return 8 * math.prod(_slab_positions(self.grid, self.jacobian_half_width)[0])
 
     def take(self, members):
         """The system of the sub-stack ``members`` (indices into the stack)."""
@@ -271,21 +270,53 @@ def warn_explicit_dt(system, config, u0, stacklevel=1):
                       f"heuristic {bound:g}", RuntimeWarning, stacklevel=stacklevel + 1)
 
 
+@lru_cache(maxsize=None)
+def _slab_positions(grid, half_width):
+    """Where a stencil band (spatial.jacobian_A_n) lands in the line slab:
+    (slab shape, band positions, slab positions), the positions flat and
+    read-only.
+
+    A line is a run of n_interior nodes along the last axis: in 1d the
+    whole grid, in 2d one of n_interior lines.  The band's entry (delta + w,
+    a), w = half_width, holds the coupling of node a to node a + delta.  The
+    slab is (lines, n, (2 r + 1) n), r = min(w, lines - 1), and row-block i
+    holds line i's rows over lines i - r ... i + r.  The positions list the
+    band entries whose column node lies on the grid.
+    """
+    n, d, w = grid.n_interior, grid.dimension, half_width
+    lines = grid.size // n
+    reach = min(w, lines - 1)
+    shape = (lines, n, (2 * reach + 1) * n)
+    index = np.indices((2 * w + 1,) * d + grid.shape).reshape(2 * d, -1)
+    delta, node = index[:d] - w, index[d:]
+    on = ((0 <= node + delta) & (node + delta < n)).all(axis=0)
+    # row (a0, a1) and col (a0 + da, c) go to slab[a0, a1, (da + r) n + c];
+    # in 1d the line a0 and its shift da are 0
+    line, shift = (node[0], delta[0]) if d == 2 else (0, 0)
+    slab = ((line * n + node[-1]) * shape[2] + (shift + reach) * n
+            + node[-1] + delta[-1])[on]
+    band = np.nonzero(on)[0]
+    band.flags.writeable = slab.flags.writeable = False
+    return shape, band, slab
+
+
 def _newton_matrix(system, dt, v):
     """I + dt J at v, J the exact Jacobian of A_n (spatial.jacobian_A_n),
-    stored by line: a (lines, n, (2 r + 1) n) slab per member of a stack v.
+    stored by line: a (lines, n, (2 r + 1) n) slab per member of a stack v
+    (_slab_positions).
 
-    A line is a run of n_interior nodes along the last axis; J couples lines
-    at most r apart, and row-block i of the slab holds line i's rows over
-    lines i - r ... i + r.  In 1d the whole grid is one line, so the slab
-    is the dense matrix.
+    J couples lines at most r apart.  In 1d the whole grid is one line, so
+    the slab is the dense matrix.
     """
-    jac = jacobian_A_n(system.grid, system.coeff, system.drift, system.pert, system.n, v)
-    slab = jac[..., None, :, :] if system.grid.dimension == 1 else jac
-    slab *= dt
-    n, width = slab.shape[-2:]
-    nodes = np.arange(n)
-    slab[..., nodes, (width - n) // 2 + nodes] += 1.0   # I + dt J in place
+    grid, d = system.grid, system.grid.dimension
+    band = jacobian_A_n(grid, system.coeff, system.drift, system.pert, system.n, v)
+    half_width = band.shape[-1 - d] // 2
+    lead = band.shape[:-2 * d]
+    band *= dt
+    band[(..., *(half_width,) * d) + (slice(None),) * d] += 1.0   # I + dt J
+    shape, at_band, at_slab = _slab_positions(grid, half_width)
+    slab = np.zeros(lead + shape)
+    slab.reshape(lead + (-1,))[..., at_slab] = band.reshape(lead + (-1,))[..., at_band]
     return slab
 
 

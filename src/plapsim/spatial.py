@@ -6,9 +6,10 @@ operator evaluates its flux on the faces normal to each axis, set up alike
 in 1d and 2d, so that summation by parts against the discrete gradient is
 exact, and the higher-order form realizes every multi-index derivative up
 to order m by iterated forward differences.  The drift operator's Jacobian
-is exact, from the derivative methods every flux and drift carries: a
-dense matrix in 1d, and in 2d a slab stored by grid line, assembled from
-each face's stencil weights and each multi-index's small products.
+is exact, from the derivative methods every flux and drift carries: in
+1d and 2d alike it is the grid's stencil band, each node's couplings to
+the nodes of its box, assembled from each face's stencil weights and each
+multi-index's small products.
 
 The operators, the Jacobian and the L2 and W^{1,p} norms also take a
 stack of grid functions along leading axes.  Each member's result is
@@ -380,7 +381,6 @@ def p_laplacian_coeff(p):
 class FluxWithConvection:
     p: float
     velocity: object
-    lip: float
     flux: PLaplaceFlux = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -424,7 +424,7 @@ def remark_flux_coeff(p, scale=1.0):
     pp = p / (p - 1.0)
     c2 = (p / 2.0) ** (-pp / p) / pp * scale ** pp
     return LerayLionsCoeff(
-        a_eval=FluxWithConvection(p, ScaledTanh(scale), scale), p=p,
+        a_eval=FluxWithConvection(p, ScaledTanh(scale)), p=p,
         c1=0.5, c2=c2, c3=1.0, c4=scale, c5=0.0, nu=pp,
         g=scale, h=scale)
 
@@ -601,31 +601,6 @@ def apply_A_n(grid, coeff, drift, pert, n, u):
 
 
 @lru_cache(maxsize=None)
-def _slab_positions(grid, half_width):
-    """Where a 2d stencil band lands in the line slab: (slab shape, band
-    positions, slab positions), the positions flat and read-only.
-
-    A line is a run of n_interior nodes along the last axis.  The band is
-    (2 w + 1, 2 w + 1, n, n), w = half_width: entry (da + w, db + w, a0, a1)
-    holds the coupling of node (a0, a1) to node (a0 + da, a1 + db).  The
-    slab is (lines, n, (2 r + 1) n), r = min(w, lines - 1), and row-block i
-    holds line i's rows over lines i - r ... i + r.  The positions list the
-    band entries whose column node lies on the grid.
-    """
-    n, w = grid.n_interior, half_width
-    reach = min(w, n - 1)
-    shape = (n, n, (2 * reach + 1) * n)
-    da, db, a0, a1 = np.indices((2 * w + 1, 2 * w + 1, n, n)).reshape(4, -1) \
-        - np.array([w, w, 0, 0])[:, None]
-    on = (0 <= a0 + da) & (a0 + da < n) & (0 <= a1 + db) & (a1 + db < n)
-    band = np.nonzero(on)[0]
-    # row (a0, a1) and col (a0 + da, c) go to slab[a0, a1, (da + r) n + c]
-    slab = ((a0 * n + a1) * shape[2] + (da + reach) * n + a1 + db)[on]
-    band.flags.writeable = slab.flags.writeable = False
-    return shape, band, slab
-
-
-@lru_cache(maxsize=None)
 def _difference_pairs(n, order, h):
     """E_d[s, a] = D[s, a] D[s, a + d] (zero off the grid), D the order's
     difference: the E_d^T stacked by rows, d = -order ... order, and the
@@ -640,103 +615,93 @@ def _difference_pairs(n, order, h):
     return left, right
 
 
-def _jacobian_2d(grid, coeff, drift, pert, n, u):
-    """jacobian_A_n on a 2d grid: the line slab, assembled as a band."""
-    size, h, lead = grid.n_interior, grid.h, u.shape[:-1]
+@lru_cache(maxsize=None)
+def _off_grid(grid, half_width):
+    """Where a stencil band's column node lies off the grid: a read-only
+    mask of the band's shape (2 w + 1,) * d + (n,) * d, w = half_width."""
+    d, w = grid.dimension, half_width
+    index = np.indices((2 * w + 1,) * d + grid.shape)
+    column = index[d:] + index[:d] - w
+    mask = ((column < 0) | (column >= grid.n_interior)).any(axis=0)
+    mask.flags.writeable = False
+    return mask
+
+
+def jacobian_A_n(grid, coeff, drift, pert, n, u):
+    """Exact Jacobian of apply_A_n at u, from the flux's and the drift's
+    derivative methods, as the stencil band of the grid.
+
+    The band has shape (2 w + 1,) * d + (n_interior,) * d, w = max(1, m)
+    (1 without the perturbation): entry (delta + w, a) is the coupling of
+    node a to node a + delta, zero where a + delta lies off the grid.
+
+    Face f joins two neighbouring nodes of the zero extension and carries
+    a(x_f, lam_f, xi_f) as _faces sets it up, so -div a couples each node
+    to its neighbours along every axis, by da/dxi / h^2 and da/dlam / (2 h);
+    in 2d a face also reads the four differences across it, which couple
+    each node to its 3 x 3 box.  The perturbation's part is the sum over
+    |g| <= m of D_g^T diag(1 + (q-1) |D_g u|^(q-2)) D_g / n, which couples
+    each node to its box of half-width m.
+
+    A stack u gives a stack of bands, n as in apply_A_n.
+    """
+    u = grid.check(u)
+    size, h, d, lead = grid.n_interior, grid.h, grid.dimension, u.shape[:-1]
     active = pert is not None and n is not None
     w = max(1, pert.m) if active else 1
-    band = np.zeros(lead + (2 * w + 1, 2 * w + 1, size, size))
+    band = np.zeros(lead + (2 * w + 1,) * d + grid.shape)
+    nodes = (slice(None),) * d   # the band's node axes
     if active:
         _check_order(grid, pert.m)
-        # D_(i,j)^T diag(W) D_(i,j), W = 1 + (q-1)|D_(i,j) u|^(q-2), couples
-        # (a0, a1) to (a0 + da, a1 + db) by (E_da^T W F_db)[a0, a1]
+        # D_g^T diag(W) D_g, W = 1 + (q-1)|D_g u|^(q-2), couples a to a + da
+        # by (E_da^T W)[a] in 1d, and (a0, a1) to (a0 + da, a1 + db) by
+        # (E_da^T W E_db)[a0, a1] in 2d
         for j, block in enumerate(difference_blocks(grid, u, pert.m)):
             weights = np.abs(block)
             np.power(weights, pert.q - 2.0, out=weights)
             weights *= pert.q - 1.0
             weights += 1.0
-            right = _difference_pairs(size, j, h)[1]
+            if d == 1:
+                weights = weights[..., None]   # a column per member
             for i in range(pert.m - j + 1):
                 start = _rows_through(size, i - 1)
                 prod = (_difference_pairs(size, i, h)[0]
-                        @ weights[..., start:start + size + i, :] @ right)
-                prod = prod.reshape(lead + (2 * i + 1, size, 2 * j + 1, size))
-                band[..., w - i:w + i + 1, w - j:w + j + 1, :, :] += \
-                    np.moveaxis(prod, -3, -2)
+                        @ weights[..., start:start + size + i, :])
+                if d == 2:
+                    prod = np.moveaxis((prod @ _difference_pairs(size, j, h)[1]).reshape(
+                        lead + (2 * i + 1, size, 2 * j + 1, size)), -3, -2)
+                window = (slice(w - i, w + i + 1), slice(w - j, w + j + 1))[:d]
+                into = band[(..., *window) + nodes]
+                into += prod.reshape(into.shape)
         band /= _level(n, band.ndim)
     for axis, face in enumerate(_faces(grid, u)):
         # a_k on a face normal to axis k, over h, through its low node L, its
-        # high node L + e_k (lam is their mean) and their neighbours across
-        # the axis, L +- e_t and L + e_k +- e_t
+        # high node L + e_k (lam is their mean) and, in 2d, their neighbours
+        # across the axis, L +- e_t and L + e_k +- e_t: (along, across,
+        # weight, sign) of each
         a_xi, a_lam = coeff.a_eval.derivative(*face)
         normal = a_xi[..., axis, axis] / h
         low = (0.5 * a_lam[..., axis] - normal) / h
         high = (0.5 * a_lam[..., axis] + normal) / h
-        across = a_xi[..., axis, 1 - axis] / (4.0 * h * h)
+        stencil = [(0, 0, low, 1), (1, 0, high, 1)]
+        if d == 2:
+            across = a_xi[..., axis, 1 - axis] / (4.0 * h * h)
+            stencil += [(0, 1, across, 1), (0, -1, across, -1),
+                        (1, 1, across, 1), (1, -1, across, -1)]
         # -div a takes -a_k / h at L and +a_k / h at L + e_k, so a row takes
         # the face above it as its L (L is 0 nodes along axis k from the
-        # row) and the face below as its L + e_k (L is 1 node back); each
-        # column lies (along, across) of the row, its sign sign * turn
+        # row) and the face below as its L + e_k (L is 1 node back)
         for faces, sign, k in ((slice(1, None), -1, 0), (slice(None, -1), 1, -1)):
-            index = (..., faces, slice(None)) if axis == 0 else (..., faces)
-            for along, cross, weight, turn in (
-                    (k, 0, low, 1), (k + 1, 0, high, 1), (k, 1, across, 1),
-                    (k, -1, across, -1), (k + 1, 1, across, 1), (k + 1, -1, across, -1)):
-                into = band[..., (along, cross)[axis] + w, (cross, along)[axis] + w, :, :]
+            index = (..., faces) + (slice(None),) * (d - 1 - axis)
+            for along, cross, weight, turn in stencil:
+                offset = [cross + w] * d
+                offset[axis] = k + along + w
+                into = band[(..., *offset) + nodes]
                 (np.add if sign * turn > 0 else np.subtract)(into, weight[index], out=into)
     if drift is not None:
-        band[..., w, w, :, :] += drift.f_eval.derivative(u).reshape(lead + (size, size))
-    shape, at_band, at_slab = _slab_positions(grid, w)
-    slab = np.zeros(lead + shape)
-    slab.reshape(lead + (-1,))[..., at_slab] = band.reshape(lead + (-1,))[..., at_band]
-    return slab
-
-
-def jacobian_A_n(grid, coeff, drift, pert, n, u):
-    """Exact Jacobian of apply_A_n at u, from the flux's and the drift's
-    derivative methods: the dense matrix on a 1d grid, the line slab on a
-    2d grid.
-
-    Face f joins nodes f - 1 and f (ghosts u_{-1} = u_n = 0) and carries
-    a(x_f, lam_f, xi_f) as _faces sets it up, so in 1d -div a is
-    tridiagonal, its entries made of da/dxi / h^2 and da/dlam / (2 h).  The
-    perturbation's part is S^T diag(1 + (q-1) |S u|^(q-2)) S / n, with
-    S = [D_0; ...; D_m] the stacked factor.
-
-    In 2d a face also reads the four differences across it, so -div a
-    couples each node to its 3 x 3 box, and the perturbation to its box of
-    half-width m.  The slab is (lines, n, (2 r + 1) n), lines and n both
-    n_interior, r = min(max(1, m), lines - 1) (m counted as 0 without the
-    perturbation): row-block i holds line i's rows over lines i - r ... i +
-    r, the blocks for lines past either end of the grid zero.
-
-    A stack u gives a stack of matrices or slabs, n as in apply_A_n.
-    """
-    u = grid.check(u)
-    if grid.dimension == 2:
-        return _jacobian_2d(grid, coeff, drift, pert, n, u)
-    size, h, lead = grid.n_interior, grid.h, u.shape[:-1]
-    a_xi, a_lam = coeff.a_eval.derivative(*_faces(grid, u)[0])
-    stiff, drag = a_xi[..., 0, 0] / h ** 2, a_lam[..., 0] / (2.0 * h)
-    if pert is not None and n is not None:
-        _check_order(grid, pert.m)
-        factor = _stacked_factor(size, pert.m, h)
-        w = np.abs(np.matmul(factor, u[..., None]))   # a column per member
-        np.power(w, pert.q - 2.0, out=w)
-        w *= pert.q - 1.0
-        w += 1.0
-        jac = factor.T @ (w * factor)
-        jac /= _level(n, jac.ndim)
-    else:
-        jac = np.zeros(lead + (size, size))
-    flat = jac.reshape(lead + (-1,))   # a view: jac is contiguous
-    flat[..., ::size + 1] += (stiff[..., :-1] + stiff[..., 1:] + drag[..., :-1]
-                              - drag[..., 1:]
-                              + (drift.f_eval.derivative(u) if drift is not None
-                                 else 0.0))
-    flat[..., size::size + 1] += drag[..., 1:-1] - stiff[..., 1:-1]   # (i, i - 1)
-    flat[..., 1::size + 1] -= stiff[..., 1:-1] + drag[..., 1:-1]      # (i, i + 1)
-    return jac
+        band[(..., *(w,) * d) + nodes] += drift.f_eval.derivative(u).reshape(lead + grid.shape)
+    np.copyto(band, 0.0, where=_off_grid(grid, w))
+    return band
 
 
 # ------------------------------------------------------------ structure checks

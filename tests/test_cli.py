@@ -78,6 +78,41 @@ def test_load_config_rejects_unknown_keys_in_a_manifest(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("command, config, key", [
+    pytest.param("simulate", "initial.amplitude = nan\n", "initial.amplitude",
+                 id="simulate-amplitude-nan"),
+    pytest.param("simulate", "kernel.ell = inf\n", "kernel.ell", id="simulate-ell-inf"),
+    pytest.param("regcheck", "sigma.scale = inf\n", "sigma.scale", id="regcheck-scale-inf"),
+    pytest.param("regcheck", "regcheck.lam_max = -inf\n", "regcheck.lam_max",
+                 id="regcheck-lam-max-minus-inf")])
+def test_a_non_finite_number_in_a_config_file_exits_config_error(tmp_path, capsys,
+                                                                 command, config, key):
+    path = write_config(tmp_path, config)
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{key} must be finite" in err
+
+
+@pytest.mark.parametrize("command, key, value, token", [
+    ("regcheck", "sigma.scale", float("inf"), "Infinity"),
+    ("simulate", "initial.amplitude", float("nan"), "NaN")],
+    ids=["regcheck-infinity", "simulate-nan"])
+def test_a_non_finite_number_in_a_manifest_exits_config_error(tmp_path, capsys,
+                                                              command, key, value, token):
+    out = tmp_path / "out"
+    assert main(["regcheck", "--out", str(out), "--n-list", "2,4"]) == EXIT_PASS
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"][key] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert token in path.read_text()
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "rerun")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{key} must be finite" in err
+
+
 # ------------------------------------------------------------------- regcheck
 
 

@@ -160,6 +160,15 @@ def test_number_keys_reject_booleans(key, value):
     assert str(err) == f"{key} must be a number, got {value!r}"
 
 
+@pytest.mark.parametrize("key", NUMBER_KEYS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_number_keys_reject_non_finite_values(key, value):
+    err = rejection({key: value})
+    assert err.field == key
+    assert str(err) == f"{key} must be finite; got {value!r}"
+
+
 @pytest.mark.parametrize("key, value, message", OUT_OF_DOMAIN,
                          ids=[k for k, _, _ in OUT_OF_DOMAIN])
 def test_every_domain_rejects_a_value_outside_it(key, value, message):

@@ -602,90 +602,93 @@ def apply_A_n_columns(grid, coeff, drift, pert, n, u):
     return np.column_stack(cols)
 
 
-@pytest.mark.parametrize("coeff, drift, pert, n_interior", [
-    (remark_flux_coeff(2.5), None, None, 12),
-    (p_laplacian_coeff(2.5), tanh_drift(1.0), perturbation_for(2.5, m=2), 12),
-    (p_laplacian_coeff(1.5), zero_drift(), perturbation_for(1.5, m=1), 9),
-    (linear_coeff(), tanh_drift(2.0), HigherOrderPerturbation(m=1, q=2.0), 7),
-    (remark_flux_coeff(3.0), tanh_drift(1.0), perturbation_for(3.0, m=3), 3),
-    (p_laplacian_coeff(2.5), zero_drift(), perturbation_for(2.5, m=1), 1)],
+def band_to_dense(grid, band):
+    """The size x size matrix a stencil band stores; its entries for column
+    nodes off the grid must be zero."""
+    d = grid.dimension
+    w = (band.shape[0] - 1) // 2
+    dense = np.zeros((grid.size, grid.size))
+    for offset in np.ndindex(band.shape[:d]):
+        for node in np.ndindex(grid.shape):
+            column = np.add(node, offset) - w
+            if np.all((0 <= column) & (column < grid.n_interior)):
+                dense[np.ravel_multi_index(node, grid.shape),
+                      np.ravel_multi_index(column, grid.shape)] = band[offset + node]
+            else:
+                assert band[offset + node] == 0.0
+    return dense
+
+
+@pytest.mark.parametrize("dimension, coeff, drift, pert, n_interior", [
+    (1, remark_flux_coeff(2.5), None, None, 12),
+    (1, p_laplacian_coeff(2.5), tanh_drift(1.0), perturbation_for(2.5, m=2), 12),
+    (1, p_laplacian_coeff(1.5), zero_drift(), perturbation_for(1.5, m=1), 9),
+    (1, linear_coeff(), tanh_drift(2.0), HigherOrderPerturbation(m=1, q=2.0), 7),
+    (1, remark_flux_coeff(3.0), tanh_drift(1.0), perturbation_for(3.0, m=3), 3),
+    (1, p_laplacian_coeff(2.5), zero_drift(), perturbation_for(2.5, m=1), 1),
+    (2, p_laplacian_coeff(2.5), None, None, 6),
+    (2, remark_flux_coeff(2.5), None, None, 6),
+    (2, p_laplacian_coeff(2.5), tanh_drift(1.0), perturbation_for(2.5, m=2), 6),
+    (2, p_laplacian_coeff(2.5), zero_drift(), perturbation_for(2.5, m=3), 10),
+    (2, p_laplacian_coeff(1.5), zero_drift(), perturbation_for(1.5, m=1), 5),
+    (2, remark_flux_coeff(2.5), tanh_drift(1.0), perturbation_for(2.5, m=2), 2),
+    (2, remark_flux_coeff(3.0), tanh_drift(1.0), perturbation_for(3.0, m=4), 4)],
     ids=["convective_alone", "p2.5_tanh_m2", "p1.5_m1", "linear_q2",
-         "convective_m3_tiny", "one_node"])
-def test_jacobian_A_n_matches_central_differences(coeff, drift, pert,
+         "convective_m3_tiny", "one_node", "2d_p2.5_alone", "2d_convective_alone",
+         "2d_p2.5_tanh_m2", "2d_m3", "2d_p1.5_m1", "2d_two_lines_m2",
+         "2d_four_lines_m4"])
+def test_jacobian_A_n_matches_central_differences(dimension, coeff, drift, pert,
                                                    n_interior):
-    grid = Grid(1, n_interior)
+    # on the tiny 1d grids and the two- and four-line 2d grids the band
+    # reaches past the grid
+    grid = Grid(dimension, n_interior)
     u = 0.3 * random_field(grid, 31)
-    jac = jacobian_A_n(grid, coeff, drift, pert, 8, u)
+    jac = band_to_dense(grid, jacobian_A_n(grid, coeff, drift, pert, 8, u))
     by_cols = apply_A_n_columns(grid, coeff, drift, pert, 8, u)
     scale = np.abs(by_cols).max(axis=1, keepdims=True)
     assert np.all(np.abs(jac - by_cols) <= 1e-7 * scale)
 
 
-def slab_to_dense(slab):
-    """The size x size matrix a line slab stores; its blocks for lines past
-    either end of the grid must be zero."""
-    lines, n, width = slab.shape
-    reach = (width // n - 1) // 2
-    padded = np.zeros((lines * n, (lines + 2 * reach) * n))
-    for i in range(lines):
-        padded[i * n:(i + 1) * n, i * n:i * n + width] = slab[i]
-    assert not padded[:, :reach * n].any() and not padded[:, (reach + lines) * n:].any()
-    return padded[:, reach * n:(reach + lines) * n]
-
-
-def test_jacobian_A_n_on_a_2d_grid_is_a_line_slab():
-    # n_interior lines of n_interior nodes, each coupled to the lines up to
-    # max(1, m) away, and a stack of states gives a stack of slabs
-    plane = Grid(2, 5)
-    u = random_field(plane, 2)
-    for pert, n, reach in ((perturbation_for(2.5), 8, 2), (None, 8, 1),
+def test_jacobian_A_n_is_the_stencil_band():
+    # (2 w + 1,) * d + (n,) * d, w = max(1, m) (1 without the perturbation),
+    # zero off the grid, on the grids the band reaches past too; a stack of
+    # states gives a stack of bands
+    coeff = p_laplacian_coeff(2.5)
+    for dimension, n_interior in ((1, 5), (1, 2), (1, 1), (2, 5), (2, 2), (2, 1)):
+        grid = Grid(dimension, n_interior)
+        u = random_field(grid, 2)
+        for pert, n, w in ((perturbation_for(2.5, m=1), 8, 1),
+                           (perturbation_for(2.5), 8, 2), (None, 8, 1),
                            (perturbation_for(2.5, m=3), None, 1)):
-        slab = jacobian_A_n(plane, p_laplacian_coeff(2.5), zero_drift(), pert, n, u)
-        assert slab.shape == (5, 5, (2 * reach + 1) * 5)
-    stack = jacobian_A_n(plane, p_laplacian_coeff(2.5), tanh_drift(1.0),
-                         perturbation_for(2.5), np.array([8, 4]), np.stack([u, -u]))
-    assert stack.shape == (2, 5, 5, 25)
-    assert np.array_equal(stack[1], jacobian_A_n(
-        plane, p_laplacian_coeff(2.5), tanh_drift(1.0), perturbation_for(2.5), 4, -u))
+            if pert is not None and n is not None and pert.m > n_interior:
+                continue
+            band = jacobian_A_n(grid, coeff, zero_drift(), pert, n, u)
+            assert band.shape == (2 * w + 1,) * dimension + grid.shape
+            band_to_dense(grid, band)
+        stack = jacobian_A_n(grid, coeff, tanh_drift(1.0), perturbation_for(2.5, m=1),
+                             np.array([8, 4]), np.stack([u, -u]))
+        assert stack.shape == (2,) + (3,) * dimension + grid.shape
+        assert np.array_equal(stack[1], jacobian_A_n(
+            grid, coeff, tanh_drift(1.0), perturbation_for(2.5, m=1), 4, -u))
 
 
 @pytest.mark.parametrize("coeff", [p_laplacian_coeff(2.5), p_laplacian_coeff(1.5),
                                    remark_flux_coeff(2.5)],
                          ids=["p2.5", "p1.5", "convective"])
 def test_2d_flux_operators_on_a_stack_are_bitwise_each_members_own(coeff):
-    plane = Grid(2, 7)
-    sparse = random_field(plane, 4)
-    sparse[::3] = 0.0
-    stack = np.stack([random_field(plane, 3), sparse, np.zeros(plane.size)])
-    levels, drift, pert = np.array([4, 8, 16]), tanh_drift(1.0), perturbation_for(coeff.p)
-    div = apply_divergence_form(plane, coeff, stack)
-    jac = jacobian_A_n(plane, coeff, drift, pert, levels, stack)
-    for member, n, div_b, jac_b in zip(stack, levels, div, jac):
-        alone = apply_divergence_form(plane, coeff, member)
-        assert np.array_equal(div_b.view(np.uint64), alone.view(np.uint64))
-        alone = jacobian_A_n(plane, coeff, drift, pert, n, member)
-        assert np.array_equal(jac_b.view(np.uint64), alone.view(np.uint64))
-
-
-@pytest.mark.parametrize("coeff, drift, pert, n_interior", [
-    (p_laplacian_coeff(2.5), None, None, 6),
-    (remark_flux_coeff(2.5), None, None, 6),
-    (p_laplacian_coeff(2.5), tanh_drift(1.0), perturbation_for(2.5, m=2), 6),
-    (p_laplacian_coeff(2.5), zero_drift(), perturbation_for(2.5, m=3), 10),
-    (p_laplacian_coeff(1.5), zero_drift(), perturbation_for(1.5, m=1), 5),
-    (remark_flux_coeff(2.5), tanh_drift(1.0), perturbation_for(2.5, m=2), 2),
-    (remark_flux_coeff(3.0), tanh_drift(1.0), perturbation_for(3.0, m=4), 4)],
-    ids=["p2.5_alone", "convective_alone", "p2.5_tanh_m2", "m3", "p1.5_m1",
-         "two_lines_m2", "four_lines_m4"])
-def test_2d_jacobian_A_n_matches_central_differences(coeff, drift, pert,
-                                                     n_interior):
-    # on the two- and four-line grids the slab's reach is cut to lines - 1
-    grid = Grid(2, n_interior)
-    u = 0.3 * random_field(grid, 31)
-    jac = slab_to_dense(jacobian_A_n(grid, coeff, drift, pert, 8, u))
-    by_cols = apply_A_n_columns(grid, coeff, drift, pert, 8, u)
-    scale = np.abs(by_cols).max(axis=1, keepdims=True)
-    assert np.all(np.abs(jac - by_cols) <= 1e-7 * scale)
+    # on a 1d line as on the 2d plane
+    for grid in (Grid(1, 7), Grid(2, 7)):
+        sparse = random_field(grid, 4)
+        sparse[::3] = 0.0
+        stack = np.stack([random_field(grid, 3), sparse, np.zeros(grid.size)])
+        levels, drift, pert = np.array([4, 8, 16]), tanh_drift(1.0), perturbation_for(coeff.p)
+        div = apply_divergence_form(grid, coeff, stack)
+        jac = jacobian_A_n(grid, coeff, drift, pert, levels, stack)
+        for member, n, div_b, jac_b in zip(stack, levels, div, jac):
+            alone = apply_divergence_form(grid, coeff, member)
+            assert np.array_equal(div_b.view(np.uint64), alone.view(np.uint64))
+            alone = jacobian_A_n(grid, coeff, drift, pert, n, member)
+            assert np.array_equal(jac_b.view(np.uint64), alone.view(np.uint64))
 
 
 # ----------------------------------------------------------- structure checks
