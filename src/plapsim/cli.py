@@ -180,8 +180,8 @@ def cmd_simulate(cfg, seed, workers, out, config_path):
                         decay=cfg["noise.decay"])
 
     _write_manifest(out, cfg, seed, config_path)
-    records, failure = run_jobs(ensemble, [("simulate", solver_cfg.n, solver_cfg, u0, k)
-                                           for k in range(cfg["run.paths"])])
+    records, failure = run_jobs(ensemble, "simulate",
+                                [(solver_cfg, u0, k) for k in range(cfg["run.paths"])])
     summaries = []
     for k, rec in enumerate(records):   # the paths before a failing one
         write_csv(out / f"trajectory_{k:03d}.csv",
@@ -318,6 +318,3 @@ def main(argv=None):
     except (ConfigError, GridMismatchError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PATH_FAILURES as exc:
-        print(_failure_line(exc), file=sys.stderr)
-        return EXIT_BLOW_UP

@@ -16,8 +16,8 @@ merged in path order, so it cannot influence any output byte.
 """
 
 import json
-import math
 import re
+import sys
 
 import numpy as np
 
@@ -65,16 +65,11 @@ def _one_of(*names):
     return names.__contains__, f"must be {listed}"
 
 
-def _is_level(n):
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
-
-
 def _level_list(doubling):
-    """Domain of a level list: at least two distinct levels, each the double
-    of the one before when doubling."""
+    """Domain of a level list, whose entries validate_config has checked:
+    at least two distinct levels, each the double of the one before when
+    doubling."""
     def ok(levels):
-        if not all(map(_is_level, levels)):
-            return True   # validate_config names the bad entry after its loop
         return len(set(levels)) >= 2 and (not doubling or all(
             b == 2 * a for a, b in zip(levels, levels[1:])))
     return ok, ("must be a doubling chain of at least two levels" if doubling
@@ -210,6 +205,7 @@ def load_config(path):
 
 def validate_config(cfg):
     """Domain checks for every key; raises ConfigError naming the field."""
+    largest = sys.float_info.max   # nan, inf and ints that no float holds exceed it
     for key, _, kinds, (ok, what) in _SCHEMA:
         value = cfg[key]
         if not isinstance(value, kinds):
@@ -219,15 +215,19 @@ def validate_config(cfg):
         if (value is True or value is False) and kinds is not bool:
             what_kind = "an integer" if kinds is int else "a number"
             raise ConfigError(f"{key} must be {what_kind}, got {value!r}", field=key)
-        if kinds is _NUM and not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite; got {value!r}", field=key)
+        if kinds is list:   # a level list: its entries first, then its domain
+            for n in value:
+                if type(n) is not int or n < 1:
+                    raise ConfigError(f"{key} entries must be positive integers; "
+                                      f"got {n!r}", field=key)
+                if n > largest:
+                    raise ConfigError(f"{key} entries must be finite; got an "
+                                      "integer beyond the float range", field=key)
+        elif (kinds is int or kinds is _NUM) and not abs(value) <= largest:
+            got = repr(value) if isinstance(value, float) else "an integer beyond the float range"
+            raise ConfigError(f"{key} must be finite; got {got}", field=key)
         if ok is not None and not ok(value):
             raise ConfigError(f"{key} {what}; got {value!r}", field=key)
-    for key in ("run.n_list", "regcheck.n_list"):
-        for n in cfg[key]:
-            if not _is_level(n):
-                raise ConfigError(f"{key} entries must be positive integers; "
-                                  f"got {n!r}", field=key)
     if cfg["sigma.mode"] == "regularized" and cfg["sigma.alpha"] >= 1.0:
         raise ConfigError("sigma.alpha must lie in (0, 1) for the regularized "
                           f"mode; got {cfg['sigma.alpha']!r}", field="sigma.alpha")

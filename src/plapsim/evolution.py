@@ -152,9 +152,8 @@ class System:
     """Assembled right-hand side: grid, drift operator pieces, and noise.
 
     It acts on one state or on a stack of them.  n is one level, or an
-    array with one level per member of a stack.  rows[b], when set, is the
-    row of the increment stack dw whose noise member b takes, so that
-    members on one Wiener path share it; without rows member b takes row b.
+    array with one level per member of a stack.  Member b of a stack takes
+    row b of the increment stack dw.
     """
 
     grid: object
@@ -163,7 +162,6 @@ class System:
     pert: object
     n: object
     noise_op: object = None
-    rows: object = None
 
     def apply_drift_operator(self, u):
         return apply_A_n(self.grid, self.coeff, self.drift, self.pert, self.n, u)
@@ -171,7 +169,7 @@ class System:
     def noise_term(self, t, u, dw):
         if self.noise_op is None:
             return np.zeros(np.shape(u))
-        return apply_B(self.noise_op, t, u, dw, self.rows)
+        return apply_B(self.noise_op, t, u, dw)
 
     @property
     def jacobian_half_width(self):
@@ -186,8 +184,7 @@ class System:
     def take(self, members):
         """The system of the sub-stack ``members`` (indices into the stack)."""
         return replace(self, n=self.n if np.ndim(self.n) == 0 else self.n[members],
-                       noise_op=None if self.noise_op is None else self.noise_op.take(members),
-                       rows=None if self.rows is None else self.rows[members])
+                       noise_op=None if self.noise_op is None else self.noise_op.take(members))
 
 
 def build_system(grid, coeff, drift, pert, config, spec=None, kernel=None,
@@ -571,10 +568,10 @@ def _advance(system, config, samplers, u, t, dt, dw, k, node=1):
     """Sub-interval ``node`` (heap index, the whole step k is 1) of length
     dt for the stack u: (states, outcomes) as the steppers return them.
 
-    Member b takes row r of dw and draws on samplers[r], r being row b of
-    system.rows (b without them).  The members whose Newton solve fails are
-    bisected together, each at its own Brownian bridge midpoint, down to
-    newton_dt_retries levels; a member that still fails keeps its error.
+    Member b takes row b of dw and draws its bridge points on samplers[b].
+    The members whose Newton solve fails are bisected together, each at its
+    own Brownian bridge midpoint, down to newton_dt_retries levels; a member
+    that still fails keeps its error.
     """
     stepper = step_explicit if config.scheme == "explicit" else step_semi_implicit
     sub = replace(config, dt=dt) if dt != config.dt else config
@@ -582,15 +579,14 @@ def _advance(system, config, samplers, u, t, dt, dw, k, node=1):
     failed = [b for b, out in enumerate(outcomes) if isinstance(out, NewtonDivergedError)]
     if not failed or node.bit_length() - 1 >= config.newton_dt_retries:   # node's depth
         return v, outcomes
-    rows = np.arange(len(u)) if system.rows is None else system.rows
-    whole = dw[rows[failed]]
+    whole = dw[failed]
     if samplers is None:   # the halves of a zero increment are zero
         own, first, second = None, whole, whole
     else:
-        own = [samplers[rows[b]] for b in failed]
+        own = [samplers[b] for b in failed]
         halves = [s.sample_bridge(k, node, dt, w) for s, w in zip(own, whole)]
         first, second = (np.array([pair[i] for pair in halves]) for i in (0, 1))
-    part = replace(system.take(failed), rows=None)
+    part = system.take(failed)
     mid, first_out = _advance(part, config, own, u[failed], t, dt / 2.0, first,
                               k, 2 * node)
     go = [j for j, out in enumerate(first_out) if not isinstance(out, NewtonDivergedError)]
@@ -667,9 +663,9 @@ def simulate_batch(system, config, u0, samplers=None, rows=None, energies=True):
     """Integrate a stack of trajectories, one per row of u0, from 0 to t_end.
 
     Member b runs on the Wiener path of samplers[rows[b]] (rows defaults to
-    b; samplers None runs without noise): each step draws the increment of
-    each path once, and the members on a path share its kernel quadrature.
-    system may give each member its own level (build_system's levels).
+    b; samplers None runs without noise): each step draws each running
+    path's increment once and hands it to the path's members, with its
+    sampler.  system may give each member its own level (build_system's levels).
 
     Returns a list over the members: the TrajectoryRecord of each, or the
     BlowUpError or NewtonDivergedError that stopped it, carrying the step
@@ -689,18 +685,20 @@ def simulate_batch(system, config, u0, samplers=None, rows=None, energies=True):
     count = len(u)
     rows = np.arange(count) if rows is None else np.asarray(rows)
     results = [None] * count
-    alive, live, part, paths = np.arange(count), slice(None), None, None
+    alive, live = np.arange(count), slice(None)
+    part = paths = own = on = None
 
     def regroup():
-        """The system and the Wiener paths of the members still running."""
-        nonlocal live, part, paths
+        """The running members' system, paths, path (own) and sampler (on)."""
+        nonlocal live, part, paths, own, on
         if not alive.size:
             return
         live = slice(None) if alive.size == count else alive
         part = system.take(alive)
         if samplers is not None:
-            slots, part.rows = np.unique(rows[alive], return_inverse=True)
+            slots, own = np.unique(rows[alive], return_inverse=True)
             paths = [samplers[r] for r in slots]
+            on = [paths[i] for i in own]
 
     def leave(members, errors):
         nonlocal alive
@@ -746,8 +744,8 @@ def simulate_batch(system, config, u0, samplers=None, rows=None, energies=True):
         if paths is None:
             dw = np.zeros((len(alive), grid.size))
         else:
-            dw = np.array([sampler.sample_increment(k, dt) for sampler in paths])
-        u[live], outcomes = _advance(part, config, paths, u[live], t, dt, dw, k)
+            dw = np.array([sampler.sample_increment(k, dt) for sampler in paths])[own]
+        u[live], outcomes = _advance(part, config, on, u[live], t, dt, dw, k)
         iters[k, live] = [0 if isinstance(out, NewtonDivergedError) else out
                           for out in outcomes]
         stopped = [j for j, out in enumerate(outcomes) if isinstance(out, NewtonDivergedError)]

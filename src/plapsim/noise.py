@@ -160,18 +160,16 @@ class NoiseOperator:
         return self if take is None else replace(self, sigma=take(members))
 
 
-def apply_B(op, t, v, phi, rows=None):
+def apply_B(op, t, v, phi):
     """B(t, v) applied to phi: sigma(t, v) times the kernel quadrature of phi.
 
-    v and phi may be stacks.  With rows, state v[b] takes row rows[b] of
-    phi, so that states driven by one Wiener increment share its quadrature.
+    v and phi may be stacks, state v[b] taking row b of phi; each row's
+    quadrature is its own (Kernel.apply), so its result does not depend on
+    the stack.
     """
     grid = op.grid
     v, phi = grid.check(v), grid.check(phi)
-    quadrature = op.kernel.apply(phi)
-    if rows is not None:
-        quadrature = quadrature[rows]
-    return np.asarray(op.sigma(t, v), dtype=float) * quadrature
+    return np.asarray(op.sigma(t, v), dtype=float) * op.kernel.apply(phi)
 
 
 def hs_norm_sq(op, t, v):

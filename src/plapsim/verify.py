@@ -3,13 +3,13 @@
 Each study returns a JSON-ready report dict: a list of named checks, each
 carrying the measured estimate, the bound it is held against, a standard
 error where the estimate is a Monte Carlo mean, and a pass flag.  Every
-Monte Carlo trajectory is a job (study, level, config, initial state, path
-index), and run_jobs steps a study's jobs as a few stacks (one per worker,
-cut to a fixed memory budget) through evolution.simulate_batch.  The Wiener
-path is a pure function of (master_seed, path_index), so jobs that share a
-path index are coupled across levels and initial data whether or not they
-share a stack; a job's record is bitwise the same in any stack, and each
-study reduces its records into paired differences.
+trajectory is a job (config, initial state, path index), its level being
+the config's n, and run_jobs steps a study's jobs as a few stacks (one per
+worker, cut to a fixed memory budget) through evolution.simulate_batch.
+The Wiener path is a pure function of (master_seed, path_index), so jobs
+that share a path index are coupled across levels and initial data whether
+or not they share a stack; a job's record is bitwise the same in any stack,
+and each study reduces its records into paired differences.
 """
 
 import functools
@@ -130,24 +130,23 @@ PATH_FAILURES = (BlowUpError, NewtonDivergedError)
 _STACK_BYTES = 2 ** 20
 
 
-def _trajectories(plan, jobs, energies):
-    """The trajectory jobs (study, level, cfg, u0, path_index) of one
-    stack, which differ only in level, initial state and path, stepped as
-    one: per job its TrajectoryRecord, or its path failure tagged with
-    study, level and path (study and level only tag it).  energies as in
-    simulate_batch."""
-    cfg = jobs[0][2]
+def _trajectories(plan, study, jobs, energies):
+    """The trajectory jobs (cfg, u0, path_index) of one stack, which differ
+    only in level, initial state and path, stepped as one: per job its
+    TrajectoryRecord, or its path failure tagged with the study, its level
+    cfg.n and its path.  energies as in simulate_batch."""
+    cfg = jobs[0][0]
     system = build_system(plan.grid, plan.coeff, plan.drift, plan.pert, cfg,
                           spec=plan.spec, kernel=plan.kernel,
-                          levels=None if cfg.n is None else [job[2].n for job in jobs])
-    paths = sorted({job[4] for job in jobs})
+                          levels=None if cfg.n is None else [job[0].n for job in jobs])
+    paths = sorted({path for _, _, path in jobs})
     samplers = [plan.sampler(p) for p in paths] if plan.kernel is not None else None
-    results = simulate_batch(system, cfg, [job[3] for job in jobs], samplers,
-                             rows=[paths.index(job[4]) for job in jobs],
+    results = simulate_batch(system, cfg, [u0 for _, u0, _ in jobs], samplers,
+                             rows=[paths.index(path) for _, _, path in jobs],
                              energies=energies)
-    for (study, level, _, _, path_index), res in zip(jobs, results):
+    for (cfg, _, path), res in zip(jobs, results):
         if isinstance(res, PATH_FAILURES):
-            res.study, res.level, res.path = study, level, path_index
+            res.study, res.level, res.path = study, cfg.n, path
     return results
 
 
@@ -157,11 +156,11 @@ def _stacks(plan, jobs):
     whose Newton matrices fit _STACK_BYTES."""
     stacks = []
     for run in np.array_split(np.arange(len(jobs)), max(1, plan.workers)):
-        kinds = itertools.groupby(run, key=lambda j: (replace(jobs[j][2], n=None),
-                                                      jobs[j][2].n is None))
+        kinds = itertools.groupby(run, key=lambda j: (replace(jobs[j][0], n=None),
+                                                      jobs[j][0].n is None))
         for _, group in kinds:
             group = [jobs[j] for j in group]
-            cfg = group[0][2]
+            cfg = group[0][0]
             slab = build_system(plan.grid, plan.coeff, plan.drift, plan.pert,
                                 cfg).slab_bytes
             per = max(1, _STACK_BYTES // slab)
@@ -169,30 +168,31 @@ def _stacks(plan, jobs):
     return stacks
 
 
-def run_jobs(plan, jobs, stacklevel=1, energies=True):
-    """Run trajectory jobs as stacks on an Ensemble (a study's
-    ExperimentPlan, say), in plan.workers processes.  energies, as in
-    simulate_batch, says whether the records carry the energies beyond
-    ||u||_2^2 and their integrals: a caller that reads states alone turns
-    it off.
+def run_jobs(plan, study, jobs, stacklevel=1, energies=True):
+    """Run the trajectory jobs (cfg, u0, path_index) of a study as stacks on
+    an Ensemble (a study's ExperimentPlan, say), in plan.workers processes.
+    energies, as in simulate_batch, says whether the records carry the
+    energies beyond ||u||_2^2 and their integrals: a caller that reads
+    states alone turns it off.
 
     Returns (records, failure): the records of the jobs before the first
-    failing job in job order, and that job's tagged path failure (None if
-    every job ran to the end).  Which job fails first does not depend on
-    the stacks or the timing; a serial run stops at the stack that holds it.
+    failing job in job order, and that job's path failure, tagged with
+    study, level and path (None if every job ran to the end).  Which job
+    fails first does not depend on the stacks or the timing; a serial run
+    stops at the stack that holds it.
     An explicit dt above the stability heuristic warns once per
     configuration, before any job runs; stacklevel counts as in
     warnings.warn from the caller of run_jobs, which 1 names.
     """
     explicit = {}
-    for _, _, cfg, u0, _ in jobs:
+    for cfg, u0, _ in jobs:
         if cfg.scheme == "explicit":
             explicit.setdefault(replace(cfg, n=None), []).append(u0)
     for cfg, states in explicit.items():
         warn_explicit_dt(build_system(plan.grid, plan.coeff, plan.drift, plan.pert, cfg),
                          cfg, np.array(states), stacklevel=stacklevel + 1)
     stacks = _stacks(plan, jobs)
-    run = functools.partial(_trajectories, plan, energies=energies)
+    run = functools.partial(_trajectories, plan, study, energies=energies)
     if plan.workers <= 1 or len(stacks) <= 1:
         results = map(run, stacks)   # lazy: a serial run stops at the failure
     else:
@@ -208,11 +208,11 @@ def run_jobs(plan, jobs, stacklevel=1, energies=True):
     return records, None
 
 
-def _map_jobs(plan, jobs, energies=True):
-    """Records of the trajectory jobs in job order; the first failing job
-    in job order raises its path failure.  A study calls this, and its
-    explicit-dt warning names the study's caller."""
-    records, failure = run_jobs(plan, jobs, stacklevel=3, energies=energies)
+def _map_jobs(plan, study, jobs, energies=True):
+    """Records of the study's trajectory jobs in job order; the first
+    failing job in job order raises its path failure.  A study calls this,
+    and its explicit-dt warning names the study's caller."""
+    records, failure = run_jobs(plan, study, jobs, stacklevel=3, energies=energies)
     if failure is not None:
         raise failure
     return records
@@ -284,14 +284,13 @@ def energy_report(plan, u0=None, ratio_bound=2.0):
     if u0 is None:
         u0 = initial_profile(plan.grid, "sine", amplitude=0.25)
     record_every = max(1, plan.config.num_steps)
-    jobs = [("energy_boundedness", n,
-             replace(plan.config, n=n, record_every=record_every), u0, p)
+    jobs = [(replace(plan.config, n=n, record_every=record_every), u0, p)
             for n in plan.n_list for p in range(plan.num_paths)]
-    records = _map_jobs(plan, jobs)
+    records = _map_jobs(plan, "energy_boundedness", jobs)
     stats = np.asarray([
         (rec.sup_l2_sq, rec.integrals["grad_lp_p"],
-         rec.integrals["hm0_sq"] / n, rec.integrals["wmq_q"] / n)
-        for (_, n, _, _, _), rec in zip(jobs, records)
+         rec.integrals["hm0_sq"] / cfg.n, rec.integrals["wmq_q"] / cfg.n)
+        for (cfg, _, _), rec in zip(jobs, records)
     ]).reshape(len(plan.n_list), plan.num_paths, 4)
 
     names = ("sup_l2_sq", "int_grad_lp_p", "int_hm0_sq_over_n",
@@ -347,11 +346,10 @@ def contraction_experiment(plan, u0_a, u0_b):
         np.linspace(0, steps, plan.checkpoints + 1)).astype(int))
     t_snap = snap_idx * plan.config.dt
 
-    cfg = replace(plan.config, sigma_mode="raw", use_perturbation=False,
+    cfg = replace(plan.config, n=None, sigma_mode="raw", use_perturbation=False,
                   record_every=1)
-    jobs = [("l1_contraction", None, cfg, u0, p)
-            for p in range(plan.num_paths) for u0 in (u0_a, u0_b)]
-    records = _map_jobs(plan, jobs, energies=False)
+    jobs = [(cfg, u0, p) for p in range(plan.num_paths) for u0 in (u0_a, u0_b)]
+    records = _map_jobs(plan, "l1_contraction", jobs, energies=False)
     curves = np.asarray([norm_l1(grid, rec_a.states[snap_idx] - rec_b.states[snap_idx])
                          for rec_a, rec_b in zip(records[::2], records[1::2])])
 
@@ -397,9 +395,8 @@ def cauchy_in_n_study(plan, u0=None):
     levels = list(plan.n_list) + [2 * plan.n_list[-1]]
 
     cfgs = [replace(plan.config, n=n, record_every=1) for n in levels]
-    jobs = [("cauchy_in_level", n, cfg, u0, p)
-            for p in range(plan.num_paths) for n, cfg in zip(levels, cfgs)]
-    records = _map_jobs(plan, jobs, energies=False)
+    jobs = [(cfg, u0, p) for p in range(plan.num_paths) for cfg in cfgs]
+    records = _map_jobs(plan, "cauchy_in_level", jobs, energies=False)
 
     w, dt = plan.grid.weight, plan.config.dt
     values = np.empty((len(plan.n_list), plan.num_paths))
@@ -426,16 +423,15 @@ def cauchy_in_n_study(plan, u0=None):
 
 def _heat_error(n_interior, dt, t_end):
     """Relative L2 error at t_end of the noise-free heat path from
-    sin(pi x); a path failure raises, tagged with study heat_oracle."""
+    sin(pi x), one job on a noise-free Ensemble; a path failure raises,
+    tagged with study heat_oracle (its level and path are None)."""
     grid = Grid(1, n_interior)
     cfg = SolverConfig(dt=dt, t_end=t_end, use_perturbation=False,
                        newton_tol=1e-12, record_every=max(1, int(round(t_end / dt))))
-    system = build_system(grid, linear_coeff(), zero_drift(), None, cfg)
+    heat = Ensemble(grid, linear_coeff(), zero_drift(), None, None, None, master_seed=0)
     x = grid.nodes()[:, 0]
-    (rec,) = simulate_batch(system, cfg, np.sin(np.pi * x)[None], energies=False)
-    if isinstance(rec, PATH_FAILURES):
-        rec.study, rec.level, rec.path = "heat_oracle", None, None
-        raise rec
+    (rec,) = _map_jobs(heat, "heat_oracle", [(cfg, np.sin(np.pi * x), None)],
+                       energies=False)
     exact = math.exp(-math.pi ** 2 * t_end) * np.sin(np.pi * x)
     err = norm_l2(grid, rec.final_state() - exact)
     return err / norm_l2(grid, exact)

@@ -94,6 +94,18 @@ def test_a_non_finite_number_in_a_config_file_exits_config_error(tmp_path, capsy
     assert err.startswith("config error: ") and f"{key} must be finite" in err
 
 
+@pytest.mark.parametrize("command, key", [
+    ("simulate", "grid.n_interior"), ("simulate", "sigma.scale"),
+    ("regcheck", "sigma.scale")])
+def test_an_integer_beyond_the_float_range_exits_config_error(tmp_path, capsys,
+                                                               command, key):
+    path = write_config(tmp_path, f"{key} = 1{'0' * 400}\n")
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{key} must be finite" in err
+
+
 @pytest.mark.parametrize("command, key, value, token", [
     ("regcheck", "sigma.scale", float("inf"), "Infinity"),
     ("simulate", "initial.amplitude", float("nan"), "NaN")],
@@ -517,7 +529,7 @@ def test_verify_refuses_before_running_a_trajectory(tmp_path, capsys, monkeypatc
                                                      config, flags, named):
     calls = []
     monkeypatch.setattr(verify, "_trajectories",
-                        lambda plan, jobs: calls.append(jobs))
+                        lambda plan, study, jobs, energies: calls.append(jobs))
     path = write_config(tmp_path, config)
     out = tmp_path / "out"
     code = main(["verify", "--config", str(path), "--out", str(out)] + flags)

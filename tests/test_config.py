@@ -169,6 +169,21 @@ def test_number_keys_reject_non_finite_values(key, value):
     assert str(err) == f"{key} must be finite; got {value!r}"
 
 
+@pytest.mark.parametrize("key", INT_KEYS + NUMBER_KEYS)
+def test_number_keys_reject_an_integer_beyond_the_float_range(key):
+    err = rejection({key: 10 ** 400})
+    assert err.field == key
+    assert str(err) == f"{key} must be finite; got an integer beyond the float range"
+
+
+@pytest.mark.parametrize("key", ["run.n_list", "regcheck.n_list"])
+def test_level_lists_reject_an_integer_beyond_the_float_range(key):
+    err = rejection({key: [10 ** 400, 2 * 10 ** 400]})
+    assert err.field == key
+    assert str(err) == (f"{key} entries must be finite; got an integer "
+                        "beyond the float range")
+
+
 @pytest.mark.parametrize("key, value, message", OUT_OF_DOMAIN,
                          ids=[k for k, _, _ in OUT_OF_DOMAIN])
 def test_every_domain_rejects_a_value_outside_it(key, value, message):

@@ -918,6 +918,33 @@ def test_a_bisecting_member_leaves_its_stack_mates_alone():
         assert_same_bits(rec, simulate_path(alone, cfg, u0, sampler))
 
 
+def test_two_members_on_one_path_bisect_the_same_step_each_on_its_own():
+    # members 0 and 2 share the kicked path and both bisect step 3, each
+    # drawing its own bridge point; the plain member between them does not
+    grid = Grid(1, 16)
+    system, config = bisecting_pieces(grid, newton_dt_retries=1)
+    levels = [8, 8, 10]
+    stack = build_system(grid, system.coeff, system.drift, perturbation_for(2.5),
+                         config, spec=power_sigma(0.75, 1.0),
+                         kernel=gaussian_kernel(grid), levels=levels)
+    u0 = initial_profile(grid, "sine", amplitude=0.0025)
+    kicked, plain = KickedSampler(grid), default_sampler(grid, 5, 1)
+    recs = simulate_batch(stack, config, [u0, u0, u0], [kicked, plain], rows=[0, 1, 0])
+    assert [(k, node) for k, node, _ in kicked.log] == (
+        [(k, 0) for k in range(4)] + [(3, 1), (3, 1)]
+        + [(k, 0) for k in range(4, config.num_steps)])
+    assert recs[0].newton_iters[3] > config.newton_max_iter
+    assert recs[2].newton_iters[3] > config.newton_max_iter
+    assert np.all(recs[1].newton_iters <= config.newton_max_iter)
+    for rec, level, sampler in zip(recs, levels, (KickedSampler(grid), plain,
+                                                  KickedSampler(grid))):
+        cfg = replace(config, n=level)
+        alone = build_system(grid, system.coeff, system.drift, perturbation_for(2.5),
+                             cfg, spec=power_sigma(0.75, 1.0),
+                             kernel=gaussian_kernel(grid))
+        assert_same_bits(rec, simulate_path(alone, cfg, u0, sampler))
+
+
 def test_a_failing_member_leaves_the_stack_and_the_others_run_on():
     # the kicked member fails step 3 (no dt retry); its stack mate finishes
     grid = Grid(1, 16)

@@ -230,7 +230,7 @@ def test_worker_pool_does_not_change_results():
 
 def job_record(plan, job):
     """The record, or path failure, of one job run alone by simulate_path."""
-    _, _, cfg, u0, path = job
+    cfg, u0, path = job
     system = build_system(plan.grid, plan.coeff, plan.drift, plan.pert, cfg,
                           spec=plan.spec, kernel=plan.kernel)
     try:
@@ -243,11 +243,11 @@ def test_jobs_in_one_stack_are_bitwise_their_lone_runs(monkeypatch):
     plan = desk_plan(m=1, paths=3)
     u0 = initial_profile(plan.grid, "sine", amplitude=0.25)
     v0 = initial_profile(plan.grid, "bump", amplitude=0.3)
-    jobs = [("mix", n, replace(plan.config, n=n), start, p)
+    jobs = [(replace(plan.config, n=n), start, p)
             for n, start, p in ((4, u0, 0), (16, v0, 2), (8, u0, 0), (64, u0, 1))]
-    records = verify._map_jobs(plan, jobs)
+    records = verify._map_jobs(plan, "mix", jobs)
     monkeypatch.setattr(verify, "_STACK_BYTES", 1)   # a stack per job
-    for rec, one, job in zip(records, verify._map_jobs(plan, jobs), jobs):
+    for rec, one, job in zip(records, verify._map_jobs(plan, "mix", jobs), jobs):
         alone = job_record(plan, job)
         for r in (rec, one):
             assert r.states.tobytes() == alone.states.tobytes()
@@ -263,15 +263,15 @@ def test_first_failing_job_in_job_order_raises(workers):
     plan = desk_plan(scheme="explicit", dt=0.004, t_end=0.08,
                      use_perturbation=False, workers=workers)
     sine = lambda amp: initial_profile(plan.grid, "sine", amplitude=amp)
-    jobs = [("order", 4, replace(plan.config, n=4), sine(0.5), 0),
-            ("order", 8, replace(plan.config, n=8), sine(0.05), 1),
-            ("order", 8, replace(plan.config, n=8), sine(4.0), 2)]
+    jobs = [(replace(plan.config, n=4), sine(0.5), 0),
+            (replace(plan.config, n=8), sine(0.05), 1),
+            (replace(plan.config, n=8), sine(4.0), 2)]
     late, calm, early = (job_record(plan, job) for job in jobs)
     assert isinstance(late, BlowUpError) and isinstance(early, BlowUpError)
     assert not isinstance(calm, BlowUpError)
     assert early.step < late.step
     with pytest.raises(BlowUpError) as info:
-        verify._map_jobs(plan, jobs)
+        verify._map_jobs(plan, "order", jobs)
     exc = info.value
     assert (exc.study, exc.level, exc.path, exc.step, exc.time, exc.norm) == (
         "order", 4, 0, late.step, late.time, late.norm)
