@@ -189,13 +189,18 @@ def load_config(path):
     with open(path) as fh:
         text = fh.read()
     seed = None
-    if text.lstrip().startswith("{"):
-        payload = json.loads(text)
-        if "config" not in payload:
-            raise ConfigError(f"{path} looks like JSON but has no 'config' entry")
-        raw, seed = payload["config"], payload.get("master_seed")
-    else:
-        raw = parse_config_text(text)
+    try:
+        if text.lstrip().startswith("{"):
+            payload = json.loads(text)
+            raw, seed = payload.get("config"), payload.get("master_seed")
+            if not isinstance(raw, dict):
+                raise ConfigError(f"{path} looks like JSON but has no 'config' object")
+        else:
+            raw = parse_config_text(text)
+    except ConfigError:
+        raise
+    except ValueError as exc:   # malformed JSON, or an int token past Python's digit limit
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     unknown = sorted(set(raw).difference(key for key, *_ in _SCHEMA))
     if unknown:
         raise ConfigError(f"unknown configuration key {unknown[0]}",

@@ -712,7 +712,11 @@ def simulate_batch(system, config, u0, samplers=None, rows=None, energies=True):
     names = _ENERGIES if energies else _ENERGIES[:1]
     energy = np.zeros((len(names), count))
     integrals = np.zeros((len(names) - 1, count))   # of all but l2_sq
-    times, states, energy_log = [], [], []
+    # snapshots at step 0, every record_every steps and the last step
+    records = 1 + steps // config.record_every + (steps % config.record_every > 0)
+    states = np.empty((records, count, grid.size))
+    energy_log = np.empty((records, len(names), count))
+    times = []
     iters = np.zeros((steps, count), dtype=int)
 
     def admit(k):
@@ -728,9 +732,9 @@ def simulate_batch(system, config, u0, samplers=None, rows=None, energies=True):
         energy[:, live] = _energies(system, u[live], l2_sq) if energies else l2_sq
 
     def record(k):
+        i = len(times)
+        states[i], energy_log[i] = u, energy
         times.append(k * dt)
-        states.append(u.copy())
-        energy_log.append(energy.copy())
 
     regroup()
     admit(0)
@@ -759,7 +763,6 @@ def simulate_batch(system, config, u0, samplers=None, rows=None, energies=True):
         if (k + 1) % config.record_every == 0 or k + 1 == steps:
             record(k + 1)
 
-    states, energy_log = np.array(states), np.array(energy_log)
     for b in alive:
         results[b] = TrajectoryRecord(
             times=np.asarray(times),

@@ -151,14 +151,13 @@ def _face_sides(ue, d, axis, shift=0):
     return high, ue[(..., *index)]
 
 
-def _extend_and_difference(grid, u):
-    """(ue, [forward difference of ue across the faces normal to axis k]),
-    ue being u on the nodes of the closed box, zero on its boundary."""
-    n, d, h = grid.n_interior, grid.dimension, grid.h
+def _extend(grid, u):
+    """u on the nodes of the closed box, zero on its boundary."""
+    n, d = grid.n_interior, grid.dimension
     lead = u.shape[:-1]
     ue = np.zeros(lead + (n + 2,) * d)
     ue[(..., *(slice(1, -1),) * d)] = u.reshape(lead + (n,) * d)
-    return ue, [np.subtract(*_face_sides(ue, d, k)) / h for k in range(d)]
+    return ue
 
 
 def _member_sums(x, lead):
@@ -176,7 +175,8 @@ def _scalar_power(values, exponent):
 
 def gradient_faces(grid, u):
     """Forward differences to faces per axis, zero-extended; list of arrays."""
-    return _extend_and_difference(grid, u)[1]
+    ue, d = _extend(grid, u), grid.dimension
+    return [np.subtract(*_face_sides(ue, d, k)) / grid.h for k in range(d)]
 
 
 def w1p_seminorm(grid, u, p):
@@ -275,19 +275,16 @@ def q_of_p(p):
 class LerayLionsCoeff:
     """Divergence-form coefficient a(x, lam, xi) with its structure constants.
 
-    a_eval is vectorized with x and xi carrying a trailing axis of length d
-    and lam shaped like x[..., 0]; it returns an array shaped like xi.  It
-    must also have a method ``derivative(x, lam, xi)`` returning (da/dxi,
-    da/dlam), shaped xi.shape + (d,) with entry [..., k, j] = da_k/dxi_j,
-    and like xi, which gives jacobian_A_n its flux part in 1d and 2d.
-    The constants enter check_structure_conditions' bounds: coercivity
-    a.xi >= c1 |xi|^p - c2 |lam|^nu, growth |a| <= c3 |xi|^(p-1) +
-    c4 |lam|^(p-1) + g, continuity in lam with modulus c5 |xi|^(p-1) + h.
-
-    Both run on every face at every step, so a custom flux should read the
-    length-d component axis term by term (xi[..., 0], xi[..., 1]), as
-    PLaplaceFlux does, and not reduce or broadcast over it: numpy handles
-    such a short axis one output at a time.
+    a_eval is vectorized with the length-d component axis first: xi is
+    (d,) + shape, so that each component xi[k] is a plane of its own, x is
+    (d,) + a shape that broadcasts against it, and lam is shaped like
+    xi[0]; it returns an array shaped like xi.
+    It must also have a method ``derivative(x, lam, xi)`` returning
+    (da/dxi, da/dlam), shaped (d, d) + shape with entry [k, j] =
+    da_k/dxi_j, and like xi, which gives jacobian_A_n its flux part in 1d
+    and 2d.  The constants enter check_structure_conditions' bounds:
+    coercivity a.xi >= c1 |xi|^p - c2 |lam|^nu, growth |a| <= c3 |xi|^(p-1)
+    + c4 |lam|^(p-1) + g, continuity in lam with modulus c5 |xi|^(p-1) + h.
     """
 
     a_eval: object
@@ -303,27 +300,16 @@ class LerayLionsCoeff:
 
 
 def _norm_sq(xi):
-    """|xi|^2 over the trailing component axis, added term by term.
-
-    Bitwise np.sum(xi * xi, axis=-1): numpy adds fewer than eight terms
-    from the left, and no square is -0.0.
-    """
-    sq = xi * xi
-    out = sq[..., 0]
-    for k in range(1, xi.shape[-1]):
-        out = out + sq[..., k]
+    """|xi|^2 over the leading component axis: xi_0 xi_0 + xi_1 xi_1 + ..."""
+    out = xi[0] * xi[0]
+    for component in xi[1:]:
+        out += component * component
     return out
 
 
 @dataclass(frozen=True)
 class PLaplaceFlux:
-    """a(x, lam, xi) = (|xi|^2 + eps^2)^((p-2)/2) xi, with its derivative.
-
-    |xi|^2 and da/dxi are formed component by component, not by numpy
-    reductions or broadcasts over the length-d axis, which numpy runs one
-    short output at a time: on the faces of a 2d grid that is several times
-    faster, and the bits are those of the reduction and the broadcast.
-    """
+    """a(x, lam, xi) = (|xi|^2 + eps^2)^((p-2)/2) xi, with its derivative."""
 
     p: float
     eps: float = 0.0
@@ -333,36 +319,34 @@ class PLaplaceFlux:
             raise ValueError(f"p = {self.p} < 2 needs eps > 0")
 
     def __call__(self, x, lam, xi):
-        power = (_norm_sq(xi) + self.eps ** 2) ** ((self.p - 2.0) / 2.0)
-        out = np.empty(xi.shape)
-        for k in range(xi.shape[-1]):
-            np.multiply(power, xi[..., k], out=out[..., k])
-        return out
+        return (_norm_sq(xi) + self.eps ** 2) ** ((self.p - 2.0) / 2.0) * xi
 
     def derivative(self, x, lam, xi):
         """da/dxi = s^((p-2)/2) (I + (p-2) xi xi^T / s), s = |xi|^2 + eps^2; da/dlam = 0.
 
         With eps = 0, da/dxi at xi = 0 is its limit: the identity at p = 2
-        and zero above.  Each of the d(d+1)/2 distinct entries is
-        s^((p-2)/2) (delta_kj + ((p-2)/s) (xi_k xi_j)), in that order; the
-        delta_kj term is added where it is 0.0 too, which turns a -0.0
-        product into +0.0 as the identity matrix does.  The s in (p-2)/s
-        is floored at tiny * max(1, |p-2|), which keeps it finite: below the
-        floor xi_k xi_j <= s, so no entry exceeds |p-2| + 1 before the
-        power, and at s = 0, where every xi_k xi_j is 0, nothing changes.
+        and zero above.  Each entry is s^((p-2)/2) (delta_kj + ((p-2)/s)
+        (xi_k xi_j)), in that order; the delta_kj term is added where it is
+        0.0 too, which turns a -0.0 product into +0.0 as the identity
+        matrix does.  The s in (p-2)/s is floored at tiny * max(1, |p-2|),
+        which keeps it finite: below the floor xi_k xi_j <= s, so no entry
+        exceeds |p-2| + 1 before the power, and at s = 0, where every
+        xi_k xi_j is 0, nothing changes.
         """
-        d = xi.shape[-1]
+        d = len(xi)
         s = _norm_sq(xi) + self.eps ** 2
         power = s ** ((self.p - 2.0) / 2.0)
         floor = np.finfo(float).tiny * max(1.0, abs(self.p - 2.0))
         scale = (self.p - 2.0) / np.maximum(s, floor)
-        a_xi = np.empty(xi.shape + (d,))
+        a_xi = np.empty((d, d) + s.shape)
         for k in range(d):
             for j in range(k, d):
-                entry = scale * (xi[..., k] * xi[..., j])
+                entry = np.multiply(xi[k], xi[j], out=a_xi[k, j])
+                entry *= scale
                 entry += float(k == j)
                 entry *= power
-                a_xi[..., k, j] = a_xi[..., j, k] = entry
+                if j > k:
+                    a_xi[j, k] = entry
         return a_xi, np.zeros_like(xi)
 
 
@@ -388,14 +372,14 @@ class FluxWithConvection:
 
     def __call__(self, x, lam, xi):
         out = self.flux(x, lam, xi)
-        out[..., 0] = out[..., 0] + self.velocity(lam)
+        out[0] += self.velocity(lam)
         return out
 
     def derivative(self, x, lam, xi):
         """The p-Laplace part's, with velocity'(lam) in da_0/dlam (the
         velocity needs a ``derivative`` method, as ScaledTanh has)."""
         a_xi, a_lam = self.flux.derivative(x, lam, xi)
-        a_lam[..., 0] += self.velocity.derivative(lam)
+        a_lam[0] += self.velocity.derivative(lam)
         return a_xi, a_lam
 
 
@@ -435,8 +419,9 @@ class LinearFlux:
         return xi
 
     def derivative(self, x, lam, xi):
-        d = xi.shape[-1]
-        return np.broadcast_to(np.eye(d), xi.shape + (d,)), np.zeros_like(xi)
+        d = len(xi)
+        eye = np.eye(d).reshape((d, d) + (1,) * (xi.ndim - 1))
+        return np.broadcast_to(eye, (d,) + xi.shape), np.zeros_like(xi)
 
 
 def linear_coeff():
@@ -482,11 +467,12 @@ def tanh_drift(scale=1.0):
 
 @lru_cache(maxsize=None)
 def _face_coords(grid, axis):
-    """Coordinates of the faces normal to axis, read-only (they are shared)."""
+    """Coordinates of the faces normal to axis, (d,) + face shape, read-only
+    (they are shared)."""
     nodes = np.arange(1, grid.n_interior + 1) * grid.h
     faces = (np.arange(grid.n_interior + 1) + 0.5) * grid.h
     axes = [faces if k == axis else nodes for k in range(grid.dimension)]
-    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    coords = np.array(np.meshgrid(*axes, indexing="ij"))
     coords.flags.writeable = False
     return coords
 
@@ -497,20 +483,22 @@ def _faces(grid, u):
     A face joins two neighboring nodes of the zero extension: lam is the
     mean of their values and xi_k their forward difference; in 2d the
     transverse component of xi is the mean of the central differences at
-    the two nodes (the four neighboring differences, averaged).
+    the two nodes (the four neighboring differences, averaged).  xi is
+    (d,) + u's leading axes + face shape, x broadcasts against it.
     """
-    ue, normals = _extend_and_difference(grid, u)
-    d = grid.dimension
+    ue, d, lead = _extend(grid, u), grid.dimension, u.shape[:-1]
     faces = []
-    for axis, normal in enumerate(normals):
+    for axis in range(d):
         high, low = _face_sides(ue, d, axis)
-        xi = [normal]
+        xi = np.empty((d,) + high.shape)
+        np.divide(np.subtract(high, low, out=xi[axis]), grid.h, out=xi[axis])
         if d == 2:
             hi_p, lo_p = _face_sides(ue, d, axis, 1)
             hi_m, lo_m = _face_sides(ue, d, axis, -1)
-            xi.insert(1 - axis, (hi_p - hi_m + lo_p - lo_m) / (4.0 * grid.h))
-        faces.append((_face_coords(grid, axis), 0.5 * (high + low),
-                      np.stack(xi, axis=-1)))
+            np.divide(hi_p - hi_m + lo_p - lo_m, 4.0 * grid.h, out=xi[1 - axis])
+        x = _face_coords(grid, axis)
+        faces.append((x.reshape((d,) + (1,) * len(lead) + x.shape[1:]),
+                      0.5 * (high + low), xi))
     return faces
 
 
@@ -527,7 +515,7 @@ def apply_divergence_form(grid, coeff, u):
     """
     u = grid.check(u)
     d = grid.dimension
-    first, *rest = [np.diff(coeff.a_eval(*face)[..., k], axis=k - d) / grid.h
+    first, *rest = [np.diff(coeff.a_eval(*face)[k], axis=k - d) / grid.h
                     for k, face in enumerate(_faces(grid, u))]
     # a start of 0 would turn -0.0 into 0.0
     return -sum(rest, first).reshape(u.shape)
@@ -680,12 +668,12 @@ def jacobian_A_n(grid, coeff, drift, pert, n, u):
         # across the axis, L +- e_t and L + e_k +- e_t: (along, across,
         # weight, sign) of each
         a_xi, a_lam = coeff.a_eval.derivative(*face)
-        normal = a_xi[..., axis, axis] / h
-        low = (0.5 * a_lam[..., axis] - normal) / h
-        high = (0.5 * a_lam[..., axis] + normal) / h
+        normal = a_xi[axis, axis] / h
+        low = (0.5 * a_lam[axis] - normal) / h
+        high = (0.5 * a_lam[axis] + normal) / h
         stencil = [(0, 0, low, 1), (1, 0, high, 1)]
         if d == 2:
-            across = a_xi[..., axis, 1 - axis] / (4.0 * h * h)
+            across = a_xi[axis, 1 - axis] / (4.0 * h * h)
             stencil += [(0, 1, across, 1), (0, -1, across, -1),
                         (1, 1, across, 1), (1, -1, across, -1)]
         # -div a takes -a_k / h at L and +a_k / h at L + e_k, so a row takes
@@ -727,9 +715,10 @@ def check_structure_conditions(coeff, dimension=1):
     lam = rng.standard_normal(k) * np.exp(rng.uniform(-4.0, 2.0, k))
     lam2 = rng.standard_normal(k) * np.exp(rng.uniform(-4.0, 2.0, k))
 
-    a_xi = coeff.a_eval(x, lam, xi)
-    a_eta = coeff.a_eval(x, lam, eta)
-    a_xi2 = coeff.a_eval(x, lam2, xi)
+    # the flux takes its component axis first; the margins read it last
+    a_xi = coeff.a_eval(x.T, lam, xi.T).T
+    a_eta = coeff.a_eval(x.T, lam, eta.T).T
+    a_xi2 = coeff.a_eval(x.T, lam2, xi.T).T
     xi_mag = np.sqrt(np.sum(xi * xi, axis=-1))
     p = coeff.p
 

@@ -106,6 +106,20 @@ def test_an_integer_beyond_the_float_range_exits_config_error(tmp_path, capsys,
     assert err.startswith("config error: ") and f"{key} must be finite" in err
 
 
+@pytest.mark.parametrize("name, text", [
+    ("run.cfg", f"grid.n_interior = 1{'0' * 5000}\n"),
+    ("manifest.json", f'{{"config": {{"grid.n_interior": 1{"0" * 5000}}}}}'),
+    ("manifest.json", '{"config": {')],
+    ids=["flat-int-past-digit-limit", "manifest-int-past-digit-limit", "manifest-not-json"])
+def test_an_unreadable_config_file_exits_config_error(tmp_path, capsys, name, text):
+    path = write_config(tmp_path, text, name)
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, key, value, token", [
     ("regcheck", "sigma.scale", float("inf"), "Infinity"),
     ("simulate", "initial.amplitude", float("nan"), "NaN")],

@@ -2,7 +2,7 @@
 
 import pytest
 
-from plapsim.config import DEFAULTS, ConfigError, validate_config
+from plapsim.config import DEFAULTS, ConfigError, load_config, validate_config
 
 # every key in declaration order, with its default
 EXPECTED_DEFAULTS = [
@@ -204,3 +204,38 @@ def test_cross_key_rules(overrides, field, message):
     err = rejection(overrides)
     assert err.field == field
     assert str(err) == message
+
+
+# ------------------------------------------------------------ unreadable files
+
+# an integer token longer than Python's int-from-string limit (4,300 digits)
+HUGE_INT = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("name, text", [
+    ("run.cfg", f"grid.n_interior = {HUGE_INT}\n"),
+    ("manifest.json", f'{{"config": {{"grid.n_interior": {HUGE_INT}}}}}'),
+], ids=["flat", "manifest"])
+def test_load_config_rejects_an_integer_past_the_digit_limit(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="4300 digits") as err:
+        load_config(path)
+    assert str(err.value).startswith(f"cannot read {path}: ")
+    assert isinstance(err.value.__cause__, ValueError)
+
+
+def test_load_config_rejects_a_manifest_that_is_not_json(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text('{"config": {')
+    with pytest.raises(ConfigError, match=f"cannot read {path}: Expecting"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("text", ['{"seed": 1}', '{"config": 5}', '{"config": null}'],
+                         ids=["missing", "number", "null"])
+def test_load_config_rejects_a_manifest_without_a_config_object(tmp_path, text):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="has no 'config' object"):
+        load_config(path)

@@ -762,6 +762,40 @@ def test_record_every_thins_snapshots_but_not_integrals():
     assert rec.integrals == dense.integrals
 
 
+def test_snapshots_at_a_record_every_that_does_not_divide_the_steps():
+    # 20 steps at record_every = 7 snapshot steps 0, 7, 14 and 20; each
+    # member's snapshots and energies are the dense run's there, bit for bit
+    grid = Grid(1, 12)
+    u0 = [initial_profile(grid, "sine", amplitude=0.25),
+          initial_profile(grid, "bump", amplitude=0.3)]
+    runs = []
+    for every in (7, 1):
+        system, config = stochastic_pieces(grid, record_every=every)
+        samplers = [default_sampler(grid, 8, seed) for seed in (0, 1)]
+        runs.append(simulate_batch(system, config, u0, samplers))
+    at = [0, 7, 14, 20]
+    for rec, dense in zip(*runs):
+        assert rec.times.tobytes() == dense.times[at].tobytes()
+        assert rec.states.tobytes() == dense.states[at].tobytes()
+        assert rec.states.flags.c_contiguous
+        for name, values in rec.energies.items():
+            assert values.tobytes() == dense.energies[name][at].tobytes()
+
+
+def test_a_stack_whose_members_all_leave_early_returns_their_errors():
+    # both tall sines blow up under an explicit dt far above the heuristic,
+    # long before the last of the snapshots that record_every = 3 plans
+    grid = Grid(1, 24)
+    config = SolverConfig(dt=0.05, t_end=1.0, scheme="explicit",
+                          use_perturbation=False, record_every=3)
+    system = build_system(grid, p_laplacian_coeff(3.0), zero_drift(), None, config)
+    u0 = [initial_profile(grid, "sine", amplitude=a) for a in (2.0, 3.0)]
+    with np.errstate(all="ignore"):
+        recs = simulate_batch(system, config, u0)
+    assert [type(rec) for rec in recs] == [BlowUpError, BlowUpError]
+    assert all(0 < rec.step < config.num_steps for rec in recs)
+
+
 def test_scheme_difference_shrinks_first_order():
     # explicit and drift-implicit steps differ at O(dt); halving dt roughly
     # halves their gap on the linear benchmark

@@ -231,7 +231,8 @@ def test_divergence_form_summation_by_parts():
     g = (np.diff(ue) / h)[:, None]
     lam = 0.5 * (ue[:-1] + ue[1:])
     xf = ((np.arange(grid.n_interior + 1) + 0.5) * h)[:, None]
-    flux = coeff.a_eval(xf, lam, g)[:, 0]
+    # (faces, d) samples, the component axis moved first for the flux
+    flux = coeff.a_eval(np.moveaxis(xf, -1, 0), lam, np.moveaxis(g, -1, 0))[0]
     rhs = float(np.sum(flux * np.diff(ve) / h) * grid.weight)
     assert np.isclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
@@ -259,7 +260,7 @@ def test_divergence_form_summation_by_parts_2d_nonlinear():
                 xi[1 - axis] = 0.5 * sum(
                     (ue[tuple(node + t)] - ue[tuple(node - t)]) / (2.0 * h)
                     for node in (lo, hi))
-                flux = coeff.a_eval(x[None], np.array([lam]), xi[None])[0, axis]
+                flux = coeff.a_eval(x[:, None], np.array([lam]), xi[:, None])[axis, 0]
                 rhs += flux * (ve[tuple(hi)] - ve[tuple(lo)]) / h * h ** 2
     assert np.isclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
@@ -293,30 +294,36 @@ def test_p_laplace_flux_degenerate_and_singular_limits():
 
 def flux_test_gradients(shape, seed=0):
     """Face gradients with whole faces at xi = 0, faces with one component
-    0.0 or -0.0 (their off-diagonal products are signed zeros), and tiny ones."""
+    0.0 or -0.0 (their off-diagonal products are signed zeros), and tiny
+    ones: drawn as (..., d), returned contiguous with the component axis
+    moved first, as the flux takes them."""
     rng = np.random.Generator(np.random.Philox(key=[seed, 0xF1]))
     xi = rng.standard_normal(shape)
     xi[..., ::6, :] = 0.0
     xi[..., 1::7, 0] = 0.0
     xi[..., 2::9, -1] = -0.0
     xi[..., 3::11, :] *= 1e-150
-    return xi
+    return np.ascontiguousarray(np.moveaxis(xi, -1, 0))
 
 
 def broadcast_flux(p, eps, xi):
-    """PLaplaceFlux by a reduction over the component axis: the oracle."""
+    """PLaplaceFlux by a reduction over the component axis, moved last:
+    the oracle."""
+    xi = np.moveaxis(xi, 0, -1)
     mag_sq = np.sum(xi * xi, axis=-1, keepdims=True)
-    return (mag_sq + eps ** 2) ** ((p - 2.0) / 2.0) * xi
+    return np.moveaxis((mag_sq + eps ** 2) ** ((p - 2.0) / 2.0) * xi, -1, 0)
 
 
 def broadcast_flux_derivative(p, eps, xi):
     """PLaplaceFlux's da/dxi by a reduction and an identity broadcast over
-    the component axes: the oracle."""
+    the component axes, moved last: the oracle."""
+    xi = np.moveaxis(xi, 0, -1)
     s = np.sum(xi * xi, axis=-1)[..., None, None] + eps ** 2
     safe = np.where(s > 0.0, s, 1.0)
-    return s ** ((p - 2.0) / 2.0) * (
+    a_xi = s ** ((p - 2.0) / 2.0) * (
         np.eye(xi.shape[-1])
         + (p - 2.0) / safe * (xi[..., :, None] * xi[..., None, :]))
+    return np.moveaxis(a_xi, (-2, -1), (0, 1))
 
 
 FLUX_SHAPES = pytest.mark.parametrize(
@@ -329,11 +336,11 @@ def test_p_laplace_flux_without_eps_is_the_masked_power_law(p):
     for shape in ((48, 2), (3, 16, 2)):
         xi = flux_test_gradients(shape)
         out = PLaplaceFlux(p)(None, None, xi)
-        mag_sq = np.sum(xi * xi, axis=-1, keepdims=True)
-        nz = mag_sq[..., 0] > 0.0
-        masked = mag_sq[nz] ** ((p - 2.0) / 2.0) * xi[nz]
-        assert np.all(out[~nz] == 0.0)
-        assert np.array_equal(out[nz].view(np.uint64), masked.view(np.uint64))
+        mag_sq = np.sum(xi * xi, axis=0)
+        nz = mag_sq > 0.0
+        masked = mag_sq[nz] ** ((p - 2.0) / 2.0) * xi[:, nz]
+        assert np.all(out[:, ~nz] == 0.0)
+        assert np.array_equal(out[:, nz].view(np.uint64), masked.view(np.uint64))
 
 
 @FLUX_SHAPES
@@ -354,10 +361,10 @@ def test_p_laplace_derivative_is_bitwise_the_broadcast_formula(p, eps, shape):
     # (an off-diagonal entry at a zero component) fails
     xi = flux_test_gradients(shape, 2)
     a_xi, a_lam = PLaplaceFlux(p, eps).derivative(None, None, xi)
-    assert a_xi.shape == shape + (shape[-1],)
+    assert a_xi.shape == (shape[-1],) + xi.shape
     assert np.array_equal(a_xi.view(np.uint64),
                           broadcast_flux_derivative(p, eps, xi).view(np.uint64))
-    assert a_lam.shape == shape and not a_lam.any()
+    assert a_lam.shape == xi.shape and not a_lam.any()
 
 
 def test_p_laplace_flux_refuses_a_singular_p_without_eps():
@@ -522,13 +529,14 @@ def test_apply_A_n_monotone_up_to_drift_lipschitz():
 
 
 def central_differences(fn, at, delta=1e-6):
-    """d fn / d at[..., j] stacked on a new last axis, by central differences."""
+    """d fn / d at[j] stacked on a new axis after fn's first, by central
+    differences: at and fn's value lead with their component axes."""
     cols = []
-    for j in range(at.shape[-1]):
+    for j in range(len(at)):
         step = np.zeros_like(at)
-        step[..., j] = delta * (1.0 + np.abs(at[..., j]))
-        cols.append((fn(at + step) - fn(at - step)) / (2.0 * step[..., j:j + 1]))
-    return np.stack(cols, axis=-1)
+        step[j] = delta * (1.0 + np.abs(at[j]))
+        cols.append((fn(at + step) - fn(at - step)) / (2.0 * step[j]))
+    return np.stack(cols, axis=1)
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
@@ -538,23 +546,23 @@ def central_differences(fn, at, delta=1e-6):
     ids=["p2.5", "p1.5_eps", "p2", "convective", "linear"])
 def test_flux_derivative_matches_central_differences(coeff, dimension):
     rng = np.random.Generator(np.random.Philox(key=[dimension, 0xDE7]))
-    x = rng.uniform(0.0, 1.0, size=(64, dimension))
+    x = np.moveaxis(rng.uniform(0.0, 1.0, size=(64, dimension)), -1, 0)
     lam = rng.standard_normal(64)
-    xi = rng.standard_normal((64, dimension))
+    xi = np.moveaxis(rng.standard_normal((64, dimension)), -1, 0)
     a_xi, a_lam = coeff.a_eval.derivative(x, lam, xi)
-    assert a_xi.shape == xi.shape + (dimension,) and a_lam.shape == xi.shape
+    assert a_xi.shape == (dimension,) + xi.shape and a_lam.shape == xi.shape
     by_xi = central_differences(lambda w: coeff.a_eval(x, lam, w), xi)
-    by_lam = central_differences(lambda w: coeff.a_eval(x, w[:, 0], xi),
-                                 lam[:, None])[..., 0]
+    by_lam = central_differences(lambda w: coeff.a_eval(x, w[0], xi),
+                                 lam[None])[:, 0]
     assert np.allclose(a_xi, by_xi, rtol=1e-7, atol=1e-9)
     assert np.allclose(a_lam, by_lam, rtol=1e-7, atol=1e-9)
 
 
 def test_p_laplace_derivative_at_a_zero_gradient():
-    xi, eye = np.zeros((3, 2)), np.eye(2)
+    xi, eye = np.zeros((2, 3)), np.eye(2)[..., None]
     for p, expect in ((2.5, 0.0 * eye), (2.0, eye), (4.0, 0.0 * eye)):
         a_xi, a_lam = PLaplaceFlux(p).derivative(None, np.zeros(3), xi)
-        assert np.array_equal(a_xi, np.broadcast_to(expect, (3, 2, 2)))
+        assert np.array_equal(a_xi, np.broadcast_to(expect, (2, 2, 3)))
         assert not a_lam.any()
     # the regularized singular flux has the finite slope eps^(p-2) there
     a_xi, _ = p_laplacian_coeff(1.5).a_eval.derivative(None, np.zeros(3), xi)
@@ -566,15 +574,15 @@ def test_p_laplace_derivative_at_a_zero_gradient():
                          ids=["p2", "p2.5", "p4", "p12", "p1.5_eps"])
 def test_p_laplace_derivative_is_finite_where_p_minus_2_over_s_overflows(p, eps):
     # |xi|^2 of 1e-320 and 2e-310 lies below |p - 2| / max float
-    for xi in (np.array([[1e-160], [1e-155]]),
-               np.array([[1e-160, 0.0], [1e-155, 1e-155]])):
+    for xi in (np.array([[1e-160, 1e-155]]),
+               np.array([[1e-160, 1e-155], [0.0, 1e-155]])):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             a_xi, a_lam = PLaplaceFlux(p, eps).derivative(None, None, xi)
         assert np.all(np.isfinite(a_xi)) and not a_lam.any()
-        assert np.array_equal(a_xi, np.swapaxes(a_xi, -1, -2))
-        power = (np.sum(xi * xi, axis=-1) + eps ** 2) ** ((p - 2.0) / 2.0)
-        bound = (abs(p - 2.0) + 1.0) * power[:, None, None]
+        assert np.array_equal(a_xi, np.swapaxes(a_xi, 0, 1))
+        power = (np.sum(xi * xi, axis=0) + eps ** 2) ** ((p - 2.0) / 2.0)
+        bound = (abs(p - 2.0) + 1.0) * power
         assert np.all(np.abs(a_xi) <= bound)
 
 
@@ -582,7 +590,7 @@ def test_p_laplace_derivative_is_finite_where_p_minus_2_over_s_overflows(p, eps)
                          ids=["tanh", "zero"])
 def test_drift_derivative_matches_central_differences(drift):
     lam = np.linspace(-3.0, 3.0, 41)
-    by_lam = central_differences(drift.f_eval, lam[:, None])[:, 0, 0]
+    by_lam = central_differences(drift.f_eval, lam[None])[0, 0]
     assert np.allclose(drift.f_eval.derivative(lam), by_lam,
                        rtol=1e-7, atol=1e-10)
 
@@ -719,6 +727,18 @@ def test_structure_conditions_flag_missing_growth_and_continuity_terms():
     assert not no_h["continuity_pass"] and no_h["growth_pass"]
     no_g = check_structure_conditions(replace(coeff, g=0.0))
     assert not no_g["growth_pass"] and no_g["continuity_pass"]
+
+
+def test_structure_conditions_read_a_user_flux_component_by_component_in_2d():
+    # a lambda in the flux convention: the component axis leads, and x[0]
+    # is the first coordinate of every sample.  a = ((1 + x_0) xi_0, 3 xi_1)
+    # has a.xi >= |xi|^2 and |a| <= 3 |xi|, and no smaller growth constant
+    coeff = LerayLionsCoeff(
+        a_eval=lambda x, lam, xi: np.array([(1.0 + x[0]) * xi[0], 3.0 * xi[1]]),
+        p=2.0, c1=1.0, c3=3.0)
+    assert check_structure_conditions(coeff, dimension=2)["pass"]
+    report = check_structure_conditions(replace(coeff, c3=2.0), dimension=2)
+    assert not report["growth_pass"] and report["coercivity_pass"]
 
 
 def test_structure_conditions_flag_nonmonotone_flux():
