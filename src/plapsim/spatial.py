@@ -11,6 +11,15 @@ is exact, from the derivative methods every flux and drift carries: in
 the nodes of its box, assembled from each face's stencil weights and each
 multi-index's small products.
 
+The faces are worked on the padded lattice: a state zero-extended once
+into a flat, row-major array of W^d values, W = n + 2, where the neighbour
+along axis k is a fixed offset s_k (1 in 1d; W and 1 in 2d).  A face normal
+to axis k sits at its low node, and the faces of all nodes form one
+contiguous run of positions, so each face quantity, and each node's
+difference of the flux across its two faces, is one slice expression.  In
+2d a run wraps from row to row through a few seam positions, whose values
+are computed and never read; 1d has no seams.
+
 The operators, the Jacobian and the L2 and W^{1,p} norms also take a
 stack of grid functions along leading axes.  Each member's result is
 bitwise the one it gets alone: a stacked product is one BLAS call per
@@ -19,7 +28,8 @@ along the member's own values, and a norm's root is taken as a scalar.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,6 +116,15 @@ class Grid:
         x1, x2 = np.meshgrid(axis, axis, indexing="ij")
         return np.stack([x1.ravel(), x2.ravel()], axis=-1)
 
+    @cached_property
+    def _lattice(self):
+        """The zero-padded grid's layout (_Lattice), built once."""
+        width, d = self.n_interior + 2, self.dimension
+        steps = tuple(width ** (d - 1 - k) for k in range(d))
+        first, length = sum(steps), self.n_interior * steps[0]
+        return _Lattice(width, steps, first, length,
+                        tuple((first - step, first + length) for step in steps))
+
     def check(self, u):
         """u as floats: a flat grid function, or a stack of them along leading axes."""
         u = np.asarray(u, dtype=float)
@@ -140,23 +159,46 @@ def norm_l1(grid, u):
     return float(out) if u.ndim == 1 else out
 
 
-def _face_sides(ue, d, axis, shift=0):
-    """ue at the high and the low node of each face normal to axis, the
-    faces moved by shift nodes along the other axis; the grid's d axes are
-    the last ones of ue."""
-    index = [slice(1 + shift, ue.shape[-1] - 1 + shift)] * d
-    index[axis] = slice(1, None)
-    high = ue[(..., *index)]
-    index[axis] = slice(None, -1)
-    return high, ue[(..., *index)]
+class _Lattice(NamedTuple):
+    """The grid zero-padded to W = n_interior + 2 values per axis, flat and
+    row-major.  A neighbour along axis k is steps[k] = W ** (d - 1 - k)
+    positions away (1 in 1d; W and 1 in 2d).  The nodes lie in the run of
+    the given length, n lattice rows (n values in 1d), from the first node
+    at sum(steps); in 2d the run wraps from row to row through seam
+    positions, which are computed and never read.  A face normal to axis k
+    sits at its low node, so the faces of that run's nodes lie in the run
+    that starts steps[k] earlier: the face above node q is at q, the face
+    below it at q - steps[k]."""
+
+    width: int
+    steps: tuple
+    first: int
+    length: int
+    faces: tuple   # per axis k, first and past-last position of its faces' run
+
+    def across_nodes(self, a, step):
+        """a on a run of faces whose nodes are step apart, as each node's a
+        at the face above it less a at the face below it, over the run of
+        nodes."""
+        return np.subtract(a[..., step:step + self.length], a[..., :self.length])
+
+    def block(self, x, shape):
+        """x, a run of the lattice along its last axis, read as the block of
+        the given shape from the run's first position: a view."""
+        if len(shape) == 1:
+            return x[..., :shape[0]]
+        rows, cols = shape
+        return x[..., :rows * self.width].reshape(x.shape[:-1] + (rows, self.width))[..., :cols]
 
 
 def _extend(grid, u):
-    """u on the nodes of the closed box, zero on its boundary."""
-    n, d = grid.n_interior, grid.dimension
-    lead = u.shape[:-1]
-    ue = np.zeros(lead + (n + 2,) * d)
-    ue[(..., *(slice(1, -1),) * d)] = u.reshape(lead + (n,) * d)
+    """u zero-extended to the closed box over the padded lattice: W ** d
+    values, and the zeros past the end that the last faces read (two in
+    2d, none in 1d)."""
+    lattice = grid._lattice
+    ue = np.zeros(u.shape[:-1] + (2 * lattice.first + lattice.length,))
+    nodes = lattice.block(ue[..., lattice.first:], grid.shape)
+    nodes[...] = u.reshape(u.shape[:-1] + grid.shape)
     return ue
 
 
@@ -174,9 +216,15 @@ def _scalar_power(values, exponent):
 
 
 def gradient_faces(grid, u):
-    """Forward differences to faces per axis, zero-extended; list of arrays."""
-    ue, d = _extend(grid, u), grid.dimension
-    return [np.subtract(*_face_sides(ue, d, k)) / grid.h for k in range(d)]
+    """Forward differences to faces per axis, zero-extended; list of arrays,
+    each a view (..., face shape) of the differences over the faces' run."""
+    ue, lattice, out = _extend(grid, u), grid._lattice, []
+    for axis, (step, (start, stop)) in enumerate(zip(lattice.steps, lattice.faces)):
+        diff = np.subtract(ue[..., start + step:stop + step], ue[..., start:stop])
+        diff /= grid.h
+        shape = tuple(grid.n_interior + (k == axis) for k in range(grid.dimension))
+        out.append(lattice.block(diff, shape))
+    return out
 
 
 def w1p_seminorm(grid, u, p):
@@ -282,7 +330,10 @@ class LerayLionsCoeff:
     It must also have a method ``derivative(x, lam, xi)`` returning
     (da/dxi, da/dlam), shaped (d, d) + shape with entry [k, j] =
     da_k/dxi_j, and like xi, which gives jacobian_A_n its flux part in 1d
-    and 2d.  The constants enter check_structure_conditions' bounds:
+    and 2d.  Both are elementwise, each position's value depending on that
+    position's (x, lam, xi) alone: they may be evaluated at positions that
+    are not faces (the seams of the padded lattice), whose values are
+    discarded.  The constants enter check_structure_conditions' bounds:
     coercivity a.xi >= c1 |xi|^p - c2 |lam|^nu, growth |a| <= c3 |xi|^(p-1)
     + c4 |lam|^(p-1) + g, continuity in lam with modulus c5 |xi|^(p-1) + h.
     """
@@ -467,12 +518,13 @@ def tanh_drift(scale=1.0):
 
 @lru_cache(maxsize=None)
 def _face_coords(grid, axis):
-    """Coordinates of the faces normal to axis, (d,) + face shape, read-only
-    (they are shared)."""
-    nodes = np.arange(1, grid.n_interior + 1) * grid.h
-    faces = (np.arange(grid.n_interior + 1) + 0.5) * grid.h
-    axes = [faces if k == axis else nodes for k in range(grid.dimension)]
-    coords = np.array(np.meshgrid(*axes, indexing="ij"))
+    """Coordinates of the faces normal to axis over their run, (d, run
+    length), read-only (they are shared): a face lies half a step past its
+    low node along axis."""
+    start, stop = grid._lattice.faces[axis]
+    index = np.unravel_index(np.arange(start, stop), (grid.n_interior + 2,) * grid.dimension)
+    coords = np.array([(i + 0.5) * grid.h if k == axis else i * grid.h
+                       for k, i in enumerate(index)])
     coords.flags.writeable = False
     return coords
 
@@ -483,22 +535,31 @@ def _faces(grid, u):
     A face joins two neighboring nodes of the zero extension: lam is the
     mean of their values and xi_k their forward difference; in 2d the
     transverse component of xi is the mean of the central differences at
-    the two nodes (the four neighboring differences, averaged).  xi is
-    (d,) + u's leading axes + face shape, x broadcasts against it.
+    the two nodes (the four neighboring differences, averaged).  Each is
+    given over the axis's run of faces (_Lattice), seams included: xi is
+    (d,) + u's leading axes + (run length,), x broadcasts against it.
     """
-    ue, d, lead = _extend(grid, u), grid.dimension, u.shape[:-1]
+    ue, d, lead, lattice = _extend(grid, u), grid.dimension, u.shape[:-1], grid._lattice
     faces = []
-    for axis in range(d):
-        high, low = _face_sides(ue, d, axis)
-        xi = np.empty((d,) + high.shape)
-        np.divide(np.subtract(high, low, out=xi[axis]), grid.h, out=xi[axis])
-        if d == 2:
-            hi_p, lo_p = _face_sides(ue, d, axis, 1)
-            hi_m, lo_m = _face_sides(ue, d, axis, -1)
-            np.divide(hi_p - hi_m + lo_p - lo_m, 4.0 * grid.h, out=xi[1 - axis])
+    for axis, (step, (start, stop)) in enumerate(zip(lattice.steps, lattice.faces)):
+
+        def at(offset):   # ue at p + offset, for each face p of the run
+            return ue[..., start + offset:stop + offset]
+
+        low, high = at(0), at(step)
+        xi = np.empty((d,) + low.shape)
+        np.subtract(high, low, out=xi[axis])
+        xi[axis] /= grid.h
+        if d == 2:   # in place, in the order ((a - b) + c) - e
+            turn, across = lattice.steps[1 - axis], xi[1 - axis]
+            np.subtract(at(step + turn), at(step - turn), out=across)
+            across += at(turn)
+            across -= at(-turn)
+            across /= 4.0 * grid.h
+        lam = np.add(high, low)
+        lam *= 0.5
         x = _face_coords(grid, axis)
-        faces.append((x.reshape((d,) + (1,) * len(lead) + x.shape[1:]),
-                      0.5 * (high + low), xi))
+        faces.append((x.reshape((d,) + (1,) * len(lead) + x.shape[1:]), lam, xi))
     return faces
 
 
@@ -511,14 +572,21 @@ def apply_divergence_form(grid, coeff, u):
         <apply_divergence_form(u), v>_h = sum over faces of a . grad_h v * h^d
 
     holds exactly for every v (summation by parts against the zero
-    extension).
+    extension).  On the padded lattice node q takes a_k at q (the face
+    above it) less a_k at q - s_k (the face below), over the run of nodes.
     """
     u = grid.check(u)
-    d = grid.dimension
-    first, *rest = [np.diff(coeff.a_eval(*face)[k], axis=k - d) / grid.h
-                    for k, face in enumerate(_faces(grid, u))]
-    # a start of 0 would turn -0.0 into 0.0
-    return -sum(rest, first).reshape(u.shape)
+    lattice = grid._lattice
+    first, *rest = [lattice.across_nodes(coeff.a_eval(*face)[k], step)
+                    for k, (face, step) in enumerate(zip(_faces(grid, u), lattice.steps))]
+    # summed in place from the first axis's term: a start of 0 would turn
+    # -0.0 into 0.0
+    first /= grid.h
+    for term in rest:
+        term /= grid.h
+        first += term
+    np.negative(first, out=first)
+    return lattice.block(first, grid.shape).reshape(u.shape)
 
 
 @dataclass(frozen=True)
@@ -629,15 +697,22 @@ def jacobian_A_n(grid, coeff, drift, pert, n, u):
     in 2d a face also reads the four differences across it, which couple
     each node to its 3 x 3 box.  The perturbation's part is the sum over
     |g| <= m of D_g^T diag(1 + (q-1) |D_g u|^(q-2)) D_g / n, which couples
-    each node to its box of half-width m.
+    each node to its box of half-width m.  The band is built over the
+    run of nodes of the padded lattice, so that each face weight is added
+    as one slice: node q reads the face above it at q and the face below
+    it at q - s_k.
 
     A stack u gives a stack of bands, n as in apply_A_n.
     """
     u = grid.check(u)
     size, h, d, lead = grid.n_interior, grid.h, grid.dimension, u.shape[:-1]
+    lattice = grid._lattice
     active = pert is not None and n is not None
     w = max(1, pert.m) if active else 1
-    band = np.zeros(lead + (2 * w + 1,) * d + grid.shape)
+    # the band is built over the run of nodes, seams included: band is the
+    # view of its node axes
+    run = np.zeros(lead + (2 * w + 1,) * d + (lattice.length,))
+    band = lattice.block(run, grid.shape)
     nodes = (slice(None),) * d   # the band's node axes
     if active:
         _check_order(grid, pert.m)
@@ -678,16 +753,18 @@ def jacobian_A_n(grid, coeff, drift, pert, n, u):
                         (1, 1, across, 1), (1, -1, across, -1)]
         # -div a takes -a_k / h at L and +a_k / h at L + e_k, so a row takes
         # the face above it as its L (L is 0 nodes along axis k from the
-        # row) and the face below as its L + e_k (L is 1 node back)
-        for faces, sign, k in ((slice(1, None), -1, 0), (slice(None, -1), 1, -1)):
-            index = (..., faces) + (slice(None),) * (d - 1 - axis)
+        # row) and the face below as its L + e_k (L is 1 node back); on the
+        # faces' run the face above node q sits at q, the one below at q - s_k
+        for start, sign, k in ((lattice.steps[axis], -1, 0), (0, 1, -1)):
             for along, cross, weight, turn in stencil:
                 offset = [cross + w] * d
                 offset[axis] = k + along + w
-                into = band[(..., *offset) + nodes]
-                (np.add if sign * turn > 0 else np.subtract)(into, weight[index], out=into)
+                into = run[(..., *offset, slice(None))]
+                (np.add if sign * turn > 0 else np.subtract)(
+                    into, weight[..., start:start + lattice.length], out=into)
     if drift is not None:
         band[(..., *(w,) * d) + nodes] += drift.f_eval.derivative(u).reshape(lead + grid.shape)
+    band = np.ascontiguousarray(band)   # in 2d, one strided copy
     np.copyto(band, 0.0, where=_off_grid(grid, w))
     return band
 

@@ -421,19 +421,44 @@ def cauchy_in_n_study(plan, u0=None):
 # ---------------------------------------------------------------- heat oracle
 
 
-def _heat_error(n_interior, dt, t_end):
-    """Relative L2 error at t_end of the noise-free heat path from
-    sin(pi x), one job on a noise-free Ensemble; a path failure raises,
+# K drift-implicit heat steps from the product sine, checked against their
+# exact discrete value: (dimension, n_interior, dt, K) of each run
+_DISCRETE_HEAT = ((1, 32, 1e-3, 100), (2, 16, 1e-3, 50))
+_DISCRETE_HEAT_TOL = 1e-12
+
+
+def _heat_final(grid, dt, t_end, u0):
+    """Final state of the noise-free heat path from u0, one job on a
+    noise-free Ensemble with Newton tolerance 1e-12; a path failure raises,
     tagged with study heat_oracle (its level and path are None)."""
-    grid = Grid(1, n_interior)
     cfg = SolverConfig(dt=dt, t_end=t_end, use_perturbation=False,
                        newton_tol=1e-12, record_every=max(1, int(round(t_end / dt))))
     heat = Ensemble(grid, linear_coeff(), zero_drift(), None, None, None, master_seed=0)
+    (rec,) = _map_jobs(heat, "heat_oracle", [(cfg, u0, None)], energies=False)
+    return rec.final_state()
+
+
+def _heat_error(n_interior, dt, t_end):
+    """Relative L2 error at t_end of the 1d heat path from sin(pi x)
+    against the continuous solution exp(-pi^2 t) sin(pi x)."""
+    grid = Grid(1, n_interior)
     x = grid.nodes()[:, 0]
-    (rec,) = _map_jobs(heat, "heat_oracle", [(cfg, np.sin(np.pi * x), None)],
-                       energies=False)
     exact = math.exp(-math.pi ** 2 * t_end) * np.sin(np.pi * x)
-    err = norm_l2(grid, rec.final_state() - exact)
+    err = norm_l2(grid, _heat_final(grid, dt, t_end, np.sin(np.pi * x)) - exact)
+    return err / norm_l2(grid, exact)
+
+
+def _discrete_heat_error(dimension, n_interior, dt, num_steps):
+    """Relative L2 error of num_steps heat steps from the product sine
+    against (1 + dt lam_h)^(-num_steps) times it: the product sine is an
+    eigenvector of the face stencil with eigenvalue lam_h = (4 d / h^2)
+    sin^2(pi h / 2), so each drift-implicit step scales it by exactly
+    1 / (1 + dt lam_h), at any dt."""
+    grid = Grid(dimension, n_interior)
+    u0 = initial_profile(grid, "sine")
+    lam_h = 4.0 * dimension / grid.h ** 2 * math.sin(math.pi * grid.h / 2.0) ** 2
+    exact = (1.0 + dt * lam_h) ** (-num_steps) * u0
+    err = norm_l2(grid, _heat_final(grid, dt, num_steps * dt, u0) - exact)
     return err / norm_l2(grid, exact)
 
 
@@ -446,7 +471,11 @@ def heat_oracle_study(n_interior=128, dt=1e-5, t_end=0.1, rel_tol=1e-3,
     scheme runs it, with Newton tolerance 1e-12.  Checks the relative L2
     error at t_end on the main grid against rel_tol, and that the
     log-log slope of the error across the grids slope_grids (time step
-    slope_dt) lies in [1.7, 2.3], second order.
+    slope_dt) lies in [1.7, 2.3], second order.  Also checks, in 1d and
+    2d at a coarse dt (_DISCRETE_HEAT), that the scheme gives the exact
+    discrete solution from the product sine to a relative 1e-12: this
+    holds the face stencil, the Newton matrix and the solve to twelve
+    digits.
     """
     err = _heat_error(n_interior, dt, t_end)
     checks = [_check(
@@ -461,6 +490,15 @@ def heat_oracle_study(n_interior=128, dt=1e-5, t_end=0.1, rel_tol=1e-3,
         "heat_richardson_slope",
         f"log-log error slope across grids {tuple(slope_grids)} is second order",
         slope, 2.3, 1.7 <= slope <= 2.3))
+
+    for dimension, n, step_dt, num_steps in _DISCRETE_HEAT:
+        discrete = _discrete_heat_error(dimension, n, step_dt, num_steps)
+        checks.append(_check(
+            f"heat_discrete_{dimension}d",
+            f"{num_steps} drift-implicit steps of dt = {step_dt} on the {dimension}d "
+            f"grid with {n} nodes per axis take the product sine to exactly "
+            f"(1 + dt lam_h)^-{num_steps} times it, to a relative {_DISCRETE_HEAT_TOL}",
+            discrete, _DISCRETE_HEAT_TOL, discrete <= _DISCRETE_HEAT_TOL))
 
     return _finish("heat_oracle",
                    "the scheme reproduces the exact linear decay profile",

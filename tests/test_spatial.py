@@ -18,6 +18,7 @@ from plapsim.spatial import (
     check_structure_conditions,
     difference_blocks,
     estimate_embedding_constants,
+    gradient_faces,
     hm0_norm,
     initial_from_csv,
     initial_profile,
@@ -41,6 +42,7 @@ from plapsim.spatial import (
 from plapsim.spatial import (PLaplaceFlux, _check_order, _difference_blocks_adjoint,
                              _iterated_difference_1d)
 
+import oracles
 from oracles import laplacian_min_eigenvalue
 
 
@@ -640,11 +642,13 @@ def band_to_dense(grid, band):
     (2, p_laplacian_coeff(2.5), zero_drift(), perturbation_for(2.5, m=3), 10),
     (2, p_laplacian_coeff(1.5), zero_drift(), perturbation_for(1.5, m=1), 5),
     (2, remark_flux_coeff(2.5), tanh_drift(1.0), perturbation_for(2.5, m=2), 2),
-    (2, remark_flux_coeff(3.0), tanh_drift(1.0), perturbation_for(3.0, m=4), 4)],
+    (2, remark_flux_coeff(3.0), tanh_drift(1.0), perturbation_for(3.0, m=4), 4),
+    (2, remark_flux_coeff(2.5), tanh_drift(1.0), perturbation_for(2.5, m=1), 1),
+    (2, remark_flux_coeff(2.5), tanh_drift(1.0), None, 32)],
     ids=["convective_alone", "p2.5_tanh_m2", "p1.5_m1", "linear_q2",
          "convective_m3_tiny", "one_node", "2d_p2.5_alone", "2d_convective_alone",
          "2d_p2.5_tanh_m2", "2d_m3", "2d_p1.5_m1", "2d_two_lines_m2",
-         "2d_four_lines_m4"])
+         "2d_four_lines_m4", "2d_one_node_m1", "2d_convective_32"])
 def test_jacobian_A_n_matches_central_differences(dimension, coeff, drift, pert,
                                                    n_interior):
     # on the tiny 1d grids and the two- and four-line 2d grids the band
@@ -697,6 +701,85 @@ def test_2d_flux_operators_on_a_stack_are_bitwise_each_members_own(coeff):
             assert np.array_equal(div_b.view(np.uint64), alone.view(np.uint64))
             alone = jacobian_A_n(grid, coeff, drift, pert, n, member)
             assert np.array_equal(jac_b.view(np.uint64), alone.view(np.uint64))
+
+
+FLUXES = pytest.mark.parametrize(
+    "coeff", [p_laplacian_coeff(2.5), p_laplacian_coeff(1.5), remark_flux_coeff(2.5),
+              linear_coeff()], ids=["p2.5", "p1.5", "convective", "linear"])
+SEAM_GRIDS = pytest.mark.parametrize("n_interior", [1, 2, 7, 32])
+
+
+def lattice_fields(grid):
+    """A random field, one with zeros scattered through it, and stacks of
+    them along one and along two leading axes."""
+    sparse = random_field(grid, 8)
+    sparse[::3] = 0.0
+    lone = random_field(grid, 7)
+    stack = np.stack([lone, sparse, np.zeros(grid.size), -lone])
+    return [lone, sparse, stack, stack.reshape(2, 2, -1)]
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@FLUXES
+@SEAM_GRIDS
+def test_flat_lattice_operators_are_bitwise_the_2d_view_reference(coeff, n_interior):
+    # the faces as contiguous runs of the padded lattice, seams and all, give
+    # bitwise what the faces as 2d views of the zero extension gave, lone and
+    # on stacks with one and two leading axes
+    grid = Grid(2, n_interior)
+    for u in lattice_fields(grid):
+        assert_bitwise(apply_divergence_form(grid, coeff, u),
+                       oracles.divergence_form(grid, coeff, u))
+        for drift in (None, tanh_drift(1.0)):
+            assert_bitwise(jacobian_A_n(grid, coeff, drift, None, None, u),
+                           oracles.flux_band(grid, coeff, drift, u))
+        for g, ref in zip(gradient_faces(grid, u), oracles.gradient_faces(grid, u)):
+            assert_bitwise(g, ref)
+        for p in (1.5, 2.5, 4.0):
+            assert_bitwise(w1p_seminorm(grid, u, p), oracles.w1p_seminorm(grid, u, p))
+
+
+@pytest.mark.parametrize("dimension, n_interior", [(1, 1), (1, 9), (2, 1), (2, 2), (2, 7)])
+def test_a_flux_sees_the_coordinates_and_mean_of_every_real_face(dimension, n_interior):
+    # a flux that reads x and lam is handed, for every real face, the face's
+    # coordinates and the mean of its two nodes (other positions it is
+    # handed are never read)
+    grid = Grid(dimension, n_interior)
+    u = random_field(grid, 9)
+    seen = []
+
+    def flux(x, lam, xi):
+        seen.append({tuple(v) for v in np.column_stack(
+            [np.broadcast_to(x, xi.shape).reshape(grid.dimension, -1).T, lam.ravel()])})
+        return x[0] * lam + xi
+    coeff = LerayLionsCoeff(a_eval=flux, p=2.0, c1=1.0)
+    apply_divergence_form(grid, coeff, u)
+    for axis, (x, lam, _) in enumerate(oracles.faces(grid, u)):
+        real = np.column_stack([x.reshape(grid.dimension, -1).T, lam.ravel()])
+        assert {tuple(v) for v in real} <= seen[axis]
+    reads_x = LerayLionsCoeff(a_eval=lambda x, lam, xi: (1.0 + x[0] + 2.0 * x[-1]) * lam + xi,
+                              p=2.0, c1=1.0)
+    assert_bitwise(apply_divergence_form(grid, reads_x, u),
+                   oracles.divergence_form(grid, reads_x, u))
+
+
+@FLUXES
+@SEAM_GRIDS
+def test_seams_raise_no_floating_point_error(coeff, n_interior):
+    # the seam positions of the 2d runs hold finite values: evaluating the
+    # flux and its derivative there trips no floating-point flag
+    grid = Grid(2, n_interior)
+    pert = perturbation_for(coeff.p, m=1)
+    with np.errstate(all="raise"):
+        for u in lattice_fields(grid):
+            apply_divergence_form(grid, coeff, u)
+            jacobian_A_n(grid, coeff, tanh_drift(1.0), pert, 8, u)
+            gradient_faces(grid, u)
 
 
 # ----------------------------------------------------------- structure checks

@@ -13,9 +13,9 @@ from plapsim.evolution import (BlowUpError, NewtonDivergedError, SolverConfig,
                                build_system, simulate_path)
 from plapsim.noise import default_sampler, gaussian_kernel
 from plapsim.regularize import power_sigma
-from plapsim.spatial import (Grid, HigherOrderPerturbation, initial_profile,
-                             p_laplacian_coeff, perturbation_for, q_of_p,
-                             tanh_drift)
+from plapsim.spatial import (Grid, HigherOrderPerturbation, LerayLionsCoeff,
+                             initial_profile, linear_coeff, p_laplacian_coeff,
+                             perturbation_for, q_of_p, tanh_drift)
 from plapsim.verify import (
     ExperimentPlan,
     MCEstimate,
@@ -165,7 +165,33 @@ def test_heat_oracle_quick():
                                slope_dt=1e-4)
     assert report["pass"], report
     assert 1.7 <= report["slope"] <= 2.3
+    # the drift-implicit steps from the product sine meet (1 + dt lam_h)^-K
+    # times it to 1e-12 in 1d and 2d
+    assert [c["name"] for c in report["checks"]] == [
+        "heat_relative_error", "heat_richardson_slope", "heat_discrete_1d", "heat_discrete_2d"]
+    for check in report["checks"][2:]:
+        assert check["estimate"] <= check["bound"] == 1e-12
     json.dumps(report)
+
+
+class SlightlyFastHeatFlux:
+    """a = (1 + 1e-9) xi: a heat flux off by one part in 10^9."""
+
+    def __call__(self, x, lam, xi):
+        return (1.0 + 1e-9) * xi
+
+    def derivative(self, x, lam, xi):
+        a_xi, a_lam = linear_coeff().a_eval.derivative(x, lam, xi)
+        return (1.0 + 1e-9) * a_xi, a_lam
+
+
+def test_the_exact_heat_checks_fail_a_flux_off_by_one_part_in_a_billion(monkeypatch):
+    # as `plapsim verify` runs it: the continuous checks pass, the exact
+    # discrete ones fail
+    monkeypatch.setattr(verify, "linear_coeff", lambda: LerayLionsCoeff(
+        a_eval=SlightlyFastHeatFlux(), p=2.0, c1=1.0))
+    report = heat_oracle_study(**cli._VERIFY_HEAT)
+    assert [c["pass"] for c in report["checks"]] == [True, True, False, False]
 
 
 def test_heat_oracle_tags_its_path_failure(monkeypatch):
