@@ -21,7 +21,7 @@ from .config import (ConfigError, DEFAULTS, load_config, make_coeff,
 from .evolution import NewtonDivergedError, build_system
 from .regularize import gap_decay_study, verify_regularization
 from .spatial import GridMismatchError, initial_profile, initial_to_csv
-from .verify import (PATH_FAILURES, Ensemble, ExperimentPlan,
+from .verify import (HEAT_SLOPE_GRIDS, PATH_FAILURES, Ensemble, ExperimentPlan,
                      cauchy_in_n_study, contraction_experiment, energy_report,
                      failure_report, heat_oracle_study, run_jobs)
 
@@ -29,11 +29,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_BLOW_UP = 3
-
-# fixed desk-scale linear benchmark run by the verify command; the full-size
-# variant is driven directly through heat_oracle_study
-_VERIFY_HEAT = dict(n_interior=32, dt=2e-4, t_end=0.05, rel_tol=5e-3,
-                    slope_grids=(4, 8, 16), slope_dt=1e-4)
 
 
 def build_parser():
@@ -257,7 +252,7 @@ def cmd_verify(cfg, seed, workers, out, config_path):
                      ratio_bound=cfg["verify.ratio_bound"])
     contraction = attempt(contraction_experiment, plan, u0, u0_b)
     cauchy = attempt(cauchy_in_n_study, plan, u0=u0)
-    heat = attempt(heat_oracle_study, **_VERIFY_HEAT)
+    heat = attempt(heat_oracle_study)
     studies = [energy, contraction, cauchy, heat]
 
     passed = all(s["pass"] for s in studies)
@@ -294,7 +289,7 @@ def cmd_verify(cfg, seed, workers, out, config_path):
 
     if "slope_errors" in heat:
         write_csv(out / "heat_errors.csv", ["n_interior", "relative_error"],
-                  list(zip(_VERIFY_HEAT["slope_grids"], heat["slope_errors"])))
+                  list(zip(HEAT_SLOPE_GRIDS, heat["slope_errors"])))
 
     _summary("verify", passed, out)
     if failures:

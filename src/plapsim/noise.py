@@ -17,6 +17,7 @@ sine modes are products of 1d modes, so both are applied one axis at a
 time with an (n, n) matrix; no (size, size) table is built for them.
 """
 
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -137,7 +138,9 @@ def kernel_from_csv(path):
         if len(header) != 4 or header[0] != "n" or header[2] != "d":
             raise ValueError(f"malformed kernel header in {path}: {header}")
         grid = Grid(dimension=int(header[3]), n_interior=int(header[1]))
-        values = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():   # no rows fail kernel_from_matrix's size check
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(fh, delimiter=",", ndmin=2)
     return kernel_from_matrix(grid, values)
 
 

@@ -27,6 +27,7 @@ member (in 1d a matrix-vector product, as for a lone function), a sum runs
 along the member's own values, and a norm's root is taken as a scalar.
 """
 
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -910,7 +911,9 @@ def initial_profile(grid, name, amplitude=1.0, seed=0):
 
 def initial_from_csv(grid, path):
     """One value per interior node, flat row-major order."""
-    values = np.loadtxt(path, dtype=float, comments="#", delimiter=",", ndmin=1)
+    with warnings.catch_warnings():   # an empty file fails the size check
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        values = np.loadtxt(path, dtype=float, comments="#", delimiter=",", ndmin=1)
     values = np.asarray(values, dtype=float).ravel()
     if values.size != grid.size:
         raise GridMismatchError(

@@ -34,6 +34,7 @@ __all__ = [
     "contraction_experiment",
     "cauchy_in_n_study",
     "heat_oracle_study",
+    "HEAT_SLOPE_GRIDS",
     "PATH_FAILURES",
     "failure_report",
 ]
@@ -151,11 +152,12 @@ def _trajectories(plan, study, jobs, energies):
 
 
 def _stacks(plan, jobs):
-    """The jobs cut into contiguous stacks: one run per worker, cut where
-    the configuration changes other than in its level, and into stacks
-    whose Newton matrices fit _STACK_BYTES."""
+    """The jobs cut into contiguous stacks: one run per worker (at most one
+    per job), cut where the configuration changes other than in its level,
+    and into stacks whose Newton matrices fit _STACK_BYTES."""
     stacks = []
-    for run in np.array_split(np.arange(len(jobs)), max(1, plan.workers)):
+    runs = max(1, min(plan.workers, len(jobs)))
+    for run in np.array_split(np.arange(len(jobs)), runs):
         kinds = itertools.groupby(run, key=lambda j: (replace(jobs[j][0], n=None),
                                                       jobs[j][0].n is None))
         for _, group in kinds:
@@ -342,8 +344,8 @@ def contraction_experiment(plan, u0_a, u0_b):
     grid = plan.grid
     u0_a, u0_b = grid.check(u0_a), grid.check(u0_b)
     steps = plan.config.num_steps
-    snap_idx = np.unique(np.round(
-        np.linspace(0, steps, plan.checkpoints + 1)).astype(int))
+    snap_idx = np.unique(np.round(   # more checkpoints than steps add none
+        np.linspace(0, steps, min(plan.checkpoints, steps) + 1)).astype(int))
     t_snap = snap_idx * plan.config.dt
 
     cfg = replace(plan.config, n=None, sigma_mode="raw", use_perturbation=False,
@@ -421,81 +423,73 @@ def cauchy_in_n_study(plan, u0=None):
 # ---------------------------------------------------------------- heat oracle
 
 
+# The heat study's fixed sizes.  The continuous runs go from sin(pi x) to
+# t = _HEAT_T_END in 1d: one on _HEAT_N nodes at _HEAT_DT, held to a
+# relative _HEAT_TOL, and one on each of HEAT_SLOPE_GRIDS at _HEAT_SLOPE_DT,
+# whose errors give the refinement slope (and plapsim verify's
+# heat_errors.csv).
+_HEAT_N, _HEAT_DT, _HEAT_T_END, _HEAT_TOL = 32, 2e-4, 0.05, 5e-3
+HEAT_SLOPE_GRIDS, _HEAT_SLOPE_DT = (4, 8, 16), 1e-4
 # K drift-implicit heat steps from the product sine, checked against their
 # exact discrete value: (dimension, n_interior, dt, K) of each run
 _DISCRETE_HEAT = ((1, 32, 1e-3, 100), (2, 16, 1e-3, 50))
 _DISCRETE_HEAT_TOL = 1e-12
 
 
-def _heat_final(grid, dt, t_end, u0):
-    """Final state of the noise-free heat path from u0, one job on a
+def _heat_error(grid, dt, t_end, decay):
+    """Relative L2 error at t_end of the noise-free heat path from the
+    product sine against decay times it.  The path is one job on a
     noise-free Ensemble with Newton tolerance 1e-12; a path failure raises,
     tagged with study heat_oracle (its level and path are None)."""
+    u0 = initial_profile(grid, "sine")
     cfg = SolverConfig(dt=dt, t_end=t_end, use_perturbation=False,
                        newton_tol=1e-12, record_every=max(1, int(round(t_end / dt))))
     heat = Ensemble(grid, linear_coeff(), zero_drift(), None, None, None, master_seed=0)
     (rec,) = _map_jobs(heat, "heat_oracle", [(cfg, u0, None)], energies=False)
-    return rec.final_state()
+    exact = decay * u0
+    return norm_l2(grid, rec.final_state() - exact) / norm_l2(grid, exact)
 
 
-def _heat_error(n_interior, dt, t_end):
-    """Relative L2 error at t_end of the 1d heat path from sin(pi x)
-    against the continuous solution exp(-pi^2 t) sin(pi x)."""
-    grid = Grid(1, n_interior)
-    x = grid.nodes()[:, 0]
-    exact = math.exp(-math.pi ** 2 * t_end) * np.sin(np.pi * x)
-    err = norm_l2(grid, _heat_final(grid, dt, t_end, np.sin(np.pi * x)) - exact)
-    return err / norm_l2(grid, exact)
-
-
-def _discrete_heat_error(dimension, n_interior, dt, num_steps):
-    """Relative L2 error of num_steps heat steps from the product sine
-    against (1 + dt lam_h)^(-num_steps) times it: the product sine is an
-    eigenvector of the face stencil with eigenvalue lam_h = (4 d / h^2)
-    sin^2(pi h / 2), so each drift-implicit step scales it by exactly
-    1 / (1 + dt lam_h), at any dt."""
-    grid = Grid(dimension, n_interior)
-    u0 = initial_profile(grid, "sine")
-    lam_h = 4.0 * dimension / grid.h ** 2 * math.sin(math.pi * grid.h / 2.0) ** 2
-    exact = (1.0 + dt * lam_h) ** (-num_steps) * u0
-    err = norm_l2(grid, _heat_final(grid, dt, num_steps * dt, u0) - exact)
-    return err / norm_l2(grid, exact)
-
-
-def heat_oracle_study(n_interior=128, dt=1e-5, t_end=0.1, rel_tol=1e-3,
-                      slope_grids=(8, 16, 32), slope_dt=5e-6):
+def heat_oracle_study():
     """Deterministic linear benchmark with the exact separable solution.
 
     With p = 2, a = grad, zero noise and drift, and no perturbation, the
     solution from sin(pi x) is exp(-pi^2 t) sin(pi x).  The semi-implicit
-    scheme runs it, with Newton tolerance 1e-12.  Checks the relative L2
-    error at t_end on the main grid against rel_tol, and that the
-    log-log slope of the error across the grids slope_grids (time step
-    slope_dt) lies in [1.7, 2.3], second order.  Also checks, in 1d and
-    2d at a coarse dt (_DISCRETE_HEAT), that the scheme gives the exact
-    discrete solution from the product sine to a relative 1e-12: this
-    holds the face stencil, the Newton matrix and the solve to twelve
-    digits.
+    scheme runs it, with Newton tolerance 1e-12, at the fixed sizes above.
+    Checks the relative L2 error at _HEAT_T_END on the main grid against
+    _HEAT_TOL, and that the log-log slope of the error across
+    HEAT_SLOPE_GRIDS lies in [1.7, 2.3], second order.  Also checks, in 1d
+    and 2d at a coarse dt (_DISCRETE_HEAT), that the scheme gives the exact
+    discrete solution from the product sine to a relative 1e-12: the
+    product sine is an eigenvector of the face stencil with eigenvalue
+    lam_h = (4 d / h^2) sin^2(pi h / 2), so each drift-implicit step scales
+    it by exactly 1 / (1 + dt lam_h), at any dt.  This holds the face
+    stencil, the Newton matrix and the solve to twelve digits.
     """
-    err = _heat_error(n_interior, dt, t_end)
+    decay = math.exp(-math.pi ** 2 * _HEAT_T_END)
+    err = _heat_error(Grid(1, _HEAT_N), _HEAT_DT, _HEAT_T_END, decay)
     checks = [_check(
         "heat_relative_error",
-        f"relative L2 error against the exact solution at t = {t_end}",
-        err, rel_tol, err <= rel_tol)]
+        f"relative L2 error against the exact solution at t = {_HEAT_T_END}",
+        err, _HEAT_TOL, err <= _HEAT_TOL)]
 
-    errors = [_heat_error(n, slope_dt, t_end) for n in slope_grids]
-    hs = [1.0 / (n + 1) for n in slope_grids]
+    errors = [_heat_error(Grid(1, n), _HEAT_SLOPE_DT, _HEAT_T_END, decay)
+              for n in HEAT_SLOPE_GRIDS]
+    hs = [1.0 / (n + 1) for n in HEAT_SLOPE_GRIDS]
     slope = float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
     checks.append(_check(
         "heat_richardson_slope",
-        f"log-log error slope across grids {tuple(slope_grids)} is second order",
+        f"log-log error slope across grids {HEAT_SLOPE_GRIDS} is second order",
         slope, 2.3, 1.7 <= slope <= 2.3))
 
-    for dimension, n, step_dt, num_steps in _DISCRETE_HEAT:
-        discrete = _discrete_heat_error(dimension, n, step_dt, num_steps)
+    for dimension, n, dt, num_steps in _DISCRETE_HEAT:
+        grid = Grid(dimension, n)
+        lam_h = 4.0 * dimension / grid.h ** 2 * math.sin(math.pi * grid.h / 2.0) ** 2
+        discrete = _heat_error(grid, dt, num_steps * dt,
+                               (1.0 + dt * lam_h) ** (-num_steps))
         checks.append(_check(
             f"heat_discrete_{dimension}d",
-            f"{num_steps} drift-implicit steps of dt = {step_dt} on the {dimension}d "
+            f"{num_steps} drift-implicit steps of dt = {dt} on the {dimension}d "
             f"grid with {n} nodes per axis take the product sine to exactly "
             f"(1 + dt lam_h)^-{num_steps} times it, to a relative {_DISCRETE_HEAT_TOL}",
             discrete, _DISCRETE_HEAT_TOL, discrete <= _DISCRETE_HEAT_TOL))

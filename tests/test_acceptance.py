@@ -6,6 +6,7 @@ sizes are fixed so the whole module finishes in well under half an hour on
 one core.
 """
 
+import json
 import time
 
 import numpy as np
@@ -156,14 +157,25 @@ def test_holder_modulus(capfd):
 
 
 def test_heat_oracle(capfd):
+    # the fixed study `plapsim verify` runs: the continuous error and its
+    # refinement slope, and the drift-implicit steps from the product sine
+    # against (1 + dt lam_h)^-K times it, to 1e-12 in 1d and 2d
     budget, t0 = 60.0, time.monotonic()
-    rep = heat_oracle_study(n_interior=128, dt=1e-5, t_end=0.1, rel_tol=1e-3,
-                            slope_grids=(8, 16, 32), slope_dt=1e-5)
+    rep = heat_oracle_study()
     elapsed = time.monotonic() - t0
+    checks = rep["checks"]
     _emit(capfd, "linear decay oracle", rep["pass"] and elapsed < budget, elapsed,
           budget, f"relative L2 error {rep['relative_error']:.2e} "
-          f"(tol 1e-03), refinement slope {rep['slope']:.3f}")
-    assert rep["pass"], rep["checks"]
+          f"(tol {checks[0]['bound']:.0e}), refinement slope {rep['slope']:.3f}, "
+          f"exact discrete errors {checks[2]['estimate']:.1e} (1d), "
+          f"{checks[3]['estimate']:.1e} (2d)")
+    assert rep["pass"], checks
+    assert 1.7 <= rep["slope"] <= 2.3
+    assert [c["name"] for c in checks] == [
+        "heat_relative_error", "heat_richardson_slope", "heat_discrete_1d", "heat_discrete_2d"]
+    for check in checks[2:]:
+        assert check["estimate"] <= check["bound"] == 1e-12
+    json.dumps(rep)
     assert elapsed < budget
 
 

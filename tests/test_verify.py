@@ -113,6 +113,19 @@ def test_contraction_desk_scale():
     json.dumps(report)
 
 
+def test_checkpoints_beyond_the_step_count_add_none():
+    # a checkpoint per step snapshots every step; a billion more add no
+    # snapshot (and allocate no billion-point grid)
+    plan = desk_plan(paths=2)
+    u0 = initial_profile(plan.grid, "sine", amplitude=0.3)
+    v0 = initial_profile(plan.grid, "bump", amplitude=0.2)
+    steps = plan.config.num_steps
+    every, huge = (contraction_experiment(replace(plan, checkpoints=c), u0, v0)
+                   for c in (steps, 10 ** 9))
+    assert len(every["curve"]) == steps + 1
+    assert json.dumps(huge) == json.dumps(every)
+
+
 def test_cauchy_requires_doubling_chain():
     plan = desk_plan()
     bad = ExperimentPlan(**{**plan.__dict__, "n_list": (4, 12)})
@@ -159,21 +172,6 @@ def test_cauchy_levels_share_the_wiener_path():
             np.mean(distances), rel=1e-12, abs=0.0)
 
 
-def test_heat_oracle_quick():
-    report = heat_oracle_study(n_interior=32, dt=2e-4, t_end=0.05,
-                               rel_tol=5e-3, slope_grids=(4, 8, 16),
-                               slope_dt=1e-4)
-    assert report["pass"], report
-    assert 1.7 <= report["slope"] <= 2.3
-    # the drift-implicit steps from the product sine meet (1 + dt lam_h)^-K
-    # times it to 1e-12 in 1d and 2d
-    assert [c["name"] for c in report["checks"]] == [
-        "heat_relative_error", "heat_richardson_slope", "heat_discrete_1d", "heat_discrete_2d"]
-    for check in report["checks"][2:]:
-        assert check["estimate"] <= check["bound"] == 1e-12
-    json.dumps(report)
-
-
 class SlightlyFastHeatFlux:
     """a = (1 + 1e-9) xi: a heat flux off by one part in 10^9."""
 
@@ -190,7 +188,7 @@ def test_the_exact_heat_checks_fail_a_flux_off_by_one_part_in_a_billion(monkeypa
     # discrete ones fail
     monkeypatch.setattr(verify, "linear_coeff", lambda: LerayLionsCoeff(
         a_eval=SlightlyFastHeatFlux(), p=2.0, c1=1.0))
-    report = heat_oracle_study(**cli._VERIFY_HEAT)
+    report = heat_oracle_study()
     assert [c["pass"] for c in report["checks"]] == [True, True, False, False]
 
 
@@ -199,7 +197,7 @@ def test_heat_oracle_tags_its_path_failure(monkeypatch):
     newton_matrix = evolution._newton_matrix
     monkeypatch.setattr(evolution, "_newton_matrix", lambda *args: 0.0 * newton_matrix(*args))
     with pytest.raises(NewtonDivergedError) as info:
-        heat_oracle_study(n_interior=8, dt=1e-3, t_end=0.01, slope_grids=(4, 8))
+        heat_oracle_study()
     exc = info.value
     assert (exc.study, exc.level, exc.path, exc.step, exc.time, exc.iterations) == (
         "heat_oracle", None, None, 0, 0.0, 0)
@@ -220,7 +218,7 @@ def test_only_the_callers_that_read_energies_form_them(monkeypatch, tmp_path):
     u0 = initial_profile(plan.grid, "sine", amplitude=0.25)
     cauchy_in_n_study(plan, u0=u0)
     contraction_experiment(plan, u0, initial_profile(plan.grid, "bump", amplitude=0.2))
-    heat_oracle_study(n_interior=8, dt=1e-3, t_end=0.01, slope_grids=(4, 8))
+    heat_oracle_study()
     assert measured == []
 
     energy_report(plan, u0=u0)   # one stack of every job
@@ -279,6 +277,19 @@ def test_jobs_in_one_stack_are_bitwise_their_lone_runs(monkeypatch):
             assert r.states.tobytes() == alone.states.tobytes()
             assert r.newton_iters.tobytes() == alone.newton_iters.tobytes()
             assert r.integrals == alone.integrals and r.sup_l2_sq == alone.sup_l2_sq
+
+
+def test_workers_beyond_the_job_count_cut_the_same_stacks():
+    # past one job per worker every further worker gets an empty run; a
+    # trillion workers must not split a trillion runs (this starts no
+    # process: _stacks only cuts the jobs)
+    plan = desk_plan(m=1, paths=2)
+    u0 = initial_profile(plan.grid, "sine", amplitude=0.25)
+    jobs = [(replace(plan.config, n=n), u0, p) for n in (4, 8) for p in range(2)]
+    reference = verify._stacks(replace(plan, workers=3 * len(jobs)), jobs)
+    assert len(reference) == len(jobs)
+    for workers in (len(jobs), 10 ** 12):
+        assert verify._stacks(replace(plan, workers=workers), jobs) == reference
 
 
 @pytest.mark.filterwarnings("ignore:explicit dt")
