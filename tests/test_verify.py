@@ -172,6 +172,19 @@ def test_cauchy_levels_share_the_wiener_path():
             np.mean(distances), rel=1e-12, abs=0.0)
 
 
+def test_heat_oracle_quick():
+    report = heat_oracle_study()
+    assert report["pass"], report
+    assert 1.7 <= report["slope"] <= 2.3
+    # the drift-implicit steps from the product sine meet (1 + dt lam_h)^-K
+    # times it to 1e-12 in 1d and 2d
+    assert [c["name"] for c in report["checks"]] == [
+        "heat_relative_error", "heat_richardson_slope", "heat_discrete_1d", "heat_discrete_2d"]
+    for check in report["checks"][2:]:
+        assert check["estimate"] <= check["bound"] == 1e-12
+    json.dumps(report)
+
+
 class SlightlyFastHeatFlux:
     """a = (1 + 1e-9) xi: a heat flux off by one part in 10^9."""
 
