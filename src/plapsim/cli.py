@@ -18,7 +18,7 @@ from .config import (ConfigError, DEFAULTS, load_config, make_coeff,
                      make_drift, make_grid, make_initial, make_kernel,
                      make_pert, make_solver_config, make_spec,
                      manifest_payload, validate_config, write_csv, write_json)
-from .evolution import NewtonDivergedError, build_system
+from .evolution import NEWTON_CAUSES, NewtonDivergedError, build_system
 from .regularize import gap_decay_study, verify_regularization
 from .spatial import GridMismatchError, initial_profile, initial_to_csv
 from .verify import (HEAT_SLOPE_GRIDS, PATH_FAILURES, Ensemble, ExperimentPlan,
@@ -101,7 +101,8 @@ def _failure_line(exc):
     """One stderr line for a BlowUpError or NewtonDivergedError."""
     if isinstance(exc, NewtonDivergedError):
         return (f"newton failure: step {exc.step} (t = {exc.time}): "
-                f"{exc.iterations} iterations, residual {exc.residual:.3g}")
+                f"{exc.iterations} iterations, residual {exc.residual:.3g}, "
+                f"{NEWTON_CAUSES[exc.cause]}")
     return f"blow-up: {exc}"
 
 

@@ -8,7 +8,14 @@ derivatives of the flux and the drift: spatial.jacobian_A_n gives it as
 the grid's stencil band, in 1d and 2d alike.  It couples only nearby grid
 lines, so the band is scattered into a slab stored by line and factored
 by block elimination over lines, with numpy only: in 2d no size x size
-array is formed, and no part of scipy is loaded.  In 2d the iteration is
+array is formed, and no part of scipy is loaded.  In 2d the slab holds
+the first half of the grid's lines in order, then the second half from
+the grid's far end with each line's coupling blocks reversed, then the
+middle line of an odd count (_line_order): the two halves read as one
+system each and are eliminated from both ends at once, and the 2 r or
+2 r + 1 lines left between them, the middle system, after them.  Each
+line's row keeps its Schur complement's inverse folded into it, so a
+solve takes one product per line per sweep.  In 2d the iteration is
 a chord iteration with refresh: the factors made at the step's start
 serve the iterations that follow, and are made again at the iterate only
 where an iteration falls short of a fixed residual cut (CHORD_RATIO) or
@@ -64,6 +71,10 @@ MIN_LINE_STEP = 2.0 ** -20
 # before refactors the Newton matrix at its iterate (step_semi_implicit)
 CHORD_RATIO = 0.25
 BLOW_UP_NORM = 1e12
+# how a member's Newton solve fails (NewtonDivergedError.cause)
+NEWTON_CAUSES = {"budget": "the Newton iteration budget is spent",
+                 "line_search": "the line search reached its floor on fresh factors",
+                 "singular": "a line block of the Newton matrix is singular"}
 
 
 class BlowUpError(RuntimeError):
@@ -89,21 +100,25 @@ class BlowUpError(RuntimeError):
 class NewtonDivergedError(RuntimeError):
     """Damped Newton failed to reduce the residual to tolerance.
 
-    ``step`` and ``time`` locate the failing step; simulate_batch sets them
-    on the member's error, and they stay None otherwise.  verify's
-    trajectory runner adds ``study``, ``level`` and ``path`` attributes.
+    ``cause`` says how (a key of NEWTON_CAUSES): the iteration budget was
+    spent, the line search reached its floor on factors at the iterate, or
+    the Newton matrix has a singular line block.  ``step`` and ``time``
+    locate the failing step; simulate_batch sets them on the member's
+    error, and they stay None otherwise.  verify's trajectory runner adds
+    ``study``, ``level`` and ``path`` attributes.
     """
 
-    def __init__(self, iterations, residual):
+    def __init__(self, iterations, residual, cause):
         super().__init__(f"Newton stalled after {iterations} iterations "
-                         f"(residual {residual:.3g})")
+                         f"(residual {residual:.3g}): {NEWTON_CAUSES[cause]}")
         self.iterations = iterations
         self.residual = residual
+        self.cause = cause
         self.step = None
         self.time = None
 
     def __reduce__(self):
-        return type(self), (self.iterations, self.residual), self.__dict__
+        return type(self), (self.iterations, self.residual, self.cause), self.__dict__
 
 
 @dataclass(frozen=True)
@@ -268,6 +283,28 @@ def warn_explicit_dt(system, config, u0, stacklevel=1):
 
 
 @lru_cache(maxsize=None)
+def _line_order(lines):
+    """The slab's order of a grid's lines: per grid line, its row-block in
+    the slab and the direction (1 or -1) its 2 r + 1 coupling blocks run
+    in, both read-only.
+
+    With h = lines // 2, grid lines 0 ... h - 1 come first, then grid lines
+    lines - 1 ... lines - h with their blocks reversed, and for odd lines
+    the middle line h last.  Read from the grid's far end, the second half
+    is then the same system as the first read from its start, and the two
+    are eliminated toward the middle at once (_factor_lines).
+    """
+    half = lines // 2
+    line = np.arange(lines)
+    bottom = line >= lines - half
+    position = np.where(line < half, line,
+                        np.where(bottom, half + lines - 1 - line, 2 * half))
+    sign = np.where(bottom, -1, 1)
+    position.flags.writeable = sign.flags.writeable = False
+    return position, sign
+
+
+@lru_cache(maxsize=None)
 def _slab_positions(grid, half_width):
     """Where a stencil band (spatial.jacobian_A_n) lands in the line slab:
     (slab shape, band positions, slab positions), the positions flat and
@@ -276,9 +313,10 @@ def _slab_positions(grid, half_width):
     A line is a run of n_interior nodes along the last axis: in 1d the
     whole grid, in 2d one of n_interior lines.  The band's entry (delta + w,
     a), w = half_width, holds the coupling of node a to node a + delta.  The
-    slab is (lines, n, (2 r + 1) n), r = min(w, lines - 1), and row-block i
-    holds line i's rows over lines i - r ... i + r.  The positions list the
-    band entries whose column node lies on the grid.
+    slab is (lines, n, (2 r + 1) n), r = min(w, lines - 1), and grid line i
+    has the row-block _line_order gives it, holding its rows over lines
+    i - r ... i + r, or i + r ... i - r where its blocks run reversed.  The
+    positions list the band entries whose column node lies on the grid.
     """
     n, d, w = grid.n_interior, grid.dimension, half_width
     lines = grid.size // n
@@ -287,11 +325,12 @@ def _slab_positions(grid, half_width):
     index = np.indices((2 * w + 1,) * d + grid.shape).reshape(2 * d, -1)
     delta, node = index[:d] - w, index[d:]
     on = ((0 <= node + delta) & (node + delta < n)).all(axis=0)
-    # row (a0, a1) and col (a0 + da, c) go to slab[a0, a1, (da + r) n + c];
-    # in 1d the line a0 and its shift da are 0
+    # row (a0, a1) and col (a0 + da, c) go to slab[position, a1, (sign da + r) n
+    # + c], the position and sign of line a0; in 1d a0 and da are 0
     line, shift = (node[0], delta[0]) if d == 2 else (0, 0)
-    slab = ((line * n + node[-1]) * shape[2] + (shift + reach) * n
-            + node[-1] + delta[-1])[on]
+    position, sign = _line_order(lines)
+    slab = ((position[line] * n + node[-1]) * shape[2]
+            + (sign[line] * shift + reach) * n + node[-1] + delta[-1])[on]
     band = np.nonzero(on)[0]
     band.flags.writeable = slab.flags.writeable = False
     return shape, band, slab
@@ -318,16 +357,37 @@ def _newton_matrix(system, dt, v):
 
 
 def _line_blocks(slab):
-    """(lines, reach, cols) of a line slab: its lines, the r of
-    _newton_matrix, and cols(offset, count) the slab columns of count
-    lines from offset lines after the row's."""
+    """(lines, reach, cols, half, ends) of a line slab: its lines, the r of
+    _newton_matrix, cols(offset, count) the slab columns of count lines
+    from offset lines after the row's, the h of _line_order, and the lines
+    eliminated from each end of the grid before the middle system,
+    max(0, h - r)."""
     lines, n, width = slab.shape[-3:]
     reach = (width // n - 1) // 2
 
     def cols(offset, count=1):
         return slice((reach + offset) * n, (reach + offset + count) * n)
 
-    return lines, reach, cols
+    half = lines // 2
+    return lines, reach, cols, half, max(0, half - reach)
+
+
+def _eliminate(rows, count, reach, cols):
+    """Eliminate the first count lines of rows, (..., lines, n, (2 r + 1) n)
+    in grid orientation, in order, in place: each line's row becomes
+    S^-1 [L | S | C], S its Schur complement, with S^-1 in place of S, and
+    the line leaves the up to r lines after it."""
+    lines = rows.shape[-3]
+    for i in range(count):
+        ahead = min(reach, lines - 1 - i)
+        row = rows[..., i, :, :]
+        inverse = np.linalg.inv(row[..., cols(0)])
+        row[...] = inverse @ row
+        row[..., cols(0)] = inverse
+        coupled = row[..., cols(1, ahead)]
+        for s in range(1, ahead + 1):
+            target = rows[..., i + s, :, cols(1 - s, ahead)]
+            target -= rows[..., i + s, :, cols(-s)] @ coupled
 
 
 def _factor_lines(slab):
@@ -336,29 +396,41 @@ def _factor_lines(slab):
     each member on its own.
 
     Block Gaussian elimination over lines (block Thomas with r coupled
-    lines on each side): line i's diagonal block, the Schur complement S_i
-    the lines before it leave, becomes S_i^-1, its couplings to the next r
-    lines C_i become S_i^-1 C_i, and line i is eliminated from those lines;
-    the couplings behind, which the elimination reads, stay as they are.
-    So the factors take exactly the slab's bytes.  A one-line slab (1d) is
-    its own factor.  A singular block raises LinAlgError.
+    lines on each side) from both ends of the grid toward the middle.  In
+    the slab's line order (_line_order) the two halves are one system
+    each, so the first k = max(0, h - r) lines of both are eliminated at
+    once, as a (B, 2, h, n, (2 r + 1) n) view.  What is left, grid lines
+    k ... lines - 1 - k (2 r or 2 r + 1 lines for k > 0, else the whole
+    grid), is the middle system: gathered in grid order and orientation,
+    eliminated the same way, and its rows stored back so, in grid
+    orientation.  Eliminating a line folds its Schur complement S's
+    inverse into its row: [L | S | C], its couplings to the lines
+    eliminated before it, S and its couplings to those after, becomes
+    S^-1 [L | S | C] with S^-1 in place of S, so the factors take exactly
+    the slab's bytes.  A one-line slab (1d) is its own factor.  A singular
+    block raises LinAlgError.
 
-    Lines need no pivoting among them: A_n is monotone up to the drift's
-    Lipschitz constant L, so for dt L < 1 the symmetric part of I + dt J is
-    positive definite, and so is that of every Schur complement.
+    Lines need no pivoting among them, in any order of elimination: A_n is
+    monotone up to the drift's Lipschitz constant L, so for dt L < 1 the
+    symmetric part of I + dt J is positive definite, and so is that of
+    every Schur complement, whichever lines were eliminated before.
     """
     if slab.shape[-3] == 1:
         return slab
-    lines, reach, cols = _line_blocks(slab)
+    lines, reach, cols, half, ends = _line_blocks(slab)
     flat = slab.reshape((-1,) + slab.shape[-3:])
-    for i in range(lines):
-        ahead = min(reach, lines - 1 - i)
-        inverse = np.linalg.inv(flat[:, i, :, cols(0)])
-        coupled = flat[:, i, :, cols(1, ahead)]
-        coupled[...] = inverse @ coupled
-        flat[:, i, :, cols(0)] = inverse
-        for s in range(1, ahead + 1):
-            flat[:, i + s, :, cols(1 - s, ahead)] -= flat[:, i + s, :, cols(-s)] @ coupled
+    count, n, width = flat.shape[0], flat.shape[-2], flat.shape[-1]
+    # the member and half axes stay apart: merged, they copy for odd lines
+    _eliminate(flat[:, :2 * half].reshape(count, 2, half, n, width), ends, reach, cols)
+    top, bottom = flat[:, ends:half], flat[:, half + ends:2 * half]
+    # the second half's rows in grid order, their coupling blocks turned back
+    turned = bottom[:, ::-1].reshape(count, -1, n, 2 * reach + 1, n)[..., ::-1, :]
+    middle = np.concatenate([top, flat[:, 2 * half:], turned.reshape(count, -1, n, width)],
+                            axis=1)
+    _eliminate(middle, middle.shape[1], reach, cols)
+    split = lines - half - ends   # where the middle's lines of the second half start
+    top[...], flat[:, 2 * half:] = middle[:, :half - ends], middle[:, half - ends:split]
+    bottom[:, ::-1] = middle[:, split:]
     return flat.reshape(slab.shape)
 
 
@@ -366,27 +438,61 @@ def _apply_factors(factors, rhs):
     """Solve the system _factor_lines factored for rhs; a stack of factors
     solves a stack of right-hand sides, each member on its own.
 
-    A forward sweep over the lines and back substitution, one product per
-    line and member with the blocks it reads.  A one-line slab is solved
-    densely, which raises LinAlgError when its matrix is singular.
+    The right-hand side, taken into the slab's line order by slices, is
+    first multiplied by every line's S^-1 in one product.  Then come the
+    forward sweep over both halves at once; the middle system's forward
+    sweep, in grid order, and its back substitution; and back substitution
+    over both halves: one product per line and member with the blocks it
+    reads, two for a middle line that reads lines eliminated from both
+    ends.  A one-line slab is solved densely, which raises LinAlgError
+    when its matrix is singular.
     """
     if factors.shape[-3] == 1:
         return np.linalg.solve(factors[..., 0, :, :], rhs[..., None])[..., 0]
-    lines, reach, cols = _line_blocks(factors)
+    lines, reach, cols, half, ends = _line_blocks(factors)
     flat = factors.reshape((-1,) + factors.shape[-3:])
-    n = flat.shape[-2]
-    x = rhs.reshape(len(flat), -1, 1).copy()   # a column per member
-    for i in range(lines):
-        behind = min(reach, i)
-        line = x[:, i * n:(i + 1) * n]
-        if behind:
-            line -= flat[:, i, :, cols(-behind, behind)] @ x[:, (i - behind) * n:i * n]
-        line[...] = flat[:, i, :, cols(0)] @ line
-    for i in range(lines - 2, -1, -1):
-        ahead = min(reach, lines - 1 - i)
-        x[:, i * n:(i + 1) * n] -= flat[:, i, :, cols(1, ahead)] @ \
-            x[:, (i + 1) * n:(i + 1 + ahead) * n]
-    return x.reshape(rhs.shape)
+    count, n, width = flat.shape[0], flat.shape[-2], flat.shape[-1]
+    b = rhs.reshape(count, lines, n, 1)
+    x = np.empty((count, lines, n, 1))   # in the slab's line order
+    x[:, :half], x[:, half:2 * half] = b[:, :half], b[:, ::-1][:, :half]
+    x[:, 2 * half:] = b[:, half:lines - half]
+    x = flat[:, :, :, cols(0)] @ x
+    halves = flat[:, :2 * half].reshape(count, 2, half, n, width)
+    y = x[:, :2 * half].reshape(count, 2, half * n, 1)
+    for i in range(1, ends):   # on views: y[...] -= would copy each back onto itself
+        line, behind = y[:, :, i * n:(i + 1) * n], min(reach, i)
+        line -= halves[:, :, i, :, cols(-behind, behind)] @ y[:, :, (i - behind) * n:i * n]
+    # the middle system, in grid order: grid lines edge ... lines - 1 - edge
+    # hold it and the lines it reads
+    edge = ends - min(reach, ends)
+    window = np.concatenate([x[:, edge:half], x[:, 2 * half:],
+                             x[:, half + edge:2 * half][:, ::-1]], axis=1)
+    z = window.reshape(count, -1, 1)
+
+    def at(first, last):   # grid lines first ... last - 1 of the window
+        return z[:, (first - edge) * n:(last - edge) * n]
+
+    position = _line_order(lines)[0]
+    far = lines - ends   # the first line eliminated from the far end
+    for i in range(ends, far):
+        row, line, behind = flat[:, position[i]], at(i, i + 1), min(reach, i)
+        line -= row[:, :, cols(-behind, behind)] @ at(i - behind, i)
+        past, stop = max(i + 1, far), min(i + reach + 1, lines)
+        if past < stop:
+            line -= row[:, :, cols(past - i, stop - past)] @ at(past, stop)
+    for i in range(far - 2, ends - 1, -1):
+        line, ahead = at(i, i + 1), min(reach, far - 1 - i)
+        line -= flat[:, position[i], :, cols(1, ahead)] @ at(i + 1, i + 1 + ahead)
+    split = lines - half - edge   # where the window's lines of the second half start
+    x[:, edge:half], x[:, 2 * half:] = window[:, :half - edge], window[:, half - edge:split]
+    x[:, half + edge:2 * half][:, ::-1] = window[:, split:]
+    for i in range(ends - 1, -1, -1):
+        line = y[:, :, i * n:(i + 1) * n]
+        line -= halves[:, :, i, :, cols(1, reach)] @ y[:, :, (i + 1) * n:(i + 1 + reach) * n]
+    out = np.empty((count, lines, n, 1))
+    out[:, :half], out[:, ::-1][:, :half] = x[:, :half], x[:, half:2 * half]
+    out[:, half:lines - half] = x[:, 2 * half:]
+    return out.reshape(rhs.shape)
 
 
 def _chord_steps(system, dt, v, residual, factors, renew):
@@ -475,9 +581,9 @@ def step_semi_implicit(system, config, u, t, dw):
     refresh = np.ones(count, dtype=bool)
     factors = None   # of the members of the round, in order
 
-    def fail(members):
+    def fail(members, cause):
         for b in members:
-            failed[b] = NewtonDivergedError(int(iters[b]), float(res_norm[b]))
+            failed[b] = NewtonDivergedError(int(iters[b]), float(res_norm[b]), cause)
 
     # members as an index, and their system: while every member takes part,
     # the whole slice and the system itself, so the common round copies and
@@ -498,7 +604,7 @@ def step_semi_implicit(system, config, u, t, dw):
             newton = iters[active] - stale[active]
             spent = refresh[active] & (newton >= config.newton_max_iter)
             if spent.any():
-                fail(active[spent])
+                fail(active[spent], "budget")
                 active = active[~spent]
                 if not active.size:
                     break
@@ -510,7 +616,7 @@ def step_semi_implicit(system, config, u, t, dw):
             factors = None
         delta, factors, singular = _chord_steps(sub, dt, v[at], residual[at], factors, fresh)
         if singular:
-            fail(active[singular])
+            fail(active[singular], "singular")
             keep = np.ones(active.size, dtype=bool)
             keep[singular] = False
             active = active[keep]
@@ -548,7 +654,7 @@ def step_semi_implicit(system, config, u, t, dw):
                 at, sub = part(active)
             step *= 0.5
             if step < MIN_LINE_STEP:   # fail on fresh factors, else refactor
-                fail(active[fresh])
+                fail(active[fresh], "line_search")
                 retry = active[~fresh]
                 refresh[retry] = True
                 iters[retry] += 1

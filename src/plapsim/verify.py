@@ -240,13 +240,14 @@ def _finish(name, statement, checks, extra=None):
 def failure_report(exc, seed):
     """Report of a study stopped by a path failure (a BlowUpError or
     NewtonDivergedError tagged by its trajectory job): one failed check
-    carrying the study, level, path, seed, step and time that rerun it."""
+    carrying the study, level, path, seed, step and time that rerun it,
+    and a Newton failure's cause."""
     finite = lambda x: float(x) if math.isfinite(x) else None
     failure = {"study": exc.study, "level": exc.level, "path": exc.path,
                "seed": int(seed), "step": exc.step, "t": exc.time}
     if isinstance(exc, NewtonDivergedError):
-        failure.update(kind="newton_failure", iterations=int(exc.iterations),
-                       residual=finite(exc.residual))
+        failure.update(kind="newton_failure", cause=exc.cause,
+                       iterations=int(exc.iterations), residual=finite(exc.residual))
     else:
         failure.update(kind="blow_up", norm=finite(exc.norm))
     check = _check("path_failure", "every path of the study runs to the end",

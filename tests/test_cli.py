@@ -421,10 +421,12 @@ def test_verify_path_failure_keeps_the_battery(tmp_path, capsys, workers, retrie
                 failure["seed"], failure["step"], failure["t"]) == (
                     name, level, 0, 11, 0, 0.0)
         assert failure["iterations"] == 0 and failure["residual"] > 0.0
+        assert failure["cause"] == "budget"
 
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 4
     assert err[0].startswith("newton failure: step 0 (t = 0.0): 0 iterations")
+    assert "the Newton iteration budget is spent (study" in err[0]
     assert err[0].endswith("(study energy_boundedness, level 4, path 0, seed 11)")
     assert err[3] == (f"reproduce: plapsim verify --config {out / 'manifest.json'} "
                       f"--out <dir>")
@@ -459,7 +461,8 @@ def test_verify_heat_oracle_failure_keeps_the_battery(tmp_path, capsys, monkeypa
     failure = check["failure"]
     assert check["pass"] is False and failure["kind"] == "newton_failure"
     assert (failure["study"], failure["level"], failure["path"], failure["seed"],
-            failure["step"], failure["t"]) == ("heat_oracle", None, None, 7, 0, 0.0)
+            failure["step"], failure["t"], failure["cause"]) == (
+                "heat_oracle", None, None, 7, 0, 0.0, "singular")
     assert not (out / "heat_errors.csv").exists()
     for name in ("energy_levels.csv", "contraction_curve.csv", "cauchy_levels.csv"):
         assert (out / name).exists()

@@ -23,6 +23,7 @@ from plapsim.evolution import (
     _newton_matrix,
     _apply_factors,
     _factor_lines,
+    _line_order,
     build_system,
     explicit_dt_heuristic,
     simulate_batch,
@@ -116,22 +117,27 @@ def level_system(dimension, n_interior, m, p=2.5, convective=False):
     return grid, build_system(grid, coeff, tanh_drift(1.0), pert, config)
 
 
-# the tiny grids have fewer nodes per axis than the stencil has colors
+# the tiny grids have fewer nodes per axis than the stencil has colors; in
+# 2d, 7 lines at r = 1 have a middle line, and 3 lines at r = 1 are all
+# middle system (_factor_lines)
 STENCIL_CASES = [
     (1, 32, 1, 2.5, False), (1, 16, 2, 2.5, True), (1, 2, 1, 2.5, False),
     (1, 3, 2, 1.5, False), (2, 8, 1, 2.5, False), (2, 9, 2, 2.5, False),
-    (2, 4, 2, 2.5, True), (2, 12, None, 2.5, False), (2, 10, 3, 2.5, False)]
+    (2, 4, 2, 2.5, True), (2, 12, None, 2.5, False), (2, 10, 3, 2.5, False),
+    (2, 7, 1, 2.5, False), (2, 3, 1, 2.5, True)]
 
 
 def slab_to_dense(slab):
-    """The size x size matrix a line slab stores; the blocks it holds for
-    lines past either end of the grid must be zero."""
+    """The size x size matrix a line slab stores, its lines in the order of
+    _line_order; the blocks it holds for lines past either end of the grid
+    must be zero."""
     lines, n, width = slab.shape
     reach = (width // n - 1) // 2
+    position, sign = _line_order(lines)
     dense = np.zeros((lines * n, lines * n))
     for i, b in np.ndindex(lines, 2 * reach + 1):
-        j = i - reach + b
-        block = slab[i, :, b * n:(b + 1) * n]
+        j = i + sign[i] * (b - reach)
+        block = slab[position[i], :, b * n:(b + 1) * n]
         if 0 <= j < lines:
             dense[i * n:(i + 1) * n, j * n:(j + 1) * n] = block
         else:
@@ -165,12 +171,17 @@ def colored_newton_matrix(system, dt, v, base):
     eps = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(v))
     resp = system.apply_drift_operator(v + members * eps) - base
     slab = np.zeros((lines, n, width))
-    # row (i, a) and col (j, c) go to slab[i, a, (j - i + reach) n + c]
-    slab.reshape(-1)[rows * width + (cols // n - rows // n + reach) * n + cols % n] = \
+    # row (i, a) and col (j, c) go to slab[position, a, (sign (j - i) + reach) n
+    # + c], the position and sign of line i
+    position, sign = _line_order(lines)
+    line = rows // n
+    slab.reshape(-1)[(position[line] * n + rows % n) * width
+                     + (sign[line] * (cols // n - line) + reach) * n + cols % n] = \
         resp[color[cols], rows] / eps[cols]
     slab *= dt
     nodes = np.arange(grid.size)
-    slab.reshape(-1)[nodes * width + reach * n + nodes % n] += 1.0
+    slab.reshape(-1)[(position[nodes // n] * n + nodes % n) * width + reach * n
+                     + nodes % n] += 1.0
     return slab
 
 
@@ -193,6 +204,8 @@ def test_colored_jacobian_equals_column_by_column_differences(
     lines = grid.size // n_interior
     assert slab.shape == (lines, n_interior,
                           (2 * min(hw, lines - 1) + 1) * n_interior)
+    # no padding line, for odd and even line counts
+    assert system.slab_bytes == 8 * slab.size
     eps = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(v))
     full = np.empty((grid.size, grid.size))
     for j in range(grid.size):
@@ -471,7 +484,7 @@ def test_2d_chord_step_refactors_where_it_fails_and_fails_only_on_fresh_factors(
     _, (noise,), _, (failed,) = step_semi_implicit(system, config, low[None], 0.0,
                                                    np.full((1, grid.size), -1.5))
     assert isinstance(failed, NewtonDivergedError)
-    assert failed.iterations == 0
+    assert failed.iterations == 0 and failed.cause == "line_search"
     assert [kind for kind, _ in log] == ["factor", "solve"]
     assert np.array_equal(log[0][1], (low + noise)[None])
 
@@ -509,7 +522,7 @@ def test_the_newton_budget_caps_the_solves_on_fresh_factors(monkeypatch):
     assert np.array_equal(step_semi_implicit(system, exact, u[None], 0.0, dw[None])[0][0], v)
     short = replace(config, newton_max_iter=factored - 1)
     _, _, _, (failed,) = step_semi_implicit(system, short, u[None], 0.0, dw[None])
-    assert isinstance(failed, NewtonDivergedError)
+    assert isinstance(failed, NewtonDivergedError) and failed.cause == "budget"
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
@@ -541,6 +554,22 @@ def test_newton_divergence_is_reported():
     _, _, _, (failed,) = step_semi_implicit(system, config, u[None], 0.0,
                                             np.zeros((1, grid.size)))
     assert isinstance(failed, NewtonDivergedError)
+    assert failed.cause == "budget" and "budget is spent" in str(failed)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_a_singular_newton_matrix_fails_its_members_as_singular(monkeypatch, dimension):
+    grid, system = level_system(dimension, 6, 1)
+    config = SolverConfig(dt=1e-3, t_end=1e-3, n=8)
+    u = np.stack([initial_profile(grid, "sine", amplitude=0.5),
+                  initial_profile(grid, "bump", amplitude=0.4)])
+    newton_matrix = evolution._newton_matrix
+    monkeypatch.setattr(evolution, "_newton_matrix", lambda *args: 0.0 * newton_matrix(*args))
+    _, _, _, outcomes = step_semi_implicit(system, config, u, 0.0, np.zeros_like(u))
+    for failed in outcomes:
+        assert isinstance(failed, NewtonDivergedError)
+        assert (failed.cause, failed.iterations) == ("singular", 0)
+        assert "singular" in str(failed)
 
 
 def test_newton_failure_carries_step_and_time():
@@ -563,10 +592,12 @@ def test_newton_failure_carries_step_and_time():
 
 def test_failure_errors_survive_pickling():
     # worker pools send exceptions back to the parent by pickle
-    newton = NewtonDivergedError(3, 0.5)
+    newton = NewtonDivergedError(3, 0.5, "line_search")
     newton.step, newton.time = 7, 0.007
     back = pickle.loads(pickle.dumps(newton))
-    assert (back.iterations, back.residual, back.step, back.time) == (3, 0.5, 7, 0.007)
+    assert (back.iterations, back.residual, back.cause, back.step, back.time) == (
+        3, 0.5, "line_search", 7, 0.007)
+    assert str(back) == str(newton) and "line search" in str(back)
     blow = pickle.loads(pickle.dumps(BlowUpError(4, 0.25, 1e13)))
     assert (blow.step, blow.time, blow.norm) == (4, 0.25, 1e13)
     assert str(blow) == str(BlowUpError(4, 0.25, 1e13))

@@ -212,8 +212,8 @@ def test_heat_oracle_tags_its_path_failure(monkeypatch):
     with pytest.raises(NewtonDivergedError) as info:
         heat_oracle_study()
     exc = info.value
-    assert (exc.study, exc.level, exc.path, exc.step, exc.time, exc.iterations) == (
-        "heat_oracle", None, None, 0, 0.0, 0)
+    assert (exc.study, exc.level, exc.path, exc.step, exc.time, exc.iterations, exc.cause) == (
+        "heat_oracle", None, None, 0, 0.0, 0, "singular")
 
 
 def test_only_the_callers_that_read_energies_form_them(monkeypatch, tmp_path):
