@@ -19,7 +19,7 @@ from .config import (ConfigError, DEFAULTS, load_config, make_coeff,
                      make_pert, make_solver_config, make_spec,
                      manifest_payload, validate_config, write_csv, write_json)
 from .evolution import NEWTON_CAUSES, NewtonDivergedError, build_system
-from .regularize import gap_decay_study, verify_regularization
+from .regularize import gap_decay_study
 from .spatial import GridMismatchError, initial_profile, initial_to_csv
 from .verify import (HEAT_SLOPE_GRIDS, PATH_FAILURES, Ensemble, ExperimentPlan,
                      cauchy_in_n_study, contraction_experiment, energy_report,
@@ -74,13 +74,12 @@ def _resolve(args):
     else:
         cfg, manifest_seed = validate_config(dict(DEFAULTS)), None
     if args.n_list is not None:
+        key = "regcheck.n_list" if args.handler is cmd_regcheck else "run.n_list"
         try:
-            levels = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
+            cfg[key] = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"--n-list must be comma-separated integers, "
-                              f"got {args.n_list!r}", field="run.n_list") from exc
-        key = "regcheck.n_list" if args.handler is cmd_regcheck else "run.n_list"
-        cfg[key] = levels
+                              f"got {args.n_list!r}", field=key) from exc
     if args.paths is not None:
         cfg["run.paths"] = args.paths
     seed = args.seed if args.seed is not None else (
@@ -120,17 +119,13 @@ def cmd_regcheck(cfg, seed, workers, out, config_path):
         raise ConfigError("sigma.alpha must lie in (0, 1) for regularization "
                           f"checks; got {spec.alpha!r}", field="sigma.alpha")
     lam_max = cfg["regcheck.lam_max"]
-    lam_grid = np.linspace(-lam_max, lam_max, 10001)
-    levels = [verify_regularization(spec, n, lam_grid=lam_grid)
-              for n in cfg["regcheck.n_list"]]
-    study = gap_decay_study(spec, cfg["regcheck.n_list"],
-                            lam_lo=-lam_max, lam_hi=lam_max)
-    passed = all(r["pass"] for r in levels)
+    study = gap_decay_study(spec, cfg["regcheck.n_list"], -lam_max, lam_max)
+    passed = all(r["pass"] for r in study["levels"])
     report = {
         "name": "regcheck",
         "statement": "the regularized coefficient stays below the original, "
                      "is n-Lipschitz, and meets the closed-form gap bound",
-        "levels": levels,
+        "levels": study["levels"],
         "gap_slope": study["slope"],
         "predicted_slope": study["predicted_slope"],
         "pass": passed,

@@ -9,7 +9,11 @@ which is n-Lipschitz, sits below sigma, and converges uniformly at the rate
 n**(alpha/(alpha-1)).  This module evaluates sigma_n through the
 coefficient's own inf_convolution (exact for the power prototype),
 provides the closed-form gap bounds that control the approximation error,
-and checks the claimed properties on dense grids.
+and checks the claimed properties.  Each level and time is measured once,
+on one lam set: a uniform grid joined with log-spaced magnitudes that reach
+a thousand times below the level's gap maximizer (alpha l_alpha /
+n)**(1/(1-alpha)), where sigma_n departs from sigma, and a zoom on the
+largest gap.
 """
 
 import math
@@ -173,93 +177,103 @@ def sigma_n_values(reg, t, lam):
     return float(out) if lam.ndim == 0 else out
 
 
-def sup_gap_scan(reg, lam_lo=-4.0, lam_hi=4.0, t=0.0):
-    """Measured sup of sigma - sigma_n over [lam_lo, lam_hi].
+def _level_scan(reg, lam_lo, lam_hi, t):
+    """sigma and sigma_n at one level and time, on one lam set.
 
-    Scans a uniform 4097-point grid joined with 512 log-spaced magnitudes
-    (the maximizer collapses toward zero like n**(1/(alpha-1)), far below
-    any fixed uniform resolution), then zooms on the best point with 8
-    windows of 65 points, each 4 times narrower.
+    The set is a uniform 4097-point grid of [lam_lo, lam_hi] joined with
+    512 log-spaced magnitudes from min(1e-12, 1e-3 r*) up, where r* =
+    (alpha l_alpha / n)**(1/(1-alpha)) maximizes l_alpha r**alpha - n r:
+    sigma_n departs from sigma only near |lam| = r*, far below any fixed
+    uniform resolution.  The sup of sigma - sigma_n is then zoomed on the
+    best point with 8 windows of 65 points, each 4 times narrower, the
+    first 0.1 |best| wide on either side (1e-10 if the best point is 0).
+
+    Returns
+    -------
+    (overshoot, slope, sup_gap, arg_max) : tuple of floats
+        max(sigma_n - sigma) and the largest difference quotient of sigma_n
+        between neighbouring points of the set; the zoomed sup of sigma -
+        sigma_n and the lam where it is reached.
+    """
+    spec = reg.spec
+    r_star = (spec.alpha * spec.l_alpha / reg.n) ** (1.0 / (1.0 - spec.alpha))
+    top = max(abs(lam_lo), abs(lam_hi), 1e-9)
+    mags = np.geomspace(min(1e-12, 1e-3 * r_star), top, 512)
+    cand = np.concatenate([np.linspace(lam_lo, lam_hi, 4097), mags, -mags, [0.0]])
+    cand = np.unique(cand[(cand >= lam_lo) & (cand <= lam_hi)])
+
+    sig = np.asarray(spec.eval(t, cand), dtype=float)
+    sig_n = sigma_n_values(reg, t, cand)
+    overshoot = float(np.max(sig_n - sig))
+    slope = float(np.max(np.abs(np.diff(sig_n)) / np.diff(cand)))
+    gaps = sig - sig_n
+    k = int(np.argmax(gaps))
+    best_lam, best_gap = cand[k], gaps[k]
+
+    width = 0.1 * abs(best_lam) if best_lam != 0.0 else 1e-10
+    for _ in range(8):
+        loc = np.clip(best_lam + np.linspace(-width, width, 65), lam_lo, lam_hi)
+        gaps = np.asarray(spec.eval(t, loc), dtype=float) - sigma_n_values(reg, t, loc)
+        k = int(np.argmax(gaps))
+        if gaps[k] > best_gap:
+            best_gap, best_lam = gaps[k], loc[k]
+        width /= 4.0
+    return overshoot, slope, float(best_gap), float(best_lam)
+
+
+def sup_gap_scan(reg, lam_lo=-4.0, lam_hi=4.0, t=0.0):
+    """Measured sup of sigma - sigma_n over [lam_lo, lam_hi], on the level's
+    lam set (see _level_scan).
 
     Returns
     -------
     (sup_gap, arg_max) : tuple of floats
     """
-    cand = np.linspace(lam_lo, lam_hi, 4097)
-    top = max(abs(lam_lo), abs(lam_hi), 1e-9)
-    mags = np.geomspace(1e-12, top, 512)
-    cand = np.concatenate([cand, mags, -mags, [0.0]])
-    cand = np.unique(cand[(cand >= lam_lo) & (cand <= lam_hi)])
-
-    gaps = np.asarray(reg.spec.eval(t, cand), dtype=float) - sigma_n_values(reg, t, cand)
-    k = int(np.argmax(gaps))
-    best_lam, best_gap = cand[k], gaps[k]
-
-    width = max(0.1 * abs(best_lam), 1e-10)
-    for _ in range(8):
-        loc = np.clip(best_lam + np.linspace(-width, width, 65), lam_lo, lam_hi)
-        gaps = np.asarray(reg.spec.eval(t, loc), dtype=float) - sigma_n_values(reg, t, loc)
-        k = int(np.argmax(gaps))
-        if gaps[k] > best_gap:
-            best_gap, best_lam = gaps[k], loc[k]
-        width /= 4.0
-    return float(best_gap), float(best_lam)
+    return _level_scan(reg, lam_lo, lam_hi, t)[2:]
 
 
 def gap_decay_study(spec, n_list, lam_lo=-4.0, lam_hi=4.0, t=0.0):
     """Measured sup-gaps against their closed-form bounds over a list of n.
 
-    Returns a dict with per-n arrays and the least-squares slope of
-    log(gap) versus log(n); the predicted slope is alpha/(alpha-1).  The
-    fit needs at least two distinct levels.
+    Returns a dict with per-n arrays (sorted by n), the least-squares slope
+    of log(gap) versus log(n), whose predicted value is alpha/(alpha-1),
+    and ``levels``: verify_regularization's report at time t for each entry
+    of n_list, in its order.  The fit needs at least two distinct levels.
     """
     if len(set(n_list)) < 2:
         raise ValueError(f"the gap-decay slope needs at least two distinct "
                          f"levels, got {list(n_list)}")
-    n_arr = np.asarray(sorted(n_list), dtype=int)
-    measured, bounds = [], []
-    for n in n_arr:
-        reg = RegularizedSigma(spec, int(n))
-        g, _ = sup_gap_scan(reg, lam_lo, lam_hi, t)
-        measured.append(g)
-        bounds.append(gap_bound(spec.alpha, spec.l_alpha, int(n)))
-    measured = np.asarray(measured)
-    bounds = np.asarray(bounds)
+    levels = [verify_regularization(spec, n, lam_lo, lam_hi, (t,)) for n in n_list]
+    by_n = sorted(levels, key=lambda r: r["n"])
+    n_arr = np.array([r["n"] for r in by_n])
+    measured = np.array([r["max_gap"] for r in by_n])
     slope = np.polyfit(np.log(n_arr), np.log(np.maximum(measured, 1e-300)), 1)[0]
     return {
         "n": n_arr,
         "measured_gap": measured,
-        "bound": bounds,
+        "bound": np.array([r["bound"] for r in by_n]),
         "slope": float(slope),
         "predicted_slope": spec.alpha / (spec.alpha - 1.0),
+        "levels": levels,
     }
 
 
-def verify_regularization(spec, n, lam_grid=None, t_grid=(0.0,)):
-    """Check the three regularization properties on dense grids.
+def verify_regularization(spec, n, lam_lo=-4.0, lam_hi=4.0, t_grid=(0.0,)):
+    """Check the three regularization properties on each time's lam set.
 
+    At each t of t_grid, sigma and sigma_n are evaluated once, on the lam
+    set of _level_scan, which reaches down to the level's gap maximizer.
     Properties checked: sigma_n never exceeds sigma (max_overshoot), the
-    finite-difference slope never exceeds n (max_slope), and |sigma -
-    sigma_n| stays below the closed-form bound (max_gap against bound),
-    each within a relative 1e-6 and an absolute 1e-9.
+    difference quotients of sigma_n never exceed n (max_slope), and the
+    zoomed sup of sigma - sigma_n stays below the closed-form bound
+    (max_gap against bound), each within a relative 1e-6 and an absolute
+    1e-9.
 
     Returns a flat dict of floats and booleans ready for JSON serialization.
     """
-    if lam_grid is None:
-        lam_grid = np.linspace(-4.0, 4.0, 10001)
-    lam_grid = np.asarray(lam_grid, dtype=float)
     reg = RegularizedSigma(spec, n)
-
-    max_overshoot = -np.inf
-    max_slope = 0.0
-    max_gap = 0.0
-    for t in t_grid:
-        sig = np.asarray(spec.eval(t, lam_grid), dtype=float)
-        sig_n = sigma_n_values(reg, t, lam_grid)
-        max_overshoot = max(max_overshoot, float(np.max(sig_n - sig)))
-        max_gap = max(max_gap, float(np.max(np.abs(sig - sig_n))))
-        slopes = np.abs(np.diff(sig_n)) / np.diff(lam_grid)
-        max_slope = max(max_slope, float(np.max(slopes)))
+    scans = [_level_scan(reg, lam_lo, lam_hi, t) for t in t_grid]
+    max_overshoot, max_slope, max_gap, _ = map(max, zip(*scans))
 
     bound = gap_bound(spec.alpha, spec.l_alpha, n)
     rel_tol, abs_tol = 1e-6, 1e-9

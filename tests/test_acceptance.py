@@ -75,20 +75,22 @@ def test_regularization_gap_tightness(capfd):
 
 def test_lipschitz_certificate(capfd):
     budget, t0 = 5.0, time.monotonic()
-    failures, worst = [], 0.0
+    failures, ratios = [], []
     for alpha in ALPHAS:
         spec = power_sigma(alpha)
         for n in LEVELS:
             rep = verify_regularization(spec, n)
-            worst = max(worst, rep["max_slope"] / n)
-            if rep["max_slope"] > n * (1.0 + 1e-6):
+            ratios.append(rep["max_slope"] / n)
+            # the scan reaches the linear piece n|lam| near zero, so the
+            # measured slope is n itself
+            if not 1.0 - 1e-6 <= ratios[-1] <= 1.0 + 1e-6:
                 failures.append(f"alpha={alpha} n={n}: "
                                 f"slope {rep['max_slope']:.9g}")
     elapsed = time.monotonic() - t0
     _emit(capfd, "lipschitz certificate", not failures and elapsed < budget,
           elapsed, budget,
-          f"max slope/n = {worst:.12f} over {len(ALPHAS) * len(LEVELS)} "
-          f"pairs on a 10001-point grid")
+          f"slope/n in [{min(ratios):.12f}, {max(ratios):.12f}] over "
+          f"{len(ratios)} pairs, each on its level's lambda set")
     assert not failures, failures
     assert elapsed < budget
 

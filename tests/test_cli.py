@@ -163,6 +163,19 @@ def test_regcheck_refuses_a_single_level(tmp_path, capsys):
     assert "regcheck.n_list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key", [("regcheck", "regcheck.n_list"),
+                                          ("verify", "run.n_list")])
+def test_a_malformed_n_list_names_the_key_it_sets(tmp_path, capsys, command, key):
+    args = cli.build_parser().parse_args(
+        [command, "--out", str(tmp_path / "out"), "--n-list", "4,a"])
+    with pytest.raises(ConfigError, match="comma-separated integers") as exc:
+        cli._resolve(args)
+    assert exc.value.field == key
+    assert main([command, "--out", str(tmp_path / "out"), "--n-list", "4,a"]) \
+        == EXIT_CONFIG
+    assert "'4,a'" in capsys.readouterr().err
+
+
 def test_invalid_alpha_exits_config_error(tmp_path, capsys):
     path = write_config(tmp_path, "sigma.alpha = 1.5\n")
     code = main(["regcheck", "--config", str(path), "--out",

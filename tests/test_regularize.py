@@ -347,6 +347,13 @@ def test_gap_decay_slope():
     assert np.all(study["measured_gap"] <= study["bound"] * (1.0 + 1e-9))
 
 
+def test_gap_decay_slope_reaches_the_maximizer_at_high_alpha():
+    # at alpha = 0.9 the gap maximizer (0.9/n)**10 falls below 1e-12 from n = 16 on
+    study = gap_decay_study(power_sigma(0.9), [2, 4, 8, 16, 32, 64, 128, 256])
+    assert abs(study["slope"] - (-9.0)) <= 1e-6
+    assert all(r["pass"] for r in study["levels"])
+
+
 @pytest.mark.parametrize("n_list", [[4], [4, 4], []])
 def test_gap_decay_needs_two_distinct_levels(n_list):
     # a slope fitted through one point would be numpy's rank-deficient guess
@@ -358,8 +365,7 @@ def test_gap_decay_needs_two_distinct_levels(n_list):
 
 
 def test_verify_regularization_report():
-    report = verify_regularization(power_sigma(0.5, 1.0), 4,
-                                   lam_grid=np.linspace(-4, 4, 2001))
+    report = verify_regularization(power_sigma(0.5, 1.0), 4, lam_lo=-4.0, lam_hi=4.0)
     assert report["pass"]
     assert report["overshoot_pass"] and report["slope_pass"] and report["gap_pass"]
     assert report["max_overshoot"] <= 1e-9
@@ -378,6 +384,43 @@ def test_verify_regularization_time_dependent():
         return (1.0 + 0.5 * np.sin(t)) * np.abs(lam) ** 0.5
 
     spec = searched_spec(wobble, alpha=0.5, l_alpha=1.5, c_sigma=2.25)
-    report = verify_regularization(spec, 4, lam_grid=np.linspace(-2, 2, 801),
+    report = verify_regularization(spec, 4, lam_lo=-2.0, lam_hi=2.0,
                                    t_grid=(0.0, 0.7, 1.9))
     assert report["overshoot_pass"] and report["slope_pass"] and report["gap_pass"]
+
+
+@dataclass(frozen=True)
+class Planted:
+    """sqrt|lam| whose inf_convolution is defect(sigma, |lam|, n)."""
+
+    defect: object
+
+    def __call__(self, t, lam):
+        return np.sqrt(np.abs(lam))
+
+    def inf_convolution(self, t, lam, n):
+        return self.defect(self(t, lam), np.abs(lam), n)
+
+
+def _half_level(sig, r, n):
+    # sigma_{n/2}: n-Lipschitz and below sigma, but its gap is twice the bound
+    return np.minimum(sig, 0.5 * n * r)
+
+
+def _steep_core(sig, r, n):
+    # 2n-Lipschitz on |lam| < 0.1/n**2, where it still sits below sigma
+    return np.minimum(sig, n * r + n * np.minimum(r, 0.1 / n ** 2))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("defect, check", [(_half_level, "gap_pass"),
+                                           (_steep_core, "slope_pass")],
+                         ids=["half-level", "steep-core"])
+def test_verify_regularization_sees_a_defect_near_zero(defect, check, n):
+    # both defects live at |lam| below n**(1/(alpha-1)) = 1/n**2, where
+    # sigma_n departs from sigma; every other check still passes
+    spec = HolderSpec(eval=Planted(defect), alpha=0.5, l_alpha=1.0, c_sigma=1.0)
+    report = verify_regularization(spec, n)
+    assert not report[check] and not report["pass"]
+    assert report["overshoot_pass"]
+    assert report["slope_pass" if check == "gap_pass" else "gap_pass"]
