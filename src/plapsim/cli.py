@@ -68,11 +68,9 @@ def build_parser():
 
 
 def _resolve(args):
-    """Config file, manifest, and flag precedence -> (cfg, seed, workers)."""
-    if args.config is not None:
-        cfg, manifest_seed = load_config(args.config)
-    else:
-        cfg, manifest_seed = validate_config(dict(DEFAULTS)), None
+    """The config file or manifest (else the defaults) with the flags over
+    it -> (cfg, workers).  The master seed is cfg["run.seed"]."""
+    cfg = load_config(args.config) if args.config is not None else dict(DEFAULTS)
     if args.n_list is not None:
         key = "regcheck.n_list" if args.handler is cmd_regcheck else "run.n_list"
         try:
@@ -82,18 +80,16 @@ def _resolve(args):
                               f"got {args.n_list!r}", field=key) from exc
     if args.paths is not None:
         cfg["run.paths"] = args.paths
-    seed = args.seed if args.seed is not None else (
-        manifest_seed if manifest_seed is not None else cfg["run.seed"])
-    cfg["run.seed"] = seed
+    if args.seed is not None:
+        cfg["run.seed"] = args.seed
     validate_config(cfg)
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
-    return cfg, seed, args.workers
+    return cfg, args.workers
 
 
-def _write_manifest(out, cfg, seed, config_path):
-    write_json(out / "manifest.json",
-               manifest_payload(cfg, seed, config_path, out))
+def _write_manifest(out, cfg, config_path):
+    write_json(out / "manifest.json", manifest_payload(cfg, config_path, out))
 
 
 def _failure_line(exc):
@@ -113,7 +109,7 @@ def _summary(name, passed, out):
 # ------------------------------------------------------------------- commands
 
 
-def cmd_regcheck(cfg, seed, workers, out, config_path):
+def cmd_regcheck(cfg, workers, out, config_path):
     spec = make_spec(cfg)
     if spec.alpha >= 1.0:
         raise ConfigError("sigma.alpha must lie in (0, 1) for regularization "
@@ -130,7 +126,7 @@ def cmd_regcheck(cfg, seed, workers, out, config_path):
         "predicted_slope": study["predicted_slope"],
         "pass": passed,
     }
-    _write_manifest(out, cfg, seed, config_path)
+    _write_manifest(out, cfg, config_path)
     write_json(out / "report.json", report)
     write_csv(out / "regcheck.csv", ["n", "measured_gap", "gap_bound"],
               zip(study["n"].tolist(), study["measured_gap"].tolist(),
@@ -140,22 +136,22 @@ def cmd_regcheck(cfg, seed, workers, out, config_path):
 
 
 def _trajectory_rows(rec, config):
+    """One row per snapshot: t, the record's energies in their order, and
+    the Newton iterations since the snapshot before."""
     rows = []
     prev_step = 0
     for j, t in enumerate(rec.times):
         step = int(round(t / config.dt))
-        iters = int(np.sum(rec.newton_iters[prev_step:step]))
-        rows.append((float(t),
-                     rec.energies["l2_sq"][j],
-                     rec.energies["grad_lp_p"][j],
-                     rec.energies["hm0_sq"][j],
-                     rec.energies["wmq_q"][j],
-                     iters))
+        row = [float(t)]
+        for values in rec.energies.values():
+            row.append(values[j])
+        row.append(int(np.sum(rec.newton_iters[prev_step:step])))
+        rows.append(row)
         prev_step = step
     return rows
 
 
-def cmd_simulate(cfg, seed, workers, out, config_path):
+def cmd_simulate(cfg, workers, out, config_path):
     grid = make_grid(cfg)
     solver_cfg = make_solver_config(cfg)
     parts = (grid, make_coeff(cfg), make_drift(cfg), make_pert(cfg))
@@ -166,17 +162,17 @@ def cmd_simulate(cfg, seed, workers, out, config_path):
     except ValueError as exc:
         raise ConfigError(f"solver.n: {exc}", field="solver.n") from exc
     u0 = make_initial(cfg, grid)
-    ensemble = Ensemble(*parts, spec, kernel, master_seed=seed, workers=workers,
-                        num_modes=cfg["noise.modes"] if cfg["noise.modes"] > 0 else None,
+    ensemble = Ensemble(*parts, spec, kernel, master_seed=cfg["run.seed"],
+                        workers=workers, num_modes=cfg["noise.modes"],
                         decay=cfg["noise.decay"])
 
-    _write_manifest(out, cfg, seed, config_path)
+    _write_manifest(out, cfg, config_path)
     records, failure = run_jobs(ensemble, "simulate",
                                 [(solver_cfg, u0, k) for k in range(cfg["run.paths"])])
     summaries = []
     for k, rec in enumerate(records):   # the paths before a failing one
         write_csv(out / f"trajectory_{k:03d}.csv",
-                  ["t", "l2_sq", "grad_lp_p", "hm0_sq", "wmq_q", "newton_iters"],
+                  ["t", *rec.energies, "newton_iters"],
                   _trajectory_rows(rec, solver_cfg))
         initial_to_csv(grid, rec.final_state(), out / f"final_state_{k:03d}.csv")
         summaries.append({
@@ -187,7 +183,7 @@ def cmd_simulate(cfg, seed, workers, out, config_path):
             "newton_iters_total": int(np.sum(rec.newton_iters)),
         })
     if failure is not None:
-        print(f"{_failure_line(failure)} (path {failure.path}, seed {seed})",
+        print(f"{_failure_line(failure)} (path {failure.path}, seed {cfg['run.seed']})",
               file=sys.stderr)
         return EXIT_BLOW_UP
     report = {"name": "simulate", "paths": summaries, "pass": True}
@@ -196,7 +192,7 @@ def cmd_simulate(cfg, seed, workers, out, config_path):
     return EXIT_PASS
 
 
-def cmd_verify(cfg, seed, workers, out, config_path):
+def cmd_verify(cfg, workers, out, config_path):
     grid = make_grid(cfg)
     if cfg["run.paths"] < 2:
         raise ConfigError("run.paths must be at least 2 for verification "
@@ -214,18 +210,18 @@ def cmd_verify(cfg, seed, workers, out, config_path):
             grid=grid,
             coeff=make_coeff(cfg),
             drift=make_drift(cfg),
-            pert=make_pert(cfg, m=cfg["verify.pert_m"]),
+            pert=make_pert({**cfg, "pert.m": cfg["verify.pert_m"]}),
             spec=make_spec(cfg),
             kernel=make_kernel(cfg, grid),
             config=make_solver_config(cfg),
             n_list=tuple(cfg["run.n_list"]),
             num_paths=cfg["run.paths"],
-            master_seed=seed,
+            master_seed=cfg["run.seed"],
             slack=cfg["verify.slack"],
             se_mult=cfg["verify.se_mult"],
             checkpoints=cfg["verify.checkpoints"],
             workers=workers,
-            num_modes=cfg["noise.modes"] if cfg["noise.modes"] > 0 else None,
+            num_modes=cfg["noise.modes"],
             decay=cfg["noise.decay"],
         )
     except ValueError as exc:
@@ -242,7 +238,7 @@ def cmd_verify(cfg, seed, workers, out, config_path):
             return study(*args, **kwargs)
         except PATH_FAILURES as exc:
             failures.append(exc)
-            return failure_report(exc, seed)
+            return failure_report(exc, cfg["run.seed"])
 
     energy = attempt(energy_report, plan, u0=u0,
                      ratio_bound=cfg["verify.ratio_bound"])
@@ -253,23 +249,19 @@ def cmd_verify(cfg, seed, workers, out, config_path):
 
     passed = all(s["pass"] for s in studies)
     report = {"name": "verify", "studies": studies, "pass": passed}
-    _write_manifest(out, cfg, seed, config_path)
+    _write_manifest(out, cfg, config_path)
     write_json(out / "report.json", report)
 
     if "estimates" in energy:
-        rows = []
+        header, rows = ["n"], []
+        for name in energy["estimates"][str(energy["levels"][0])]:
+            header += [f"{name}_mean", f"{name}_se"]
         for n in energy["levels"]:
-            est = energy["estimates"][str(n)]
-            rows.append((n,
-                         est["sup_l2_sq"]["mean"], est["sup_l2_sq"]["std_error"],
-                         est["int_grad_lp_p"]["mean"], est["int_grad_lp_p"]["std_error"],
-                         est["int_hm0_sq_over_n"]["mean"], est["int_hm0_sq_over_n"]["std_error"],
-                         est["int_wmq_q_over_n"]["mean"], est["int_wmq_q_over_n"]["std_error"]))
-        write_csv(out / "energy_levels.csv",
-                  ["n", "sup_l2_sq_mean", "sup_l2_sq_se",
-                   "int_grad_lp_p_mean", "int_grad_lp_p_se",
-                   "int_hm0_sq_over_n_mean", "int_hm0_sq_over_n_se",
-                   "int_wmq_q_over_n_mean", "int_wmq_q_over_n_se"], rows)
+            row = [n]
+            for est in energy["estimates"][str(n)].values():
+                row += [est["mean"], est["std_error"]]
+            rows.append(row)
+        write_csv(out / "energy_levels.csv", header, rows)
 
     if "curve" in contraction:
         write_csv(out / "contraction_curve.csv",
@@ -291,7 +283,7 @@ def cmd_verify(cfg, seed, workers, out, config_path):
     if failures:
         for exc in failures:
             print(f"{_failure_line(exc)} (study {exc.study}, level {exc.level}, "
-                  f"path {exc.path}, seed {seed})", file=sys.stderr)
+                  f"path {exc.path}, seed {cfg['run.seed']})", file=sys.stderr)
         print(f"reproduce: plapsim verify --config {out / 'manifest.json'} "
               f"--out <dir>", file=sys.stderr)
         return EXIT_BLOW_UP
@@ -302,10 +294,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg, seed, workers = _resolve(args)
+        cfg, workers = _resolve(args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return args.handler(cfg, seed, workers, out, args.config)
+        return args.handler(cfg, workers, out, args.config)
     except (ConfigError, GridMismatchError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

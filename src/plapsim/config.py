@@ -9,10 +9,11 @@ The configuration format is a flat text file of dotted keys::
 
 Values are booleans, integers, floats, quoted or bare strings, or flat
 lists of those.  Every run writes a ``manifest.json`` holding the tool
-version, master seed, and the fully resolved configuration; feeding the
-manifest back through ``--config`` reproduces the run bit for bit.  The
-worker count is deliberately not part of the manifest: aggregates are
-merged in path order, so it cannot influence any output byte.
+version and the fully resolved configuration, whose run.seed is the master
+seed (master_seed repeats it); feeding the manifest back through
+``--config`` reproduces the run bit for bit.  The worker count is
+deliberately not part of the manifest: aggregates are merged in path
+order, so it cannot influence any output byte.
 """
 
 import json
@@ -180,19 +181,17 @@ def parse_config_text(text):
 
 
 def load_config(path):
-    """Read a config file or a manifest and return (resolved config, seed or None).
+    """Read a config file or a manifest and return the resolved config.
 
     Both are merged over the defaults, unknown keys rejected: a flat text
     file gives its keys, a manifest.json the resolved configuration it
-    holds, together with its recorded master seed.
+    holds, whose run.seed is the run's master seed.
     """
     with open(path) as fh:
         text = fh.read()
-    seed = None
     try:
         if text.lstrip().startswith("{"):
-            payload = json.loads(text)
-            raw, seed = payload.get("config"), payload.get("master_seed")
+            raw = json.loads(text).get("config")
             if not isinstance(raw, dict):
                 raise ConfigError(f"{path} looks like JSON but has no 'config' object")
         else:
@@ -205,7 +204,7 @@ def load_config(path):
     if unknown:
         raise ConfigError(f"unknown configuration key {unknown[0]}",
                           field=unknown[0])
-    return validate_config({**DEFAULTS, **raw}), seed
+    return validate_config({**DEFAULTS, **raw})
 
 
 def validate_config(cfg):
@@ -295,11 +294,11 @@ def make_drift(cfg):
     return zero_drift()
 
 
-def make_pert(cfg, m=None):
+def make_pert(cfg):
     if not cfg["pert.enabled"]:
         return None
     q = cfg["pert.q"] if cfg["pert.q"] > 0.0 else q_of_p(cfg["coeff.p"])
-    return HigherOrderPerturbation(m=m if m is not None else cfg["pert.m"], q=q)
+    return HigherOrderPerturbation(m=cfg["pert.m"], q=q)
 
 
 def make_solver_config(cfg):
@@ -334,21 +333,20 @@ def make_initial(cfg, grid):
 
 
 def make_sampler(cfg, grid, seed, path_index):
-    modes = cfg["noise.modes"] if cfg["noise.modes"] > 0 else None
-    return default_sampler(grid, seed, path_index, num_modes=modes,
+    return default_sampler(grid, seed, path_index, num_modes=cfg["noise.modes"],
                            decay=cfg["noise.decay"])
 
 
 # ------------------------------------------------------------------ manifests
 
 
-def manifest_payload(cfg, seed, config_path, out_dir):
+def manifest_payload(cfg, config_path, out_dir):
     return {
         "tool": "plapsim",
         "version": __version__,
         "config_path": str(config_path) if config_path else "",
         "out_dir": str(out_dir),
-        "master_seed": int(seed),
+        "master_seed": cfg["run.seed"],   # mirrors run.seed; not read back
         "config": {k: cfg[k] for k in sorted(cfg)},
     }
 

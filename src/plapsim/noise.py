@@ -331,14 +331,14 @@ class QWienerSampler:
         return half, dw - half
 
 
-def default_sampler(grid, seed, path_index, num_modes=None, decay=2.0):
+def default_sampler(grid, seed, path_index, num_modes=0, decay=2.0):
     """Sine eigenfunctions with spectrum q_j = j**(-decay), j = 1..num_modes.
 
     The modes are the discrete sine modes of one axis in 1d, and their
-    products in 2d, in QWienerSampler's row-major order.
+    products in 2d, in QWienerSampler's row-major order.  num_modes = 0,
+    as noise.modes = 0 in a config, takes every mode of the grid.
     """
-    if num_modes is None:
-        num_modes = grid.size
+    num_modes = num_modes or grid.size
     if not 1 <= num_modes <= grid.size:
         raise ValueError(f"num_modes must lie in [1, {grid.size}]")
     table = _sine_modes(grid)

@@ -266,8 +266,9 @@ def verify_regularization(spec, n, lam_lo=-4.0, lam_hi=4.0, t_grid=(0.0,)):
     Properties checked: sigma_n never exceeds sigma (max_overshoot), the
     difference quotients of sigma_n never exceed n (max_slope), and the
     zoomed sup of sigma - sigma_n stays below the closed-form bound
-    (max_gap against bound), each within a relative 1e-6 and an absolute
-    1e-9.
+    (max_gap against bound), each within a relative 1e-6, and the overshoot
+    and the slope within an absolute 1e-9 too.  The gap has no absolute
+    tolerance: at alpha = 0.9 the bound itself is below 1e-9 from n = 16 on.
 
     Returns a flat dict of floats and booleans ready for JSON serialization.
     """
@@ -288,7 +289,7 @@ def verify_regularization(spec, n, lam_lo=-4.0, lam_hi=4.0, t_grid=(0.0,)):
         "bound": bound,
         "overshoot_pass": bool(max_overshoot <= rel_tol + abs_tol),
         "slope_pass": bool(max_slope <= n * (1.0 + rel_tol) + abs_tol),
-        "gap_pass": bool(max_gap <= bound * (1.0 + rel_tol) + abs_tol),
+        "gap_pass": bool(max_gap <= bound * (1.0 + rel_tol)),
     }
     report["pass"] = bool(report["overshoot_pass"] and report["slope_pass"]
                           and report["gap_pass"])

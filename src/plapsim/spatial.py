@@ -876,11 +876,13 @@ def n_min_default(grid, coeff, pert, c_sigma):
     """Default smallest admissible perturbation level.
 
     Computed as max(n0(c_sigma), 1 / (2**(q-1) * c2 * c_E**(2 nu) * c_P**nu))
-    with the embedding constants estimated on the grid; when c2 = 0 the
-    second entry is absent and the growth threshold n0 alone applies.
+    with the embedding constants estimated on the grid.  The second entry
+    is the perturbation's own, built from its q and m: when c2 = 0, or
+    there is no perturbation (pert None), it is absent and the growth
+    threshold n0 alone applies.
     """
     base = float(n0(c_sigma))
-    if coeff.c2 == 0.0:
+    if coeff.c2 == 0.0 or pert is None:
         return base
     consts = estimate_embedding_constants(grid, coeff.p, pert.m, pert.q, coeff.nu)
     c_e = consts["c_lq"] * consts["c_embed_w"]

@@ -75,7 +75,7 @@ class Ensemble:
     kernel: object
     master_seed: int
     workers: int = 1
-    num_modes: int = None
+    num_modes: int = 0   # every mode, as noise.modes = 0
     decay: float = 2.0
 
     def sampler(self, path_index):
@@ -310,7 +310,8 @@ def energy_report(plan, u0=None, ratio_bound=2.0):
         float(np.max(stats)), None, bool(np.all(np.isfinite(stats))))]
 
     sup_means = np.array([np.mean(stats[i, :, 0]) for i in range(len(plan.n_list))])
-    ratio = float(np.max(sup_means) / np.min(sup_means))
+    lo, hi = np.min(sup_means), np.max(sup_means)
+    ratio = 1.0 if hi == lo else float(hi / lo)   # zero data stays at 0: ratio 1
     checks.append(_check(
         "uniform_l2_bound",
         f"E sup_t ||u_n||_2^2 varies by at most a factor {ratio_bound} over levels",

@@ -1,8 +1,11 @@
 """Independent reference routes for the tests: closed forms shared by more than
-one test module, and the face set-up as 2d views that the flat padded lattice
-of plapsim.spatial must match bitwise."""
+one test module, the face set-up as 2d views that the flat padded lattice
+of plapsim.spatial must match bitwise, and a planted defect that the heat
+study's exact checks must catch."""
 
 import numpy as np
+
+from plapsim.spatial import LerayLionsCoeff, linear_coeff
 
 
 def laplacian_min_eigenvalue(grid):
@@ -137,3 +140,19 @@ def flux_band(grid, coeff, drift, u):
     column = index[d:] + index[:d] - 1
     np.copyto(band, 0.0, where=((column < 0) | (column >= grid.n_interior)).any(axis=0))
     return band
+
+
+class SlightlyFastHeatFlux:
+    """a = (1 + 1e-9) xi: a heat flux off by one part in 10^9."""
+
+    def __call__(self, x, lam, xi):
+        return (1.0 + 1e-9) * xi
+
+    def derivative(self, x, lam, xi):
+        a_xi, a_lam = linear_coeff().a_eval.derivative(x, lam, xi)
+        return (1.0 + 1e-9) * a_xi, a_lam
+
+
+def slightly_fast_heat_coeff():
+    """linear_coeff() with its flux off by one part in 10^9."""
+    return LerayLionsCoeff(a_eval=SlightlyFastHeatFlux(), p=2.0, c1=1.0)

@@ -235,6 +235,22 @@ def test_simulate_rerun_from_manifest_is_bitwise(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_a_manifest_runs_at_its_run_seed(tmp_path):
+    # the manifest's master_seed mirrors run.seed and is not read back
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "--out", str(out1), "--paths", "1",
+                 "--seed", "5"]) == EXIT_PASS
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert manifest["master_seed"] == manifest["config"]["run.seed"] == 5
+    manifest["master_seed"] = 6
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["simulate", "--config", str(path), "--out", str(out2)]) == EXIT_PASS
+    assert json.loads((out2 / "manifest.json").read_text())["master_seed"] == 5
+    for name in ("trajectory_000.csv", "final_state_000.csv", "report.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def test_simulate_blow_up_exits_three(tmp_path, capsys):
     path = write_config(tmp_path, """
 coeff.p = 3.0
@@ -339,7 +355,7 @@ def test_stability_warning_names_the_caller(tmp_path, caller):
             main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
                   "--workers", str(paths)])
         else:
-            cfg, _ = load_config(path)
+            cfg = load_config(path)
             grid, solver_cfg = make_grid(cfg), make_solver_config(cfg)
             system = build_system(grid, make_coeff(cfg), make_drift(cfg), make_pert(cfg),
                                   solver_cfg, spec=make_spec(cfg),
@@ -539,6 +555,42 @@ def test_verify_follows_noise_decay(tmp_path):
         assert main(["verify", "--config", str(path), "--out", str(out)]) == EXIT_PASS
         reports.append((out / "report.json").read_bytes())
     assert reports[0] != reports[1]
+
+
+@pytest.mark.filterwarnings("error")   # as python -W error runs the command line
+@pytest.mark.parametrize("text", [
+    pytest.param('coeff.type = "convective"\npert.enabled = false\n',
+                 id="convective-without-perturbation"),
+    pytest.param("initial.amplitude = 0\n", id="zero-data")])
+def test_verify_runs_every_study(tmp_path, text):
+    path = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == EXIT_PASS
+    report = json.loads((out / "report.json").read_text())
+    assert [s["pass"] for s in report["studies"]] == [True] * 4
+    if "amplitude" in text:   # zero data: equal, zero, sup means
+        (ratio,) = [c["estimate"] for c in report["studies"][0]["checks"]
+                    if c["name"] == "uniform_l2_bound"]
+        assert ratio == 1.0
+
+
+def test_energy_levels_columns_follow_the_report(tmp_path, monkeypatch):
+    # each estimate of the energy study gives energy_levels.csv a mean and
+    # a standard-error column, in the report's order
+    def with_extra(*args, **kwargs):
+        report = verify.energy_report(*args, **kwargs)
+        for est in report["estimates"].values():
+            est["extra"] = {"mean": 1.5, "std_error": 0.25, "num_paths": 4}
+        return report
+
+    monkeypatch.setattr(cli, "energy_report", with_extra)
+    out = tmp_path / "out"
+    assert main(["verify", "--out", str(out)]) == EXIT_PASS
+    lines = (out / "energy_levels.csv").read_text().splitlines()
+    assert lines[0] == ("n,sup_l2_sq_mean,sup_l2_sq_se,int_grad_lp_p_mean,"
+                        "int_grad_lp_p_se,int_hm0_sq_over_n_mean,int_hm0_sq_over_n_se,"
+                        "int_wmq_q_over_n_mean,int_wmq_q_over_n_se,extra_mean,extra_se")
+    assert [line.split(",")[-2:] for line in lines[1:]] == [["1.5", "0.25"]] * 2
 
 
 def test_verify_single_path_exits_config_error(tmp_path, capsys):

@@ -401,3 +401,6 @@ def test_default_sampler_mode_count_guard():
         default_sampler(grid, seed=0, path_index=0, num_modes=9)
     s = default_sampler(grid, seed=0, path_index=0, num_modes=8)
     assert s.eigenvalues.size == 8
+    # 0, as noise.modes = 0, is every mode
+    assert np.array_equal(default_sampler(grid, seed=0, path_index=0,
+                                          num_modes=0).eigenvalues, s.eigenvalues)

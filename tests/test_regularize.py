@@ -391,12 +391,13 @@ def test_verify_regularization_time_dependent():
 
 @dataclass(frozen=True)
 class Planted:
-    """sqrt|lam| whose inf_convolution is defect(sigma, |lam|, n)."""
+    """|lam|**alpha whose inf_convolution is defect(sigma, |lam|, n)."""
 
     defect: object
+    alpha: float = 0.5
 
     def __call__(self, t, lam):
-        return np.sqrt(np.abs(lam))
+        return np.abs(lam) ** self.alpha
 
     def inf_convolution(self, t, lam, n):
         return self.defect(self(t, lam), np.abs(lam), n)
@@ -412,14 +413,22 @@ def _steep_core(sig, r, n):
     return np.minimum(sig, n * r + n * np.minimum(r, 0.1 / n ** 2))
 
 
-@pytest.mark.parametrize("n", [64, 256])
-@pytest.mark.parametrize("defect, check", [(_half_level, "gap_pass"),
-                                           (_steep_core, "slope_pass")],
-                         ids=["half-level", "steep-core"])
-def test_verify_regularization_sees_a_defect_near_zero(defect, check, n):
-    # both defects live at |lam| below n**(1/(alpha-1)) = 1/n**2, where
-    # sigma_n departs from sigma; every other check still passes
-    spec = HolderSpec(eval=Planted(defect), alpha=0.5, l_alpha=1.0, c_sigma=1.0)
+@pytest.mark.parametrize("defect, check, n, alpha", [
+    pytest.param(_half_level, "gap_pass", 64, 0.5, id="half-level-64"),
+    pytest.param(_half_level, "gap_pass", 256, 0.5, id="half-level-256"),
+    pytest.param(_steep_core, "slope_pass", 64, 0.5, id="steep-core-64"),
+    pytest.param(_steep_core, "slope_pass", 256, 0.5, id="steep-core-256"),
+    # at alpha = 0.9 the gap bound 0.1 * 0.9**9 * n**-9 is below 1e-9 from
+    # n = 16 on, so an absolute gap tolerance of 1e-9 would pass these
+    pytest.param(_half_level, "gap_pass", 16, 0.9, id="half-level-alpha09-16"),
+    pytest.param(_half_level, "gap_pass", 64, 0.9, id="half-level-alpha09-64"),
+    pytest.param(_half_level, "gap_pass", 256, 0.9, id="half-level-alpha09-256"),
+])
+def test_verify_regularization_sees_a_defect_near_zero(defect, check, n, alpha):
+    # both defects live at |lam| below n**(1/(alpha-1)) (1/n**2 at alpha =
+    # 1/2), where sigma_n departs from sigma; every other check still passes
+    spec = HolderSpec(eval=Planted(defect, alpha), alpha=alpha, l_alpha=1.0,
+                      c_sigma=1.0)
     report = verify_regularization(spec, n)
     assert not report[check] and not report["pass"]
     assert report["overshoot_pass"]

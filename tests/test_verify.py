@@ -12,10 +12,10 @@ from plapsim.config import DEFAULTS, make_solver_config, validate_config
 from plapsim.evolution import (BlowUpError, NewtonDivergedError, SolverConfig,
                                build_system, simulate_path)
 from plapsim.noise import default_sampler, gaussian_kernel
-from plapsim.regularize import power_sigma
-from plapsim.spatial import (Grid, HigherOrderPerturbation, LerayLionsCoeff,
-                             initial_profile, linear_coeff, p_laplacian_coeff,
-                             perturbation_for, q_of_p, tanh_drift)
+from plapsim.regularize import n0, power_sigma
+from plapsim.spatial import (Grid, HigherOrderPerturbation, initial_profile,
+                             n_min_default, p_laplacian_coeff, perturbation_for,
+                             q_of_p, remark_flux_coeff, tanh_drift)
 from plapsim.verify import (
     ExperimentPlan,
     MCEstimate,
@@ -24,6 +24,8 @@ from plapsim.verify import (
     energy_report,
     heat_oracle_study,
 )
+
+from oracles import slightly_fast_heat_coeff
 
 
 def desk_plan(grid=None, paths=3, workers=1, m=2, alpha=0.75, **config_kw):
@@ -68,6 +70,16 @@ def test_plan_validation():
         ExperimentPlan(**{**plan.__dict__, "spec": power_sigma(0.75, 9.0)})
 
 
+def test_a_plan_without_a_perturbation_keeps_the_growth_threshold():
+    # the dissipativity bound's second entry is the perturbation's own (its
+    # q and m); a convective coefficient (c2 > 0) without one has only n0
+    coeff = remark_flux_coeff(2.5)
+    assert coeff.c2 > 0.0
+    plan = ExperimentPlan(**{**desk_plan().__dict__, "coeff": coeff, "pert": None})
+    assert plan.pert is None
+    assert n_min_default(plan.grid, coeff, None, plan.spec.c_sigma) == n0(1.0)
+
+
 # -------------------------------------------------------------------- studies
 
 
@@ -80,6 +92,21 @@ def test_energy_report_desk_scale():
     assert "uniform_l2_bound" in names
     assert any(n.startswith("weighted_wmq_monotone") for n in names)
     json.dumps(report)   # must be serializable as produced
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid", [Grid(1, 12), Grid(2, 6)], ids=["1d", "2d"])
+def test_energy_report_of_zero_data(grid):
+    # zero is a fixed point, so every E sup ||u_n||^2 is 0; equal means
+    # are a ratio of 1, not 0/0
+    report = energy_report(desk_plan(grid=grid, paths=2),
+                           u0=initial_profile(grid, "sine", amplitude=0.0))
+    assert report["pass"], report
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["uniform_l2_bound"]["estimate"] == 1.0
+    assert all(est["sup_l2_sq"]["mean"] == 0.0
+               for est in report["estimates"].values())
+    json.dumps(report, allow_nan=False)
 
 
 def test_energy_report_propagates_blow_ups():
@@ -185,22 +212,10 @@ def test_heat_oracle_quick():
     json.dumps(report)
 
 
-class SlightlyFastHeatFlux:
-    """a = (1 + 1e-9) xi: a heat flux off by one part in 10^9."""
-
-    def __call__(self, x, lam, xi):
-        return (1.0 + 1e-9) * xi
-
-    def derivative(self, x, lam, xi):
-        a_xi, a_lam = linear_coeff().a_eval.derivative(x, lam, xi)
-        return (1.0 + 1e-9) * a_xi, a_lam
-
-
 def test_the_exact_heat_checks_fail_a_flux_off_by_one_part_in_a_billion(monkeypatch):
     # as `plapsim verify` runs it: the continuous checks pass, the exact
     # discrete ones fail
-    monkeypatch.setattr(verify, "linear_coeff", lambda: LerayLionsCoeff(
-        a_eval=SlightlyFastHeatFlux(), p=2.0, c1=1.0))
+    monkeypatch.setattr(verify, "linear_coeff", slightly_fast_heat_coeff)
     report = heat_oracle_study()
     assert [c["pass"] for c in report["checks"]] == [True, True, False, False]
 
