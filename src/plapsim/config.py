@@ -352,11 +352,15 @@ def manifest_payload(cfg, config_path, out_dir):
 
 
 def write_json(path, payload):
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
+    """Deterministic JSON: sorted keys, fixed separators, trailing newline.
+
+    The payload is serialized before the file is opened, so a value JSON
+    rejects (NaN or inf) raises ValueError and leaves no file behind.
+    """
+    text = json.dumps(payload, sort_keys=True, indent=2,
+                      separators=(",", ": "), allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2,
-                  separators=(",", ": "), allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_csv(path, header, rows):

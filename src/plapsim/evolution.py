@@ -210,6 +210,7 @@ def build_system(grid, coeff, drift, pert, config, spec=None, kernel=None,
     is scaled by 1/n and dropped entirely when config.use_perturbation is
     false or n is None.  levels, one per member, builds the system of a
     stack whose member b runs at level levels[b] in place of config.n.
+    A drift with l_f = 0 is f = 0 (DriftSpec) and is dropped (drift None).
     """
     n = config.n if levels is None else np.asarray(levels)
     sigma = None
@@ -222,7 +223,8 @@ def build_system(grid, coeff, drift, pert, config, spec=None, kernel=None,
             sigma = spec.eval
     noise_op = NoiseOperator(kernel, sigma) if sigma is not None else None
     use_pert = config.use_perturbation and pert is not None and n is not None
-    return System(grid=grid, coeff=coeff, drift=drift,
+    return System(grid=grid, coeff=coeff,
+                  drift=drift if drift is not None and drift.l_f != 0 else None,
                   pert=pert if use_pert else None,
                   n=n if use_pert else None, noise_op=noise_op)
 

@@ -172,7 +172,8 @@ def sigma_n_values(reg, t, lam):
     lam = np.asarray(lam, dtype=float)
     n = reg.n
     if np.ndim(n):   # one level per member
-        n = np.reshape(n, np.shape(n) + (1,) * (lam.ndim - np.ndim(n)))
+        n = np.asarray(n)
+        n = n.reshape(n.shape + (1,) * (lam.ndim - n.ndim))
     out = reg.spec.eval.inf_convolution(t, lam, n)
     return float(out) if lam.ndim == 0 else out
 

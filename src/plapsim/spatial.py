@@ -87,15 +87,15 @@ class Grid:
         if self.n_interior < 1:
             raise ValueError("n_interior must be at least 1")
 
-    @property
+    @cached_property
     def h(self):
         return 1.0 / (self.n_interior + 1)
 
-    @property
+    @cached_property
     def shape(self):
         return (self.n_interior,) * self.dimension
 
-    @property
+    @cached_property
     def size(self):
         return self.n_interior ** self.dimension
 
@@ -351,11 +351,18 @@ class LerayLionsCoeff:
     h: float = 0.0
 
 
-def _norm_sq(xi):
-    """|xi|^2 over the leading component axis: xi_0 xi_0 + xi_1 xi_1 + ..."""
+_TINY = np.finfo(float).tiny
+
+
+def _norm_sq(xi, eps):
+    """|xi|^2 + eps^2 over the leading component axis: xi_0 xi_0 + xi_1 xi_1
+    + ... + eps^2, a fresh array.  eps = 0 adds nothing: |xi|^2 >= +0 keeps
+    its bits."""
     out = xi[0] * xi[0]
     for component in xi[1:]:
         out += component * component
+    if eps:
+        out += eps ** 2
     return out
 
 
@@ -371,7 +378,9 @@ class PLaplaceFlux:
             raise ValueError(f"p = {self.p} < 2 needs eps > 0")
 
     def __call__(self, x, lam, xi):
-        return (_norm_sq(xi) + self.eps ** 2) ** ((self.p - 2.0) / 2.0) * xi
+        power = _norm_sq(xi, self.eps)
+        power **= (self.p - 2.0) / 2.0
+        return power * xi
 
     def derivative(self, x, lam, xi):
         """da/dxi = s^((p-2)/2) (I + (p-2) xi xi^T / s), s = |xi|^2 + eps^2; da/dlam = 0.
@@ -386,11 +395,10 @@ class PLaplaceFlux:
         xi_k xi_j is 0, nothing changes.
         """
         d = len(xi)
-        s = _norm_sq(xi) + self.eps ** 2
-        power = s ** ((self.p - 2.0) / 2.0)
-        floor = np.finfo(float).tiny * max(1.0, abs(self.p - 2.0))
-        scale = (self.p - 2.0) / np.maximum(s, floor)
-        a_xi = np.empty((d, d) + s.shape)
+        power = _norm_sq(xi, self.eps)
+        scale = (self.p - 2.0) / np.maximum(power, _TINY * max(1.0, abs(self.p - 2.0)))
+        power **= (self.p - 2.0) / 2.0
+        a_xi = np.empty((d, d) + power.shape)
         for k in range(d):
             for j in range(k, d):
                 entry = np.multiply(xi[k], xi[j], out=a_xi[k, j])
@@ -489,7 +497,8 @@ class DriftSpec:
     """Pointwise reaction term with Lipschitz constant l_f, f(0) = 0, |f| <= sup_bound.
 
     f_eval must have a method ``derivative(lam)``, f' pointwise, which gives
-    jacobian_A_n its reaction part.
+    jacobian_A_n its reaction part.  So l_f = 0 means f = 0: build_system
+    drops such a drift, as if none were given.
     """
 
     f_eval: object
@@ -636,9 +645,10 @@ def j_operator(grid, pert, u):
 def _level(n, ndim):
     """A level as a divisor of an array with ndim axes: a float, or a
     member's level broadcast over its own axes (n has the batch axes)."""
-    if np.ndim(n) == 0:
+    n = np.asarray(n)
+    if n.ndim == 0:
         return float(n)
-    return np.reshape(n, np.shape(n) + (1,) * (ndim - np.ndim(n)))
+    return n.reshape(n.shape + (1,) * (ndim - n.ndim))
 
 
 def apply_A_n(grid, coeff, drift, pert, n, u):
@@ -649,11 +659,13 @@ def apply_A_n(grid, coeff, drift, pert, n, u):
     may also hold one level per member (an array of u's leading shape).
     """
     u = grid.check(u)
-    out = apply_divergence_form(grid, coeff, u)
+    out = apply_divergence_form(grid, coeff, u)   # fresh: summed into in place
     if pert is not None and n is not None:
-        out = out + j_operator(grid, pert, u) / _level(n, u.ndim)
+        j = j_operator(grid, pert, u)
+        j /= _level(n, u.ndim)
+        out += j
     if drift is not None:
-        out = out + drift.f_eval(u)
+        out += drift.f_eval(u)
     return out
 
 
@@ -744,9 +756,9 @@ def jacobian_A_n(grid, coeff, drift, pert, n, u):
         # across the axis, L +- e_t and L + e_k +- e_t: (along, across,
         # weight, sign) of each
         a_xi, a_lam = coeff.a_eval.derivative(*face)
-        normal = a_xi[axis, axis] / h
-        low = (0.5 * a_lam[axis] - normal) / h
-        high = (0.5 * a_lam[axis] + normal) / h
+        normal, half = a_xi[axis, axis] / h, 0.5 * a_lam[axis]
+        low = (half - normal) / h
+        high = (half + normal) / h
         stencil = [(0, 0, low, 1), (1, 0, high, 1)]
         if d == 2:
             across = a_xi[axis, 1 - axis] / (4.0 * h * h)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from plapsim.config import DEFAULTS, ConfigError, load_config, validate_config
+from plapsim.config import DEFAULTS, ConfigError, load_config, validate_config, write_json
 
 # every key in declaration order, with its default
 EXPECTED_DEFAULTS = [
@@ -239,3 +239,18 @@ def test_load_config_rejects_a_manifest_without_a_config_object(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ConfigError, match="has no 'config' object"):
         load_config(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_write_json_rejecting_a_value_writes_nothing(tmp_path, bad):
+    payload = {"a": 1.0, "nested": {"b": [0.5, bad]}}
+    fresh = tmp_path / "fresh.json"
+    with pytest.raises(ValueError):
+        write_json(fresh, payload)
+    assert not fresh.exists()
+    kept = tmp_path / "kept.json"
+    write_json(kept, {"a": 1.0})
+    before = kept.read_bytes()
+    with pytest.raises(ValueError):
+        write_json(kept, payload)
+    assert kept.read_bytes() == before == b'{\n  "a": 1.0\n}\n'

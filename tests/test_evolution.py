@@ -923,6 +923,31 @@ def test_stacked_members_are_bitwise_their_lone_runs(case):
         assert len({rec.newton_iters.tobytes() for rec in everyone}) > 1
 
 
+def test_build_system_drops_a_drift_whose_lipschitz_constant_is_zero():
+    # l_f = 0 with f(0) = 0 is f = 0, whatever class evaluates it
+    grid = Grid(1, 8)
+    config = SolverConfig(dt=1e-3, t_end=1e-3)
+    build = lambda drift: build_system(grid, linear_coeff(), drift, None, config).drift
+    assert build(zero_drift()) is None
+    assert build(tanh_drift(0.0)) is None
+    assert build(None) is None
+    drift = tanh_drift(1.0)
+    assert build(drift) is drift
+
+
+@pytest.mark.parametrize("case", list(STACK_CASES))
+def test_stacks_without_reaction_run_the_same_bits(case):
+    # zero_drift(), tanh_drift(0.0) and no drift at all: one level per member
+    # in 1d, the 2d Newton matrix and the explicit scheme
+    grid, coeff, _, pert, config, members = STACK_CASES[case]
+    order = list(range(len(members)))
+    runs = [run_members(grid, coeff, drift, pert, config, members, order)
+            for drift in (None, zero_drift(), tanh_drift(0.0))]
+    for none, zero, flat in zip(*runs):
+        assert_same_bits(zero, none)
+        assert_same_bits(flat, none)
+
+
 # the explicit scheme at a dt below the stability heuristic of the small
 # members and far above that of the tall sine, which blows up
 BLOW_UP_CASES = {

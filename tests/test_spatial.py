@@ -512,6 +512,24 @@ def test_apply_A_n_drops_perturbation_when_asked():
                        rtol=1e-12)
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_apply_A_n_is_its_parts_summed_bitwise_and_keeps_its_input(dimension):
+    # one level per member, as an array or a list; the sum -div a + j / n + f
+    # in that order, with no other operation on the way
+    grid = Grid(dimension, 6)
+    coeff, drift, pert = remark_flux_coeff(2.5), tanh_drift(1.0), perturbation_for(2.5, m=2)
+    u = np.stack([random_field(grid, seed) for seed in range(3)])
+    kept = u.copy()
+    levels = [4, 16, 64]
+    expected = (apply_divergence_form(grid, coeff, u)
+                + j_operator(grid, pert, u) / np.array(levels)[:, None]
+                + drift.f_eval(u))
+    for n in (levels, np.array(levels)):
+        out = apply_A_n(grid, coeff, drift, pert, n, u)
+        assert out.tobytes() == expected.tobytes()
+        assert u.tobytes() == kept.tobytes()
+
+
 def test_apply_A_n_monotone_up_to_drift_lipschitz():
     # <A(u) - A(v), u - v>_h >= -l_f ||u - v||_2^2 for the p-Laplace part
     # plus a Lipschitz reaction
