@@ -115,7 +115,10 @@ def cmd_regcheck(cfg, workers, out, config_path):
         raise ConfigError("sigma.alpha must lie in (0, 1) for regularization "
                           f"checks; got {spec.alpha!r}", field="sigma.alpha")
     lam_max = cfg["regcheck.lam_max"]
-    study = gap_decay_study(spec, cfg["regcheck.n_list"], -lam_max, lam_max)
+    try:   # with alpha checked, a ValueError here is a level below n0
+        study = gap_decay_study(spec, cfg["regcheck.n_list"], -lam_max, lam_max)
+    except ValueError as exc:
+        raise ConfigError(f"regcheck.n_list: {exc}", field="regcheck.n_list") from exc
     passed = all(r["pass"] for r in study["levels"])
     report = {
         "name": "regcheck",

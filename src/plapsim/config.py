@@ -28,7 +28,8 @@ from .noise import default_sampler, gaussian_kernel, kernel_from_csv, rank_one_k
 from .regularize import power_sigma
 from .spatial import (Grid, HigherOrderPerturbation, initial_from_csv,
                       initial_profile, linear_coeff, p_laplacian_coeff,
-                      q_of_p, remark_flux_coeff, tanh_drift, zero_drift)
+                      perturbation_for, remark_flux_coeff, tanh_drift,
+                      zero_drift)
 
 __all__ = [
     "ConfigError",
@@ -297,8 +298,9 @@ def make_drift(cfg):
 def make_pert(cfg):
     if not cfg["pert.enabled"]:
         return None
-    q = cfg["pert.q"] if cfg["pert.q"] > 0.0 else q_of_p(cfg["coeff.p"])
-    return HigherOrderPerturbation(m=cfg["pert.m"], q=q)
+    if cfg["pert.q"] > 0.0:
+        return HigherOrderPerturbation(m=cfg["pert.m"], q=cfg["pert.q"])
+    return perturbation_for(cfg["coeff.p"], m=cfg["pert.m"])
 
 
 def make_solver_config(cfg):

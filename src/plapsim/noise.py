@@ -4,13 +4,12 @@ The diffusion coefficient sends a state v to the operator
 
     (B(t, v) phi)(x) = sigma(t, v(x)) * integral k(x, y) phi(y) dy,
 
-discretized with one quadrature weight h^d per interior node.  Its
-Hilbert-Schmidt norm has the closed form sum_i sigma(t, v_i)^2 *
-||k(x_i, .)||_2^2 * h^d.  Wiener increments come from a truncated
-Karhunen-Loeve expansion whose normals are a pure function of (seed,
-path_index, step, node): the increment over step k and the Brownian bridge
-points that bisect it read disjoint regions of the Philox counter space, so
-a path is the same whatever is drawn, in whatever order.
+discretized with one quadrature weight h^d per interior node.  Wiener
+increments come from a truncated Karhunen-Loeve expansion whose normals are
+a pure function of (seed, path_index, step, node): the increment over step
+k and the Brownian bridge points that bisect it read disjoint regions of the
+Philox counter space, so a path is the same whatever is drawn, in whatever
+order.
 
 On the unit square the Gaussian kernel is a product of 1d kernels and the
 sine modes are products of 1d modes, so both are applied one axis at a
@@ -18,12 +17,11 @@ time with an (n, n) matrix; no (size, size) table is built for them.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .regularize import c_alpha
-from .spatial import Grid, GridMismatchError, norm_l2
+from .spatial import Grid, GridMismatchError
 
 __all__ = [
     "Kernel",
@@ -33,10 +31,6 @@ __all__ = [
     "kernel_from_csv",
     "NoiseOperator",
     "apply_B",
-    "hs_norm_sq",
-    "hs_uniform_bound",
-    "b_lipschitz_constant",
-    "holder_modulus_check",
     "QWienerSampler",
     "default_sampler",
 ]
@@ -65,20 +59,11 @@ class Kernel:
     A (size, size) factor holds the kernel's values at the node pairs; an
     (n, n) factor f on a 2d grid stands for the separable kernel
     k(x, y) = scale * f(x_1, y_1) * f(x_2, y_2), applied axis by axis.
-    c_k is the discrete essential sup over x of ||k(x, .)||_2^2 (the max
-    weighted row norm) and l2_norm_sq the discrete ||k||^2 over D x D.
     """
 
     grid: Grid
     factor: np.ndarray
     scale: float = 1.0
-    c_k: float = field(init=False)
-    l2_norm_sq: float = field(init=False)
-
-    def __post_init__(self):
-        rows = self.row_norms_sq()
-        object.__setattr__(self, "c_k", float(np.max(rows)))
-        object.__setattr__(self, "l2_norm_sq", float(np.sum(rows) * self.grid.weight))
 
     @property
     def _axes(self):
@@ -87,13 +72,6 @@ class Kernel:
     def apply(self, phi):
         """Quadrature sum_y k(x, y) phi(y) h^d of each flat grid function in phi."""
         return _along_axes(self.factor, phi, self._axes) * (self.scale * self.grid.weight)
-
-    def row_norms_sq(self):
-        w = self.grid.weight if self._axes == 1 else self.grid.h
-        rows = np.sum(self.factor ** 2, axis=1) * w
-        if self._axes == 2:
-            rows = np.outer(rows, rows).ravel()
-        return self.scale ** 2 * rows
 
 
 def kernel_from_matrix(grid, values):
@@ -175,69 +153,10 @@ def apply_B(op, t, v, phi):
     return np.asarray(op.sigma(t, v), dtype=float) * op.kernel.apply(phi)
 
 
-def hs_norm_sq(op, t, v):
-    """Closed-form squared Hilbert-Schmidt norm of B(t, v)."""
-    grid = op.grid
-    v = grid.check(v)
-    sig = np.asarray(op.sigma(t, v), dtype=float)
-    return float(np.sum(sig ** 2 * op.kernel.row_norms_sq()) * grid.weight)
-
-
 def _sine_modes(grid):
     """The n discrete sine modes of one axis, orthonormal for the weight h."""
     i = np.arange(1, grid.n_interior + 1)
     return np.sqrt(2.0) * np.sin(np.pi * np.outer(i, i) * grid.h)
-
-
-def hs_uniform_bound(kernel, spec, v):
-    """Right side of the state-dependent HS bound for the regularized operator.
-
-    2 * ((c_alpha^2 + c_sigma) ||k||^2 + c_sigma c_k ||v||_2^2), valid
-    uniformly over the regularization level.
-    """
-    ca = c_alpha(spec.alpha, spec.l_alpha) if spec.alpha < 1.0 else 0.0
-    v2 = norm_l2(kernel.grid, v) ** 2
-    return 2.0 * ((ca ** 2 + spec.c_sigma) * kernel.l2_norm_sq
-                  + spec.c_sigma * kernel.c_k * v2)
-
-
-def b_lipschitz_constant(kernel, n):
-    """Lipschitz constant sqrt(c_k) * n of the level-n diffusion operator."""
-    return float(np.sqrt(kernel.c_k) * n)
-
-
-def holder_modulus_check(kernel, spec, v, w, t=0.0):
-    """Check the Holder modulus of the raw diffusion operator.
-
-    lhs = ||B(t,v) - B(t,w)||_HS^2 must stay below
-    c_k * l_alpha^2 * ||v-w||_{2 alpha}^{2 alpha} and, one power-mean step
-    further, below c_k * l_alpha^2 * |D_h|^(1-alpha) * ||v-w||_2^(2 alpha).
-    Both inequalities are exact discretely, so each passes within
-    1e-6 * |bound| + 1e-9; the report carries the measured values and pass
-    flags.
-    """
-    grid = kernel.grid
-    v, w = grid.check(v), grid.check(w)
-    dsig = np.asarray(spec.eval(t, v), dtype=float) - np.asarray(spec.eval(t, w),
-                                                                 dtype=float)
-    lhs = float(np.sum(dsig ** 2 * kernel.row_norms_sq()) * grid.weight)
-    alpha, l_alpha = spec.alpha, spec.l_alpha
-    diff = v - w
-    frac_norm = float(np.sum(np.abs(diff) ** (2.0 * alpha)) * grid.weight)
-    bound = kernel.c_k * l_alpha ** 2 * frac_norm
-    bound_embedded = (kernel.c_k * l_alpha ** 2
-                      * grid.measure ** (1.0 - alpha)
-                      * norm_l2(grid, diff) ** (2.0 * alpha))
-    tol = lambda b: 1e-6 * abs(b) + 1e-9
-    report = {
-        "lhs": lhs,
-        "bound": bound,
-        "bound_embedded": bound_embedded,
-        "modulus_pass": bool(lhs <= bound + tol(bound)),
-        "embedded_pass": bool(lhs <= bound_embedded + tol(bound_embedded)),
-    }
-    report["pass"] = bool(report["modulus_pass"] and report["embedded_pass"])
-    return report
 
 
 # One Philox for every draw, its whole state (key, counter and buffered

@@ -29,7 +29,6 @@ __all__ = [
     "n0",
     "gap_bound",
     "c_alpha",
-    "sublinear_growth_bound",
     "sigma_n_values",
     "sup_gap_scan",
     "gap_decay_study",
@@ -119,12 +118,6 @@ def c_alpha(alpha, l_alpha):
     return (1.0 - alpha) / (
         l_alpha ** (1.0 / (alpha - 1.0)) * alpha ** (alpha / (alpha - 1.0))
     )
-
-
-def sublinear_growth_bound(spec, lam):
-    """Right side of |sigma_n|**2 <= 2*(c_alpha**2 + c_sigma*(1 + lam**2))."""
-    ca = c_alpha(spec.alpha, spec.l_alpha) if spec.alpha < 1.0 else 0.0
-    return 2.0 * (ca ** 2 + spec.c_sigma * (1.0 + np.asarray(lam) ** 2))
 
 
 def _check_strict_holder(alpha, l_alpha):

@@ -1,11 +1,13 @@
 """Independent reference routes for the tests: closed forms shared by more than
-one test module, the face set-up as 2d views that the flat padded lattice
-of plapsim.spatial must match bitwise, and a planted defect that the heat
-study's exact checks must catch."""
+one test module, the model's noise hypotheses (the closed-form
+Hilbert-Schmidt norm and the Holder modulus of the diffusion operator), the
+face set-up as 2d views that the flat padded lattice of plapsim.spatial
+must match bitwise, and a planted defect that the heat study's exact checks
+must catch."""
 
 import numpy as np
 
-from plapsim.spatial import LerayLionsCoeff, linear_coeff
+from plapsim.spatial import LerayLionsCoeff, linear_coeff, norm_l2
 
 
 def laplacian_min_eigenvalue(grid):
@@ -32,6 +34,63 @@ def hs_norm_sq_parseval(op, t, v, basis=None):
     assert basis.shape == (grid.size, grid.size), basis.shape
     sig = np.asarray(op.sigma(t, grid.check(v)), dtype=float)
     return float(np.sum((sig * op.kernel.apply(basis)) ** 2) * grid.weight)
+
+
+def row_norms_sq(kernel):
+    """||k(x_i, .)||_2^2 at each node, from the kernel's factor: the weighted
+    row sums of a (size, size) factor, or in 2d the outer product of the
+    row norms of the separable (n, n) factor."""
+    grid = kernel.grid
+    axes = 1 if kernel.factor.shape[0] == grid.size else grid.dimension
+    rows = np.sum(kernel.factor ** 2, axis=1) * (grid.weight if axes == 1 else grid.h)
+    if axes == 2:
+        rows = np.outer(rows, rows).ravel()
+    return kernel.scale ** 2 * rows
+
+
+def hs_norm_sq(op, t, v):
+    """Closed-form squared Hilbert-Schmidt norm of B(t, v),
+    sum_i sigma(t, v_i)^2 * ||k(x_i, .)||_2^2 * h^d."""
+    grid = op.grid
+    v = grid.check(v)
+    sig = np.asarray(op.sigma(t, v), dtype=float)
+    return float(np.sum(sig ** 2 * row_norms_sq(op.kernel)) * grid.weight)
+
+
+def holder_modulus_check(kernel, spec, v, w, t=0.0):
+    """Check the Holder modulus of the raw diffusion operator.
+
+    lhs = ||B(t,v) - B(t,w)||_HS^2 must stay below
+    c_k * l_alpha^2 * ||v-w||_{2 alpha}^{2 alpha} and, one power-mean step
+    further, below c_k * l_alpha^2 * |D_h|^(1-alpha) * ||v-w||_2^(2 alpha),
+    c_k being the largest row norm ||k(x_i, .)||_2^2.  Both inequalities are
+    exact discretely, so each passes within 1e-6 * |bound| + 1e-9; the
+    report carries the measured values and pass flags.
+    """
+    grid = kernel.grid
+    v, w = grid.check(v), grid.check(w)
+    dsig = np.asarray(spec.eval(t, v), dtype=float) - np.asarray(spec.eval(t, w),
+                                                                 dtype=float)
+    rows = row_norms_sq(kernel)
+    c_k = float(np.max(rows))
+    lhs = float(np.sum(dsig ** 2 * rows) * grid.weight)
+    alpha, l_alpha = spec.alpha, spec.l_alpha
+    diff = v - w
+    frac_norm = float(np.sum(np.abs(diff) ** (2.0 * alpha)) * grid.weight)
+    bound = c_k * l_alpha ** 2 * frac_norm
+    bound_embedded = (c_k * l_alpha ** 2
+                      * grid.measure ** (1.0 - alpha)
+                      * norm_l2(grid, diff) ** (2.0 * alpha))
+    tol = lambda b: 1e-6 * abs(b) + 1e-9
+    report = {
+        "lhs": lhs,
+        "bound": bound,
+        "bound_embedded": bound_embedded,
+        "modulus_pass": bool(lhs <= bound + tol(bound)),
+        "embedded_pass": bool(lhs <= bound_embedded + tol(bound_embedded)),
+    }
+    report["pass"] = bool(report["modulus_pass"] and report["embedded_pass"])
+    return report
 
 
 # The face set-up as 2d views of the zero extension (an array of shape

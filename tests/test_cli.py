@@ -176,6 +176,21 @@ def test_a_malformed_n_list_names_the_key_it_sets(tmp_path, capsys, command, key
     assert "'4,a'" in capsys.readouterr().err
 
 
+def test_regcheck_below_n0_exits_two_with_no_outputs(tmp_path, capsys):
+    # sigma.scale = 3 puts n0 at 3, above the default list's first level 2
+    path = write_config(tmp_path, "sigma.scale = 3\n")
+    out = tmp_path / "out"
+    assert main(["regcheck", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: regcheck.n_list: " in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+    cfg = load_config(path)
+    with pytest.raises(ConfigError) as exc:
+        cli.cmd_regcheck(cfg, 1, out, str(path))
+    assert exc.value.field == "regcheck.n_list"
+    assert main(["regcheck", "--config", str(path), "--out", str(out),
+                 "--n-list", "3,6"]) == EXIT_PASS
+
+
 def test_invalid_alpha_exits_config_error(tmp_path, capsys):
     path = write_config(tmp_path, "sigma.alpha = 1.5\n")
     code = main(["regcheck", "--config", str(path), "--out",
@@ -385,6 +400,38 @@ def test_a_malformed_csv_input_exits_config_error(tmp_path, capsys, command, key
     assert code == EXIT_CONFIG
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"config error: {key}.path: ")
+
+
+def _dense_kernel_csv(tmp_path):
+    """A 4-node 1d Gaussian kernel in kernel_from_csv's layout; its path."""
+    x = np.arange(1, 5) / 5.0
+    values = np.exp(-(x[:, None] - x[None, :]) ** 2 / (2.0 * 0.25 ** 2))
+    path = tmp_path / "kernel.csv"
+    path.write_text("n,4,d,1\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in values))
+    return path
+
+
+@pytest.mark.filterwarnings("error")   # as python -W error runs the command line
+@pytest.mark.parametrize("command, text", [
+    pytest.param("simulate", 'kernel.type = "rank_one"\n', id="simulate-rank-one-1d"),
+    pytest.param("simulate", 'kernel.type = "rank_one"\ngrid.dimension = 2\n'
+                 'grid.n_interior = 8\nrun.paths = 2\n', id="simulate-rank-one-2d"),
+    pytest.param("verify", 'kernel.type = "rank_one"\n', id="verify-rank-one-1d"),
+    pytest.param("simulate", 'grid.n_interior = 4\nkernel.type = "csv"\n'
+                 'kernel.path = "{csv}"\n', id="simulate-csv-kernel")])
+def test_a_dense_kernel_run_reruns_from_its_manifest(tmp_path, command, text):
+    # a kernel kept as its (size, size) node values, rerun from the manifest
+    path = write_config(tmp_path, text.format(csv=_dense_kernel_csv(tmp_path)))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main([command, "--config", str(path), "--out", str(out1)]) == EXIT_PASS
+    assert main([command, "--config", str(out1 / "manifest.json"),
+                 "--out", str(out2)]) == EXIT_PASS
+    names = sorted(p.name for p in out1.iterdir() if p.name != "manifest.json")
+    assert "report.json" in names and any(n.endswith(".csv") for n in names)
+    assert names == sorted(p.name for p in out2.iterdir() if p.name != "manifest.json")
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_simulate_workers_do_not_change_outputs(tmp_path):

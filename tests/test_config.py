@@ -2,7 +2,9 @@
 
 import pytest
 
-from plapsim.config import DEFAULTS, ConfigError, load_config, validate_config, write_json
+from plapsim.config import (DEFAULTS, ConfigError, load_config, make_pert, validate_config,
+                            write_json)
+from plapsim.spatial import HigherOrderPerturbation, q_of_p
 
 # every key in declaration order, with its default
 EXPECTED_DEFAULTS = [
@@ -254,3 +256,12 @@ def test_write_json_rejecting_a_value_writes_nothing(tmp_path, bad):
     with pytest.raises(ValueError):
         write_json(kept, payload)
     assert kept.read_bytes() == before == b'{\n  "a": 1.0\n}\n'
+
+
+@pytest.mark.parametrize("overrides, expected", [
+    ({}, HigherOrderPerturbation(m=2, q=q_of_p(2.5))),
+    ({"coeff.p": 1.5, "pert.m": 1}, HigherOrderPerturbation(m=1, q=q_of_p(1.5))),
+    ({"pert.q": 6.0}, HigherOrderPerturbation(m=2, q=6.0)),
+    ({"pert.enabled": False}, None)], ids=["derived", "derived-p15", "set", "off"])
+def test_make_pert_derives_q_from_the_coefficient_unless_set(overrides, expected):
+    assert make_pert({**DEFAULTS, **overrides}) == expected

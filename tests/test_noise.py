@@ -11,21 +11,18 @@ from plapsim.noise import (
     NoiseOperator,
     QWienerSampler,
     apply_B,
-    b_lipschitz_constant,
     default_sampler,
     gaussian_kernel,
-    holder_modulus_check,
-    hs_norm_sq,
-    hs_uniform_bound,
     kernel_from_csv,
     kernel_from_matrix,
     rank_one_kernel,
 )
 from plapsim.noise import _normals
-from plapsim.regularize import RegularizedSigma, power_sigma
+from plapsim.regularize import RegularizedSigma, c_alpha, power_sigma
 from plapsim.spatial import Grid, norm_l2
 
-from oracles import hs_norm_sq_parseval, sine_basis
+from oracles import (holder_modulus_check, hs_norm_sq, hs_norm_sq_parseval,
+                     row_norms_sq, sine_basis)
 
 
 def random_field(grid, seed=0):
@@ -63,8 +60,10 @@ def test_gaussian_kernel_shape_and_constants():
     assert kernel_values(ker).shape == (16, 16)
     assert np.allclose(kernel_values(ker), kernel_values(ker).T)
     assert np.isclose(np.max(kernel_values(ker)), 2.0)
-    assert np.isclose(ker.c_k, np.max(ker.row_norms_sq()), rtol=1e-12)
-    assert np.isclose(ker.l2_norm_sq,
+    rows = row_norms_sq(ker)
+    assert np.allclose(rows, np.sum(kernel_values(ker) ** 2, axis=1) * grid.weight,
+                       rtol=1e-12, atol=0.0)
+    assert np.isclose(np.sum(rows) * grid.weight,
                       np.sum(kernel_values(ker) ** 2) * grid.weight ** 2, rtol=1e-12)
 
 
@@ -96,7 +95,7 @@ def test_kernel_csv_round_trip(tmp_path):
     back = kernel_from_csv(path)
     assert back.grid == ker.grid
     assert np.array_equal(kernel_values(back), kernel_values(ker))
-    assert back.c_k == ker.c_k
+    assert np.max(row_norms_sq(back)) == np.max(row_norms_sq(ker))
 
 
 def dense_gaussian(grid, ell, scale):
@@ -112,9 +111,11 @@ def test_gaussian_operator_matches_dense_kernel():
         ker = gaussian_kernel(grid, ell=0.3, scale=0.7)
         ref = dense_gaussian(grid, 0.3, 0.7)
         assert np.allclose(kernel_values(ker), kernel_values(ref), rtol=1e-13, atol=0.0)
-        assert np.allclose(ker.row_norms_sq(), ref.row_norms_sq(), rtol=1e-13, atol=0.0)
-        assert np.isclose(ker.c_k, ref.c_k, rtol=1e-13, atol=0.0)
-        assert np.isclose(ker.l2_norm_sq, ref.l2_norm_sq, rtol=1e-13, atol=0.0)
+        rows, rows_ref = row_norms_sq(ker), row_norms_sq(ref)
+        assert np.allclose(rows, rows_ref, rtol=1e-13, atol=0.0)
+        assert np.isclose(np.max(rows), np.max(rows_ref), rtol=1e-13, atol=0.0)
+        assert np.isclose(np.sum(rows) * grid.weight, np.sum(rows_ref) * grid.weight,
+                          rtol=1e-13, atol=0.0)
         op, op_ref = NoiseOperator(ker, spec.eval), NoiseOperator(ref, spec.eval)
         for seed in range(3):
             v, phi = random_field(grid, seed), random_field(grid, 10 + seed)
@@ -134,8 +135,10 @@ def test_gaussian_kernel_2d_csv_round_trip(tmp_path):
     assert np.array_equal(kernel_values(back), kernel_values(ker))
     phi = random_field(grid, 1)
     assert np.allclose(back.apply(phi), ker.apply(phi), rtol=1e-13, atol=0.0)
-    assert np.isclose(back.c_k, ker.c_k, rtol=1e-13, atol=0.0)
-    assert np.isclose(back.l2_norm_sq, ker.l2_norm_sq, rtol=1e-13, atol=0.0)
+    rows, rows_back = row_norms_sq(ker), row_norms_sq(back)
+    assert np.isclose(np.max(rows_back), np.max(rows), rtol=1e-13, atol=0.0)
+    assert np.isclose(np.sum(rows_back) * grid.weight, np.sum(rows) * grid.weight,
+                      rtol=1e-13, atol=0.0)
 
 
 def test_gaussian_kernel_keeps_no_dense_table():
@@ -186,6 +189,25 @@ def test_apply_B_linear_in_test_function(c1, c2):
     assert np.allclose(left, right, rtol=1e-9, atol=1e-12)
 
 
+def hs_uniform_bound(kernel, spec, v):
+    """Right side of the state-dependent HS bound for the regularized operator.
+
+    2 * ((c_alpha^2 + c_sigma) ||k||^2 + c_sigma c_k ||v||_2^2), valid
+    uniformly over the regularization level; c_k is the largest row norm
+    ||k(x_i, .)||_2^2 and ||k||^2 the discrete norm over D x D.
+    """
+    rows = row_norms_sq(kernel)
+    c_k, l2_norm_sq = float(np.max(rows)), float(np.sum(rows) * kernel.grid.weight)
+    ca = c_alpha(spec.alpha, spec.l_alpha) if spec.alpha < 1.0 else 0.0
+    v2 = norm_l2(kernel.grid, v) ** 2
+    return 2.0 * ((ca ** 2 + spec.c_sigma) * l2_norm_sq + spec.c_sigma * c_k * v2)
+
+
+def b_lipschitz_constant(kernel, n):
+    """Lipschitz constant sqrt(c_k) * n of the level-n diffusion operator."""
+    return float(np.sqrt(np.max(row_norms_sq(kernel))) * n)
+
+
 def test_hs_uniform_bound_dominates_all_levels():
     grid = Grid(1, 20)
     spec = power_sigma(0.75, 1.0)
@@ -211,7 +233,7 @@ def test_b_lipschitz_constant_bounds_hs_differences():
             v, w = random_field(grid, seed), random_field(grid, 50 + seed)
             gap_sq = float(np.sum(
                 (np.asarray(op.sigma(0.0, v)) - np.asarray(op.sigma(0.0, w))) ** 2
-                * ker.row_norms_sq()) * grid.weight)
+                * row_norms_sq(ker)) * grid.weight)
             assert np.sqrt(gap_sq) <= lip * norm_l2(grid, v - w) * (1 + 1e-6)
 
 

@@ -15,11 +15,16 @@ from plapsim.regularize import (
     n0,
     power_sigma,
     sigma_n_values,
-    sublinear_growth_bound,
     sup_gap_scan,
     verify_regularization,
 )
 from plapsim.regularize import _check_strict_holder
+
+
+def sublinear_growth_bound(spec, lam):
+    """Right side of |sigma_n|**2 <= 2*(c_alpha**2 + c_sigma*(1 + lam**2))."""
+    ca = c_alpha(spec.alpha, spec.l_alpha) if spec.alpha < 1.0 else 0.0
+    return 2.0 * (ca ** 2 + spec.c_sigma * (1.0 + np.asarray(lam) ** 2))
 
 
 def r0(alpha, l_alpha, n):
