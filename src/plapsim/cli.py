@@ -132,8 +132,8 @@ def cmd_regcheck(cfg, workers, out, config_path):
     _write_manifest(out, cfg, config_path)
     write_json(out / "report.json", report)
     write_csv(out / "regcheck.csv", ["n", "measured_gap", "gap_bound"],
-              zip(study["n"].tolist(), study["measured_gap"].tolist(),
-                  study["bound"].tolist()))
+              [(r["n"], r["max_gap"], r["bound"])
+               for r in sorted(study["levels"], key=lambda r: r["n"])])
     _summary("regcheck", passed, out)
     return EXIT_PASS if passed else EXIT_FAIL
 
@@ -208,27 +208,20 @@ def cmd_verify(cfg, workers, out, config_path):
     if not 0.5 <= alpha < 1.0:   # the contraction study's coupling bound
         raise ConfigError(f"the coupling bound needs alpha in [1/2, 1), got "
                           f"alpha = {alpha}", field="sigma.alpha")
-    try:
+    # the builders raise ConfigErrors that name their own keys
+    pieces = dict(coeff=make_coeff(cfg), drift=make_drift(cfg),
+                  pert=make_pert({**cfg, "pert.m": cfg["verify.pert_m"]}),
+                  spec=make_spec(cfg), kernel=make_kernel(cfg, grid),
+                  config=make_solver_config(cfg))
+    try:   # with the pieces built, a ValueError here is a level below the minimum
         plan = ExperimentPlan(
-            grid=grid,
-            coeff=make_coeff(cfg),
-            drift=make_drift(cfg),
-            pert=make_pert({**cfg, "pert.m": cfg["verify.pert_m"]}),
-            spec=make_spec(cfg),
-            kernel=make_kernel(cfg, grid),
-            config=make_solver_config(cfg),
-            n_list=tuple(cfg["run.n_list"]),
-            num_paths=cfg["run.paths"],
-            master_seed=cfg["run.seed"],
-            slack=cfg["verify.slack"],
-            se_mult=cfg["verify.se_mult"],
-            checkpoints=cfg["verify.checkpoints"],
-            workers=workers,
-            num_modes=cfg["noise.modes"],
-            decay=cfg["noise.decay"],
-        )
+            grid=grid, **pieces, n_list=tuple(cfg["run.n_list"]),
+            num_paths=cfg["run.paths"], master_seed=cfg["run.seed"],
+            slack=cfg["verify.slack"], se_mult=cfg["verify.se_mult"],
+            checkpoints=cfg["verify.checkpoints"], workers=workers,
+            num_modes=cfg["noise.modes"], decay=cfg["noise.decay"])
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"run.n_list: {exc}", field="run.n_list") from exc
 
     u0 = make_initial(cfg, grid)
     u0_b = initial_profile(grid, "bump",

@@ -1,7 +1,8 @@
 """Time stepping for the perturbed evolution du + A_n(u) dt = B_n(t, u) dW.
 
 Two Euler-Maruyama variants share the Ito left-point noise term
-sigma_n(t, u^k) K(dW^k): an explicit step, subject to the usual parabolic
+sigma_n(t, u^k) K(dW^k), from the kernel K and sigma_n that System holds
+(noise.apply_B): an explicit step, subject to the usual parabolic
 step-size restriction, and a drift-implicit step whose nonlinear system is
 solved by a damped Newton iteration.  Its matrix is exact, from the
 derivatives of the flux and the drift: spatial.jacobian_A_n gives it as
@@ -45,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .noise import NoiseOperator, apply_B
+from .noise import apply_B
 from .regularize import RegularizedSigma
 from .spatial import (GridMismatchError, apply_A_n, difference_blocks,
                       gradient_faces, jacobian_A_n, norm_l2, w1p_seminorm)
@@ -167,8 +168,9 @@ class System:
     """Assembled right-hand side: grid, drift operator pieces, and noise.
 
     It acts on one state or on a stack of them.  n is one level, or an
-    array with one level per member of a stack.  Member b of a stack takes
-    row b of the increment stack dw.
+    array with one level per member of a stack.  The noise term is the
+    pair kernel and sigma (apply_B), or none when sigma is None.  Member b
+    of a stack takes row b of the increment stack dw.
     """
 
     grid: object
@@ -176,15 +178,16 @@ class System:
     drift: object
     pert: object
     n: object
-    noise_op: object = None
+    kernel: object = None
+    sigma: object = None
 
     def apply_drift_operator(self, u):
         return apply_A_n(self.grid, self.coeff, self.drift, self.pert, self.n, u)
 
     def noise_term(self, t, u, dw):
-        if self.noise_op is None:
+        if self.sigma is None:
             return np.zeros(np.shape(u))
-        return apply_B(self.noise_op, t, u, dw)
+        return apply_B(self.kernel, self.sigma, t, u, dw)
 
     @property
     def jacobian_half_width(self):
@@ -197,9 +200,11 @@ class System:
         return 8 * math.prod(_slab_positions(self.grid, self.jacobian_half_width)[0])
 
     def take(self, members):
-        """The system of the sub-stack ``members`` (indices into the stack)."""
+        """The system of the sub-stack ``members`` (indices into the stack):
+        sigma_n keeps the members' levels, a raw sigma serves them as it is."""
+        take = getattr(self.sigma, "take", None)
         return replace(self, n=self.n if np.ndim(self.n) == 0 else self.n[members],
-                       noise_op=None if self.noise_op is None else self.noise_op.take(members))
+                       sigma=self.sigma if take is None else take(members))
 
 
 def build_system(grid, coeff, drift, pert, config, spec=None, kernel=None,
@@ -221,12 +226,11 @@ def build_system(grid, coeff, drift, pert, config, spec=None, kernel=None,
             sigma = RegularizedSigma(spec, n)
         else:
             sigma = spec.eval
-    noise_op = NoiseOperator(kernel, sigma) if sigma is not None else None
     use_pert = config.use_perturbation and pert is not None and n is not None
     return System(grid=grid, coeff=coeff,
                   drift=drift if drift is not None and drift.l_f != 0 else None,
                   pert=pert if use_pert else None,
-                  n=n if use_pert else None, noise_op=noise_op)
+                  n=n if use_pert else None, kernel=kernel, sigma=sigma)
 
 
 # ------------------------------------------------------------------- stepping

@@ -4,12 +4,14 @@ The diffusion coefficient sends a state v to the operator
 
     (B(t, v) phi)(x) = sigma(t, v(x)) * integral k(x, y) phi(y) dy,
 
-discretized with one quadrature weight h^d per interior node.  Wiener
-increments come from a truncated Karhunen-Loeve expansion whose normals are
-a pure function of (seed, path_index, step, node): the increment over step
-k and the Brownian bridge points that bisect it read disjoint regions of the
-Philox counter space, so a path is the same whatever is drawn, in whatever
-order.
+discretized with one quadrature weight h^d per interior node and applied
+by apply_B(kernel, sigma, t, v, phi); evolution.System holds the pair.
+
+Wiener increments come from a truncated Karhunen-Loeve expansion whose
+normals are a pure function of (seed, path_index, step, node): the
+increment over step k and the Brownian bridge points that bisect it read
+disjoint regions of the Philox counter space, so a path is the same
+whatever is drawn, in whatever order.
 
 On the unit square the Gaussian kernel is a product of 1d kernels and the
 sine modes are products of 1d modes, so both are applied one axis at a
@@ -17,7 +19,7 @@ time with an (n, n) matrix; no (size, size) table is built for them.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +31,6 @@ __all__ = [
     "gaussian_kernel",
     "rank_one_kernel",
     "kernel_from_csv",
-    "NoiseOperator",
     "apply_B",
     "QWienerSampler",
     "default_sampler",
@@ -122,35 +123,16 @@ def kernel_from_csv(path):
     return kernel_from_matrix(grid, values)
 
 
-@dataclass(frozen=True)
-class NoiseOperator:
-    """Kernel plus the (regularized or raw) scalar coefficient."""
-
-    kernel: Kernel
-    sigma: object
-
-    @property
-    def grid(self):
-        return self.kernel.grid
-
-    def take(self, members):
-        """The operator of the members (indices) of a stack whose
-        coefficient holds a level per member; any other operator serves
-        every member as it is."""
-        take = getattr(self.sigma, "take", None)
-        return self if take is None else replace(self, sigma=take(members))
-
-
-def apply_B(op, t, v, phi):
+def apply_B(kernel, sigma, t, v, phi):
     """B(t, v) applied to phi: sigma(t, v) times the kernel quadrature of phi.
 
-    v and phi may be stacks, state v[b] taking row b of phi; each row's
-    quadrature is its own (Kernel.apply), so its result does not depend on
-    the stack.
+    sigma is the scalar coefficient, regularized or raw.  v and phi may be
+    stacks, state v[b] taking row b of phi; each row's quadrature is its
+    own (Kernel.apply), so its result does not depend on the stack.
     """
-    grid = op.grid
+    grid = kernel.grid
     v, phi = grid.check(v), grid.check(phi)
-    return np.asarray(op.sigma(t, v), dtype=float) * op.kernel.apply(phi)
+    return np.asarray(sigma(t, v), dtype=float) * kernel.apply(phi)
 
 
 def _sine_modes(grid):

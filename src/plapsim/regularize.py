@@ -229,23 +229,18 @@ def sup_gap_scan(reg, lam_lo=-4.0, lam_hi=4.0, t=0.0):
 def gap_decay_study(spec, n_list, lam_lo=-4.0, lam_hi=4.0, t=0.0):
     """Measured sup-gaps against their closed-form bounds over a list of n.
 
-    Returns a dict with per-n arrays (sorted by n), the least-squares slope
-    of log(gap) versus log(n), whose predicted value is alpha/(alpha-1),
-    and ``levels``: verify_regularization's report at time t for each entry
-    of n_list, in its order.  The fit needs at least two distinct levels.
+    Returns a dict with the least-squares slope of log(gap) versus log(n),
+    whose predicted value is alpha/(alpha-1), and ``levels``:
+    verify_regularization's report at time t for each entry of n_list, in
+    its order.  The fit needs at least two distinct levels.
     """
     if len(set(n_list)) < 2:
         raise ValueError(f"the gap-decay slope needs at least two distinct "
                          f"levels, got {list(n_list)}")
     levels = [verify_regularization(spec, n, lam_lo, lam_hi, (t,)) for n in n_list]
-    by_n = sorted(levels, key=lambda r: r["n"])
-    n_arr = np.array([r["n"] for r in by_n])
-    measured = np.array([r["max_gap"] for r in by_n])
+    n_arr, measured = np.array(sorted((r["n"], r["max_gap"]) for r in levels)).T
     slope = np.polyfit(np.log(n_arr), np.log(np.maximum(measured, 1e-300)), 1)[0]
     return {
-        "n": n_arr,
-        "measured_gap": measured,
-        "bound": np.array([r["bound"] for r in by_n]),
         "slope": float(slope),
         "predicted_slope": spec.alpha / (spec.alpha - 1.0),
         "levels": levels,

@@ -494,7 +494,7 @@ def linear_coeff():
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Pointwise reaction term with Lipschitz constant l_f, f(0) = 0, |f| <= sup_bound.
+    """Pointwise reaction term with Lipschitz constant l_f and f(0) = 0.
 
     f_eval must have a method ``derivative(lam)``, f' pointwise, which gives
     jacobian_A_n its reaction part.  So l_f = 0 means f = 0: build_system
@@ -503,7 +503,6 @@ class DriftSpec:
 
     f_eval: object
     l_f: float
-    sup_bound: float
 
 
 @dataclass(frozen=True)
@@ -516,11 +515,11 @@ class ZeroDrift:
 
 
 def zero_drift():
-    return DriftSpec(ZeroDrift(), 0.0, 0.0)
+    return DriftSpec(ZeroDrift(), 0.0)
 
 
 def tanh_drift(scale=1.0):
-    return DriftSpec(ScaledTanh(scale), abs(scale), abs(scale))
+    return DriftSpec(ScaledTanh(scale), abs(scale))
 
 
 # ------------------------------------------------------------ main operators

@@ -26,14 +26,14 @@ def sine_basis(grid):
     return modes if grid.dimension == 1 else np.kron(modes, modes)
 
 
-def hs_norm_sq_parseval(op, t, v, basis=None):
+def hs_norm_sq_parseval(kernel, sigma, t, v, basis=None):
     """Squared Hilbert-Schmidt norm of B(t, v) as the sum of ||B(t, v) e||_2^2
     over a complete orthonormal basis (the sine basis by default)."""
-    grid = op.grid
+    grid = kernel.grid
     basis = sine_basis(grid) if basis is None else np.asarray(basis, dtype=float)
     assert basis.shape == (grid.size, grid.size), basis.shape
-    sig = np.asarray(op.sigma(t, grid.check(v)), dtype=float)
-    return float(np.sum((sig * op.kernel.apply(basis)) ** 2) * grid.weight)
+    sig = np.asarray(sigma(t, grid.check(v)), dtype=float)
+    return float(np.sum((sig * kernel.apply(basis)) ** 2) * grid.weight)
 
 
 def row_norms_sq(kernel):
@@ -48,13 +48,13 @@ def row_norms_sq(kernel):
     return kernel.scale ** 2 * rows
 
 
-def hs_norm_sq(op, t, v):
+def hs_norm_sq(kernel, sigma, t, v):
     """Closed-form squared Hilbert-Schmidt norm of B(t, v),
     sum_i sigma(t, v_i)^2 * ||k(x_i, .)||_2^2 * h^d."""
-    grid = op.grid
+    grid = kernel.grid
     v = grid.check(v)
-    sig = np.asarray(op.sigma(t, v), dtype=float)
-    return float(np.sum(sig ** 2 * row_norms_sq(op.kernel)) * grid.weight)
+    sig = np.asarray(sigma(t, v), dtype=float)
+    return float(np.sum(sig ** 2 * row_norms_sq(kernel)) * grid.weight)
 
 
 def holder_modulus_check(kernel, spec, v, w, t=0.0):

@@ -191,6 +191,25 @@ def test_regcheck_below_n0_exits_two_with_no_outputs(tmp_path, capsys):
                  "--n-list", "3,6"]) == EXIT_PASS
 
 
+@pytest.mark.parametrize("text, field", [
+    # sigma.scale = 3 puts n0 at 3, above the list's first level 2
+    pytest.param("sigma.scale = 3\nrun.n_list = [2, 4]\n", "run.n_list",
+                 id="level-below-n0"),
+    pytest.param('grid.n_interior = 4\nkernel.type = "csv"\nkernel.path = "{kernel}"\n',
+                 "kernel.path", id="kernel-csv-shape")])
+def test_verify_config_errors_name_their_key(tmp_path, capsys, text, field):
+    kernel = tmp_path / "kernel.csv"
+    kernel.write_text("n,4,d,1\n1,0.5\n")   # one row of two values for a 4-node grid
+    path = write_config(tmp_path, text.format(kernel=kernel))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError) as exc:
+        cli.cmd_verify(load_config(path), 1, out, str(path))
+    assert exc.value.field == field
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_invalid_alpha_exits_config_error(tmp_path, capsys):
     path = write_config(tmp_path, "sigma.alpha = 1.5\n")
     code = main(["regcheck", "--config", str(path), "--out",

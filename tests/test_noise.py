@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plapsim.noise import (
-    NoiseOperator,
     QWienerSampler,
     apply_B,
     default_sampler,
@@ -116,13 +115,12 @@ def test_gaussian_operator_matches_dense_kernel():
         assert np.isclose(np.max(rows), np.max(rows_ref), rtol=1e-13, atol=0.0)
         assert np.isclose(np.sum(rows) * grid.weight, np.sum(rows_ref) * grid.weight,
                           rtol=1e-13, atol=0.0)
-        op, op_ref = NoiseOperator(ker, spec.eval), NoiseOperator(ref, spec.eval)
         for seed in range(3):
             v, phi = random_field(grid, seed), random_field(grid, 10 + seed)
-            assert np.allclose(apply_B(op, 0.0, v, phi), apply_B(op_ref, 0.0, v, phi),
-                               rtol=1e-13, atol=0.0)
-            assert np.isclose(hs_norm_sq(op, 0.0, v), hs_norm_sq(op_ref, 0.0, v),
-                              rtol=1e-13, atol=0.0)
+            assert np.allclose(apply_B(ker, spec.eval, 0.0, v, phi),
+                               apply_B(ref, spec.eval, 0.0, v, phi), rtol=1e-13, atol=0.0)
+            assert np.isclose(hs_norm_sq(ker, spec.eval, 0.0, v),
+                              hs_norm_sq(ref, spec.eval, 0.0, v), rtol=1e-13, atol=0.0)
 
 
 def test_gaussian_kernel_2d_csv_round_trip(tmp_path):
@@ -151,23 +149,23 @@ def test_gaussian_kernel_keeps_no_dense_table():
 def test_parseval_identity_on_two_bases():
     grid = Grid(1, 24)
     spec = power_sigma(0.75, 1.0)
-    op = NoiseOperator(gaussian_kernel(grid), spec.eval)
+    ker = gaussian_kernel(grid)
     for seed in range(5):
         v = random_field(grid, seed)
-        closed = hs_norm_sq(op, 0.0, v)
-        via_sine = hs_norm_sq_parseval(op, 0.0, v)
-        via_nodal = hs_norm_sq_parseval(op, 0.0, v, basis=indicator_basis(grid))
+        closed = hs_norm_sq(ker, spec.eval, 0.0, v)
+        via_sine = hs_norm_sq_parseval(ker, spec.eval, 0.0, v)
+        via_nodal = hs_norm_sq_parseval(ker, spec.eval, 0.0, v,
+                                        basis=indicator_basis(grid))
         assert np.isclose(closed, via_sine, rtol=1e-10)
         assert np.isclose(closed, via_nodal, rtol=1e-10)
 
 
 def test_parseval_identity_2d():
     grid = Grid(2, 5)
-    op = NoiseOperator(gaussian_kernel(grid, ell=0.4),
-                       power_sigma(0.5, 1.0).eval)
+    ker, sigma = gaussian_kernel(grid, ell=0.4), power_sigma(0.5, 1.0).eval
     v = random_field(grid, 9)
-    assert np.isclose(hs_norm_sq(op, 0.0, v),
-                      hs_norm_sq_parseval(op, 0.0, v), rtol=1e-10)
+    assert np.isclose(hs_norm_sq(ker, sigma, 0.0, v),
+                      hs_norm_sq_parseval(ker, sigma, 0.0, v), rtol=1e-10)
 
 
 def test_sine_basis_is_orthonormal():
@@ -181,11 +179,12 @@ def test_sine_basis_is_orthonormal():
 @given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
 def test_apply_B_linear_in_test_function(c1, c2):
     grid = Grid(1, 9)
-    op = NoiseOperator(gaussian_kernel(grid), power_sigma(0.5, 1.0).eval)
+    ker, sigma = gaussian_kernel(grid), power_sigma(0.5, 1.0).eval
     v = random_field(grid, 2)
     phi, psi = random_field(grid, 3), random_field(grid, 4)
-    left = apply_B(op, 0.0, v, c1 * phi + c2 * psi)
-    right = c1 * apply_B(op, 0.0, v, phi) + c2 * apply_B(op, 0.0, v, psi)
+    left = apply_B(ker, sigma, 0.0, v, c1 * phi + c2 * psi)
+    right = (c1 * apply_B(ker, sigma, 0.0, v, phi)
+             + c2 * apply_B(ker, sigma, 0.0, v, psi))
     assert np.allclose(left, right, rtol=1e-9, atol=1e-12)
 
 
@@ -216,10 +215,8 @@ def test_hs_uniform_bound_dominates_all_levels():
         v = 3.0 * random_field(grid, seed)
         bound = hs_uniform_bound(ker, spec, v)
         for n in (1, 2, 8, 64):
-            op = NoiseOperator(ker, RegularizedSigma(spec, n))
-            assert hs_norm_sq(op, 0.0, v) <= bound * (1 + 1e-9)
-        raw = NoiseOperator(ker, spec.eval)
-        assert hs_norm_sq(raw, 0.0, v) <= bound * (1 + 1e-9)
+            assert hs_norm_sq(ker, RegularizedSigma(spec, n), 0.0, v) <= bound * (1 + 1e-9)
+        assert hs_norm_sq(ker, spec.eval, 0.0, v) <= bound * (1 + 1e-9)
 
 
 def test_b_lipschitz_constant_bounds_hs_differences():
@@ -227,12 +224,12 @@ def test_b_lipschitz_constant_bounds_hs_differences():
     spec = power_sigma(0.5, 1.0)
     ker = gaussian_kernel(grid)
     for n in (2, 4, 16):
-        op = NoiseOperator(ker, RegularizedSigma(spec, n))
+        reg = RegularizedSigma(spec, n)
         lip = b_lipschitz_constant(ker, n)
         for seed in range(4):
             v, w = random_field(grid, seed), random_field(grid, 50 + seed)
             gap_sq = float(np.sum(
-                (np.asarray(op.sigma(0.0, v)) - np.asarray(op.sigma(0.0, w))) ** 2
+                (np.asarray(reg(0.0, v)) - np.asarray(reg(0.0, w))) ** 2
                 * row_norms_sq(ker)) * grid.weight)
             assert np.sqrt(gap_sq) <= lip * norm_l2(grid, v - w) * (1 + 1e-6)
 
