@@ -17,11 +17,16 @@ system each and are eliminated from both ends at once, and the 2 r or
 2 r + 1 lines left between them, the middle system, after them.  Each
 line's row keeps its Schur complement's inverse folded into it, so a
 solve takes one product per line per sweep.  In 2d the iteration is
-a chord iteration with refresh: the factors made at the step's start
-serve the iterations that follow, and are made again at the iterate only
-where an iteration falls short of a fixed residual cut (CHORD_RATIO) or
-its line search fails.  In 1d the matrix is one dense block and every
-iteration refactors, which is Newton's method.
+a chord iteration with refresh: each member of a stack carries its
+factors from one full step into the next at the same dt (simulate_batch),
+or makes them at the step's start where it has none (a bare step, a
+first step, a step after a bisected one, and every part of a bisected
+step), and they serve the iterations that follow.  They are made again
+at the iterate only where an iteration falls short of a fixed residual
+cut (CHORD_RATIO), or where the full step on factors older than the
+iterate fails the Armijo test; no damped step is taken on such factors.
+In 1d the matrix is one dense block and every iteration refactors, which
+is Newton's method.
 
 The steppers advance a stack of trajectories, (B, size) states, as one:
 members may differ in level (build_system's levels), initial state and
@@ -139,7 +144,8 @@ class SolverConfig:
     sigma_mode: str = "regularized"
     use_perturbation: bool = True
     newton_tol: float = 1e-10
-    newton_max_iter: int = 40   # factorizations per step (step_semi_implicit)
+    newton_max_iter: int = 40   # solves on factors made at the iterate, per step
+    # (step_semi_implicit): chord solves on older factors come on top
     newton_dt_retries: int = 0
     record_every: int = 1
 
@@ -342,10 +348,10 @@ def _slab_positions(grid, half_width):
     return shape, band, slab
 
 
-def _newton_matrix(system, dt, v):
+def _newton_matrix(system, dt, v, out=None):
     """I + dt J at v, J the exact Jacobian of A_n (spatial.jacobian_A_n),
     stored by line: a (lines, n, (2 r + 1) n) slab per member of a stack v
-    (_slab_positions).
+    (_slab_positions), made in the slabs out where it is given.
 
     J couples lines at most r apart.  In 1d the whole grid is one line, so
     the slab is the dense matrix.
@@ -357,7 +363,11 @@ def _newton_matrix(system, dt, v):
     band *= dt
     band[(..., *(half_width,) * d) + (slice(None),) * d] += 1.0   # I + dt J
     shape, at_band, at_slab = _slab_positions(grid, half_width)
-    slab = np.zeros(lead + shape)
+    if out is None:
+        slab = np.zeros(lead + shape)
+    else:
+        slab = out
+        slab[...] = 0.0
     slab.reshape(lead + (-1,))[..., at_slab] = band.reshape(lead + (-1,))[..., at_band]
     return slab
 
@@ -506,23 +516,30 @@ def _chord_steps(system, dt, v, residual, factors, renew):
     factors of I + dt J (_factor_lines).
 
     The members where renew is set first get new factors at their v; the
-    others keep theirs from factors, which runs over the same members
-    (None when every member renews).  Returns the steps, the factors and
-    the members whose matrix is singular (their steps are NaN).
+    others keep theirs from factors, which runs over the same members.
+    When every member renews, factors is None, or the slabs the new
+    factors are made in.  Returns the steps, the factors and the members
+    whose matrix is singular (their steps are NaN).
     """
     every = renew.all()
     fresh = None if every else renew.nonzero()[0]
+    out = (factors,) if every and factors is not None else ()
+
+    def matrices():
+        if every:
+            return _newton_matrix(system, dt, v, *out)
+        return _newton_matrix(system.take(fresh), dt, v[fresh])
+
     try:
         if every:
-            factors = _factor_lines(_newton_matrix(system, dt, v))
+            factors = _factor_lines(matrices())
         elif fresh.size:
-            factors[fresh] = _factor_lines(_newton_matrix(system.take(fresh), dt, v[fresh]))
+            factors[fresh] = _factor_lines(matrices())
         return _apply_factors(factors, -residual), factors, []
     except np.linalg.LinAlgError:
         pass
     # member by member, to find them, each factored in place of its slab
-    slabs = _newton_matrix(system, dt, v) if every else \
-        _newton_matrix(system.take(fresh), dt, v[fresh])
+    slabs = matrices()
     stack = slabs if every else factors
     slabs = iter(slabs)
     steps, singular = np.full(residual.shape, np.nan), []
@@ -536,24 +553,43 @@ def _chord_steps(system, dt, v, residual, factors, renew):
     return steps, stack, singular
 
 
-def step_semi_implicit(system, config, u, t, dw):
+@dataclass
+class _Carry:
+    """Each member's factors of I + dt J (_factor_lines), carried from one
+    full step of a stack into its next, at the same dt (simulate_batch):
+    ``factors`` holds one slab per member, or is None before the first
+    factorization, and ``kept[b]`` says whether member b's slab holds its
+    factors."""
+
+    kept: np.ndarray
+    factors: np.ndarray = None
+
+    def take(self, members):
+        return _Carry(self.kept[members],
+                      None if self.factors is None else self.factors[members])
+
+
+def step_semi_implicit(system, config, u, t, dw, carry=None):
     """Drift-implicit step: solve v + dt A_n(v) = u + sigma_n(t, u) K(dW).
 
     A chord iteration with refresh, damped by Armijo backtracking
     (halving, floor 2^-20) on the weighted residual norm; the implicit
     system is strongly monotone whenever the higher-order term is active,
     which is what makes this scheme solvable without a step-size
-    restriction.  The Newton matrix is exact (_newton_matrix).  It is
-    factored (_factor_lines) at the step's start, and the iterations solve
-    with those factors (_apply_factors) until an accepted iteration cuts
-    the residual by less than CHORD_RATIO; the next one refactors at its
-    iterate.  A line search that reaches the floor on factors older than
-    the iterate refactors and retries; only one on factors at the iterate
-    fails.  newton_max_iter caps the Newton iterations, the solves on
-    factors at the iterate, so the chord solves between them come on top.
-    A one-line matrix (1d) refactors at every iteration, which is Newton's
-    method.  A_n at the current iterate comes from its residual,
-    so each iteration evaluates A_n once per line-search trial.
+    restriction.  The Newton matrix is exact (_newton_matrix).  A member
+    solves (_apply_factors) with the factors (_factor_lines) it carries
+    in from its last step (carry), or else with factors made at the
+    step's start, until an accepted iteration cuts the residual by less
+    than CHORD_RATIO; the next one refactors at its iterate.  Factors
+    older than the iterate serve the full step only: where its trial
+    fails the Armijo test, the member refactors at the same iterate and
+    retries, and only a line search on factors at the iterate halves, and
+    fails at the floor.  newton_max_iter caps the Newton iterations, the
+    solves on factors at the iterate, so the chord solves between them
+    come on top.  A one-line matrix (1d) refactors at every iteration,
+    which is Newton's method, and carries nothing.  A_n at the current
+    iterate comes from its residual, so each iteration evaluates A_n once
+    per line-search trial.
 
     The iteration starts from the explicit noise update u + sigma_n(t, u)
     K(dW), the right-hand side itself: the noise is already in it, and only
@@ -564,10 +600,14 @@ def step_semi_implicit(system, config, u, t, dw):
     own residual norm, factors, line search and iteration count (its linear
     solves), and stops changing once its residual meets the tolerance; the
     members still iterating share every evaluation, factorization and
-    solve.  Returns (v, noise, iterations, outcomes): the iterations of
-    every member together, and per member its own count or, where its
-    solve failed, its NewtonDivergedError (its row of v is then no
-    solution).
+    solve.  carry, a _Carry over the stack's members or None (every member
+    starts fresh), takes each member's last factors in 2d, made at the
+    same dt, and leaves each its factors at the end: a round in which every
+    member of the stack refactors makes them in the carried slabs, and a
+    member that fails keeps none.  Returns (v, noise, iterations,
+    outcomes): the iterations of every member together, and per member its
+    own count or, where its solve failed, its NewtonDivergedError (its row
+    of v is then no solution).
     """
     grid, dt, tol = system.grid, config.dt, config.newton_tol
     u = _stack(grid, u)
@@ -584,8 +624,9 @@ def step_semi_implicit(system, config, u, t, dw):
     # iterate in the next round where refresh is set.  A one-line matrix
     # refactors every round, which is Newton's method.
     chord = grid.size > grid.n_interior
-    refresh = np.ones(count, dtype=bool)
-    factors = None   # of the members of the round, in order
+    carry = carry if chord else None
+    refresh = np.ones(count, dtype=bool) if carry is None else ~carry.kept
+    store = None if carry is None else carry.factors   # a slab per member
 
     def fail(members, cause):
         for b in members:
@@ -600,6 +641,8 @@ def step_semi_implicit(system, config, u, t, dw):
         return whole if len(members) == count else (members, system.take(members))
 
     active, rounds = (res_norm > tol).nonzero()[0], 0
+    # the factors of the members of the round, in order
+    factors = store if store is None or active.size == count else store[active]
     while active.size:   # each member still iterating has had `rounds` solves
         # at most.  newton_max_iter caps the Newton iterations, the solves on
         # factors at the iterate: a member due new factors with none left
@@ -618,9 +661,13 @@ def step_semi_implicit(system, config, u, t, dw):
                     factors = factors[~spent]
         at, sub = part(active)
         fresh = refresh[active]   # factors at the member's iterate
-        if not chord or fresh.all():   # free the old factors before the new
+        # free the old factors before the new, or, carrying, make the new
+        # in their slabs
+        if not chord or (carry is None and fresh.all()):
             factors = None
         delta, factors, singular = _chord_steps(sub, dt, v[at], residual[at], factors, fresh)
+        if carry is not None and at is whole[0]:
+            store = factors
         if singular:
             fail(active[singular], "singular")
             keep = np.ones(active.size, dtype=bool)
@@ -658,36 +705,58 @@ def step_semi_implicit(system, config, u, t, dw):
                 iters[done] += 1
                 active, delta, fresh = active[~ok], delta[~ok], fresh[~ok]
                 at, sub = part(active)
-            step *= 0.5
-            if step < MIN_LINE_STEP:   # fail on fresh factors, else refactor
-                fail(active[fresh], "line_search")
+            if step == 1.0 and not fresh.all():
+                # no damped step on older factors: those members refactor
+                # at their iterate in the next round, the others search on
                 retry = active[~fresh]
                 refresh[retry] = True
                 iters[retry] += 1
+                active, delta, fresh = active[fresh], delta[fresh], fresh[fresh]
+                if not active.size:
+                    break
+                at, sub = part(active)
+            step *= 0.5
+            if step < MIN_LINE_STEP:   # on factors at the iterate: fail
+                fail(active, "line_search")
                 break
         rounds += 1
         going = res_norm > tol
         if failed:
             going[list(failed)] = False
         active = going.nonzero()[0]
-        if chord and 0 < active.size < members.size:
-            factors = factors[going[members]]
+        if chord and active.size < members.size:
+            stay = going[members]
+            if carry is not None and factors is not store:
+                # the members that converged leave their factors in the carry
+                done = ~stay & (res_norm[members] <= tol)
+                if store is None:
+                    store = np.empty((count,) + factors.shape[1:])
+                store[members[done]] = factors[done]
+            factors = factors[stay]
+    if carry is not None:
+        carry.factors = store
+        carry.kept |= iters > 0
+        carry.kept[list(failed)] = False
     counts = iters.tolist()
     return v, noise, sum(counts), [failed.get(b, c) for b, c in enumerate(counts)]
 
 
-def _advance(system, config, samplers, u, t, dt, dw, k, node=1):
+def _advance(system, config, samplers, u, t, dt, dw, k, node=1, carry=None):
     """Sub-interval ``node`` (heap index, the whole step k is 1) of length
     dt for the stack u: (states, outcomes) as the steppers return them.
 
     Member b takes row b of dw and draws its bridge points on samplers[b].
-    The members whose Newton solve fails are bisected together, each at its
-    own Brownian bridge midpoint, down to newton_dt_retries levels; a member
+    carry, the members' factors from their last whole step, serves the
+    whole step alone (step_semi_implicit).  The members whose Newton solve
+    fails are bisected together, each at its own Brownian bridge midpoint,
+    down to newton_dt_retries levels, every part starting fresh; a member
     that still fails keeps its error.
     """
-    stepper = step_explicit if config.scheme == "explicit" else step_semi_implicit
     sub = replace(config, dt=dt) if dt != config.dt else config
-    v, _, _, outcomes = stepper(system, sub, u, t, dw)
+    if config.scheme == "explicit":
+        v, _, _, outcomes = step_explicit(system, sub, u, t, dw)
+    else:
+        v, _, _, outcomes = step_semi_implicit(system, sub, u, t, dw, carry)
     failed = [b for b, out in enumerate(outcomes) if isinstance(out, NewtonDivergedError)]
     if not failed or node.bit_length() - 1 >= config.newton_dt_retries:   # node's depth
         return v, outcomes
@@ -799,6 +868,8 @@ def simulate_batch(system, config, u0, samplers=None, rows=None, energies=True):
     results = [None] * count
     alive, live = np.arange(count), slice(None)
     part = paths = own = on = None
+    # each running member's factors, carried into its next step
+    carry = None if config.scheme == "explicit" else _Carry(np.zeros(count, dtype=bool))
 
     def regroup():
         """The running members' system, paths, path (own) and sampler (on)."""
@@ -813,10 +884,13 @@ def simulate_batch(system, config, u0, samplers=None, rows=None, energies=True):
             on = [paths[i] for i in own]
 
     def leave(members, errors):
-        nonlocal alive
+        nonlocal alive, carry
         for b, exc in zip(members, errors):
             results[b] = exc
-        alive = np.setdiff1d(alive, members)
+        stay = np.isin(alive, members, invert=True)
+        alive = alive[stay]
+        if carry is not None:
+            carry = carry.take(stay)
         regroup()
 
     # the energies at the current state, and the sums over the steps (the
@@ -861,7 +935,7 @@ def simulate_batch(system, config, u0, samplers=None, rows=None, energies=True):
             dw = np.zeros((len(alive), grid.size))
         else:
             dw = np.array([sampler.sample_increment(k, dt) for sampler in paths])[own]
-        u[live], outcomes = _advance(part, config, on, u[live], t, dt, dw, k)
+        u[live], outcomes = _advance(part, config, on, u[live], t, dt, dw, k, carry=carry)
         iters[k, live] = [0 if isinstance(out, NewtonDivergedError) else out
                           for out in outcomes]
         stopped = [j for j, out in enumerate(outcomes) if isinstance(out, NewtonDivergedError)]

@@ -525,26 +525,165 @@ def test_the_newton_budget_caps_the_solves_on_fresh_factors(monkeypatch):
     assert isinstance(failed, NewtonDivergedError) and failed.cause == "budget"
 
 
+class Steady:
+    """A sampler whose increment is dw at every step."""
+
+    def __init__(self, dw):
+        self.dw = dw
+
+    def sample_increment(self, k, dt):
+        return self.dw
+
+
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_a_refactoring_round_lets_the_old_factors_go_first(monkeypatch, dimension):
-    # a stack of one holds one slab at a time: its old factors are freed
-    # before the matrix of its new ones is assembled
+    # a stack of one holds one slab at a time, across steps too: in 1d its
+    # old factors are freed before the matrix of its new ones is assembled,
+    # and in 2d, where they are carried from step to step, the new matrix
+    # is made in their slab
     system, config, u, dw = stiff_step(Grid(dimension, 6))
-    newton_matrix, factor_lines, made = evolution._newton_matrix, evolution._factor_lines, []
+    config = replace(config, t_end=3 * config.dt)
+    newton_matrix, factor_lines = evolution._newton_matrix, evolution._factor_lines
+    made, into, steps = [], [], []
 
-    def assembled(system, dt, v):
-        assert all(ref() is None for ref in made)
-        return newton_matrix(system, dt, v)
+    def owner(a):   # the array that holds a's memory
+        return a if a.base is None else a.base
+
+    def assembled(system, dt, v, out=None):
+        slab = None if out is None else owner(out)
+        assert all(ref() is None or ref() is slab for ref in made)
+        into.append(slab is not None)
+        steps.append(len(step_calls))
+        return newton_matrix(system, dt, v, out)
 
     def factored(slab):
         factors = factor_lines(slab)
-        made.append(weakref.ref(factors))
+        made.append(weakref.ref(owner(factors)))
         return factors
+
+    step, step_calls = evolution.step_semi_implicit, []
+
+    def counted_step(*args):
+        step_calls.append(1)
+        return step(*args)
 
     monkeypatch.setattr(evolution, "_newton_matrix", assembled)
     monkeypatch.setattr(evolution, "_factor_lines", factored)
-    step_semi_implicit(system, config, u[None], 0.0, dw[None])
-    assert len(made) > 2
+    monkeypatch.setattr(evolution, "step_semi_implicit", counted_step)
+    # half the kick at every step keeps each step within the budget
+    (rec,) = simulate_batch(system, config, u[None], [Steady(dw / 2.0)])
+    assert isinstance(rec, TrajectoryRecord) and len(step_calls) == config.num_steps
+    assert len(made) > 2 and len(set(steps)) > 1
+    assert any(into) == (dimension == 2)
+
+
+def factor_log(monkeypatch, system):
+    """Log ("factor", v), ("solve", rhs) and ("trial", w) as the Newton
+    matrix is made at v, its factors solve for rhs and A_n is evaluated at
+    w (the start's residual, then one line-search trial each)."""
+    newton_matrix, apply_factors, evaluate, log = (
+        evolution._newton_matrix, evolution._apply_factors, system.apply_drift_operator, [])
+
+    def logged_matrix(system, dt, v, *out):
+        log.append(("factor", v.copy()))
+        return newton_matrix(system, dt, v, *out)
+
+    def logged_solve(factors, rhs):
+        log.append(("solve", rhs.copy()))
+        return apply_factors(factors, rhs)
+
+    def logged_trial(w):
+        log.append(("trial", w.copy()))
+        return evaluate(w)
+
+    monkeypatch.setattr(evolution, "_newton_matrix", logged_matrix)
+    monkeypatch.setattr(evolution, "_apply_factors", logged_solve)
+    system.apply_drift_operator = logged_trial
+    return log
+
+
+def test_2d_members_carry_their_factors_into_their_next_step(monkeypatch):
+    # two 2d members without the perturbation, as the contraction study
+    # runs them, take fewer factorizations than member-steps: each starts a
+    # step on the factors it ended the last one with.  A bare step has
+    # nothing to carry and factors at its start
+    grid = Grid(2, 8)
+    system, config = stochastic_pieces(grid, use_pert=False, dt=2e-3, t_end=0.02)
+    u0 = [initial_profile(grid, "sine", amplitude=0.25),
+          initial_profile(grid, "bump", amplitude=0.3)]
+    factor_lines, factored = evolution._factor_lines, []
+
+    def counted(slab):   # the members factored in one call
+        factored.append(len(slab) if slab.ndim == 4 else 1)
+        return factor_lines(slab)
+
+    monkeypatch.setattr(evolution, "_factor_lines", counted)
+    recs = simulate_batch(system, config, u0, [default_sampler(grid, 4, b) for b in (0, 1)])
+    assert all(isinstance(rec, TrajectoryRecord) for rec in recs)
+    assert 0 < sum(factored) < len(u0) * config.num_steps
+
+    log = factor_log(monkeypatch, system)
+    dw = default_sampler(grid, 4, 0).sample_increment(0, config.dt)
+    step_semi_implicit(system, config, np.stack(u0), 0.0, np.stack([dw, dw]))
+    kinds = [kind for kind, _ in log]
+    assert kinds[:3] == ["trial", "factor", "solve"]
+
+
+def test_a_failing_full_step_on_older_factors_refactors_at_its_iterate(monkeypatch):
+    # the chord step of the tall sine at p = 1.3 on older factors fails the
+    # Armijo test at the full step: the member refactors at the same
+    # iterate before any halving, and halves only on factors at the iterate
+    grid = Grid(2, 8)
+    config = SolverConfig(dt=0.01, t_end=0.01, n=8)
+    system = build_system(grid, p_laplacian_coeff(1.3), tanh_drift(1.0),
+                          perturbation_for(1.3, m=2), config,
+                          spec=power_sigma(0.75, 1.0), kernel=gaussian_kernel(grid))
+    u = initial_profile(grid, "sine", amplitude=4.0)
+    log = factor_log(monkeypatch, system)
+    (v,), (noise,), iters, _ = step_semi_implicit(system, config, u[None], 0.0,
+                                                  np.full((1, grid.size), -2.5))
+    kinds = [kind for kind, _ in log]
+    residual = v + config.dt * system.apply_drift_operator(v) - u - noise
+    assert norm_l2(grid, residual) <= config.newton_tol
+    stale = [i for i in range(1, len(kinds)) if kinds[i] == "solve" and kinds[i - 1] != "factor"]
+    assert stale
+    for i in stale:   # one trial, at the full step, then a solve or a refactor
+        assert kinds[i + 1] == "trial" and kinds[i + 2:i + 3] != ["trial"]
+    # a refactor whose solve is for the same residual as the stale one, so
+    # at the same iterate: the stale trial failed (else the member moved)
+    assert any(kinds[i + 2:i + 4] == ["factor", "solve"]
+               and np.array_equal(log[i][1], log[i + 3][1]) for i in stale)
+
+
+def test_a_member_bisected_at_one_step_refactors_at_the_next(monkeypatch):
+    # a kick at step 3 makes the lone member bisect that step; every other
+    # full step starts on the member's carried factors, and step 4, after
+    # the bisection, starts fresh
+    grid = Grid(2, 8)
+    config = SolverConfig(dt=0.004, t_end=0.024, newton_max_iter=10, newton_dt_retries=3)
+    system = build_system(grid, p_laplacian_coeff(2.5), tanh_drift(1.0),
+                          perturbation_for(2.5, m=2), config, spec=power_sigma(0.75),
+                          kernel=gaussian_kernel(grid), levels=[16])
+    log = factor_log(monkeypatch, system)
+    step = evolution.step_semi_implicit
+
+    def logged_step(system, config, u, t, dw, carry=None):
+        log.append(("step", (t, config.dt)))
+        return step(system, config, u, t, dw, carry)
+
+    monkeypatch.setattr(evolution, "step_semi_implicit", logged_step)
+    sampler = KickedSampler(grid, kick=12.0)
+    (rec,) = simulate_batch(system, config, [initial_profile(grid, "sine", amplitude=0.25)],
+                            [sampler])
+    assert isinstance(rec, TrajectoryRecord)
+    assert [(k, node) for k, node, _ in sampler.log if node] == [(3, 1)]
+    starts = {}   # whether each full step first factors or solves
+    for i, (kind, at) in enumerate(log):
+        if kind == "step" and at[1] == config.dt:
+            starts[round(at[0] / config.dt)] = next(
+                kind for kind, _ in log[i + 1:] if kind != "trial")
+    assert starts == {0: "factor", 1: "solve", 2: "solve", 3: "solve", 4: "factor",
+                      5: "solve"}
 
 
 def test_newton_divergence_is_reported():
@@ -898,6 +1037,17 @@ STACK_CASES = {
     "2d_colored": (Grid(2, 6), remark_flux_coeff(2.5), tanh_drift(1.0),
                    perturbation_for(2.5, m=1), SolverConfig(dt=2e-3, t_end=0.01),
                    [(4, "bump", 0.5, 0), (16, "sine", 0.4, 1), (8, "bump", 0.5, 1)]),
+    # members that converge in different rounds, carrying their 2d factors
+    # from step to step, and one (level 8 on path 0) dt-bisected at step 0
+    "2d_bisected": (Grid(2, 8), p_laplacian_coeff(2.5), tanh_drift(1.0),
+                    perturbation_for(2.5, m=2),
+                    SolverConfig(dt=0.004, t_end=0.02, newton_max_iter=10, newton_dt_retries=3),
+                    [(8, "sine", 0.25, 0), (16, "sine", 0.25, 1), (8, "sine", 0.25, 1)]),
+    # a 2d member that refactors after a stack mate has converged, so that
+    # the factors it carries into its next step come from a part of the stack
+    "2d_carried": (Grid(2, 8), p_laplacian_coeff(2.5), tanh_drift(1.0),
+                   perturbation_for(2.5, m=1), SolverConfig(dt=2e-3, t_end=0.01),
+                   [(4, "bump", 0.1, 0), (16, "sine", 0.5, 1), (8, "bump", 1.0, 1)]),
     # the explicit scheme: sigma_n at each member's level, no Newton solve
     "2d_explicit": (Grid(2, 8), p_laplacian_coeff(2.5), tanh_drift(1.0), None,
                     SolverConfig(dt=2e-4, t_end=4e-3, scheme="explicit"),
@@ -906,10 +1056,20 @@ STACK_CASES = {
 
 
 @pytest.mark.parametrize("case", list(STACK_CASES))
-def test_stacked_members_are_bitwise_their_lone_runs(case):
+def test_stacked_members_are_bitwise_their_lone_runs(case, monkeypatch):
     grid, coeff, drift, pert, config, members = STACK_CASES[case]
+    advance, bisected = evolution._advance, []
+
+    def spied(system, config, samplers, u, t, dt, dw, k, node=1, carry=None):
+        if node > 1:   # a part of a bisected step
+            bisected.append((k, node, len(u)))
+        return advance(system, config, samplers, u, t, dt, dw, k, node, carry)
+
+    monkeypatch.setattr(evolution, "_advance", spied)
     everyone = run_members(grid, coeff, drift, pert, config, members,
                            list(range(len(members))))
+    if case == "2d_bisected":   # member 0 alone, at step 0, one level down
+        assert bisected == [(0, 2, 1), (0, 3, 1)]
     reordered = run_members(grid, coeff, drift, pert, config, members,
                             list(reversed(range(len(members)))))
     pair = run_members(grid, coeff, drift, pert, config, members, [2, 0])
@@ -1046,6 +1206,24 @@ def test_a_failing_member_leaves_the_stack_and_the_others_run_on():
     assert isinstance(failed, NewtonDivergedError)
     assert (failed.step, failed.time) == (3, 3 * config.dt)
     assert_same_bits(rec, simulate_path(system, config, u0, plain))
+
+
+def test_a_failing_2d_member_leaves_with_its_factors_and_the_others_run_on():
+    # the kicked member in the middle fails step 3 and leaves the stack with
+    # its factors; the members on either side, carrying theirs, step as
+    # they do alone
+    grid = Grid(2, 8)
+    config = SolverConfig(dt=0.004, t_end=0.024, n=16, newton_max_iter=10)
+    system = build_system(grid, p_laplacian_coeff(2.5), tanh_drift(1.0),
+                          perturbation_for(2.5, m=2), config, spec=power_sigma(0.75),
+                          kernel=gaussian_kernel(grid))
+    u0 = initial_profile(grid, "sine", amplitude=0.25)
+    plain = [default_sampler(grid, 5, 1), default_sampler(grid, 5, 2)]
+    first, failed, last = simulate_batch(system, config, [u0, u0, u0],
+                                         [plain[0], KickedSampler(grid, kick=12.0), plain[1]])
+    assert isinstance(failed, NewtonDivergedError) and failed.step == 3
+    assert_same_bits(first, simulate_path(system, config, u0, plain[0]))
+    assert_same_bits(last, simulate_path(system, config, u0, plain[1]))
 
 
 def assert_a_singular_member_fails_alone(grid, monkeypatch):
