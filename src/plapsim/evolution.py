@@ -523,11 +523,11 @@ def _chord_steps(system, dt, v, residual, factors, renew):
     """
     every = renew.all()
     fresh = None if every else renew.nonzero()[0]
-    out = (factors,) if every and factors is not None else ()
+    out = factors if every else None
 
     def matrices():
         if every:
-            return _newton_matrix(system, dt, v, *out)
+            return _newton_matrix(system, dt, v, out)
         return _newton_matrix(system.take(fresh), dt, v[fresh])
 
     try:
@@ -557,9 +557,9 @@ def _chord_steps(system, dt, v, residual, factors, renew):
 class _Carry:
     """Each member's factors of I + dt J (_factor_lines), carried from one
     full step of a stack into its next, at the same dt (simulate_batch):
-    ``factors`` holds one slab per member, or is None before the first
-    factorization, and ``kept[b]`` says whether member b's slab holds its
-    factors."""
+    ``factors`` holds one slab per member, or is None where none has any,
+    and ``kept[b]`` says whether member b's slab holds the factors it
+    converged on in its last step."""
 
     kept: np.ndarray
     factors: np.ndarray = None
@@ -602,12 +602,12 @@ def step_semi_implicit(system, config, u, t, dw, carry=None):
     members still iterating share every evaluation, factorization and
     solve.  carry, a _Carry over the stack's members or None (every member
     starts fresh), takes each member's last factors in 2d, made at the
-    same dt, and leaves each its factors at the end: a round in which every
-    member of the stack refactors makes them in the carried slabs, and a
-    member that fails keeps none.  Returns (v, noise, iterations,
-    outcomes): the iterations of every member together, and per member its
-    own count or, where its solve failed, its NewtonDivergedError (its row
-    of v is then no solution).
+    same dt, and leaves each the factors it converged on; a member that
+    fails keeps none.  A round in which every member of the stack
+    refactors makes the new factors in the old ones' slabs.  Returns (v,
+    noise, iterations, outcomes): the iterations of every member together,
+    and per member its own count or, where its solve failed, its
+    NewtonDivergedError (its row of v is then no solution).
     """
     grid, dt, tol = system.grid, config.dt, config.newton_tol
     u = _stack(grid, u)
@@ -626,7 +626,6 @@ def step_semi_implicit(system, config, u, t, dw, carry=None):
     chord = grid.size > grid.n_interior
     carry = carry if chord else None
     refresh = np.ones(count, dtype=bool) if carry is None else ~carry.kept
-    store = None if carry is None else carry.factors   # a slab per member
 
     def fail(members, cause):
         for b in members:
@@ -641,8 +640,12 @@ def step_semi_implicit(system, config, u, t, dw, carry=None):
         return whole if len(members) == count else (members, system.take(members))
 
     active, rounds = (res_norm > tol).nonzero()[0], 0
-    # the factors of the members of the round, in order
-    factors = store if store is None or active.size == count else store[active]
+    # the factors of the members of the round, in order, and those of the
+    # members that have converged, (members, factors) by round, for the carry
+    factors, left = None, []
+    if carry is not None and carry.factors is not None:
+        factors = carry.factors if active.size == count else carry.factors[active]
+        carry.factors = None
     while active.size:   # each member still iterating has had `rounds` solves
         # at most.  newton_max_iter caps the Newton iterations, the solves on
         # factors at the iterate: a member due new factors with none left
@@ -661,13 +664,12 @@ def step_semi_implicit(system, config, u, t, dw, carry=None):
                     factors = factors[~spent]
         at, sub = part(active)
         fresh = refresh[active]   # factors at the member's iterate
-        # free the old factors before the new, or, carrying, make the new
-        # in their slabs
-        if not chord or (carry is None and fresh.all()):
+        # in 2d a round in which every member refactors makes the new
+        # factors in the old ones' slabs; in 1d, where the factors do not
+        # follow the round's members, the old go first
+        if not chord:
             factors = None
         delta, factors, singular = _chord_steps(sub, dt, v[at], residual[at], factors, fresh)
-        if carry is not None and at is whole[0]:
-            store = factors
         if singular:
             fail(active[singular], "singular")
             keep = np.ones(active.size, dtype=bool)
@@ -726,17 +728,21 @@ def step_semi_implicit(system, config, u, t, dw, carry=None):
         active = going.nonzero()[0]
         if chord and active.size < members.size:
             stay = going[members]
-            if carry is not None and factors is not store:
-                # the members that converged leave their factors in the carry
-                done = ~stay & (res_norm[members] <= tol)
-                if store is None:
-                    store = np.empty((count,) + factors.shape[1:])
-                store[members[done]] = factors[done]
-            factors = factors[stay]
+            if carry is not None:   # the members that converged keep their factors
+                done = res_norm[members] <= tol
+                if done.any():
+                    left.append((members[done], factors if done.all() else factors[done]))
+            factors = factors[stay] if active.size else None
     if carry is not None:
-        carry.factors = store
-        carry.kept |= iters > 0
+        carry.kept = iters > 0
         carry.kept[list(failed)] = False
+        if len(left) == 1 and left[0][0].size == count:   # the whole stack, in order
+            carry.factors = left[0][1]
+        elif left:
+            carry.factors = np.empty((count,) + left[0][1].shape[1:])
+            while left:   # each round's factors freed once copied
+                which, slabs = left.pop()
+                carry.factors[which] = slabs
     counts = iters.tolist()
     return v, noise, sum(counts), [failed.get(b, c) for b, c in enumerate(counts)]
 

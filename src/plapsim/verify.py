@@ -125,13 +125,11 @@ PATH_FAILURES = (BlowUpError, NewtonDivergedError)
 
 # Bytes of Newton matrix one stack of jobs may hold (System.slab_bytes per
 # member).  In 2d each member carries its factors from step to step
-# (simulate_batch), and a round in which every member of the stack
-# refactors makes the new ones in those slabs.  Once some members have
-# converged, the others' factors are a copy beside the carried ones, and
-# a round in which only some refactor makes their new matrices beside
-# both, so the peak is below three times this.  It bounds a stack's
-# memory, not its results: a job's record is the same in a stack of any
-# size.
+# (simulate_batch), and a round in which every member refactors makes the
+# new ones in those slabs.  A round in which only some refactor makes
+# their new matrices beside the round's factors, so the peak is below
+# twice this.  It bounds a stack's memory, not its results: a job's
+# record is the same in a stack of any size.
 _STACK_BYTES = 2 ** 20
 
 

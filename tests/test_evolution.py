@@ -295,7 +295,7 @@ def test_2d_newton_step_meets_the_tolerance_in_the_colored_iterations(
     (v,), (noise,), iters, _ = step_semi_implicit(system, config, u[None], 0.0, dw[None])
     residual = v + config.dt * system.apply_drift_operator(v) - u - noise
     assert norm_l2(grid, residual) <= config.newton_tol
-    monkeypatch.setattr(evolution, "_newton_matrix", lambda system, dt, v: np.stack([
+    monkeypatch.setattr(evolution, "_newton_matrix", lambda system, dt, v, out=None: np.stack([
         colored_newton_matrix(system, dt, w, system.apply_drift_operator(w)) for w in v]))
     _, _, iters_colored, _ = step_semi_implicit(system, config, u[None], 0.0, dw[None])
     assert iters_colored >= 1 and abs(iters - iters_colored) <= 1
@@ -458,9 +458,9 @@ def test_2d_chord_step_refactors_where_it_fails_and_fails_only_on_fresh_factors(
     u = initial_profile(grid, "sine", amplitude=4.0)
     newton_matrix, apply_factors, log = evolution._newton_matrix, evolution._apply_factors, []
 
-    def logged_matrix(system, dt, v):   # the state each matrix is made at
+    def logged_matrix(system, dt, v, out=None):   # the state each matrix is made at
         log.append(("factor", v.copy()))
-        return newton_matrix(system, dt, v)
+        return newton_matrix(system, dt, v, out)
 
     def logged_solve(factors, rhs):   # the right-hand side of each solve
         log.append(("solve", rhs.copy()))
@@ -507,9 +507,9 @@ def test_the_newton_budget_caps_the_solves_on_fresh_factors(monkeypatch):
     system, config, u, dw = stiff_step(grid)
     newton_matrix, made = evolution._newton_matrix, []
 
-    def counted_matrix(system, dt, v):
+    def counted_matrix(system, dt, v, out=None):
         made.append(v)
-        return newton_matrix(system, dt, v)
+        return newton_matrix(system, dt, v, out)
 
     monkeypatch.setattr(evolution, "_newton_matrix", counted_matrix)
     (v,), (noise,), iters, _ = step_semi_implicit(system, config, u[None], 0.0, dw[None])
@@ -537,22 +537,24 @@ class Steady:
 
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_a_refactoring_round_lets_the_old_factors_go_first(monkeypatch, dimension):
-    # a stack of one holds one slab at a time, across steps too: in 1d its
-    # old factors are freed before the matrix of its new ones is assembled,
-    # and in 2d, where they are carried from step to step, the new matrix
-    # is made in their slab
+    # a stack holds one set of factors at a time: in a bare step of a stack
+    # of one, and along a stack's path, whose 2d members carry their
+    # factors from step to step.  When the matrix of new factors is
+    # assembled, every earlier set is freed but the round's own: in 1d
+    # that too, and in 2d the new matrix is made in its slabs where every
+    # member refactors, and beside it where only some do
     system, config, u, dw = stiff_step(Grid(dimension, 6))
-    config = replace(config, t_end=3 * config.dt)
     newton_matrix, factor_lines = evolution._newton_matrix, evolution._factor_lines
-    made, into, steps = [], [], []
+    chord_steps, step = evolution._chord_steps, evolution.step_semi_implicit
+    made, own, into, partial, steps, step_calls = [], [None], [], [], [], []
 
     def owner(a):   # the array that holds a's memory
-        return a if a.base is None else a.base
+        return None if a is None else a if a.base is None else a.base
 
     def assembled(system, dt, v, out=None):
-        slab = None if out is None else owner(out)
-        assert all(ref() is None or ref() is slab for ref in made)
-        into.append(slab is not None)
+        assert all(ref() is None or ref() is own[0] for ref in made)
+        assert out is None or owner(out) is own[0]
+        into.append(out is not None)
         steps.append(len(step_calls))
         return newton_matrix(system, dt, v, out)
 
@@ -561,7 +563,18 @@ def test_a_refactoring_round_lets_the_old_factors_go_first(monkeypatch, dimensio
         made.append(weakref.ref(owner(factors)))
         return factors
 
-    step, step_calls = evolution.step_semi_implicit, []
+    def spied_chord_steps(system, dt, v, residual, factors, renew):
+        own[0] = owner(factors)   # the round's factors
+        partial.append(renew.any() and not renew.all())
+        delta, factors, singular = chord_steps(system, dt, v, residual, factors, renew)
+        made.append(weakref.ref(owner(factors)))
+        return delta, factors, singular
+
+    class Carry(evolution._Carry):   # the factors carried between steps
+        def __setattr__(self, name, value):
+            if name == "factors" and value is not None:
+                made.append(weakref.ref(owner(value)))
+            super().__setattr__(name, value)
 
     def counted_step(*args):
         step_calls.append(1)
@@ -569,12 +582,18 @@ def test_a_refactoring_round_lets_the_old_factors_go_first(monkeypatch, dimensio
 
     monkeypatch.setattr(evolution, "_newton_matrix", assembled)
     monkeypatch.setattr(evolution, "_factor_lines", factored)
+    monkeypatch.setattr(evolution, "_chord_steps", spied_chord_steps)
+    step_semi_implicit(system, config, u[None], 0.0, dw[None])
+    assert len(into) > 2 and any(into) == (dimension == 2)
+    monkeypatch.setattr(evolution, "_Carry", Carry)
     monkeypatch.setattr(evolution, "step_semi_implicit", counted_step)
+    del made[:], into[:], partial[:], steps[:]
+    config = replace(config, t_end=3 * config.dt)
     # half the kick at every step keeps each step within the budget
-    (rec,) = simulate_batch(system, config, u[None], [Steady(dw / 2.0)])
-    assert isinstance(rec, TrajectoryRecord) and len(step_calls) == config.num_steps
-    assert len(made) > 2 and len(set(steps)) > 1
-    assert any(into) == (dimension == 2)
+    recs = simulate_batch(system, config, [u, 0.5 * u], [Steady(dw / 2.0)] * 2)
+    assert all(isinstance(rec, TrajectoryRecord) for rec in recs)
+    assert len(step_calls) == config.num_steps and len(set(steps)) > 1
+    assert any(into) == any(partial) == (dimension == 2)
 
 
 def factor_log(monkeypatch, system):
@@ -584,9 +603,9 @@ def factor_log(monkeypatch, system):
     newton_matrix, apply_factors, evaluate, log = (
         evolution._newton_matrix, evolution._apply_factors, system.apply_drift_operator, [])
 
-    def logged_matrix(system, dt, v, *out):
+    def logged_matrix(system, dt, v, out=None):
         log.append(("factor", v.copy()))
-        return newton_matrix(system, dt, v, *out)
+        return newton_matrix(system, dt, v, out)
 
     def logged_solve(factors, rhs):
         log.append(("solve", rhs.copy()))
@@ -1234,8 +1253,8 @@ def assert_a_singular_member_fails_alone(grid, monkeypatch):
     dw = default_sampler(grid, 1, 0).sample_increment(0, config.dt)
     newton_matrix = evolution._newton_matrix
 
-    def singular_second(system, dt, v):
-        slab = newton_matrix(system, dt, v)
+    def singular_second(system, dt, v, out=None):
+        slab = newton_matrix(system, dt, v, out)
         if slab.ndim == 4 and len(slab) == 2:   # the stack of both
             slab[1] = 0.0
         return slab
