@@ -210,7 +210,7 @@ def cmd_verify(cfg, workers, out, config_path):
                           f"alpha = {alpha}", field="sigma.alpha")
     # the builders raise ConfigErrors that name their own keys
     pieces = dict(coeff=make_coeff(cfg), drift=make_drift(cfg),
-                  pert=make_pert({**cfg, "pert.m": cfg["verify.pert_m"]}),
+                  pert=make_pert(cfg, "verify.pert_m"),
                   spec=make_spec(cfg), kernel=make_kernel(cfg, grid),
                   config=make_solver_config(cfg))
     try:   # with the pieces built, a ValueError here is a level below the minimum

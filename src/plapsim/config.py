@@ -295,12 +295,19 @@ def make_drift(cfg):
     return zero_drift()
 
 
-def make_pert(cfg):
+def make_pert(cfg, key="pert.m"):
+    """The 1/n term's perturbation, of the order under key, or None with
+    pert.enabled off.  An order above grid.n_interior is a ConfigError
+    naming key: the grid is too coarse for its differences."""
     if not cfg["pert.enabled"]:
         return None
+    m, nodes = cfg[key], cfg["grid.n_interior"]
+    if nodes < m:
+        raise ConfigError(f"{key}: grid with {nodes} interior nodes is too coarse "
+                          f"for differences of order {m}", field=key)
     if cfg["pert.q"] > 0.0:
-        return HigherOrderPerturbation(m=cfg["pert.m"], q=cfg["pert.q"])
-    return perturbation_for(cfg["coeff.p"], m=cfg["pert.m"])
+        return HigherOrderPerturbation(m=m, q=cfg["pert.q"])
+    return perturbation_for(cfg["coeff.p"], m=m)
 
 
 def make_solver_config(cfg):
@@ -311,7 +318,6 @@ def make_solver_config(cfg):
             n=cfg["solver.n"] if cfg["solver.n"] > 0 else None,
             scheme=cfg["solver.scheme"],
             sigma_mode=cfg["sigma.mode"],
-            use_perturbation=cfg["pert.enabled"],
             newton_tol=cfg["solver.newton_tol"],
             newton_max_iter=cfg["solver.newton_max_iter"],
             newton_dt_retries=cfg["solver.newton_dt_retries"],

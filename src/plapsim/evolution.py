@@ -132,9 +132,9 @@ class SolverConfig:
     """Scheme selection and tolerances for one trajectory.
 
     sigma_mode 'regularized' drives the noise with sigma_n at level n;
-    'raw' uses sigma itself (the limit dynamics).  use_perturbation turns
-    the (1/n) higher-order term on or off independently, so the
-    unperturbed limit equation is the pair ('raw', False).
+    'raw' uses sigma itself (the limit dynamics).  The (1/n) higher-order
+    term is on where build_system gets a perturbation and a level, so the
+    unperturbed limit equation is 'raw' with n None (or no perturbation).
     """
 
     dt: float
@@ -142,7 +142,6 @@ class SolverConfig:
     n: int = None
     scheme: str = "semi-implicit"
     sigma_mode: str = "regularized"
-    use_perturbation: bool = True
     newton_tol: float = 1e-10
     newton_max_iter: int = 40   # solves on factors made at the iterate, per step
     # (step_semi_implicit): chord solves on older factors come on top
@@ -217,10 +216,10 @@ def build_system(grid, coeff, drift, pert, config, spec=None, kernel=None,
                  levels=None):
     """Wire the model pieces for one run at level config.n.
 
-    The noise coefficient follows config.sigma_mode; the higher-order term
-    is scaled by 1/n and dropped entirely when config.use_perturbation is
-    false or n is None.  levels, one per member, builds the system of a
-    stack whose member b runs at level levels[b] in place of config.n.
+    The noise coefficient follows config.sigma_mode.  The higher-order
+    term pert, scaled by 1/n, is on exactly when pert and a level are
+    given.  levels, one per member, builds the system of a stack whose
+    member b runs at level levels[b] in place of config.n.
     A drift with l_f = 0 is f = 0 (DriftSpec) and is dropped (drift None).
     """
     n = config.n if levels is None else np.asarray(levels)
@@ -232,11 +231,11 @@ def build_system(grid, coeff, drift, pert, config, spec=None, kernel=None,
             sigma = RegularizedSigma(spec, n)
         else:
             sigma = spec.eval
-    use_pert = config.use_perturbation and pert is not None and n is not None
+    on = pert is not None and n is not None
     return System(grid=grid, coeff=coeff,
                   drift=drift if drift is not None and drift.l_f != 0 else None,
-                  pert=pert if use_pert else None,
-                  n=n if use_pert else None, kernel=kernel, sigma=sigma)
+                  pert=pert if on else None, n=n if on else None,
+                  kernel=kernel, sigma=sigma)
 
 
 # ------------------------------------------------------------------- stepping
@@ -591,6 +590,12 @@ def step_semi_implicit(system, config, u, t, dw, carry=None):
     iterate comes from its residual, so each iteration evaluates A_n once
     per line-search trial.
 
+    The iteration runs in rounds of one step and one line search per
+    member; a member whose Newton matrix is singular fails and skips the
+    search.  One update, before the first round and after each, keeps the
+    members above tolerance that have not failed, and fails those due new
+    factors with the Newton budget spent: it alone ends a member's rounds.
+
     The iteration starts from the explicit noise update u + sigma_n(t, u)
     K(dW), the right-hand side itself: the noise is already in it, and only
     the drift is left to the solve, whose first residual is dt A_n(rhs).
@@ -639,52 +644,49 @@ def step_semi_implicit(system, config, u, t, dw, carry=None):
     def part(members):
         return whole if len(members) == count else (members, system.take(members))
 
-    active, rounds = (res_norm > tol).nonzero()[0], 0
+    def going_on():
+        """The members of the next round (see above).  Between two Newton
+        iterations each chord solve cuts the residual below CHORD_RATIO of
+        the one before or ends in a refresh, so the rounds end."""
+        going = res_norm > tol
+        if failed:
+            going[list(failed)] = False
+        if rounds >= config.newton_max_iter:   # no member has had more solves
+            spent = going & refresh & (iters - stale >= config.newton_max_iter)
+            if spent.any():
+                fail(spent.nonzero()[0], "budget")
+                going &= ~spent
+        return going
+
+    rounds = 0
+    active = going_on().nonzero()[0]
     # the factors of the members of the round, in order, and those of the
     # members that have converged, (members, factors) by round, for the carry
     factors, left = None, []
     if carry is not None and carry.factors is not None:
         factors = carry.factors if active.size == count else carry.factors[active]
         carry.factors = None
-    while active.size:   # each member still iterating has had `rounds` solves
-        # at most.  newton_max_iter caps the Newton iterations, the solves on
-        # factors at the iterate: a member due new factors with none left
-        # fails.  Between two of them each chord solve takes the residual
-        # below CHORD_RATIO of the one before or ends in a refresh, so the
-        # loop ends.
-        if rounds >= config.newton_max_iter:
-            newton = iters[active] - stale[active]
-            spent = refresh[active] & (newton >= config.newton_max_iter)
-            if spent.any():
-                fail(active[spent], "budget")
-                active = active[~spent]
-                if not active.size:
-                    break
-                if chord:   # the factors run over the members of active
-                    factors = factors[~spent]
-        at, sub = part(active)
-        fresh = refresh[active]   # factors at the member's iterate
+    while active.size:
+        members = active   # the round's members, in 2d the rows of factors
+        at, sub = part(members)
+        fresh = refresh[members]   # factors at the member's iterate
         # in 2d a round in which every member refactors makes the new
         # factors in the old ones' slabs; in 1d, where the factors do not
         # follow the round's members, the old go first
         if not chord:
             factors = None
         delta, factors, singular = _chord_steps(sub, dt, v[at], residual[at], factors, fresh)
-        if singular:
-            fail(active[singular], "singular")
-            keep = np.ones(active.size, dtype=bool)
+        if singular:   # they fail, and take no part in the line search
+            fail(members[singular], "singular")
+            keep = np.ones(members.size, dtype=bool)
             keep[singular] = False
-            active = active[keep]
-            if not active.size:
-                break
-            delta, factors, fresh = delta[keep], factors[keep], fresh[keep]
+            active, delta, fresh = members[keep], delta[keep], fresh[keep]
             at, sub = part(active)
-        members = active
         if chord:
             stale[active[~fresh]] += 1
             refresh[active] = False
         step = 1.0   # every member still searching is at the same step
-        while True:
+        while active.size:
             trial = v[at] + step * delta
             trial_res = trial + dt * sub.apply_drift_operator(trial) - rhs[at]
             trial_norm = norm_l2(grid, trial_res)
@@ -722,9 +724,7 @@ def step_semi_implicit(system, config, u, t, dw, carry=None):
                 fail(active, "line_search")
                 break
         rounds += 1
-        going = res_norm > tol
-        if failed:
-            going[list(failed)] = False
+        going = going_on()
         active = going.nonzero()[0]
         if chord and active.size < members.size:
             stay = going[members]

@@ -352,8 +352,7 @@ def contraction_experiment(plan, u0_a, u0_b):
         np.linspace(0, steps, min(plan.checkpoints, steps) + 1)).astype(int))
     t_snap = snap_idx * plan.config.dt
 
-    cfg = replace(plan.config, n=None, sigma_mode="raw", use_perturbation=False,
-                  record_every=1)
+    cfg = replace(plan.config, n=None, sigma_mode="raw", record_every=1)
     jobs = [(cfg, u0, p) for p in range(plan.num_paths) for u0 in (u0_a, u0_b)]
     records = _map_jobs(plan, "l1_contraction", jobs, energies=False)
     curves = np.asarray([norm_l1(grid, rec_a.states[snap_idx] - rec_b.states[snap_idx])
@@ -446,8 +445,8 @@ def _heat_error(grid, dt, t_end, decay):
     noise-free Ensemble with Newton tolerance 1e-12; a path failure raises,
     tagged with study heat_oracle (its level and path are None)."""
     u0 = initial_profile(grid, "sine")
-    cfg = SolverConfig(dt=dt, t_end=t_end, use_perturbation=False,
-                       newton_tol=1e-12, record_every=max(1, int(round(t_end / dt))))
+    cfg = SolverConfig(dt=dt, t_end=t_end, newton_tol=1e-12,
+                       record_every=max(1, int(round(t_end / dt))))
     heat = Ensemble(grid, linear_coeff(), zero_drift(), None, None, None, master_seed=0)
     (rec,) = _map_jobs(heat, "heat_oracle", [(cfg, u0, None)], energies=False)
     exact = decay * u0

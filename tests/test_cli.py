@@ -196,7 +196,10 @@ def test_regcheck_below_n0_exits_two_with_no_outputs(tmp_path, capsys):
     pytest.param("sigma.scale = 3\nrun.n_list = [2, 4]\n", "run.n_list",
                  id="level-below-n0"),
     pytest.param('grid.n_interior = 4\nkernel.type = "csv"\nkernel.path = "{kernel}"\n',
-                 "kernel.path", id="kernel-csv-shape")])
+                 "kernel.path", id="kernel-csv-shape"),
+    # verify runs the 1/n term at its own order, verify.pert_m, not pert.m
+    pytest.param("grid.n_interior = 1\nverify.pert_m = 2\n", "verify.pert_m",
+                 id="grid-coarser-than-the-order")])
 def test_verify_config_errors_name_their_key(tmp_path, capsys, text, field):
     kernel = tmp_path / "kernel.csv"
     kernel.write_text("n,4,d,1\n1,0.5\n")   # one row of two values for a 4-node grid
@@ -467,7 +470,9 @@ def test_simulate_workers_do_not_change_outputs(tmp_path):
 @pytest.mark.parametrize("config, named", [
     pytest.param("solver.n = 0\n", "solver.n", id="no-level"),
     pytest.param("solver.n = 1\nsigma.scale = 3.0\n", "solver.n", id="below-n0"),
-    pytest.param("noise.modes = 500\n", "noise.modes", id="modes")])
+    pytest.param("noise.modes = 500\n", "noise.modes", id="modes"),
+    pytest.param("grid.dimension = 2\ngrid.n_interior = 1\npert.m = 2\n", "pert.m",
+                 id="grid-coarser-than-the-order")])
 def test_simulate_config_errors_exit_two_with_no_outputs(tmp_path, capsys, config,
                                                          named):
     path = write_config(tmp_path, config)

@@ -48,11 +48,10 @@ def heat_system(n_interior):
                               SolverConfig(dt=1e-3, t_end=1e-3))
 
 
-def stochastic_pieces(grid, n=8, use_pert=True, dt=1e-3, t_end=0.02, **kw):
-    config = SolverConfig(dt=dt, t_end=t_end, n=n,
-                          use_perturbation=use_pert, **kw)
+def stochastic_pieces(grid, n=8, pert=True, dt=1e-3, t_end=0.02, **kw):
+    config = SolverConfig(dt=dt, t_end=t_end, n=n, **kw)
     system = build_system(grid, p_laplacian_coeff(2.5), tanh_drift(1.0),
-                          perturbation_for(2.5), config,
+                          perturbation_for(2.5) if pert else None, config,
                           spec=power_sigma(0.75, 1.0),
                           kernel=gaussian_kernel(grid))
     return system, config
@@ -113,7 +112,7 @@ def level_system(dimension, n_interior, m, p=2.5, convective=False):
     grid = Grid(dimension, n_interior)
     coeff = remark_flux_coeff(p) if convective else p_laplacian_coeff(p)
     pert = HigherOrderPerturbation(m=m, q=q_of_p(p)) if m else None
-    config = SolverConfig(dt=1e-3, t_end=1e-3, n=8, use_perturbation=bool(m))
+    config = SolverConfig(dt=1e-3, t_end=1e-3, n=8)
     return grid, build_system(grid, coeff, tanh_drift(1.0), pert, config)
 
 
@@ -627,7 +626,7 @@ def test_2d_members_carry_their_factors_into_their_next_step(monkeypatch):
     # step on the factors it ended the last one with.  A bare step has
     # nothing to carry and factors at its start
     grid = Grid(2, 8)
-    system, config = stochastic_pieces(grid, use_pert=False, dt=2e-3, t_end=0.02)
+    system, config = stochastic_pieces(grid, pert=False, dt=2e-3, t_end=0.02)
     u0 = [initial_profile(grid, "sine", amplitude=0.25),
           initial_profile(grid, "bump", amplitude=0.3)]
     factor_lines, factored = evolution._factor_lines, []
@@ -913,8 +912,7 @@ def test_zero_is_a_fixed_point():
 def test_deterministic_l1_contraction_without_drift():
     # two solutions of the plain p-Laplace flow never increase their L1 gap
     grid = Grid(1, 24)
-    config = SolverConfig(dt=2e-3, t_end=0.05, use_perturbation=False,
-                          sigma_mode="raw")
+    config = SolverConfig(dt=2e-3, t_end=0.05, sigma_mode="raw")
     system = build_system(grid, p_laplacian_coeff(3.0), zero_drift(), None,
                           config)
     u0 = initial_profile(grid, "sine", amplitude=0.8)
@@ -975,8 +973,7 @@ def test_a_stack_whose_members_all_leave_early_returns_their_errors():
     # both tall sines blow up under an explicit dt far above the heuristic,
     # long before the last of the snapshots that record_every = 3 plans
     grid = Grid(1, 24)
-    config = SolverConfig(dt=0.05, t_end=1.0, scheme="explicit",
-                          use_perturbation=False, record_every=3)
+    config = SolverConfig(dt=0.05, t_end=1.0, scheme="explicit", record_every=3)
     system = build_system(grid, p_laplacian_coeff(3.0), zero_drift(), None, config)
     u0 = [initial_profile(grid, "sine", amplitude=a) for a in (2.0, 3.0)]
     with np.errstate(all="ignore"):
@@ -994,8 +991,7 @@ def test_scheme_difference_shrinks_first_order():
     for dt in (1.6e-3, 8e-4, 4e-4):
         finals = []
         for scheme in ("explicit", "semi-implicit"):
-            config = SolverConfig(dt=dt, t_end=0.032, scheme=scheme,
-                                  use_perturbation=False)
+            config = SolverConfig(dt=dt, t_end=0.032, scheme=scheme)
             system = build_system(grid, linear_coeff(), zero_drift(), None,
                                   config)
             finals.append(simulate_path(system, config, u0).final_state())
@@ -1245,35 +1241,50 @@ def test_a_failing_2d_member_leaves_with_its_factors_and_the_others_run_on():
     assert_same_bits(last, simulate_path(system, config, u0, plain[1]))
 
 
-def assert_a_singular_member_fails_alone(grid, monkeypatch):
+def assert_a_singular_member_fails_alone(grid, monkeypatch, amplitudes=(0.25, 0.25), **kw):
     # member 1's Newton matrix is zeroed: its solve fails at the first
-    # iteration, and member 0 steps as it does alone
-    system, config = stochastic_pieces(grid)
-    u = np.stack([initial_profile(grid, "sine", amplitude=0.25)] * 2)
+    # iteration, and every other member steps as it does alone
+    system, config = stochastic_pieces(grid, **kw)
+    u = np.stack([initial_profile(grid, "sine", amplitude=a) for a in amplitudes])
     dw = default_sampler(grid, 1, 0).sample_increment(0, config.dt)
     newton_matrix = evolution._newton_matrix
 
     def singular_second(system, dt, v, out=None):
         slab = newton_matrix(system, dt, v, out)
-        if slab.ndim == 4 and len(slab) == 2:   # the stack of both
+        if slab.ndim == 4 and len(slab) == len(u):   # the whole stack
             slab[1] = 0.0
         return slab
 
     monkeypatch.setattr(evolution, "_newton_matrix", singular_second)
     v, _, _, outcomes = step_semi_implicit(system, config, u, 0.0, dw)
     assert isinstance(outcomes[1], NewtonDivergedError)
-    assert outcomes[1].iterations == 0
-    (v_alone,), _, iters, _ = step_semi_implicit(system, config, u[:1], 0.0, dw[None])
-    assert outcomes[0] == iters and v[0].tobytes() == v_alone.tobytes()
+    assert (outcomes[1].cause, outcomes[1].iterations) == ("singular", 0)
+    for b in (0, *range(2, len(u))):
+        (v_alone,), _, _, (alone,) = step_semi_implicit(system, config, u[b:b + 1], 0.0,
+                                                         dw[None])
+        assert v[b].tobytes() == v_alone.tobytes()
+        assert type(outcomes[b]) is type(alone)
+        assert getattr(outcomes[b], "__dict__", outcomes[b]) == getattr(alone, "__dict__", alone)
+    return outcomes
 
 
 def test_a_singular_member_fails_alone(monkeypatch):
     assert_a_singular_member_fails_alone(Grid(1, 16), monkeypatch)
 
 
-def test_a_singular_2d_member_fails_alone(monkeypatch):
-    # in 2d the singular block is met while factoring, not while solving
-    assert_a_singular_member_fails_alone(Grid(2, 6), monkeypatch)
+@pytest.mark.parametrize("mate_spends_its_budget", [False, True], ids=["pair", "spent-mate"])
+def test_a_singular_2d_member_fails_alone(monkeypatch, mate_spends_its_budget):
+    # in 2d the singular block is met while factoring, not while solving.
+    # With a budget of one Newton iteration, member 2 is due new factors
+    # after the round in which member 1 is singular, and fails for its
+    # budget there, while member 0 converges on the chord iteration
+    if not mate_spends_its_budget:
+        assert_a_singular_member_fails_alone(Grid(2, 6), monkeypatch)
+        return
+    outcomes = assert_a_singular_member_fails_alone(
+        Grid(2, 6), monkeypatch, amplitudes=(0.01, 0.25, 0.25), newton_max_iter=1)
+    assert outcomes[0] > 1
+    assert (outcomes[2].cause, outcomes[2].iterations) == ("budget", 1)
 
 
 def assert_a_singular_stack_of_one_reports(grid, monkeypatch):
@@ -1339,8 +1350,7 @@ def test_stacked_steps_count_every_members_iterations():
 
 def test_blow_up_raises_with_context():
     grid = Grid(1, 24)
-    config = SolverConfig(dt=0.05, t_end=1.0, scheme="explicit",
-                          use_perturbation=False)
+    config = SolverConfig(dt=0.05, t_end=1.0, scheme="explicit")
     system = build_system(grid, p_laplacian_coeff(3.0), zero_drift(), None,
                           config)
     u0 = initial_profile(grid, "sine", amplitude=2.0)
@@ -1403,12 +1413,13 @@ def test_build_system_needs_level_for_regularized_noise():
 
 
 def test_build_system_perturbation_switch():
+    # the 1/n term is on exactly when build_system gets a perturbation and a level
     grid = Grid(1, 8)
-    on = SolverConfig(dt=1e-3, t_end=1e-2, n=4)
-    off = SolverConfig(dt=1e-3, t_end=1e-2, n=4, use_perturbation=False)
-    sys_on = build_system(grid, p_laplacian_coeff(2.5), zero_drift(),
-                          perturbation_for(2.5), on)
-    sys_off = build_system(grid, p_laplacian_coeff(2.5), zero_drift(),
-                           perturbation_for(2.5), off)
-    assert sys_on.pert is not None and sys_on.jacobian_half_width == 2
-    assert sys_off.pert is None and sys_off.jacobian_half_width == 1
+    level = SolverConfig(dt=1e-3, t_end=1e-2, n=4)
+    build = lambda pert, config: build_system(grid, p_laplacian_coeff(2.5), zero_drift(),
+                                              pert, config)
+    sys_on = build(perturbation_for(2.5), level)
+    assert sys_on.pert is not None and sys_on.n == 4 and sys_on.jacobian_half_width == 2
+    for sys_off in (build(None, level), build(perturbation_for(2.5), replace(level, n=None))):
+        assert sys_off.pert is None and sys_off.n is None
+        assert sys_off.jacobian_half_width == 1

@@ -33,13 +33,14 @@ def noise_scaled(factor):
     return plant
 
 
-def solver_changed(**changes):
-    """Every system the battery builds runs with its solver config changed."""
+def no_perturbation(**changes):
+    """Every system the battery builds runs without the 1/n term (its
+    perturbation piece dropped) and with its solver config changed."""
     def plant(monkeypatch):
         build = verify.build_system
 
         def changed(grid, coeff, drift, pert, config, **kwargs):
-            return build(grid, coeff, drift, pert, replace(config, **changes), **kwargs)
+            return build(grid, coeff, drift, None, replace(config, **changes), **kwargs)
 
         monkeypatch.setattr(verify, "build_system", changed)
     return plant
@@ -67,9 +68,8 @@ MUTANTS = [
     pytest.param(noise_scaled(1.05), None, id="noise-x1.05", marks=missed(NOISE)),
     pytest.param(noise_scaled(3.0), None, id="noise-x3", marks=missed(NOISE)),
     pytest.param(noise_scaled(1e-4), None, id="noise-x1e-4", marks=missed(NOISE)),
-    pytest.param(solver_changed(use_perturbation=False), None,
-                 id="no-1-over-n-term", marks=missed(LIMIT)),
-    pytest.param(solver_changed(sigma_mode="raw", use_perturbation=False), None,
+    pytest.param(no_perturbation(), None, id="no-1-over-n-term", marks=missed(LIMIT)),
+    pytest.param(no_perturbation(sigma_mode="raw"), None,
                  id="limit-at-every-level", marks=missed(LIMIT)),
     pytest.param(sigma_for_sigma_n, None, id="sigma-for-sigma_n",
                  marks=missed("ROADMAP item 4's active fraction of sigma_n < sigma")),

@@ -29,14 +29,15 @@ from oracles import slightly_fast_heat_coeff
 
 
 def desk_plan(grid=None, paths=3, workers=1, m=2, alpha=0.75, **config_kw):
+    """The desk study's plan; m None runs it without the 1/n term."""
     grid = grid or Grid(1, 12)
-    kw = dict(dt=4e-3, t_end=0.04, use_perturbation=True)
+    kw = dict(dt=4e-3, t_end=0.04)
     kw.update(config_kw)
     return ExperimentPlan(
         grid=grid,
         coeff=p_laplacian_coeff(2.5),
         drift=tanh_drift(1.0),
-        pert=HigherOrderPerturbation(m=m, q=q_of_p(2.5)),
+        pert=HigherOrderPerturbation(m=m, q=q_of_p(2.5)) if m else None,
         spec=power_sigma(alpha, 1.0),
         kernel=gaussian_kernel(grid, ell=0.25),
         config=SolverConfig(**kw),
@@ -325,8 +326,7 @@ def test_workers_beyond_the_job_count_cut_the_same_stacks():
 def test_first_failing_job_in_job_order_raises(workers):
     # the explicit scheme at dt = 0.004 blows up sooner from a larger
     # amplitude: job 0 fails late, job 2 early, and job 0 must be the one
-    plan = desk_plan(scheme="explicit", dt=0.004, t_end=0.08,
-                     use_perturbation=False, workers=workers)
+    plan = desk_plan(scheme="explicit", dt=0.004, t_end=0.08, m=None, workers=workers)
     sine = lambda amp: initial_profile(plan.grid, "sine", amplitude=amp)
     jobs = [(replace(plan.config, n=4), sine(0.5), 0),
             (replace(plan.config, n=8), sine(0.05), 1),
